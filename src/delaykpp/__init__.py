@@ -5,10 +5,9 @@ and the non-local delayed KPP equation (spreading speeds, level sets,
 comparison certificates).
 """
 
-from .kernels import (Dirac, Gaussian, ShiftedGaussian, LaplaceKernel,
-                      UniformKernel, TiltedKernel, DiscreteKernel,
-                      discretize, quadrature_laplace, kernel_from_dict,
-                      kernel_to_dict)
+from .kernels import (Dirac, Gaussian, LaplaceKernel, UniformKernel,
+                      TiltedKernel, DiscreteKernel, discretize,
+                      quadrature_laplace, kernel_from_dict, kernel_to_dict)
 from .characteristic import (CharParams, DecayPair, TangencySolution,
                              SpeedPair, halanay_root, gamma_zero,
                              gamma_on_grid, tangency_solve, polish_speed,

@@ -16,26 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["halanay_root", "halanay_root_grid", "bracket_increasing"]
+__all__ = ["halanay_root", "halanay_root_grid"]
 
 # exp overflows float64 just above 709; stay clear of it
 _EXP_MAX = 690.0
 # past this the bisection bracket re_mu + e^u is too wide to close in 90
 # halvings; the w + log w = u substitution is accurate from here up
 _LOG_SPACE_MIN = 40.0
-
-
-def bracket_increasing(f, lo: float, step: float = 1.0, max_doublings: int = 200):
-    """Doubling search for an upper bracket of an increasing function's root.
-
-    Assumes f(lo) <= 0.  Returns (lo, hi) with f(hi) >= 0.
-    """
-    hi = lo + step
-    for _ in range(max_doublings):
-        if f(hi) >= 0.0:
-            return lo, hi
-        lo, hi = hi, hi + 2.0 * (hi - lo)
-    raise RuntimeError("no sign change found by doubling search")
 
 
 def _log_space_root(u: np.ndarray) -> np.ndarray:

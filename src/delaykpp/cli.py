@@ -2,12 +2,13 @@
 
 Subcommands: speeds | char | simulate-linear | fundamental | simulate-kpp
 | experiment {mckean, extinction, spreading, bridge, logdrift} | verify.
-Configs are JSON objects (see the presets module for runnable templates);
-outputs are JSON reports and CSV traces written atomically (temp file +
-rename) with floats at 17 significant digits and sorted keys, so a rerun
-of the same config is byte-identical.
+Configs are JSON objects; the config module documents every field and the
+presets module holds runnable templates.  Outputs are JSON reports and
+CSV traces written atomically (temp file + rename) with floats at 17
+significant digits and sorted keys, so a rerun of the same config is
+byte-identical.
 
-Exit status: 0 for a passing verdict or a completed diagnostic, 2 when an
+Exit status: 0 for a passing verdict or a diagnostic, 2 when an
 experiment verdict is "fail" or "inconclusive", 1 for config or runtime
 errors (message on stderr names the offending field or gate).
 
@@ -28,16 +29,14 @@ import tempfile
 
 import numpy as np
 
-from .birth import birth_from_dict
-from .characteristic import (CharParams, critical_speeds, gamma_zero,
-                             tangency_solve)
+from .characteristic import critical_speeds, gamma_zero, tangency_solve
+from .config import Fields, default_out_every, kpp_inputs
 from .errors import ConfigError
-from .experiments import (_frame_equation, bridge_check,
-                          extinction_experiment, logdrift_fit,
+from .experiments import (_frame_tangencies, bridge_check,
+                          extinction_experiment, logdrift_experiment,
                           mckean_experiment, spreading_experiment)
 from .fundamental import approx_identity_error, pde_residual, symbol_table
-from .grids import Grid
-from .kernels import kernel_from_dict
+from .grids import every_kth
 from .linear_solver import (solve_linear, tangency_limit_diagnostic,
                             universal_bound_diagnostic)
 from .nonlinear import solve_kpp, trace_levels
@@ -138,55 +137,15 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required field '{key}'")
-    return cfg[key]
-
-
-def _params_from(cfg: dict) -> CharParams:
-    spec = _require(cfg, "params")
-    if not isinstance(spec, dict):
-        raise ConfigError("field 'params' must be an object with m, p, h")
-    missing = [k for k in ("m", "p", "h") if k not in spec]
-    if missing:
-        raise ConfigError(f"field 'params' is missing {missing}")
-    return CharParams(m=float(spec["m"]), p=float(spec["p"]),
-                      h=float(spec["h"]))
-
-
-def _grid_from(cfg: dict) -> Grid:
-    return Grid(float(_require(cfg, "L")), int(_require(cfg, "n")))
-
-
-def _u0_from(cfg: dict, grid: Grid, default_amp: float = 1.0) -> np.ndarray:
-    spec = cfg.get("u0", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("field 'u0' must be an object")
-    if "constant" in spec:
-        return np.full(grid.n, float(spec["constant"]))
-    amp = float(spec.get("amplitude", default_amp))
-    width = float(spec.get("width", 2.0))
-    center = float(spec.get("center", 0.0))
-    return amp * np.exp(-(((grid.x - center) / width) ** 2))
-
-
-def _gprime0_from(cfg: dict) -> float:
-    if "gprime0" in cfg:
-        return float(cfg["gprime0"])
-    if "birth" in cfg:
-        return birth_from_dict(cfg["birth"]).gprime0
-    raise ConfigError("config needs either 'gprime0' or a 'birth' spec")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns a process exit status
 
 
 def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
-    kernel0 = kernel_from_dict(_require(cfg, "kernel"))
-    h = float(_require(cfg, "h"))
-    g1 = _gprime0_from(cfg)
+    f = Fields(cfg)
+    kernel0 = f.kernel()
+    h = f.delay()
+    g1 = f.gprime0()
     sp = critical_speeds(kernel0, g1, h)
     report = {
         "c_minus": float(sp.c_minus), "c_plus": float(sp.c_plus),
@@ -194,10 +153,7 @@ def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
         "lambda_plus": float(sp.lambda_plus),
         "residuals": [float(r) for r in sp.residuals],
     }
-    for branch, lam, c in (("plus", sp.lambda_plus, sp.c_plus),
-                           ("minus", sp.lambda_minus, sp.c_minus)):
-        params, kern = _frame_equation(kernel0, g1, h, float(c))
-        tang = tangency_solve(params, kern)
+    for branch, lam, tang in _frame_tangencies(kernel0, g1, h, sp):
         report[f"branch_{branch}"] = {
             "gamma_m": float(tang.gamma_m), "z_m": float(tang.z_m),
             "sigma_m": float(tang.sigma_m),
@@ -211,9 +167,10 @@ def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
 
 
 def _cmd_char(cfg: dict, out: str, quiet: bool) -> int:
-    params = _params_from(cfg)
-    kernel = kernel_from_dict(_require(cfg, "kernel"))
-    z0 = float(cfg.get("z0", 0.0))
+    f = Fields(cfg)
+    params = f.params()
+    kernel = f.kernel()
+    z0 = f.number("z0", 0.0)
     pair = gamma_zero(params, kernel, z0)
     report = {"gamma0": pair.gamma0, "z0": pair.z0}
     try:
@@ -232,43 +189,36 @@ def _cmd_char(cfg: dict, out: str, quiet: bool) -> int:
 
 
 def _snapshot_rows(times, fields, x, stride: int):
-    idx = list(range(0, len(times), stride))
-    if idx[-1] != len(times) - 1:
-        idx.append(len(times) - 1)
-    for i in idx:
+    for i in every_kth(len(times), stride):
         t = float(times[i])
         for j in range(x.size):
             yield (t, float(x[j]), float(fields[i][j]))
 
 
 def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
-    params = _params_from(cfg)
-    kernel = kernel_from_dict(_require(cfg, "kernel"))
-    grid = _grid_from(cfg)
-    T = float(_require(cfg, "T"))
-    n_h = cfg.get("n_h")
-    n_h = None if n_h is None else int(n_h)
-    out_every = cfg.get("out_every")
-    out_every = None if out_every is None else int(out_every)
-    u0 = _u0_from(cfg, grid)
-    traj = solve_linear(params, kernel, grid, u0, T, n_h, out_every)
+    f = Fields(cfg)
+    params = f.params()
+    kernel = f.kernel()
+    grid = f.grid()
+    T = f.number("T")
+    traj = solve_linear(params, kernel, grid, f.u0(grid, 1.0), T,
+                        f.count("n_h", None), f.count("out_every", None))
 
-    stride = int(cfg.get("snapshot_stride", 1))
+    stride = f.count("snapshot_stride", 1)
     _write_csv(os.path.join(out, "linear_snapshots.csv"), "t,x,u",
                _snapshot_rows(traj.times, traj.fields, grid.x, stride))
 
     report = {"T": T, "n_h": int(traj.n_h),
               "edge_fraction": float(traj.edge_fraction),
               "final_sup": float(np.max(np.abs(traj.fields[-1])))}
-    diag = cfg.get("diagnostics")
-    if diag is not None:
-        z0 = float(diag.get("z0", 0.0))
-        pair = gamma_zero(params, kernel, z0)
+    if "diagnostics" in cfg:
+        diag = f.obj("diagnostics")
+        pair = gamma_zero(params, kernel, diag.number("z0", 0.0))
         _, S = universal_bound_diagnostic(traj, pair)
-        if diag.get("tangency", True):
+        if diag.flag("tangency", True):
             tang = tangency_solve(params, kernel)
             _, D = tangency_limit_diagnostic(
-                traj, tang, float(diag.get("probe_x", 0.0)))
+                traj, tang, diag.number("probe_x", 0.0))
             report.update({"gamma_m": tang.gamma_m, "z_m": tang.z_m,
                            "sigma_m": tang.sigma_m, "D_final": float(D[-1])})
         else:
@@ -289,20 +239,21 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
 
 
 def _cmd_fundamental(cfg: dict, out: str, quiet: bool) -> int:
-    params = _params_from(cfg)
-    kernel = kernel_from_dict(_require(cfg, "kernel"))
-    t_min = float(cfg.get("t_min", 0.25))
-    x_span = float(cfg.get("x_span", 40.0))
+    f = Fields(cfg)
+    params = f.params()
+    kernel = f.kernel()
+    t_min = f.positive("t_min", 0.25)
+    x_span = f.positive("x_span", 40.0)
     table = symbol_table(params, kernel, t_min=t_min, x_span=x_span)
     report = {"gate": "accepted", "rho_residual": table.residual(),
               "rho0": table.rho0, "z_max": float(table.z[-1]),
               "n_modes": int(table.z.size)}
 
-    res_t = float(cfg.get("residual_t", 2.0 * params.h))
+    res_t = f.number("residual_t", 2.0 * params.h)
     report["pde_residual_t"] = res_t
     report["pde_residual"] = pde_residual(table, res_t)
 
-    times = [float(t) for t in cfg.get("identity_times", [0.5, 0.1, 0.02])]
+    times = f.numbers("identity_times", [0.5, 0.1, 0.02])
     x = np.linspace(-0.5 * x_span, 0.5 * x_span, 801)
     psi = np.exp(-((x / 2.0) ** 2))
     errs = [approx_identity_error(table, t, x, psi) for t in times]
@@ -326,29 +277,20 @@ def _levels_rows(trace):
 
 
 def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
-    kernel0 = kernel_from_dict(_require(cfg, "kernel"))
-    birth = birth_from_dict(_require(cfg, "birth"))
-    grid = _grid_from(cfg)
-    h = float(_require(cfg, "h"))
-    T = float(_require(cfg, "T"))
-    n_h = int(cfg.get("n_h", 64))
-    out_every = int(cfg.get("out_every", max(1, n_h // 4)))
-    kappa = birth.kappa
-    beta = float(cfg.get("beta", 0.5 * kappa))
-    if not 0.0 < beta < kappa:
-        raise ConfigError(f"beta must lie in (0, kappa), got {beta}")
-    u0 = _u0_from(cfg, grid, default_amp=0.9 * kappa)
+    f = Fields(cfg)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
+    out_every = f.count("out_every", default_out_every(n_h))
+    stride = f.count("snapshot_stride", 1)
     traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     trace = trace_levels(traj, beta, speeds)
 
-    stride = int(cfg.get("snapshot_stride", 1))
     _write_csv(os.path.join(out, "kpp_snapshots.csv"), "t,x,u",
                _snapshot_rows(traj.times, traj.fields, grid.x, stride))
     _write_csv(os.path.join(out, "kpp_levels.csv"),
                "t,beta,m_minus,m_plus,attained", _levels_rows(trace))
     report = {
-        "kappa": kappa, "beta": beta,
+        "kappa": birth.kappa, "beta": beta,
         "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
         "lambda_minus": float(speeds.lambda_minus),
         "lambda_plus": float(speeds.lambda_plus),
@@ -360,35 +302,15 @@ def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
     _write_json(os.path.join(out, "kpp_report.json"), report)
     if not quiet:
         print(f"simulate-kpp: final sup {_fmt(report['final_sup'])} "
-              f"(kappa {_fmt(kappa)})")
+              f"(kappa {_fmt(birth.kappa)})")
     return 0
 
 
 def _cmd_experiment(name: str, cfg: dict, out: str, quiet: bool) -> int:
-    if name == "logdrift":
-        rep = mckean_experiment(cfg)
-        kernel0 = kernel_from_dict(cfg["kernel"])
-        speeds = critical_speeds(kernel0, birth_from_dict(cfg["birth"]).gprime0,
-                                 float(cfg["h"]))
-        fit = logdrift_fit(rep.trace, speeds)
-        report = {"name": "logdrift", "params": cfg, "verdict": "diagnostic",
-                  "metrics": {"coefficient": fit.coefficient,
-                              "stderr": fit.stderr,
-                              "intercept": fit.intercept,
-                              "n_samples": fit.n_samples,
-                              "ref_half": fit.ref_half,
-                              "ref_three_half": fit.ref_three_half,
-                              "c_plus": float(speeds.c_plus),
-                              "lambda_plus": float(speeds.lambda_plus)}}
-        _write_json(os.path.join(out, "logdrift_report.json"), report)
-        if not quiet:
-            print(f"experiment logdrift: coefficient "
-                  f"{_fmt(fit.coefficient)} (refs "
-                  f"{_fmt(fit.ref_half)} / {_fmt(fit.ref_three_half)})")
-        return 0
-
+    # looked up per call, so a name rebound on this module takes effect
     runner = {"mckean": mckean_experiment, "extinction": extinction_experiment,
-              "spreading": spreading_experiment, "bridge": bridge_check}[name]
+              "spreading": spreading_experiment, "bridge": bridge_check,
+              "logdrift": logdrift_experiment}[name]
     rep = runner(cfg)
     _write_json(os.path.join(out, f"{rep.name}_report.json"), rep.to_dict())
     if rep.trace is not None:
@@ -396,7 +318,7 @@ def _cmd_experiment(name: str, cfg: dict, out: str, quiet: bool) -> int:
                    "t,beta,m_minus,m_plus,attained", _levels_rows(rep.trace))
     if not quiet:
         print(f"experiment {rep.name}: verdict {rep.verdict}")
-    return 0 if rep.verdict == "pass" else 2
+    return 0 if rep.verdict in ("pass", "diagnostic") else 2
 
 
 def _cmd_verify(out: str, quiet: bool) -> int:
@@ -439,13 +361,14 @@ def run(config_path: str, out_dir: str = ".", quiet: bool = False) -> int:
     process exit status (0 pass/diagnostic, 2 verdict fail, 1 error)."""
     try:
         cfg = _load_config(config_path)
-        command = cfg.get("command")
-        if command is None:
-            raise ConfigError("config is missing required field 'command'")
+        f = Fields(cfg)
+        command = f.text("command")
         if command == "verify":
             return _cmd_verify(out_dir, quiet)
-        return _dispatch(command, cfg.get("experiment"), cfg, out_dir, quiet)
-    except (ValueError, RuntimeError) as exc:
+        return _dispatch(command, f.text("experiment", None), cfg, out_dir,
+                         quiet)
+    # ArithmeticError: a solver overflowing on an extreme but well-typed value
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -485,18 +408,19 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args.out, args.quiet)
         cfg = _load_config(args.config)
-        experiment = getattr(args, "name", None) or cfg.get("experiment")
-        declared = cfg.get("command")
-        if declared is not None and declared != args.command:
+        f = Fields(cfg)
+        declared = f.text("command", None)
+        if declared not in (None, args.command):
             raise ConfigError(f"config declares command '{declared}' but "
                               f"'{args.command}' was invoked")
-        declared_exp = cfg.get("experiment")
-        if (args.command == "experiment" and declared_exp is not None
-                and getattr(args, "name", None) not in (None, declared_exp)):
+        # only the experiment subcommand has a (required) name argument
+        name = getattr(args, "name", None)
+        declared_exp = f.text("experiment", None)
+        if name is not None and declared_exp not in (None, name):
             raise ConfigError(f"config declares experiment '{declared_exp}' "
-                              f"but '{args.name}' was invoked")
-        return _dispatch(args.command, experiment, cfg, args.out, args.quiet)
-    except (ValueError, RuntimeError) as exc:
+                              f"but '{name}' was invoked")
+        return _dispatch(args.command, name, cfg, args.out, args.quiet)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

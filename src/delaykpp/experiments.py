@@ -19,24 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birth import LinearBirth, birth_from_dict
-from .characteristic import CharParams, critical_speeds, tangency_solve
+from .characteristic import (CharParams, SpeedPair, critical_speeds,
+                             tangency_solve)
+from .config import KPP_NH, Fields, default_out_every, kpp_inputs
 from .errors import ConfigError
-from .grids import Grid
-from .kernels import Kernel, kernel_from_dict
-from .linear_solver import _auto_nh, solve_linear
-from .nonlinear import KPPTrajectory, LevelSetTrace, solve_kpp, trace_levels
+from .kernels import Kernel
+from .linear_solver import _spectral_modes, solve_linear
+from .nonlinear import LevelSetTrace, solve_kpp, trace_levels
 
 __all__ = ["ExperimentReport", "LogDriftFit", "mckean_experiment",
-           "logdrift_fit", "extinction_experiment", "spreading_experiment",
-           "bridge_check", "verdict_stability", "tune_kernel_shift"]
+           "logdrift_fit", "logdrift_experiment", "extinction_experiment",
+           "spreading_experiment", "bridge_check", "verdict_stability",
+           "tune_kernel_shift"]
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     """Verdict object shared by every experiment.
 
-    verdict is "pass", "fail" or "inconclusive"; metrics carries the
+    verdict is "pass", "fail" or "inconclusive", or "diagnostic" for a
+    report that carries numbers without a verdict; metrics carries the
     numbers the verdict was computed from, so a report is auditable
     without rerunning.
     """
@@ -50,35 +52,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {"name": self.name, "params": self.params,
                 "metrics": self.metrics, "verdict": self.verdict}
-
-
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required field '{key}'")
-    return config[key]
-
-
-def _build_common(config: dict):
-    """Shared plumbing: kernel, birth, grid, times and initial data."""
-    kernel0 = kernel_from_dict(_require(config, "kernel"))
-    birth = birth_from_dict(_require(config, "birth"))
-    grid = Grid(float(_require(config, "L")), int(_require(config, "n")))
-    h = float(_require(config, "h"))
-    n_h = int(config.get("n_h", 64))
-    T = float(_require(config, "T"))
-    kappa = birth.kappa
-    beta = float(config.get("beta", 0.5 * kappa))
-    if not 0.0 < beta < kappa:
-        raise ConfigError(f"beta must lie in (0, kappa), got {beta}")
-    u0_spec = config.get("u0", {})
-    if "constant" in u0_spec:
-        u0 = np.full(grid.n, float(u0_spec["constant"]))
-    else:
-        amp = float(u0_spec.get("amplitude", 0.9 * kappa))
-        width = float(u0_spec.get("width", 2.0))
-        center = float(u0_spec.get("center", 0.0))
-        u0 = amp * np.exp(-((grid.x - center) / width) ** 2)
-    return kernel0, birth, grid, h, n_h, T, beta, u0
 
 
 def _half_window_stats(times, values, fn):
@@ -104,9 +77,9 @@ def mckean_experiment(config: dict) -> ExperimentReport:
     fewer than 4 times in some half.  The empirical offset constants
     (min of M, max of M_star) are reported, never asserted.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = _build_common(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
-    out_every = int(config.get("out_every", max(1, n_h // 4)))
+    out_every = Fields(config).count("out_every", default_out_every(n_h))
     traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
     trace = trace_levels(traj, beta, speeds)
 
@@ -193,6 +166,25 @@ def logdrift_fit(trace: LevelSetTrace, speeds) -> LogDriftFit:
                        ref_three_half=3.0 / (2.0 * lam))
 
 
+def logdrift_experiment(config: dict) -> ExperimentReport:
+    """The mckean run with logdrift_fit in place of a verdict.
+
+    Verdict "diagnostic": the coefficient is reported next to its two
+    reference slopes, built from the speeds the mckean run computed.
+    """
+    run = mckean_experiment(config)
+    m = run.metrics
+    fit = logdrift_fit(run.trace, SpeedPair(
+        m["c_minus"], m["c_plus"], m["lambda_minus"], m["lambda_plus"], ()))
+    metrics = {"coefficient": fit.coefficient, "stderr": fit.stderr,
+               "intercept": fit.intercept, "n_samples": fit.n_samples,
+               "ref_half": fit.ref_half,
+               "ref_three_half": fit.ref_three_half,
+               "c_plus": m["c_plus"], "lambda_plus": m["lambda_plus"]}
+    return ExperimentReport(name="logdrift", params=dict(config),
+                            metrics=metrics, verdict="diagnostic")
+
+
 def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
                       margin: float = 0.05, max_shift: float = 32.0
                       ) -> tuple[Kernel, float]:
@@ -256,24 +248,25 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     With expect = "persistence" (symmetric control) the verdict instead
     requires sup_x u(T) >= 0.1 kappa.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = _build_common(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
+    f = Fields(config)
     if h <= 0.0:
         raise ConfigError("extinction run needs h > 0")
-    expect = config.get("expect", "extinction")
+    expect = f.text("expect", "extinction")
     if expect not in ("extinction", "persistence"):
         raise ConfigError(f"unknown expectation '{expect}'")
-    if expect == "extinction" and config.get("tune", True):
+    if expect == "extinction" and f.flag("tune", True):
         kernel0, shift = tune_kernel_shift(
             kernel0, birth.gprime0, h,
-            margin=float(config.get("tune_margin", 0.5)),
-            max_shift=float(config.get("max_shift", 32.0)))
+            margin=f.number("tune_margin", 0.5),
+            max_shift=f.number("max_shift", 32.0))
     else:
         shift = 0.0
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     kappa = birth.kappa
 
     block = 10.0 * h
-    out_every = max(1, n_h // 4)
+    out_every = default_out_every(n_h)
     sup_t, sup_v = [0.0], [float(np.max(u0))]
     left_t, left_v = [], []  # sup over z <= -c t, c = c_plus + 0.2
     c_ray = speeds.c_plus + 0.2
@@ -325,8 +318,8 @@ def extinction_experiment(config: dict) -> ExperimentReport:
                 left_v[~cal] / (bound_c * np.exp(rate * left_t[~cal]))))
             bound_holds = bound_ratio <= 2.0
 
-    win = float(config.get("window_halfwidth", 20.0))
-    probe_x = float(config.get("probe_x", 0.0))
+    win = f.number("window_halfwidth", 20.0)
+    probe_x = f.number("probe_x", 0.0)
     probe_u_final = float(final_field[np.argmin(np.abs(grid.x - probe_x))])
     wsel = np.abs(grid.x) <= win
     window_sup_final = float(np.max(final_field[wsel])) \
@@ -366,13 +359,13 @@ def spreading_experiment(config: dict) -> ExperimentReport:
     as the contrapositive control: outside the critical cone the solution
     collapses toward 0.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = _build_common(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     if 0.8 * speeds.c_plus * T + 5.0 > 0.5 * grid.length:
         raise ConfigError(
             "domain too small for the spreading cone at T: need "
             f"L/2 > {0.8 * speeds.c_plus * T + 5.0:.1f}")
-    out_every = n_h if T / h >= 2 else 1
+    out_every = n_h if T >= 2.0 * h else 1
     traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
 
     def cone_min(t_target: float, widen: float) -> float:
@@ -401,9 +394,10 @@ def spreading_experiment(config: dict) -> ExperimentReport:
                             metrics=metrics, verdict=verdict)
 
 
-def _frame_equation(kernel0: Kernel, gprime0: float, h: float, c: float):
-    """Linearized equation in the frame moving at speed c,
-    w(t,z) = u(t, z - c t): drift -c, growth -1, kernel g'(0) k0(x - ch).
+def _frame_tangencies(kernel0: Kernel, gprime0: float, h: float, speeds):
+    """(branch, lambda, tangency) of the linearized equation in the frame
+    moving at each critical speed c, w(t,z) = u(t, z - c t): drift -c,
+    growth -1, kernel g'(0) k0(x - ch); branch is "plus", then "minus".
 
     Its tangency sits exactly at (gamma_m, z_m) = (0, lambda) when
     (c, lambda) is a critical pair: the two tangency residuals reduce to
@@ -412,15 +406,17 @@ def _frame_equation(kernel0: Kernel, gprime0: float, h: float, c: float):
     yields the equivalent equation with drift 2 lam - c and growth
     lam^2 - c lam - 1 used for the inequality run below.
     """
-    params = CharParams(m=-c, p=-1.0, h=h)
-    kern = kernel0.shifted(c * h).scaled(gprime0)
-    return params, kern
+    for branch, lam, c in (("plus", speeds.lambda_plus, speeds.c_plus),
+                           ("minus", speeds.lambda_minus, speeds.c_minus)):
+        params = CharParams(m=-c, p=-1.0, h=h)
+        kern = kernel0.shifted(c * h).scaled(gprime0)
+        yield branch, lam, tangency_solve(params, kern)
 
 
 def _tilted_frame_equation(kernel0: Kernel, gprime0: float, h: float,
                            lam: float, c: float):
-    """e^{-lam z}-tilted version of _frame_equation; the object v with
-    u(t, z - c t) <= e^{lam z} v(t, z)."""
+    """e^{-lam z}-tilted frame equation of _frame_tangencies; the object
+    v with u(t, z - c t) <= e^{lam z} v(t, z)."""
     params = CharParams(m=2.0 * lam - c, p=lam * lam - c * lam - 1.0, h=h)
     kern = kernel0.shifted(c * h).tilted(lam).scaled(gprime0)
     return params, kern
@@ -438,10 +434,11 @@ def bridge_check(config: dict) -> ExperimentReport:
     deliberate cross-integrator check (stencil ETD for u, spectral
     collocation for v).  The linear solver raises its step count for
     stability, so the comparison pins v's output stride to the raised
-    value; comparing at mismatched times would turn the time derivative
-    of the front into a fake violation.
+    value (from the linear solver's own _spectral_modes); comparing at
+    mismatched times would turn the time derivative of the front into a
+    fake violation.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = _build_common(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     g1 = birth.gprime0
     speeds = critical_speeds(kernel0, g1, h)
 
@@ -449,10 +446,7 @@ def bridge_check(config: dict) -> ExperimentReport:
                "c_minus": speeds.c_minus,
                "lambda_minus": speeds.lambda_minus}
     tang_ok = True
-    for branch, lam, c in (("plus", speeds.lambda_plus, speeds.c_plus),
-                           ("minus", speeds.lambda_minus, speeds.c_minus)):
-        params, kern = _frame_equation(kernel0, g1, h, c)
-        tang = tangency_solve(params, kern)
+    for branch, lam, tang in _frame_tangencies(kernel0, g1, h, speeds):
         r_gamma = abs(tang.gamma_m)
         r_z = abs(tang.z_m - lam)
         metrics[f"tangency_gamma_residual_{branch}"] = r_gamma
@@ -469,12 +463,7 @@ def bridge_check(config: dict) -> ExperimentReport:
         return np.exp(-lam * x) * np.interp(x - c * s, x, u0,
                                             period=grid.length)
 
-    # the linear solver may raise n_h for stability; recompute the raise
-    # so out_every keeps v's outputs on the same times as u's
-    xi = grid.xi
-    stiff = float(np.max(np.abs(-xi * xi + 1j * params.m * xi + params.p))
-                  + np.max(np.abs(kern.fourier(xi))))
-    n_h_v = _auto_nh(n_h, h, stiff)
+    _, _, n_h_v = _spectral_modes(params, kern, grid, n_h)
     traj_v = solve_linear(params, kern, grid, v_history, T, n_h_v, n_h_v)
     viol = 0.0
     scale = 0.0
@@ -504,10 +493,11 @@ def verdict_stability(experiment, config: dict, metric_keys,
     """Grid-convergence gate: rerun with the step halved and with the
     grid doubled; the verdict must not move and the named metrics must
     move by less than rtol relative."""
+    f = Fields(config)
     base = experiment(config)
     refined = [
-        experiment({**config, "n_h": 2 * int(config.get("n_h", 64))}),
-        experiment({**config, "n": 2 * int(config["n"])}),
+        experiment({**config, "n_h": 2 * f.count("n_h", KPP_NH)}),
+        experiment({**config, "n": 2 * f.count("n")}),
     ]
     moves = {}
     stable = True

@@ -1,14 +1,26 @@
-"""Periodic grid, field snapshots, and the delay-line history ring."""
+"""Periodic grid, field snapshots, the delay-line history ring, and the
+output schedule every stepping loop writes its snapshots through."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["Grid", "Field", "HistoryRing"]
+__all__ = ["Grid", "Field", "HistoryRing", "Outputs", "every_kth",
+           "edge_fraction", "warn_edge", "step_count", "MAX_STEPS",
+           "MAX_BYTES"]
+
+# over 100x the 102,400 steps of the longest preset (desk-tangency-linear);
+# a longer run is a mistyped horizon, not a study
+MAX_STEPS = 1 << 24
+# per history ring or snapshot array: 4x the largest preset's ring (the
+# 265 MB of xval-smooth); filling a larger one can exhaust the machine
+MAX_BYTES = 1 << 30
+_EDGE_WARN = 1e-8  # edge/peak ratio above which a run warns
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,9 @@ class HistoryRing:
     def __init__(self, h: float, n_h: int, width: int, dtype=complex):
         if n_h < 1:
             raise ConfigError(f"n_h must be >= 1, got {n_h}")
+        _check_bytes(2 * (n_h + 1) * width * np.dtype(dtype).itemsize,
+                     f"a history ring of n_h + 1 = {n_h + 1} rows of "
+                     f"{width} points (fields 'n_h' and 'n')")
         self.h = float(h)
         self.n_h = int(n_h)
         self.dt = self.h / self.n_h
@@ -119,3 +134,74 @@ class HistoryRing:
         idx = [self._slot(self._step - self.n_h + j)
                for j in range(self.n_h + 1)]
         return self.vals[idx].copy(), self.ders[idx].copy()
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > MAX_BYTES:
+        raise ConfigError(f"{what} needs {nbytes / 2**30:.3g} GiB, above "
+                          f"the budget of {MAX_BYTES / 2**30:g} GiB")
+
+
+def every_kth(count: int, k: int) -> list[int]:
+    """Indices 0, k, 2k, ... below count, plus the last index count - 1."""
+    idx = list(range(0, count, k))
+    if idx[-1] != count - 1:
+        idx.append(count - 1)
+    return idx
+
+
+def step_count(T: float, dt: float) -> int:
+    """Steps of size dt that cover [0, T]; ConfigError (naming T) for a
+    negative or non-finite horizon, or one past MAX_STEPS."""
+    steps = T / dt
+    if not 0.0 <= steps <= MAX_STEPS:
+        raise ConfigError(
+            f"field 'T' = {T:g} needs {steps:.3g} steps of dt = {dt:.3g}; "
+            f"a run may take 0 to {MAX_STEPS}")
+    return int(np.ceil(steps - 1e-12))
+
+
+def edge_fraction(field) -> float:
+    """max |u| over the two cells next to the periodic seam, over max |u|."""
+    peak = np.max(np.abs(field))
+    if peak == 0.0:
+        return 0.0
+    edge = max(np.max(np.abs(field[:2])), np.max(np.abs(field[-2:])))
+    return float(edge / peak)
+
+
+def warn_edge(edge: float) -> float:
+    """Warn once when a run's edge fraction shows it reached the seam."""
+    if edge > _EDGE_WARN:
+        warnings.warn(f"solution reached the periodic edge "
+                      f"(edge/peak = {edge:.2e})", RuntimeWarning)
+    return edge
+
+
+class Outputs:
+    """Output schedule of a run of T/dt steps and its stored snapshots.
+
+    Steps 0, out_every, 2 out_every, ... and the last step are kept; the
+    default out_every keeps about 400.  The step count and the snapshot
+    array must fit MAX_STEPS and MAX_BYTES.  rows maps a kept step to its
+    row of the preallocated fields array; store() fills a row and keeps
+    the largest edge fraction in edge, for warn_edge once the run ends.
+    """
+
+    def __init__(self, T: float, dt: float, out_every: int | None,
+                 width: int):
+        self.n_steps = step_count(T, dt)
+        if out_every is None:
+            out_every = max(1, self.n_steps // 400)
+        _check_bytes(8 * width * (self.n_steps // out_every + 2),
+                     f"snapshots every {out_every} of {self.n_steps} steps "
+                     f"(fields 'out_every' and 'T')")
+        steps = every_kth(self.n_steps + 1, out_every)
+        self.rows = {n: i for i, n in enumerate(steps)}
+        self.times = np.array(steps, dtype=float) * dt
+        self.fields = np.empty((len(steps), width))
+        self.edge = 0.0
+
+    def store(self, row: int, field) -> None:
+        self.fields[row] = field
+        self.edge = max(self.edge, edge_fraction(field))

@@ -13,8 +13,9 @@ Fourier transform
 
 and the transforms of exponentially tilted kernels, L(z0 + i*xi).
 
-Five families are provided (Dirac, Gaussian, ShiftedGaussian, Laplace,
-Uniform), all carrying an explicit mass.  Shifting, exponential tilting and
+Four families are provided (Dirac, Gaussian, Laplace, Uniform), all
+carrying an explicit mass; the config family name "shifted_gaussian" is
+an alias that builds a Gaussian.  Shifting, exponential tilting and
 mass scaling stay inside closed form, either within the family or through
 the thin TiltedKernel wrapper.  ``discretize`` produces the grid-sampled
 object used by the physical-space solvers; Dirac kernels become exact index
@@ -36,14 +37,10 @@ __all__ = [
     "Kernel",
     "Dirac",
     "Gaussian",
-    "ShiftedGaussian",
     "LaplaceKernel",
     "UniformKernel",
     "TiltedKernel",
     "DiscreteKernel",
-    "laplace_transform",
-    "fourier_transform",
-    "tilted_second_moment",
     "discretize",
     "quadrature_laplace",
     "kernel_from_dict",
@@ -212,16 +209,11 @@ class Gaussian(Kernel):
 
 
 @dataclass(frozen=True)
-class ShiftedGaussian(Gaussian):
-    """Gaussian used with a deliberately nonzero mean (asymmetric dispersal)."""
-
-
-@dataclass(frozen=True)
 class LaplaceKernel(Kernel):
     """Two-sided exponential (rate b) centred at ``center``.
 
     Density mass*(b/2)*exp(-b|x-center|); transform domain (-b, b) after
-    recentring, the finite strip among the five families.
+    recentring, the finite strip among the four families.
     """
 
     rate: float
@@ -395,25 +387,6 @@ class TiltedKernel(Kernel):
         return TiltedKernel(self.base, self.lam, self.scale * c)
 
 
-# ---------------------------------------------------------------------------
-# module-level transform surface
-
-
-def laplace_transform(kernel: Kernel, z):
-    """Bilateral Laplace transform of the kernel at (possibly complex) z."""
-    return kernel.laplace(z)
-
-
-def fourier_transform(kernel: Kernel, xi):
-    """Fourier transform int k(y) e^{-i xi y} dy."""
-    return kernel.fourier(xi)
-
-
-def tilted_second_moment(kernel: Kernel, z):
-    """int y^2 k(y) e^{-z y} dy, the curvature of the Laplace transform."""
-    return kernel.moment2(z)
-
-
 def quadrature_laplace(kernel: Kernel, z, abs_tol: float = 1e-12):
     """Adaptive-quadrature evaluation of L(z), used to validate closed forms.
 
@@ -470,10 +443,6 @@ class DiscreteKernel:
             return self.mass * np.exp(-2j * np.pi * k * self.shift_cells / self.n)
         return np.fft.fft(self.samples) * self.dx
 
-    def convolve(self, u: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(self.multiplier * np.fft.fft(u))
-        return out.real if np.isrealobj(u) else out
-
 
 def discretize(kernel: Kernel, grid) -> DiscreteKernel:
     """Sample a kernel on a periodic grid for use in circular convolutions.
@@ -518,7 +487,7 @@ def discretize(kernel: Kernel, grid) -> DiscreteKernel:
 _FAMILIES = {
     "dirac": Dirac,
     "gaussian": Gaussian,
-    "shifted_gaussian": ShiftedGaussian,
+    "shifted_gaussian": Gaussian,  # alias kept for existing configs
     "laplace": LaplaceKernel,
     "uniform": UniformKernel,
 }

@@ -14,14 +14,14 @@ cubic Hermite interpolation, so the stepper keeps its full order).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristic import CharParams, DecayPair, TangencySolution
 from .errors import ConfigError
-from .grids import Field, Grid, HistoryRing
+from .grids import (Field, Grid, HistoryRing, Outputs, edge_fraction,
+                    step_count, warn_edge)
 from .kernels import Kernel, discretize
 
 __all__ = [
@@ -68,12 +68,28 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     return w
 
 
+def _profile(u0, width: int, dtype=float) -> np.ndarray:
+    """u0 as one (width,) profile: a Field, an array, or a scalar constant.
+
+    Only an h = 0 run reaches this with a callable or a history pair; both
+    describe a delay window, which an undelayed run does not have.
+    """
+    if callable(u0) or isinstance(u0, tuple):
+        raise ConfigError("h=0 takes a single initial profile")
+    prof = np.asarray(u0.values if isinstance(u0, Field) else u0, dtype)
+    if prof.ndim == 0:
+        prof = np.full(width, prof[()])
+    if prof.shape != (width,):
+        raise ConfigError(
+            f"history profile must have shape ({width},), got {prof.shape}")
+    return prof
+
+
 def _history_samples(u0, n_h: int, h: float, width: int, dtype):
     """Sample history and its time derivative on the ring nodes.
 
-    u0 may be a constant profile (scalar or array), a callable
-    s -> profile on [-h, 0], or a (values, derivatives) pair of
-    (n_h+1, width) arrays.
+    u0 may be a constant profile (see _profile), a callable s -> profile
+    on [-h, 0], or a (values, derivatives) pair of (n_h+1, width) arrays.
     """
     shape = (n_h + 1, width)
     if isinstance(u0, tuple) and len(u0) == 2:
@@ -95,13 +111,7 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
             ders[j] = (np.asarray(u0(hi), dtype) - np.asarray(u0(lo), dtype)) \
                 / (hi - lo)
         return vals, ders
-    prof = np.asarray(u0.values if isinstance(u0, Field) else u0, dtype)
-    if prof.ndim == 0:
-        prof = np.full(width, prof[()])
-    if prof.shape != (width,):
-        raise ConfigError(
-            f"history profile must have shape ({width},), got {prof.shape}")
-    vals = np.tile(prof, (n_h + 1, 1))
+    vals = np.tile(_profile(u0, width, dtype), (n_h + 1, 1))
     return vals, np.zeros(shape, dtype)
 
 
@@ -122,7 +132,7 @@ def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
                                   n_h, h, 1, complex)
     ring = HistoryRing(h, n_h, 1, complex)
     ring.fill(vals, ders)
-    n_steps = int(np.ceil(T / ring.dt - 1e-12))
+    n_steps = step_count(T, ring.dt)
     out = np.empty(n_steps + 1, dtype=complex)
     _rk4_delay_diag(np.asarray([mu]), np.asarray([kappa]), ring, n_steps,
                     lambda n, w: out.__setitem__(n, w[0]))
@@ -135,12 +145,15 @@ def _auto_nh(n_h, h, stiffness):
     return max(64 if n_h is None else n_h, need, 1)
 
 
-def _edge_fraction(field):
-    peak = np.max(np.abs(field))
-    if peak == 0.0:
-        return 0.0
-    edge = max(np.max(np.abs(field[:2])), np.max(np.abs(field[-2:])))
-    return float(edge / peak)
+def _spectral_modes(params: CharParams, kernel: Kernel, grid: Grid,
+                    n_h: int | None):
+    """Per-mode rates mu, kernel symbol kap, and n_h raised (_auto_nh) so
+    that RK4 is stable on the stiffest mode."""
+    xi = grid.xi
+    mu = -xi * xi + 1j * params.m * xi + params.p
+    kap = kernel.fourier(xi)
+    stiffness = float(np.max(np.abs(mu)) + np.max(np.abs(kap)))
+    return mu, kap, _auto_nh(n_h, params.h, stiffness)
 
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
@@ -155,61 +168,37 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
 
     u0: constant profile, callable s -> profile on [-h, 0], or a
     (values, derivatives) history pair; see _history_samples.
-    Emits a truncation warning when the solution touches the periodic edge
-    above 1e-8 of its peak.
+    Snapshots follow the grids.Outputs schedule (out_every=None keeps
+    about 400), which also emits the truncation warning when the solution
+    touches the periodic edge; for h = 0 the exact solution is sampled at
+    257 equally spaced times instead.
     """
-    xi = grid.xi
-    mu = -xi * xi + 1j * params.m * xi + params.p
-    kap = kernel.fourier(xi)
+    mu, kap, n_h = _spectral_modes(params, kernel, grid, n_h)
 
     if params.h == 0.0:
-        if callable(u0) or isinstance(u0, tuple):
-            raise ConfigError("h=0 takes a single initial profile")
-        prof = np.asarray(u0.values if isinstance(u0, Field) else u0, float)
-        n_out = 256
-        times = np.linspace(0.0, T, n_out + 1)
-        w0 = np.fft.fft(prof)
-        fields = np.empty((n_out + 1, grid.n))
+        w0 = np.fft.fft(_profile(u0, grid.n))
+        times = np.linspace(0.0, T, 257)
+        fields = np.empty((times.size, grid.n))
         for i, t in enumerate(times):
             fields[i] = np.fft.ifft(w0 * np.exp((mu + kap) * t)).real
-        edge = max(_edge_fraction(f) for f in fields)
-        if edge > 1e-8:
-            warnings.warn(f"solution reached the periodic edge "
-                          f"(edge/peak = {edge:.2e})", RuntimeWarning)
+        edge = warn_edge(max(edge_fraction(f) for f in fields))
         return LinearTrajectory(grid=grid, times=times, fields=fields,
                                n_h=0, edge_fraction=edge)
 
-    stiffness = float(np.max(np.abs(mu)) + np.max(np.abs(kap)))
-    n_h = _auto_nh(n_h, params.h, stiffness)
+    out = Outputs(T, params.h / n_h, out_every, grid.n)
     ring = HistoryRing(params.h, n_h, grid.n, complex)
-
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)
     ring.fill(np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1))
-
-    n_steps = int(np.ceil(T / ring.dt - 1e-12))
-    if out_every is None:
-        out_every = max(1, n_steps // 400)
-    keep = [n for n in range(0, n_steps + 1, out_every)]
-    if keep[-1] != n_steps:
-        keep.append(n_steps)
-    keep_set = {n: i for i, n in enumerate(keep)}
-    fields = np.empty((len(keep), grid.n))
-    edge_seen = [0.0]
+    rows = out.rows
 
     def collect(n, w):
-        i = keep_set.get(n)
+        i = rows.get(n)
         if i is not None:
-            f = np.fft.ifft(w).real
-            fields[i] = f
-            edge_seen[0] = max(edge_seen[0], _edge_fraction(f))
+            out.store(i, np.fft.ifft(w).real)
 
-    _rk4_delay_diag(mu, kap, ring, n_steps, collect)
-    times = np.array(keep, dtype=float) * ring.dt
-    if edge_seen[0] > 1e-8:
-        warnings.warn(f"solution reached the periodic edge "
-                      f"(edge/peak = {edge_seen[0]:.2e})", RuntimeWarning)
-    return LinearTrajectory(grid=grid, times=times, fields=fields,
-                           n_h=n_h, edge_fraction=edge_seen[0])
+    _rk4_delay_diag(mu, kap, ring, out.n_steps, collect)
+    return LinearTrajectory(grid=grid, times=out.times, fields=out.fields,
+                           n_h=n_h, edge_fraction=warn_edge(out.edge))
 
 
 def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
@@ -249,29 +238,16 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
     stiffness = 4.0 / (dx * dx) + 3.0 * abs(m) / dx + abs(p) + kernel.mass
     n_h = _auto_nh(n_h, params.h, stiffness)
     dt = params.h / n_h
+    out = Outputs(T, dt, out_every, grid.n)
 
-    vals, ders = _history_samples(u0, n_h, params.h, grid.n, float)
-    ring = HistoryRing(params.h, n_h, grid.n, float)
-    ring.fill(vals, ders)
     cring = HistoryRing(params.h, n_h, grid.n, float)
+    vals, ders = _history_samples(u0, n_h, params.h, grid.n, float)
     cring.fill(np.stack([conv(v) for v in vals]),
                np.stack([conv(d) for d in ders]))
 
-    n_steps = int(np.ceil(T / dt - 1e-12))
-    if out_every is None:
-        out_every = max(1, n_steps // 400)
-    keep = [n for n in range(0, n_steps + 1, out_every)]
-    if keep[-1] != n_steps:
-        keep.append(n_steps)
-    keep_set = {n: i for i, n in enumerate(keep)}
-    fields = np.empty((len(keep), grid.n))
-    edge_seen = 0.0
-
-    w = ring.newest.copy()
-    if 0 in keep_set:
-        fields[keep_set[0]] = w
-        edge_seen = max(edge_seen, _edge_fraction(w))
-    for n in range(n_steps):
+    w = vals[-1]
+    out.store(0, w)
+    for n in range(out.n_steps):
         (c0, _), (c1, _) = cring.delayed_nodes()
         cm = cring.delayed_mid()
         k1 = apply_op(w) + c0
@@ -280,18 +256,12 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
         k4 = apply_op(w + dt * k3) + c1
         w = w + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         der = apply_op(w) + c1
-        ring.push(w, der)
         cring.push(conv(w), conv(der))
-        i = keep_set.get(n + 1)
+        i = out.rows.get(n + 1)
         if i is not None:
-            fields[i] = w
-            edge_seen = max(edge_seen, _edge_fraction(w))
-    times = np.array(keep, dtype=float) * dt
-    if edge_seen > 1e-8:
-        warnings.warn(f"solution reached the periodic edge "
-                      f"(edge/peak = {edge_seen:.2e})", RuntimeWarning)
-    return LinearTrajectory(grid=grid, times=times, fields=fields,
-                           n_h=n_h, edge_fraction=edge_seen)
+            out.store(i, w)
+    return LinearTrajectory(grid=grid, times=out.times, fields=out.fields,
+                           n_h=n_h, edge_fraction=warn_edge(out.edge))
 
 
 def probe_value(traj: LinearTrajectory, i: int, x: float) -> float:

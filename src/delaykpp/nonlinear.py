@@ -30,7 +30,6 @@ stay clean for as long as the domain holds them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +37,9 @@ from scipy.ndimage import convolve1d
 
 from .birth import LinearBirth, subtangential_defect
 from .errors import ConfigError
-from .grids import Field, Grid, HistoryRing
+from .grids import Field, Grid, HistoryRing, Outputs, warn_edge
 from .kernels import Kernel, discretize
-from .linear_solver import _edge_fraction, _history_samples
+from .linear_solver import _history_samples, _profile
 
 __all__ = ["KPPTrajectory", "solve_kpp", "level_set", "LevelCrossings",
            "LevelSetTrace", "trace_levels", "comparison_run",
@@ -163,6 +162,9 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     are counted in the trajectory.  Aborts with the last healthy time if
     the solution loses finiteness.  With return_history the trajectory
     carries the final delay window, so a follow-up run can resume exactly.
+    Snapshots follow the grids.Outputs schedule (out_every=None keeps
+    about 400), which also warns when the solution reaches the periodic
+    edge.
     """
     if T <= 0.0:
         raise ConfigError(f"final time must be positive, got {T}")
@@ -172,13 +174,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     if n_h < 1:
         raise ConfigError(f"n_h must be >= 1, got {n_h}")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
-    n_steps = int(np.ceil(T / dt - 1e-12))
-    if out_every is None:
-        out_every = max(1, n_steps // 400)
-    keep = list(range(0, n_steps + 1, out_every))
-    if keep[-1] != n_steps:
-        keep.append(n_steps)
-    keep_set = {n: i for i, n in enumerate(keep)}
+    out = Outputs(T, dt, out_every, grid.n)
 
     st_p0, st_a, st_b, st_ab = _etd_stencils(dt, grid.dx, grid.n)
     kconv = _kernel_applier(kernel0, grid)
@@ -188,29 +184,23 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         return convolve1d(field, stencil, mode="wrap")
 
     if h > 0.0:
-        hv, _ = _history_samples(u0, n_h, h, grid.n, float)
         ring = HistoryRing(h, n_h, grid.n, float)
+        hv, _ = _history_samples(u0, n_h, h, grid.n, float)
         ring.fill(hv, np.zeros_like(hv))
         u = hv[-1].copy()
         (v0, _), _ = ring.delayed_nodes()
         F_prev = kconv(_clamped_birth(birth, v0, counter))
     else:
-        if callable(u0) or isinstance(u0, tuple):
-            raise ConfigError("h=0 takes a single initial profile")
-        u = np.asarray(u0.values if isinstance(u0, Field) else u0,
-                       float).copy()
+        u = _profile(u0, grid.n)
         ring = None
         F_prev = None
 
     no_der = np.zeros(grid.n)
-    fields = np.empty((len(keep), grid.n))
-    edge_seen = 0.0
+    rows = out.rows
     last_healthy = 0.0
-    if 0 in keep_set:
-        fields[0] = u
-        edge_seen = _edge_fraction(u)
+    out.store(0, u)
 
-    for n in range(n_steps):
+    for n in range(out.n_steps):
         if ring is not None:
             _, (v1, _) = ring.delayed_nodes()
             F_next = kconv(_clamped_birth(birth, v1, counter))
@@ -222,23 +212,19 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             u_star = wrap(u, st_p0) + wrap(F0, st_ab)
             F1 = kconv(_clamped_birth(birth, u_star, counter))
             u = wrap(u, st_p0) + wrap(F0, st_a) + wrap(F1, st_b)
-        i = keep_set.get(n + 1)
+        i = rows.get(n + 1)
         if i is not None:
             if not np.all(np.isfinite(u)):
                 raise RuntimeError(
                     f"solution lost finiteness near t={(n + 1) * dt:.6g}; "
                     f"last healthy output at t={last_healthy:.6g}")
-            fields[i] = u
-            edge_seen = max(edge_seen, _edge_fraction(u))
+            out.store(i, u)
             last_healthy = (n + 1) * dt
 
-    times = np.array(keep, dtype=float) * dt
-    if edge_seen > 1e-8:
-        warnings.warn(f"solution reached the periodic edge "
-                      f"(edge/peak = {edge_seen:.2e})", RuntimeWarning)
     history = ring.window() if (return_history and ring is not None) else None
-    return KPPTrajectory(grid=grid, times=times, fields=fields, n_h=n_h,
-                         clamp_count=counter[0], edge_fraction=edge_seen,
+    return KPPTrajectory(grid=grid, times=out.times, fields=out.fields,
+                         n_h=n_h, clamp_count=counter[0],
+                         edge_fraction=warn_edge(out.edge),
                          final_history=history)
 
 

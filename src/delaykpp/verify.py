@@ -4,8 +4,9 @@ Five families of checks, all deterministic and fast enough to run on
 every install: closed-form kernel transforms against direct quadrature,
 the scalar delayed-root sign laws, the per-mode envelope sandwich, the
 tangency residuals of the desk configuration, and the closed-form
-critical-speed anchors.  Each check returns a VerifyResult; run_verify
-prints one line per check and returns a process exit status.
+critical-speed anchors.  Each check returns a VerifyResult; run_checks
+runs them all, and the CLI's ``verify`` subcommand prints and writes the
+results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .characteristic import (CharParams, critical_speeds, envelope_bounds,
 from .kernels import (Dirac, Gaussian, LaplaceKernel, UniformKernel,
                       quadrature_laplace)
 
-__all__ = ["VerifyResult", "run_checks", "run_verify"]
+__all__ = ["VerifyResult", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,3 @@ _CHECKS = [_check_kernel_transforms, _check_halanay_sign_laws,
 
 def run_checks() -> list[VerifyResult]:
     return [chk() for chk in _CHECKS]
-
-
-def run_verify(quiet: bool = False) -> int:
-    """Run every check; print one line each unless quiet; 0 iff all pass."""
-    results = run_checks()
-    for r in results:
-        if not quiet:
-            print(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    return 0 if all(r.passed for r in results) else 1

@@ -1,8 +1,13 @@
 """CLI contract: exit codes, file formats, determinism, dispatch."""
 
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaykpp.cli import main, run
 
@@ -184,3 +189,94 @@ def test_verify_subcommand(tmp_path):
     rep = json.loads((tmp_path / "verify_report.json").read_text())
     assert rep["all_passed"] is True
     assert len(rep["checks"]) == 5
+
+
+MCKEAN_CFG = {"command": "experiment", "experiment": "mckean",
+              "kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
+              "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
+              "L": 64.0, "n": 256, "h": 1.0, "n_h": 16, "T": 2.0}
+EXTINCTION_CFG = {**MCKEAN_CFG, "experiment": "extinction", "n_h": 8,
+                  "tune_margin": 0.5}
+FUNDAMENTAL_CFG = {"command": "fundamental",
+                   "params": {"m": 0.0, "p": -1.0, "h": 0.25},
+                   "kernel": {"family": "gaussian", "mean": 0.0,
+                              "stddev": 1.0, "mass": 1.0}}
+NAN = float("nan")
+
+
+def _with(base, path, value):
+    """Copy of base with the field at the dotted path set to value."""
+    cfg = json.loads(json.dumps(base))
+    *outer, key = path.split(".")
+    spec = cfg
+    for k in outer:
+        spec = spec[k]
+    spec[key] = value
+    return cfg
+
+
+HOSTILE = [
+    (KPP_CFG, "kernel", 5),
+    (KPP_CFG, "u0", {"amplitude": None}, "u0.amplitude"),
+    (MCKEAN_CFG, "u0", 3),
+    (LINEAR_CFG, "params.m", None),
+    (LINEAR_CFG, "diagnostics", [1]),
+    (LINEAR_CFG, "diagnostics.z0", None),
+    (KPP_CFG, "beta", None),
+    (EXTINCTION_CFG, "tune_margin", None),
+    (KPP_CFG, "birth.p", None),
+    (FUNDAMENTAL_CFG, "identity_times", 5),
+    (KPP_CFG, "kernel", {"family": "gaussian", "stddev": NAN},
+     "kernel.stddev"),
+    (KPP_CFG, "T", NAN),
+    (KPP_CFG, "out_every", 0),
+    (KPP_CFG, "snapshot_stride", 0),
+    (LINEAR_CFG, "n_h", 0),
+    (SPEEDS_CFG, "h", -1),
+    (KPP_CFG, "n", 256.7),
+    # step budget: rejected before any ring or output array exists
+    (KPP_CFG, "T", 1e300),
+    (MCKEAN_CFG, "T", 1e300),
+    (LINEAR_CFG, "T", 1e300),
+    (KPP_CFG, "T", 1e9),
+]
+
+
+@pytest.mark.parametrize("case", HOSTILE,
+                         ids=[f"{c[0]['command']}-{c[1]}={c[2]!r}"
+                              for c in HOSTILE])
+def test_hostile_config_names_field(tmp_path, capsys, case):
+    base, path, value, *named = case
+    cfg = _write_cfg(tmp_path, _with(base, path, value))
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert f"'{named[0] if named else path}'" in err
+    assert "Traceback" not in err
+
+
+BASES = [KPP_CFG, LINEAR_CFG, MCKEAN_CFG, SPEEDS_CFG,
+         {**LINEAR_CFG, "n": 256, "T": 0.5}]
+VALUES = [None, True, "1", [], {}, -1, 0, 0.5, NAN, float("inf"),
+          float("-inf"), 1e300]
+
+
+def _paths(spec, prefix=""):
+    for key, value in spec.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + key + ".")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_single_bad_field_exits_cleanly(data):
+    base = data.draw(st.sampled_from(BASES))
+    path = data.draw(st.sampled_from(sorted(_paths(base))))
+    cfg = _with(base, path, data.draw(st.sampled_from(VALUES)))
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        # extreme values overflow inside the solvers; only the exit matters
+        warnings.simplefilter("ignore", RuntimeWarning)
+        p = os.path.join(out, "cfg.json")
+        with open(p, "w") as f:
+            json.dump(cfg, f)
+        assert run(p, out, quiet=True) in (0, 1, 2)
