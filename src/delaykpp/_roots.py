@@ -7,9 +7,11 @@ The recurring scalar problem is
 with k_abs >= 0 and h >= 0.  a is strictly increasing (a' = 1 + h*k_abs*
 exp(-h*tau) > 0), goes to -inf/+inf at the ends, so the root exists and is
 unique.  The same equation, after sign changes of the variable, gives the
-decay exponent gamma_0, the per-frequency envelope rate l(z) and the
-fundamental-solution symbol rho(z), so one careful implementation serves
-them all.
+decay exponent gamma_0, the per-frequency envelope rate l(z), the
+fundamental-solution symbol rho(z) and, with tau = c*lambda, the critical
+speed c(lambda) = tau / lambda at which the moving-frame symbols meet at
+tilt lambda (re_mu = lambda^2 - 1, k_abs = g'(0) L(lambda)), so one careful
+implementation serves them all.
 """
 
 from __future__ import annotations

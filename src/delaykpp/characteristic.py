@@ -4,8 +4,10 @@ Everything transcendental lives here: the scalar Halanay root, decay pairs
 (gamma0, z0), tangency points (gamma_m, z_m) with the variance sigma_m,
 critical spreading speeds c*+/-, the implicit mode-envelope l(z) with its
 sandwich bounds, and the small-frequency expansion of the dispersion
-relation.  All solvers are bracketed monotone iterations polished by Newton;
-residual targets are 1e-12 or better.
+relation.  Pointwise quantities are Halanay roots.  The tangency and speed
+solvers take the interior extremum of a grid of Halanay roots (over tilts
+z, or over |lambda| for the speeds) and polish it by Newton; residual
+targets are 1e-10 or better.
 """
 
 from __future__ import annotations
@@ -249,30 +251,21 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
                            khat0=khat0, residual_value=r1, residual_slope=r2)
 
 
-def _speed_fs(kernel0, gprime0, h, c, lam):
-    """f1, f2 and their lambda-derivatives for the moving-frame symbol."""
-    L0 = float(np.real(kernel0.laplace(lam)))
-    m1 = float(np.real(kernel0.moment1(lam)))
-    w = gprime0 * np.exp(-lam * c * h)
-    f1 = -lam * lam + c * lam + 1.0
-    f2 = w * L0
-    f1p = -2.0 * lam + c
-    f2p = w * (-c * h * L0 - m1)
-    return f1, f2, f1p, f2p
-
-
 def polish_speed(kernel0: Kernel, gprime0: float, h: float, c: float,
                  lam: float, iters: int = 12):
     """Newton-polish a critical speed candidate on the 2x2 tangency system
     f1 = f2, f1' = f2' in the unknowns (c, lambda).  Returns
     (c, lambda, residual_value, residual_slope)."""
-    for _ in range(iters):
+    converged = False
+    for it in range(iters + 1):
         L0 = float(np.real(kernel0.laplace(lam)))
         m1 = float(np.real(kernel0.moment1(lam)))
-        m2 = float(np.real(kernel0.moment2(lam)))
         w = gprime0 * np.exp(-lam * c * h)
         r1 = (-lam * lam + c * lam + 1.0) - w * L0
         r2 = (-2.0 * lam + c) - w * (-c * h * L0 - m1)
+        if converged or it == iters:
+            break
+        m2 = float(np.real(kernel0.moment2(lam)))
         # d r1/dlam coincides with r2; remaining entries are fresh
         j11 = r2
         j12 = lam - (-lam * h) * w * L0
@@ -284,78 +277,74 @@ def polish_speed(kernel0: Kernel, gprime0: float, h: float, c: float,
         dl = (r1 * j22 - r2 * j12) / det
         dc = (j11 * r2 - j21 * r1) / det
         lam, c = lam - dl, c - dc
-        if abs(dl) + abs(dc) < 1e-15 * (1.0 + abs(lam) + abs(c)):
-            break
-    f1, f2, f1p, f2p = _speed_fs(kernel0, gprime0, h, c, lam)
-    return c, lam, f1 - f2, f1p - f2p
+        converged = abs(dl) + abs(dc) < 1e-15 * (1.0 + abs(lam) + abs(c))
+    return c, lam, r1, r2
 
 
-def _branch_gap(kernel0, gprime0, h, c, sign, strip):
-    """max over the sign-branch of f1 - f2 at speed c, with the argmax."""
-    lo_lim, hi_lim = strip
-    z_out = (c + np.sqrt(c * c + 4.0)) / 2.0 if sign > 0 else \
-            (c - np.sqrt(c * c + 4.0)) / 2.0
-    if sign > 0:
-        lo = 1e-9
-        hi = min(z_out * 1.05 + 0.1, hi_lim)
-    else:
-        hi = -1e-9
-        lo = max(z_out * 1.05 - 0.1, lo_lim)
-    if not lo < hi:
-        return -np.inf, 0.5 * (lo + hi)
-    z = np.linspace(lo, hi, 601)
-    with np.errstate(over="ignore"):
-        L0 = np.real(kernel0.laplace(z))
-        gap = (-z * z + c * z + 1.0) - gprime0 * np.exp(-z * c * h) * L0
-    gap = np.where(np.isfinite(gap), gap, -np.inf)
-    j = int(np.argmax(gap))
-    return float(gap[j]), float(z[j])
+def _require_growth(kernel0: Kernel, gprime0: float) -> None:
+    """Refuse g'(0) * mass <= 1: then no front grows and no speed exists."""
+    if not gprime0 * kernel0.mass > 1.0:
+        raise ConfigError(
+            f"g'(0) times the kernel mass must exceed 1, got "
+            f"{gprime0!r} * {kernel0.mass!r}")
 
 
-def critical_speeds(kernel0: Kernel, gprime0: float, h: float,
-                    max_speed: float = 1024.0) -> SpeedPair:
+def _tilt_argmin(values, hi: float, what: str):
+    """Grid minimum of values(lam) over a geometric grid of lam in
+    [1e-12 hi, hi].
+
+    NaN counts as +inf.  Returns the grid, the values and the index of
+    their minimum; raises ConfigError naming the searched range when the
+    minimum sits at either end, where the true minimiser may lie outside.
+    """
+    lam = np.geomspace(1e-12 * hi, hi, 1201)  # nodes 2.3% apart
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = values(lam)
+    v = np.where(np.isnan(v), np.inf, v)
+    j = int(np.argmin(v))
+    if j in (0, lam.size - 1):
+        raise ConfigError(
+            f"{what}: the minimum over tilts in [{lam[0]:.6g}, {hi:.6g}] "
+            "sits at an end of that range")
+    return lam, v, j
+
+
+def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:
     """Critical spreading speeds of the linearized invasion problem.
 
-    For each tilt branch (lambda > 0 for the right edge, lambda < 0 for the
-    left) finds the speed c at which the moving-frame parabola
-    f1(z) = -z^2 + c z + 1 becomes tangent to
-    f2(z) = g'(0) e^{-z c h} khat0_L(z); the branch gap
-    max_z (f1 - f2) is strictly monotone in c, so the root brackets cleanly.
-    Newton-polishes (c, lambda) to residuals below 1e-12.
+    For a tilt lambda the moving-frame parabola f1(z) = -z^2 + c z + 1 and
+    f2(z) = g'(0) e^{-z c h} khat0_L(z) meet at z = lambda exactly when
+    c = c(lambda) = tau(lambda) / lambda, where tau = c lambda is the
+    Halanay root of
+
+        tau = lambda^2 - 1 + g'(0) L(lambda) e^{-h tau}
+
+    and L is the kernel's Laplace transform.  f1 - f2 grows with
+    c lambda, so the speed at which the two touch is c_plus = min of
+    c(lambda) over lambda > 0 and c_minus = max over lambda < 0.  Each
+    branch takes one grid of |lambda| (halanay_root_grid) and its argmin
+    seeds polish_speed, whose residuals must fall below 1e-10.
+
+    Raises ConfigError unless g'(0) times the kernel mass exceeds 1: by
+    the Halanay sign law tau(0) has the sign of g'(0) mass - 1 for every
+    h, and only tau(0) > 0 sends c(lambda) to +-inf at lambda -> 0 on
+    each side, so that both extrema are interior.
     """
-    if gprime0 <= 1.0:
-        raise ConfigError(f"gprime0 must exceed 1, got {gprime0}")
-    strip = _strip_limits(kernel0)
+    _require_growth(kernel0, gprime0)
+    lo_lim, hi_lim = _strip_limits(kernel0)
     out = {}
-    for sign in (+1, -1):
-        gap0, _ = _branch_gap(kernel0, gprime0, h, 0.0, sign, strip)
-        # gap is increasing in c on the + branch, decreasing on the -
-        direction = sign if gap0 < 0.0 else -sign
-        c_prev, step = 0.0, 1.0
-        c_cur = direction * step
-        g_prev = gap0
-        bracket = None
-        while abs(c_cur) <= max_speed:
-            g_cur, _ = _branch_gap(kernel0, gprime0, h, c_cur, sign, strip)
-            if np.sign(g_cur) != np.sign(g_prev) and np.isfinite(g_cur):
-                bracket = (min(c_prev, c_cur), max(c_prev, c_cur))
-                break
-            c_prev, g_prev = c_cur, g_cur
-            step *= 2.0
-            c_cur = c_prev + direction * step
-        if bracket is None:
-            raise ConfigError(
-                f"critical speed on the {'+' if sign > 0 else '-'} branch "
-                f"not bracketed within |c| <= {max_speed}")
-        c_root = brentq(
-            lambda cc: _branch_gap(kernel0, gprime0, h, cc, sign, strip)[0],
-            bracket[0], bracket[1], xtol=1e-11)
-        _, lam_seed = _branch_gap(kernel0, gprime0, h, c_root, sign, strip)
-        if lam_seed == 0.0:
-            lam_seed = sign * 0.5
-        c_fin, lam_fin, r1, r2 = polish_speed(kernel0, gprime0, h,
-                                              c_root, lam_seed)
-        if max(abs(r1), abs(r2)) > 1e-10:
+    for sign, edge in ((+1, hi_lim), (-1, -lo_lim)):
+        def speed(mu):
+            # sign * c(sign * mu): the + branch's c, the - branch's -c
+            L0 = np.real(kernel0.laplace(sign * mu))
+            return halanay_root_grid(mu * mu - 1.0, gprime0 * L0, h) / mu
+
+        mu, v, j = _tilt_argmin(
+            speed, min(edge, 1e6),
+            f"critical speed on the {'+' if sign > 0 else '-'} branch")
+        c_fin, lam_fin, r1, r2 = polish_speed(
+            kernel0, gprime0, h, sign * float(v[j]), sign * float(mu[j]))
+        if not max(abs(r1), abs(r2)) <= 1e-10:  # NaN residuals fail too
             raise ConfigError(
                 f"speed polish stalled on branch {sign:+d}: "
                 f"residuals ({r1:.3e}, {r2:.3e})")

@@ -21,6 +21,7 @@ and ``nan`` in CSV.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -89,13 +90,15 @@ def _json_text(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the strings of chunks to a temp file, then rename it to path;
+    on any error the temp file is removed and path is left untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -104,14 +107,20 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_atomic(path, _json_text(obj) + "\n")
+    _write_atomic(path, [_json_text(obj), "\n"])
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                          for v in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    lines = (",".join(_fmt(v) if isinstance(v, float) else str(v)
+                      for v in row) for row in rows)
+
+    def blocks():
+        # 4096 rows at a time: the file text is never held in memory
+        yield header + "\n"
+        while block := list(itertools.islice(lines, 4096)):
+            yield "\n".join(block) + "\n"
+
+    _write_atomic(path, blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +152,9 @@ def _load_config(path: str | None) -> dict:
 
 def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
     f = Fields(cfg)
-    kernel0 = f.kernel()
-    h = f.delay()
     g1 = f.gprime0()
+    kernel0 = f.growing_kernel(g1)
+    h = f.delay()
     sp = critical_speeds(kernel0, g1, h)
     report = {
         "c_minus": float(sp.c_minus), "c_plus": float(sp.c_plus),

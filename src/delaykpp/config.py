@@ -20,11 +20,14 @@ every ``experiment``):
 ``kernel``  object, required [all but verify]: ``family`` (string) plus
     finite-number parameters.  dirac: shift, mass; gaussian (alias
     shifted_gaussian): mean, stddev > 0, mass; laplace: rate > 0, center,
-    mass; uniform: half_width > 0, center, mass.  mass >= 0, default 1.
+    mass; uniform: half_width > 0, center, mass.  mass >= 0, default 1;
+    speeds and the KPP runs need g'(0) times the mass to exceed 1 (no
+    front grows otherwise).  Parameters whose mass or first two moments
+    overflow a float are refused.
 ``birth``  object [simulate-kpp, exp; speeds when gprime0 is absent]:
     ``family`` plus finite-number parameters.  nicholson: p > 1, a > 0;
     mackey_glass: p > 1, a > 0, q > 0; linear_cap: slope > 1, cap > 0.
-``gprime0``  number > 1 [speeds]: g'(0); default the birth's slope.
+``gprime0``  number [speeds]: g'(0); default the birth's slope.
 ``params``  object, required [char, simulate-linear, fundamental]:
     numbers ``m``, ``p`` and ``h`` >= 0, all required.
 ``h``  number >= 0, required [speeds, simulate-kpp, exp]: the delay.
@@ -79,7 +82,7 @@ import sys
 import numpy as np
 
 from .birth import birth_from_dict
-from .characteristic import CharParams
+from .characteristic import CharParams, _require_growth
 from .errors import ConfigError
 from .grids import Grid
 from .kernels import Kernel, kernel_from_dict
@@ -183,7 +186,27 @@ class Fields:
             raise ConfigError(f"field '{spec.label}': {exc}") from None
 
     def kernel(self) -> Kernel:
-        return self._family("kernel", kernel_from_dict)
+        kernel = self._family("kernel", kernel_from_dict)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = all(np.all(np.isfinite(fn(0.0))) for fn in
+                             (kernel.laplace, kernel.moment1, kernel.moment2))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("field 'kernel': its mass or moments overflow "
+                              "a float")
+        return kernel
+
+    def growing_kernel(self, gprime0: float) -> Kernel:
+        """The kernel of a speeds or KPP run, where g'(0) times its mass
+        must exceed 1."""
+        kernel = self.kernel()
+        try:
+            _require_growth(kernel, gprime0)
+        except ConfigError as exc:
+            raise ConfigError(f"field 'kernel.mass': {exc}") from None
+        return kernel
 
     def birth(self):
         return self._family("birth", birth_from_dict)
@@ -217,8 +240,8 @@ def kpp_inputs(cfg: dict) -> tuple:
     """(kernel, birth, grid, h, n_h, T, beta, u0): what every KPP run
     (simulate-kpp and each experiment) reads from its config."""
     f = Fields(cfg)
-    kernel = f.kernel()
     birth = f.birth()
+    kernel = f.growing_kernel(birth.gprime0)
     grid = f.grid()
     h = f.delay()
     n_h = f.count("n_h", KPP_NH)

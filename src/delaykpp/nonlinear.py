@@ -123,7 +123,8 @@ def _etd_stencils(dt: float, dx: float, n: int):
 
 def _kernel_applier(kernel0: Kernel, grid: Grid):
     """Return G -> k0 * G as a local operation: an exact index roll for
-    grid-aligned point masses, a truncated sampled stencil otherwise."""
+    grid-aligned point masses, a truncated sampled stencil otherwise, and
+    zero for a kernel whose samples all vanish."""
     dk = discretize(kernel0, grid)
     if dk.shift_cells is not None:
         c, w = dk.shift_cells % grid.n, dk.mass
@@ -131,6 +132,8 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
     n = grid.n
     kern = np.roll(dk.samples * grid.dx, n // 2)
     peak = float(np.max(np.abs(kern)))
+    if peak == 0.0:
+        return np.zeros_like
     keep = np.flatnonzero(np.abs(kern) > _STENCIL_DROP * peak)
     half = int(max(keep[-1] - n // 2, n // 2 - keep[0], 1))
     half = min(half, n // 2 - 1)

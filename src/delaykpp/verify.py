@@ -4,9 +4,9 @@ Five families of checks, all deterministic and fast enough to run on
 every install: closed-form kernel transforms against direct quadrature,
 the scalar delayed-root sign laws, the per-mode envelope sandwich, the
 tangency residuals of the desk configuration, and the closed-form
-critical-speed anchors.  Each check returns a VerifyResult; run_checks
-runs them all, and the CLI's ``verify`` subcommand prints and writes the
-results.
+critical-speed anchors (a wide Gaussian kernel among them).  Each check
+returns a VerifyResult; run_checks runs them all, and the CLI's
+``verify`` subcommand prints and writes the results.
 """
 
 from __future__ import annotations
@@ -128,10 +128,16 @@ def _check_speed_anchors() -> VerifyResult:
     spg = critical_speeds(Gaussian(0.0, 1.0, 1.0), 2.0, 1.0)
     sym = max(abs(spg.c_plus + spg.c_minus),
               abs(spg.lambda_plus + spg.lambda_minus))
-    passed = gap0 < 1e-10 and gap1 < 1e-10 and sym < 1e-10
+    # a wide kernel puts the tangency tilt near 0.04; at h = 0 its speed is
+    # min over lam > 0 of (lam^2 - 1 + 2 e^{200 lam^2}) / lam, which a
+    # bounded Brent minimisation puts at 43.89594814583949
+    spw = critical_speeds(Gaussian(0.0, 20.0, 1.0), 2.0, 0.0)
+    gapw = abs(spw.c_plus / 43.89594814583949 - 1.0)
+    passed = gap0 < 1e-10 and gap1 < 1e-10 and sym < 1e-10 and gapw < 1e-10
     return VerifyResult("critical_speed_anchors", passed,
                         f"h=0 gap {gap0:.3e}, h=1 gap {gap1:.3e}, "
-                        f"symmetry gap {sym:.3e}")
+                        f"symmetry gap {sym:.3e}, wide-kernel relative gap "
+                        f"{gapw:.3e}")
 
 
 _CHECKS = [_check_kernel_transforms, _check_halanay_sign_laws,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw
 
 from delaykpp import (CharParams, ConfigError, Dirac, Gaussian, LaplaceKernel,
@@ -22,6 +22,7 @@ from delaykpp import (CharParams, ConfigError, Dirac, Gaussian, LaplaceKernel,
                       gamma_on_grid, gamma_zero, halanay_root, implicit_l,
                       local_expansion, local_tail_ratio, polish_speed,
                       tangency_solve)
+from delaykpp._roots import halanay_root_grid
 from delaykpp.characteristic import SpeedPair
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
@@ -293,6 +294,64 @@ def test_speeds_decrease_under_rightward_shift():
               for s in (0.0, 1.0, 2.0, 3.0)]
     assert all(b < a for a, b in zip(c_plus, c_plus[1:]))
     assert c_plus[2] > 0.0 > c_plus[3]  # the same-sign regime opens here
+
+
+def test_speeds_wide_gaussian_matches_closed_form():
+    # h = 0: c(lam) = (lam^2 - 1 + 2 e^{200 lam^2}) / lam in closed form;
+    # its minimiser lam ~ 0.04 is small against the kernel width 20
+    sp = critical_speeds(Gaussian(0.0, 20.0, 1.0), 2.0, 0.0)
+    best = minimize_scalar(
+        lambda lam: (lam * lam - 1.0 + 2.0 * math.exp(200.0 * lam * lam))
+        / lam, bounds=(1e-3, 0.5), method="bounded",
+        options={"xatol": 1e-12})
+    assert sp.c_plus == pytest.approx(best.fun, rel=1e-10)
+    assert sp.lambda_plus == pytest.approx(best.x, rel=1e-6)
+    assert sp.c_minus == pytest.approx(-best.fun, rel=1e-10)
+
+
+def test_speeds_refuse_mass_too_small_for_growth():
+    with pytest.raises(ConfigError, match="kernel mass must exceed 1"):
+        critical_speeds(Gaussian(0.0, 1.0, 0.4), 2.0, 1.0)
+
+
+def test_speeds_refuse_non_finite_polish():
+    # the grid minimum is finite, but Newton overflows from it: NaN
+    # residuals must fail the 1e-10 gate, not slip past the comparison
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConfigError, match="speed polish stalled"):
+        critical_speeds(Dirac(1e5, 1.0), 1e300, 0.0)
+
+
+_FAMILIES = {
+    "dirac": lambda w, s, m: Dirac(s, m),
+    "gaussian": lambda w, s, m: Gaussian(s, w, m),
+    "laplace": lambda w, s, m: LaplaceKernel(1.0 / w, s, m),
+    "uniform": lambda w, s, m: UniformKernel(w, s, m),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)),
+       width=st.floats(0.2, 3.0), shift=st.floats(-3.0, 3.0),
+       mass=st.floats(0.5, 2.0),
+       h=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+       growth=st.floats(1.2, 6.0))
+def test_speeds_are_global_extrema_of_tilt_speed(family, width, shift, mass,
+                                                 h, growth):
+    # growth = g'(0) * mass > 1; c(lam) = tau(lam) / lam with tau the
+    # Halanay root of tau = lam^2 - 1 + g'(0) L(lam) e^{-h tau}
+    kern = _FAMILIES[family](width, shift, mass)
+    gprime0 = growth / mass
+    sp = critical_speeds(kern, gprime0, h)
+    assert max(abs(r) for r in sp.residuals) < 1e-10
+    edge = min(kern.domain().b, 10.0)
+    lam = np.linspace(1e-3 * edge, edge, 20001)[:-1]
+    for sign, c in ((1.0, sp.c_plus), (-1.0, sp.c_minus)):
+        tau = halanay_root_grid(lam * lam - 1.0,
+                                gprime0 * np.real(kern.laplace(sign * lam)),
+                                h)
+        dense = np.min(tau / lam)  # min of sign * c(sign * lam)
+        assert sign * c <= dense + 1e-9 * (1.0 + abs(c))
 
 
 def test_speed_pair_validates_ordering():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp.cli import main, run
+from delaykpp.cli import _write_csv, main, run
 
 SPEEDS_CFG = {"command": "speeds",
               "kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
@@ -150,6 +150,17 @@ def test_missing_field_names_field(tmp_path, capsys):
     assert "missing required field 'kernel'" in capsys.readouterr().err
 
 
+def test_csv_write_failing_midway_leaves_no_file(tmp_path):
+    def rows():
+        for i in range(10000):  # past the first written block
+            yield (float(i), 0.5, 1.0)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", rows())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["bogus"]) == 1
     assert main([]) == 1
@@ -197,6 +208,9 @@ MCKEAN_CFG = {"command": "experiment", "experiment": "mckean",
               "L": 64.0, "n": 256, "h": 1.0, "n_h": 16, "T": 2.0}
 EXTINCTION_CFG = {**MCKEAN_CFG, "experiment": "extinction", "n_h": 8,
                   "tune_margin": 0.5}
+CHAR_CFG = {"command": "char", "params": {"m": 0.2, "p": -1.2, "h": 1.0},
+            "kernel": {"family": "gaussian", "mean": 0.0, "stddev": 1.0,
+                       "mass": 1.0}}
 FUNDAMENTAL_CFG = {"command": "fundamental",
                    "params": {"m": 0.0, "p": -1.0, "h": 0.25},
                    "kernel": {"family": "gaussian", "mean": 0.0,
@@ -239,6 +253,16 @@ HOSTILE = [
     (MCKEAN_CFG, "T", 1e300),
     (LINEAR_CFG, "T", 1e300),
     (KPP_CFG, "T", 1e9),
+    # speeds and KPP runs need g'(0) * mass > 1; simulate-linear does not
+    (SPEEDS_CFG, "kernel.mass", 0.4),
+    (SPEEDS_CFG, "gprime0", 0.5, "kernel.mass"),
+    ({**KPP_CFG, "kernel": {"family": "gaussian", "stddev": 1.0}},
+     "kernel.mass", 0.0),
+    (MCKEAN_CFG, "kernel.mass", 0.4),
+    (EXTINCTION_CFG, "kernel.mass", 0.0),
+    # transforms that overflow a float at tilt 0
+    (CHAR_CFG, "kernel.stddev", 1e300, "kernel"),
+    (SPEEDS_CFG, "kernel.shift", 1e300, "kernel"),
 ]
 
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from delaykpp import (ConfigError, Gaussian, LevelSetTrace, SpeedPair,
-                      bridge_check, extinction_experiment, logdrift_fit,
+from delaykpp import (ConfigError, Dirac, Gaussian, LaplaceKernel,
+                      LevelSetTrace, SpeedPair, UniformKernel, bridge_check,
+                      critical_speeds, extinction_experiment, logdrift_fit,
                       mckean_experiment, preset, spreading_experiment,
                       tune_kernel_shift, verdict_stability)
 
@@ -47,13 +48,16 @@ def test_logdrift_fit_refuses_sparse_window():
         logdrift_fit(tr, SPEEDS)
 
 
-def test_tune_kernel_shift_hits_margin():
-    base = Gaussian(0.0, 1.0, 1.0)
-    tuned, shift = tune_kernel_shift(base, 2.0, 1.0, margin=0.05)
-    assert shift == pytest.approx(2.3134, abs=2e-3)
-    from delaykpp import critical_speeds
-    sp = critical_speeds(tuned, 2.0, 1.0)
-    assert sp.c_plus == pytest.approx(-0.05, abs=1e-6)
+@pytest.mark.parametrize("h", [0.0, 1.0], ids=["h0", "h1"])
+@pytest.mark.parametrize("base", [Dirac(0.0, 1.0), LaplaceKernel(1.0),
+                                  UniformKernel(1.0), Gaussian(0.0, 1.0, 1.0)],
+                         ids=["dirac", "laplace", "uniform", "gaussian"])
+def test_tune_kernel_shift_hits_margin(base, h):
+    tuned, shift = tune_kernel_shift(base, 2.0, h, margin=0.05)
+    if isinstance(base, Gaussian) and h == 1.0:
+        assert shift == pytest.approx(2.3134, abs=2e-3)
+    sp = critical_speeds(tuned, 2.0, h)
+    assert sp.c_plus == pytest.approx(-0.05, abs=1e-12)
     assert sp.c_minus < sp.c_plus < 0.0
 
 

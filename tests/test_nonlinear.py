@@ -29,6 +29,16 @@ def test_zero_stays_zero():
     assert np.max(np.abs(traj.fields)) == 0.0
 
 
+def test_zero_mass_kernel_has_no_births():
+    # u_t = u_xx - u: the heat flow keeps the integral, the death term
+    # takes e^{-T} of it
+    u0 = 0.5 * np.exp(-GRID.x ** 2)
+    traj = solve_kpp(Gaussian(0.0, 1.0, 0.0), Nicholson(2.0), GRID, u0,
+                     T=2.0, h=0.5, n_h=16)
+    assert np.sum(traj.fields[-1]) == pytest.approx(
+        math.exp(-2.0) * np.sum(u0), rel=1e-10)
+
+
 def test_positivity_preserved():
     grid = Grid(64.0, 512)
     u0 = 0.5 * np.exp(-grid.x ** 2)
