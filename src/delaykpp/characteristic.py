@@ -232,7 +232,7 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
         z_m = zg[j]
     gam_m = float(gamma_on_grid(params, kernel, z_m))
     gam_m, z_m, r1, r2 = _tangency_newton(params, kernel, gam_m, z_m)
-    if max(abs(r1), abs(r2)) > 1e-10:
+    if not max(abs(r1), abs(r2)) <= 1e-10:  # NaN residuals fail too
         raise TangencyError(
             f"tangency polish stalled: residuals ({r1:.3e}, {r2:.3e})")
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .characteristic import critical_speeds, gamma_zero, tangency_solve
 from .config import Fields, default_out_every, kpp_inputs
-from .errors import ConfigError
+from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, logdrift_experiment,
                           mckean_experiment, spreading_experiment)
@@ -162,12 +162,17 @@ def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
         "lambda_plus": float(sp.lambda_plus),
         "residuals": [float(r) for r in sp.residuals],
     }
-    for branch, lam, tang in _frame_tangencies(kernel0, g1, h, sp):
-        report[f"branch_{branch}"] = {
-            "gamma_m": float(tang.gamma_m), "z_m": float(tang.z_m),
-            "sigma_m": float(tang.sigma_m),
-            "z_m_minus_lambda": float(tang.z_m - lam),
-        }
+    try:
+        for branch, lam, tang in _frame_tangencies(kernel0, g1, h, sp):
+            report[f"branch_{branch}"] = {
+                "gamma_m": float(tang.gamma_m), "z_m": float(tang.z_m),
+                "sigma_m": float(tang.sigma_m),
+                "z_m_minus_lambda": float(tang.z_m - lam),
+            }
+    except TangencyError as exc:
+        # the speeds solved, so the kernel is too extreme for the frame
+        raise ConfigError(f"field 'kernel': frame tangency at the critical "
+                          f"speeds failed: {exc}") from None
     _write_json(os.path.join(out, "speeds_report.json"), report)
     if not quiet:
         print(f"speeds: c_minus={_fmt(report['c_minus'])} "

@@ -25,6 +25,30 @@ background any uniform seed grows exponentially, drowning the genuine
 front tail long before desk-scale horizons (T ~ 200).  Local convolution
 keeps arithmetic errors relative to the local solution scale, so fronts
 stay clean for as long as the domain holds them.
+
+Every stencil, the kernel's included, is cut where its taps fall below
+_STENCIL_DROP of its peak.  A shifted kernel keeps just the offsets
+between its first and last kept tap, applied off-centre, rather than a
+window symmetric about offset 0 that would pay for the shift twice.
+
+Underflow floor.  Truncated stencils grow tails out of compact data that
+run down through the subnormal range (below 2.2e-308), where x86
+arithmetic takes a slow path: every convolution touching such a tail
+slows down about twofold.  The initial data and every new profile, before
+it is stored or pushed, therefore have each entry with |u| < _UNDERFLOW
+set to exactly 0.  The floor is absolute: u -> u [|u| >= theta] is
+nondecreasing, so the step stays order-preserving and the comparison
+certificate (u <= v from ordered data) survives; a floor relative to each
+run's own peak would cut the larger run's tail first and break it.  It
+only removes mass and never injects any, so errors stay local to the
+solution scale, and zero stays zero.  theta = 1e-250 is sized so that the
+products stay normal: kernel taps are at least _STENCIL_DROP of the
+kernel's peak (about 1e-20 on the preset grids) and the ETD taps at the
+window edges about 1e-36, and with h > 0 a stored value reaches the next
+stored profile through at most two stencils (the kernel, then A or B),
+so no product falls below theta * 1e-56 ~ 1e-306.  (For h = 0 the
+unfloored predictor puts two more stencils in the chain, so a thin band
+at the very edge of the tail can still go subnormal.)
 """
 
 from __future__ import annotations
@@ -47,6 +71,7 @@ __all__ = ["KPPTrajectory", "solve_kpp", "level_set", "LevelCrossings",
 
 _CLAMP_REL = 1e-13  # negatives below this fraction of the peak count as real
 _STENCIL_DROP = 1e-19  # truncate propagator stencils below this, rel. peak
+_UNDERFLOW = 1e-250  # absolute: |u| below this is set to 0 (module docstring)
 
 
 @dataclass(frozen=True)
@@ -124,23 +149,39 @@ def _etd_stencils(dt: float, dx: float, n: int):
 def _kernel_applier(kernel0: Kernel, grid: Grid):
     """Return G -> k0 * G as a local operation: an exact index roll for
     grid-aligned point masses, a truncated sampled stencil otherwise, and
-    zero for a kernel whose samples all vanish."""
+    zero for a kernel whose samples all vanish.
+
+    The stencil holds exactly the offsets lo..hi between the first and the
+    last sample above _STENCIL_DROP of the peak, clipped at 0 and
+    renormalized to the kernel's mass, and is applied off-centre through
+    the origin of convolve1d; a shifted kernel thus pays only for its own
+    support.  convolve1d needs the window to contain offset 0, so a kernel
+    lying wholly on one side is padded towards 0 with exact zeros."""
     dk = discretize(kernel0, grid)
     if dk.shift_cells is not None:
         c, w = dk.shift_cells % grid.n, dk.mass
         return lambda G: w * np.roll(G, c)
     n = grid.n
-    kern = np.roll(dk.samples * grid.dx, n // 2)
+    kern = np.roll(dk.samples * grid.dx, n // 2)  # index n // 2 is offset 0
     peak = float(np.max(np.abs(kern)))
     if peak == 0.0:
         return np.zeros_like
-    keep = np.flatnonzero(np.abs(kern) > _STENCIL_DROP * peak)
-    half = int(max(keep[-1] - n // 2, n // 2 - keep[0], 1))
-    half = min(half, n // 2 - 1)
-    stencil = np.clip(kern[n // 2 - half:n // 2 + half + 1], 0.0, None)
+    keep = np.flatnonzero(np.abs(kern) > _STENCIL_DROP * peak) - n // 2
+    lo, hi = int(keep[0]), int(keep[-1])
+    taps = np.clip(kern[n // 2 + lo:n // 2 + hi + 1], 0.0, None)
     total = float(np.sum(dk.samples) * grid.dx)
-    stencil *= total / float(np.sum(stencil))
-    return lambda G: convolve1d(G, stencil, mode="wrap")
+    taps *= total / float(np.sum(taps))
+    stencil = np.pad(taps, (max(lo, 0), max(-hi, 0)))
+    origin = -((min(lo, 0) + max(hi, 0) + 1) // 2)
+    return lambda G: convolve1d(G, stencil, mode="wrap", origin=origin)
+
+
+def _floor(v: np.ndarray) -> np.ndarray:
+    """Set every entry of v of magnitude below _UNDERFLOW to exactly 0, in
+    place, and return v; NaN and inf stay, so a blow-up still shows."""
+    for row in np.atleast_2d(v):  # no temporary the size of a history
+        row[np.abs(row) < _UNDERFLOW] = 0.0
+    return v
 
 
 def _clamped_birth(birth, v, counter):
@@ -189,12 +230,13 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     if h > 0.0:
         ring = HistoryRing(h, n_h, grid.n, float)
         hv, _ = _history_samples(u0, n_h, h, grid.n, float)
+        _floor(hv)
         ring.fill(hv, np.zeros_like(hv))
         u = hv[-1].copy()
         (v0, _), _ = ring.delayed_nodes()
         F_prev = kconv(_clamped_birth(birth, v0, counter))
     else:
-        u = _profile(u0, grid.n)
+        u = _floor(np.array(_profile(u0, grid.n)))  # not the caller's
         ring = None
         F_prev = None
 
@@ -207,14 +249,15 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         if ring is not None:
             _, (v1, _) = ring.delayed_nodes()
             F_next = kconv(_clamped_birth(birth, v1, counter))
-            u = wrap(u, st_p0) + wrap(F_prev, st_a) + wrap(F_next, st_b)
+            u = _floor(wrap(u, st_p0) + wrap(F_prev, st_a)
+                       + wrap(F_next, st_b))
             ring.push(u, no_der)
             F_prev = F_next
         else:
             F0 = kconv(_clamped_birth(birth, u, counter))
             u_star = wrap(u, st_p0) + wrap(F0, st_ab)
             F1 = kconv(_clamped_birth(birth, u_star, counter))
-            u = wrap(u, st_p0) + wrap(F0, st_a) + wrap(F1, st_b)
+            u = _floor(wrap(u, st_p0) + wrap(F0, st_a) + wrap(F1, st_b))
         i = rows.get(n + 1)
         if i is not None:
             if not np.all(np.isfinite(u)):

@@ -263,6 +263,9 @@ HOSTILE = [
     # transforms that overflow a float at tilt 0
     (CHAR_CFG, "kernel.stddev", 1e300, "kernel"),
     (SPEEDS_CFG, "kernel.shift", 1e300, "kernel"),
+    # the speeds solve but the frame tangency of the report cannot
+    ({**SPEEDS_CFG, "h": 0.0}, "kernel.shift", -1e5, "kernel"),
+    ({**SPEEDS_CFG, "h": 0.0}, "kernel.shift", 1e5, "kernel"),
 ]
 
 

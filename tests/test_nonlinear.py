@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from delaykpp import (ConfigError, Dirac, Gaussian, Grid, LaplaceKernel,
-                      Nicholson, comparison_run, critical_speeds, level_set,
-                      solve_kpp, trace_levels)
-from delaykpp.nonlinear import _etd_stencils, _kernel_applier, _phi_dc
+                      Nicholson, UniformKernel, comparison_run,
+                      critical_speeds, level_set, solve_kpp, trace_levels)
+from delaykpp import nonlinear
+from delaykpp.experiments import tune_kernel_shift
+from delaykpp.nonlinear import (_UNDERFLOW, _etd_stencils, _kernel_applier,
+                                _phi_dc)
 
 GRID = Grid(32.0, 256)
 
@@ -101,15 +104,80 @@ def test_kernel_applier_dirac_is_exact_roll():
     np.testing.assert_array_equal(out, 0.7 * np.roll(G, 16))
 
 
-def test_kernel_applier_gaussian_matches_spectral_convolution():
+def _captured_weights(monkeypatch, apply_k, G):
+    """Result of apply_k(G) and the weights it passed to convolve1d."""
+    seen, original = [], nonlinear.convolve1d
+
+    def recording(field, weights, **kwargs):
+        seen.append(weights)
+        return original(field, weights, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "convolve1d", recording)
+    out = apply_k(G)
+    (weights,) = seen
+    return out, weights
+
+
+# (kernel, taps in its window); on the grid below, dx = 0.125
+SAMPLED_KERNELS = [
+    pytest.param(Gaussian(0.3, 0.9, 1.0), 134, id="gauss+0.3"),
+    pytest.param(Gaussian(3.5035, 0.9, 1.0), 135, id="gauss+3.5035"),
+    pytest.param(Gaussian(-7.0, 0.9, 1.0), 135, id="gauss-7"),
+    # support right of offset 0 only: padded with zeros down to offset 0
+    pytest.param(Gaussian(20.0, 0.9, 1.0), 228, id="gauss+20"),
+    pytest.param(LaplaceKernel(2.0, 1.5, 1.0), 349, id="laplace+1.5"),
+    pytest.param(UniformKernel(1.7, -2.3, 1.0), 32, id="uniform-2.3"),
+]
+
+
+# the kinked kernels' Riemann sums miss their mass by O(dx); discretize
+# warns and renormalizes, as the reference below does
+@pytest.mark.filterwarnings("ignore:kernel truncation")
+@pytest.mark.parametrize("kern,taps", SAMPLED_KERNELS)
+def test_kernel_applier_matches_spectral_convolution(monkeypatch, kern,
+                                                     taps):
     g = Grid(64.0, 512)
-    kern = Gaussian(0.3, 0.9, 1.0)
     apply_k = _kernel_applier(kern, g)
     G = np.exp(-(g.x / 3.0) ** 2) * (1.0 + 0.2 * np.sin(g.x))
-    got = apply_k(G)
-    want = np.fft.ifft(np.fft.fft(G) * np.fft.fft(
-        np.roll(_sampled(kern, g), -g.n // 2))).real * g.dx
+    got, weights = _captured_weights(monkeypatch, apply_k, G)
+    assert weights.size == taps
+    k = np.roll(_sampled(kern, g), -g.n // 2)
+    k *= kern.mass / (np.sum(k) * g.dx)
+    want = np.fft.ifft(np.fft.fft(G) * np.fft.fft(k)).real * g.dx
     np.testing.assert_allclose(got, want, atol=1e-9 * np.max(np.abs(want)))
+
+
+def test_shifted_kernel_stencil_keeps_only_the_drop_rule_offsets(
+        monkeypatch):
+    # extinction-tuned: the tuned Gaussian on n = 8192 over L = 1408; the
+    # drop rule keeps offsets -34..74, where a window symmetric about 0
+    # would take 149 taps
+    birth = Nicholson(2.0, 1.0)
+    kern, shift = tune_kernel_shift(Gaussian(0.0, 1.0, 1.0), birth.gprime0,
+                                    1.0, margin=0.5)
+    assert shift == pytest.approx(3.5035, abs=1e-4)
+    g = Grid(1408.0, 8192)
+    G = np.exp(-(g.x / 3.0) ** 2)
+    _, weights = _captured_weights(monkeypatch, _kernel_applier(kern, g), G)
+    assert weights.size == 109
+    assert np.sum(weights) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.0])
+def test_no_subnormal_values_are_stored(h):
+    # compact data: the tail runs down through the subnormal range (it
+    # does without the floor) unless every stored and pushed profile is
+    # floored at _UNDERFLOW
+    grid = Grid(256.0, 512)
+    u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
+    traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0,
+                     T=2.0, h=h, n_h=16, return_history=h > 0.0)
+    stored = [traj.fields]
+    if h > 0.0:
+        stored.append(traj.final_history[0])
+    for values in stored:
+        tiny = (values != 0.0) & (np.abs(values) < _UNDERFLOW)
+        assert not np.any(tiny)
 
 
 def _sampled(kern, g):
@@ -185,6 +253,19 @@ def test_comparison_certificate_clean_and_constants():
     assert rep.theta0 == pytest.approx(theta0, rel=1e-12)
     assert rep.theta == pytest.approx(theta0 * math.exp(q1), rel=1e-12)
     assert rep.lam == lam
+
+
+def test_comparison_survives_the_floor_at_different_scales():
+    # v's peak is 600 times u's, but its far tail is u's tail: the floor is
+    # absolute, hence monotone, so u <= v still gives floor(u) <= floor(v)
+    # there; a floor relative to each run's peak would cut v's tail first
+    birth = Nicholson(2.0, 1.0)
+    grid = Grid(256.0, 512)
+    u0 = 1e-3 * np.exp(-(grid.x / 4.0) ** 2)
+    v0 = u0 + 0.9 * birth.kappa * np.exp(-grid.x ** 2)
+    rep = comparison_run(Gaussian(0.0, 1.0, 1.0), birth, grid, u0, T=3.0,
+                         h=1.0, lam=0.3, n_h=16, v0=v0)
+    assert rep.max_violation == 0.0
 
 
 def test_comparison_guards():
