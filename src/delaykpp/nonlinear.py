@@ -26,10 +26,9 @@ front tail long before desk-scale horizons (T ~ 200).  Local convolution
 keeps arithmetic errors relative to the local solution scale, so fronts
 stay clean for as long as the domain holds them.
 
-Every stencil, the kernel's included, is cut where its taps fall below
-_STENCIL_DROP of its peak.  A shifted kernel keeps just the offsets
-between its first and last kept tap, applied off-centre, rather than a
-window symmetric about offset 0 that would pay for the shift twice.
+The kernel's stencil keeps just the offsets between its first and last
+tap above _STENCIL_DROP of its peak, applied off-centre, so a shifted
+kernel pays for its own support and not for a window symmetric about 0.
 
 Underflow floor.  Truncated stencils grow tails out of compact data that
 run down through the subnormal range (below 2.2e-308), where x86
@@ -172,6 +171,8 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
     total = float(np.sum(dk.samples) * grid.dx)
     taps *= total / float(np.sum(taps))
     stencil = np.pad(taps, (max(lo, 0), max(-hi, 0)))
+    # at origin 0, convolve1d puts offset 0 on tap m // 2 of m taps; the
+    # origin moves it to tap -min(lo, 0)
     origin = -((min(lo, 0) + max(hi, 0) + 1) // 2)
     return lambda G: convolve1d(G, stencil, mode="wrap", origin=origin)
 
@@ -179,7 +180,9 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
 def _floor(v: np.ndarray) -> np.ndarray:
     """Set every entry of v of magnitude below _UNDERFLOW to exactly 0, in
     place, and return v; NaN and inf stay, so a blow-up still shows."""
-    for row in np.atleast_2d(v):  # no temporary the size of a history
+    # row by row: a temporary the size of a whole history would raise the
+    # run's peak memory
+    for row in np.atleast_2d(v):
         row[np.abs(row) < _UNDERFLOW] = 0.0
     return v
 
@@ -236,7 +239,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         (v0, _), _ = ring.delayed_nodes()
         F_prev = kconv(_clamped_birth(birth, v0, counter))
     else:
-        u = _floor(np.array(_profile(u0, grid.n)))  # not the caller's
+        u = _floor(np.array(_profile(u0, grid.n)))  # a copy, not u0 itself
         ring = None
         F_prev = None
 

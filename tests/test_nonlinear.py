@@ -165,9 +165,8 @@ def test_shifted_kernel_stencil_keeps_only_the_drop_rule_offsets(
 
 @pytest.mark.parametrize("h", [1.0, 0.0])
 def test_no_subnormal_values_are_stored(h):
-    # compact data: the tail runs down through the subnormal range (it
-    # does without the floor) unless every stored and pushed profile is
-    # floored at _UNDERFLOW
+    # compact data grow tails that, unfloored, run down through the
+    # subnormal range; every stored and pushed entry is 0 or >= _UNDERFLOW
     grid = Grid(256.0, 512)
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
     traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0,
