@@ -40,8 +40,7 @@ every ``experiment``):
     horizon; > 0 for the KPP runs, and T/dt may not exceed
     grids.MAX_STEPS.
 ``n_h``  count [simulate-linear, simulate-kpp, exp]: steps per delay;
-    default 64 (KPP_NH).  simulate-linear raises it when RK4 stability
-    needs more.
+    default 64 (KPP_NH).
 ``out_every``  count [simulate-linear, simulate-kpp, mckean, logdrift]:
     steps between stored snapshots (the last step is always stored);
     default about 400 snapshots for simulate-linear, every quarter delay

@@ -26,7 +26,7 @@ from .characteristic import (CharParams, SpeedPair, _require_growth,
 from .config import KPP_NH, Fields, default_out_every, kpp_inputs
 from .errors import ConfigError
 from .kernels import Kernel
-from .linear_solver import _spectral_modes, solve_linear
+from .linear_solver import solve_linear
 from .nonlinear import LevelSetTrace, solve_kpp, trace_levels
 
 __all__ = ["ExperimentReport", "LogDriftFit", "mckean_experiment",
@@ -452,11 +452,8 @@ def bridge_check(config: dict) -> ExperimentReport:
     u(t, z - c_plus t) <= e^{lambda_plus z} v(t, z) is then checked
     numerically against a linear solve of the constructed equation, a
     deliberate cross-integrator check (stencil ETD for u, spectral
-    collocation for v).  The linear solver raises its step count for
-    stability, so the comparison pins v's output stride to the raised
-    value (from the linear solver's own _spectral_modes); comparing at
-    mismatched times would turn the time derivative of the front into a
-    fake violation.
+    collocation for v).  Both runs take the config's n_h and store every
+    n_h-th step, so their snapshots are taken at the same times.
     """
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     g1 = birth.gprime0
@@ -483,8 +480,7 @@ def bridge_check(config: dict) -> ExperimentReport:
         return np.exp(-lam * x) * np.interp(x - c * s, x, u0,
                                             period=grid.length)
 
-    _, _, n_h_v = _spectral_modes(params, kern, grid, n_h)
-    traj_v = solve_linear(params, kern, grid, v_history, T, n_h_v, n_h_v)
+    traj_v = solve_linear(params, kern, grid, v_history, T, n_h, n_h)
     viol = 0.0
     scale = 0.0
     # compare on the front-active window only: to the right of it the
@@ -492,10 +488,9 @@ def bridge_check(config: dict) -> ExperimentReport:
     # the tolerance while both true sides are 0
     w_right = min(c * T + 12.0, 0.5 * grid.length - 1.0)
     for i, t in enumerate(traj_u.times):
-        j = int(np.argmin(np.abs(traj_v.times - t)))
         zq = x + c * float(t)
         sel = (zq >= -12.0) & (zq <= w_right)
-        v_at = np.interp(zq[sel], x, np.real(traj_v.fields[j]),
+        v_at = np.interp(zq[sel], x, np.real(traj_v.fields[i]),
                          period=grid.length)
         rhs = np.exp(lam * zq[sel]) * v_at
         viol = max(viol, float(np.max(traj_u.fields[i][sel] - rhs)))

@@ -111,7 +111,8 @@ class HistoryRing:
 
     def delayed_nodes(self):
         """(value, derivative) pairs at t-h and t-h+dt for the step
-        starting at the newest stored time t."""
+        starting at the newest stored time t; the arrays are the ring's
+        own rows, not copies."""
         s0 = self._slot(self._step - self.n_h)
         s1 = self._slot(self._step - self.n_h + 1)
         return (self.vals[s0], self.ders[s0]), (self.vals[s1], self.ders[s1])

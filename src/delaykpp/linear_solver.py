@@ -7,13 +7,16 @@ for cross-validation and the scaled decay diagnostics.
 
 Each Fourier mode obeys the scalar delay equation
 w' = (-xi^2 + i m xi + p) w + khat(xi) w(t-h); all modes advance together
-with classical RK4, reading delayed stage values from a HistoryRing whose
-node spacing divides the delay exactly (midpoint stage values come from
-cubic Hermite interpolation, so the stepper keeps its full order).
+by one exact exponential Hermite step (_rk4_delay_diag), reading the
+delayed term from a HistoryRing whose node spacing divides the delay
+exactly.  The step has no stability limit, so a run takes the n_h it is
+given; it is fourth order in dt = h/n_h, including across the derivative
+jump at t = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +33,6 @@ __all__ = [
     "universal_bound_diagnostic", "probe_value",
 ]
 
-_RK4_MARGIN = 2.5  # |mu| dt budget inside the real-axis stability interval
-
-
 @dataclass(frozen=True)
 class LinearTrajectory:
     """Physical-space snapshots of a linear run."""
@@ -47,22 +47,54 @@ class LinearTrajectory:
         return Field(values=self.fields[i], time=float(self.times[i]))
 
 
+def _phi(z: np.ndarray) -> list[np.ndarray]:
+    """e^z - 1 and phi_1(z) .. phi_4(z), elementwise.
+
+    phi_1 = (e^z - 1) / z and phi_{j+1} = (phi_j - 1/j!) / z; where
+    |z| < 1 that recurrence cancels, so the Taylor series
+    sum_i z^i / (i + j)! (20 terms) is used there instead.
+    """
+    small = np.abs(z) < 1.0
+    z_big = np.where(small, 1.0, z)
+    phis = [np.expm1(z)]
+    rest = phis[0]  # phi_{j-1} - 1/(j-1)!
+    for j in range(1, 5):
+        series = sum(z ** i / math.factorial(i + j) for i in range(20))
+        phis.append(np.where(small, series, rest / z_big))
+        rest = phis[-1] - 1.0 / math.factorial(j)
+    return phis
+
+
 def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
-    """Advance the diagonal delayed system w' = mu w + kap w(t-h)."""
+    """Advance the diagonal delayed system w' = mu w + kap w(t-h).
+
+    Over one step the delayed term is the cubic Hermite interpolant of the
+    ring cell (d0, d0', d1, d1'), so variation of constants integrates the
+    step exactly with the phi-functions of z = mu dt (exponential
+    quadrature): no stages and no stability limit.  At t = 0 the solution's
+    derivative jumps from the history's to mu w0 + kap w(-h); the cell
+    [0, dt] is read with that right derivative once the cell before it is
+    done, which keeps the step fourth order on constant-history data.
+    The name predates this step; perfbench/layertrace.py wraps it by name.
+    """
     dt = ring.dt
+    em1, p1, p2, p3, p4 = _phi(mu * dt)
+    a0 = dt * kap * (p1 - 6.0 * p3 + 12.0 * p4)
+    a1 = dt * kap * (6.0 * p3 - 12.0 * p4)
+    b0 = dt * dt * kap * (p2 - 4.0 * p3 + 6.0 * p4)
+    b1 = dt * dt * kap * (6.0 * p4 - 2.0 * p3)
     w = ring.newest.copy()
+    right0 = mu * w + kap * ring.delayed_nodes()[0][0]
     if collect is not None:
         collect(0, w)
     for n in range(n_steps):
-        (d0, _), (d1, _) = ring.delayed_nodes()
-        dm = ring.delayed_mid()
-        k1 = mu * w + kap * d0
-        k2 = mu * (w + (0.5 * dt) * k1) + kap * dm
-        k3 = mu * (w + (0.5 * dt) * k2) + kap * dm
-        k4 = mu * (w + dt * k3) + kap * d1
-        w = w + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        der = mu * w + kap * d1
-        ring.push(w, der)
+        (d0, e0), (d1, e1) = ring.delayed_nodes()
+        if n == ring.n_h:
+            e0[...] = right0  # the ring row of t = 0
+        # w + (e^z - 1) w, not e^z w: one rounded e^z applied N times
+        # drifts coherently by up to N ulps, a rounded increment does not
+        w = w + (em1 * w + a0 * d0 + a1 * d1 + b0 * e0 + b1 * e1)
+        ring.push(w, mu * w + kap * d1)
         if collect is not None:
             collect(n + 1, w)
     return w
@@ -103,13 +135,20 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
         dt = h / n_h
         vals = np.empty(shape, dtype)
         ders = np.empty(shape, dtype)
-        eps = max(dt * 1e-3, 1e-7)
+        eps = 1e-3 * dt  # every difference stays inside [-h, 0]
+
+        def f(s):
+            return np.asarray(u0(s), dtype)
+
         for j in range(n_h + 1):
             s = -h + j * dt
-            vals[j] = u0(s)
-            lo, hi = max(s - eps, -h), min(s + eps, 0.0)
-            ders[j] = (np.asarray(u0(hi), dtype) - np.asarray(u0(lo), dtype)) \
-                / (hi - lo)
+            vals[j] = f(s)
+            if 0 < j < n_h:
+                ders[j] = (f(s + eps) - f(s - eps)) / ((s + eps) - (s - eps))
+            else:  # second-order one-sided difference at the two ends
+                e = eps if j == 0 else -eps
+                ders[j] = (4.0 * f(s + e) - f(s + 2.0 * e) - 3.0 * vals[j]) \
+                    / (2.0 * e)
         return vals, ders
     vals = np.tile(_profile(u0, width, dtype), (n_h + 1, 1))
     return vals, np.zeros(shape, dtype)
@@ -140,31 +179,16 @@ def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
     return times, out
 
 
-def _auto_nh(n_h, h, stiffness):
-    need = int(np.ceil(h * stiffness / _RK4_MARGIN)) if h > 0 else 1
-    return max(64 if n_h is None else n_h, need, 1)
-
-
-def _spectral_modes(params: CharParams, kernel: Kernel, grid: Grid,
-                    n_h: int | None):
-    """Per-mode rates mu, kernel symbol kap, and n_h raised (_auto_nh) so
-    that RK4 is stable on the stiffest mode."""
-    xi = grid.xi
-    mu = -xi * xi + 1j * params.m * xi + params.p
-    kap = kernel.fourier(xi)
-    stiffness = float(np.max(np.abs(mu)) + np.max(np.abs(kap)))
-    return mu, kap, _auto_nh(n_h, params.h, stiffness)
-
-
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
-                 n_h: int | None = None, out_every: int | None = None
+                 n_h: int = 64, out_every: int | None = None
                  ) -> LinearTrajectory:
     """Solve the linear delayed non-local equation on the periodic grid.
 
     The convolution enters as the analytic transform khat(xi) per mode, so
     spatial accuracy is spectral and the only discretization parameters are
-    the grid itself and the step dt = h/n_h.  n_h is raised automatically
-    when explicit stability of the stiffest mode requires it.
+    the grid itself and the step dt = h/n_h.  The step is exact for the
+    stiff part of every mode, so n_h sets accuracy only and is used as
+    given.
 
     u0: constant profile, callable s -> profile on [-h, 0], or a
     (values, derivatives) history pair; see _history_samples.
@@ -173,7 +197,9 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     touches the periodic edge; for h = 0 the exact solution is sampled at
     257 equally spaced times instead.
     """
-    mu, kap, n_h = _spectral_modes(params, kernel, grid, n_h)
+    xi = grid.xi
+    mu = -xi * xi + 1j * params.m * xi + params.p
+    kap = kernel.fourier(xi)
 
     if params.h == 0.0:
         w0 = np.fft.fft(_profile(u0, grid.n))
@@ -235,8 +261,11 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
             drift = 0.0
         return lap + drift + p * u
 
+    # classical RK4 is stable for |lambda| dt up to about 2.8 on the real
+    # axis; raise n_h so the stiffest FD mode stays inside 2.5 of it
     stiffness = 4.0 / (dx * dx) + 3.0 * abs(m) / dx + abs(p) + kernel.mass
-    n_h = _auto_nh(n_h, params.h, stiffness)
+    n_h = max(64 if n_h is None else n_h,
+              math.ceil(params.h * stiffness / 2.5))
     dt = params.h / n_h
     out = Outputs(T, dt, out_every, grid.n)
 
@@ -246,9 +275,14 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
                np.stack([conv(d) for d in ders]))
 
     w = vals[-1]
+    right0 = conv(apply_op(w) + cring.delayed_nodes()[0][0])
     out.store(0, w)
     for n in range(out.n_steps):
-        (c0, _), (c1, _) = cring.delayed_nodes()
+        (c0, e0), (c1, _) = cring.delayed_nodes()
+        if n == n_h:
+            # the ring row of t = 0: the cell [0, dt] takes the right
+            # derivative at the jump (see _rk4_delay_diag)
+            e0[...] = right0
         cm = cring.delayed_mid()
         k1 = apply_op(w) + c0
         k2 = apply_op(w + (0.5 * dt) * k1) + cm

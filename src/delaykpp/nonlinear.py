@@ -43,11 +43,10 @@ only removes mass and never injects any, so errors stay local to the
 solution scale, and zero stays zero.  theta = 1e-250 is sized so that the
 products stay normal: kernel taps are at least _STENCIL_DROP of the
 kernel's peak (about 1e-20 on the preset grids) and the ETD taps at the
-window edges about 1e-36, and with h > 0 a stored value reaches the next
-stored profile through at most two stencils (the kernel, then A or B),
-so no product falls below theta * 1e-56 ~ 1e-306.  (For h = 0 the
-unfloored predictor puts two more stencils in the chain, so a thin band
-at the very edge of the tail can still go subnormal.)
+window edges about 1e-36, and a floored value reaches the next floored
+one through at most two stencils (the kernel, then A or B; for h = 0 the
+predictor is floored too), so no product falls below
+theta * 1e-56 ~ 1e-306.
 """
 
 from __future__ import annotations
@@ -258,7 +257,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             F_prev = F_next
         else:
             F0 = kconv(_clamped_birth(birth, u, counter))
-            u_star = wrap(u, st_p0) + wrap(F0, st_ab)
+            u_star = _floor(wrap(u, st_p0) + wrap(F0, st_ab))
             F1 = kconv(_clamped_birth(birth, u_star, counter))
             u = _floor(wrap(u, st_p0) + wrap(F0, st_a) + wrap(F1, st_b))
         i = rows.get(n + 1)

@@ -266,6 +266,11 @@ HOSTILE = [
     # the speeds solve but the frame tangency of the report cannot
     ({**SPEEDS_CFG, "h": 0.0}, "kernel.shift", -1e5, "kernel"),
     ({**SPEEDS_CFG, "h": 0.0}, "kernel.shift", 1e5, "kernel"),
+    # g'(0) and the kernel overflow a float in the speed polish
+    ({**SPEEDS_CFG, "kernel": {"family": "dirac", "shift": 1e5}},
+     "gprime0", 1e300),
+    ({**SPEEDS_CFG, "kernel": {"family": "dirac", "shift": -1e5}},
+     "gprime0", 1e300, "kernel"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Linear solver: mode-by-mode oracle, closed forms, and the FD cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
                       solve_linear, solve_linear_fd, tangency_solve,
                       tangency_limit_diagnostic, universal_bound_diagnostic,
                       gamma_zero)
+from delaykpp.linear_solver import _phi
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
 DESK_KERNEL = Gaussian(0.0, 1.0, 1.0)
@@ -35,16 +38,43 @@ def test_single_mode_matches_scalar_dde():
 
 def test_scalar_dde_exponential_solution_and_order():
     # history e^{lam s} with lam on the characteristic curve propagates as
-    # e^{lam t}; halving dt shrinks the error by ~16 (classical order 4)
+    # e^{lam t}; halving dt shrinks the error by ~16 (order 4), which needs
+    # second-order history derivatives at both ends of [-h, 0]
     lam = halanay_root(-1.0, 0.5, 1.0)
     assert lam == pytest.approx(-1.0 + 0.5 * np.exp(-lam), abs=1e-12)
     errs = []
-    for n_h in (16, 32):
+    for n_h in (16, 32, 64):
         _, w = scalar_dde_solve(-1.0, 0.5, 1.0, lambda s: np.exp(lam * s),
                                 T=3.0, dt=1.0 / n_h)
         errs.append(abs(w[-1] - np.exp(lam * 3.0)))
     assert errs[1] < 1e-8
-    assert errs[0] > 10.0 * errs[1]
+    assert errs[0] > 12.0 * errs[1] > 144.0 * errs[2]
+
+
+def test_scalar_dde_constant_history_is_fourth_order():
+    # constant history: the derivative jumps at t = 0 from 0 to
+    # mu + kappa, and the cell [0, dt] must be read with the right one
+    _, ref = scalar_dde_solve(-1.0 + 0.5j, 0.8, 1.0, 1.0, T=5.0,
+                              dt=1.0 / 1024)
+    errs = []
+    for n_h in (8, 16, 32, 64):
+        _, w = scalar_dde_solve(-1.0 + 0.5j, 0.8, 1.0, 1.0, T=5.0,
+                                dt=1.0 / n_h)
+        errs.append(abs(w[-1] - ref[-1]))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse >= 12.0 * fine
+
+
+def test_phi_branches_agree_at_the_seam():
+    # Taylor series inside |z| < 1, recurrence outside: both sides of the
+    # circle agree, and phi_k(0) = 1/k!
+    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 17))
+    inner, outer = _phi((1.0 - 1e-12) * z), _phi((1.0 + 1e-12) * z)
+    at0 = _phi(np.zeros(1, complex))
+    assert at0[0][0] == 0.0  # e^0 - 1
+    for k in range(1, 5):
+        np.testing.assert_allclose(inner[k], outer[k], rtol=1e-11)
+        assert at0[k][0] == 1.0 / math.factorial(k)
 
 
 def test_scalar_dde_halanay_envelope():
@@ -94,15 +124,20 @@ def test_scalar_history_broadcasts_to_uniform_mode():
     assert final[0] == pytest.approx(w[-1].real, rel=1e-10)
 
 
-def test_auto_nh_raises_step_count():
+def test_stiff_grid_runs_the_given_n_h():
+    # |mu| dt reaches ~625 on the stiffest mode at n_h = 4; the exact step
+    # has no stability limit, so n_h is used as given and only sets the
+    # accuracy (2e-5 of the peak against n_h = 64, across t = h)
     grid = Grid(32.0, 512)
     params = CharParams(m=0.0, p=-1.0, h=1.0)
     kern = Gaussian(0.0, 1.0, 1.0)
-    xi = grid.xi
-    stiffness = np.max(np.abs(-xi * xi + params.p)) + 1.0
-    need = int(np.ceil(stiffness / 2.5))
-    traj = solve_linear(params, kern, grid, np.exp(-grid.x ** 2), T=0.1, n_h=4)
-    assert traj.n_h >= need > 4
+    u0 = np.exp(-grid.x ** 2)
+    coarse = solve_linear(params, kern, grid, u0, T=2.0, n_h=4)
+    fine = solve_linear(params, kern, grid, u0, T=2.0, n_h=64)
+    assert coarse.n_h == 4 and fine.n_h == 64
+    assert coarse.times[-1] == fine.times[-1] == 2.0
+    scale = np.max(np.abs(fine.fields[-1]))
+    assert np.max(np.abs(coarse.fields[-1] - fine.fields[-1])) < 2e-5 * scale
 
 
 def test_history_pair_shape_validation():
@@ -128,6 +163,23 @@ def test_fd_cross_check_agrees():
     assert b.times[-1] == pytest.approx(1.0, abs=1e-12)
     scale = np.max(np.abs(a.fields[-1]))
     assert np.max(np.abs(a.fields[-1] - b.fields[-1])) < 1e-3 * scale
+
+
+def test_fd_constant_data_is_fourth_order_in_time():
+    # spatially constant data make the FD route a scalar RK4 delay solve;
+    # its cell [0, dt] needs the right derivative at t = 0 as well
+    grid = Grid(256.0, 256)
+    params = CharParams(m=0.0, p=-1.0, h=1.0)
+    kern = Gaussian(0.0, 1.0, 0.8)
+    _, ref = scalar_dde_solve(-1.0, 0.8, 1.0, 1.0, T=3.0, dt=1.0 / 1024)
+    errs = []
+    for n_h in (8, 16, 32):
+        with pytest.warns(RuntimeWarning):  # constant data sit on the edge
+            traj = solve_linear_fd(params, kern, grid, 1.0, T=3.0, n_h=n_h)
+        assert traj.n_h == n_h
+        errs.append(abs(traj.fields[-1][0] - ref[-1].real))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse >= 12.0 * fine
 
 
 def test_fd_requires_delay():

@@ -179,6 +179,25 @@ def test_no_subnormal_values_are_stored(h):
         assert not np.any(tiny)
 
 
+def test_h0_convolutions_see_no_subnormal_input(monkeypatch):
+    # the h = 0 predictor is floored like every stored profile, so no
+    # convolution reads a subnormal entry (unfloored: 290 of them here)
+    seen = []
+    inner = nonlinear.convolve1d
+    normal = np.finfo(float).tiny
+
+    def counting(field, *args, **kwargs):
+        mag = np.abs(field)
+        seen.append(np.count_nonzero((mag > 0.0) & (mag < normal)))
+        return inner(field, *args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "convolve1d", counting)
+    grid = Grid(512.0, 1024)
+    u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
+    solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0, T=5.0, h=0.0)
+    assert seen and sum(seen) == 0
+
+
 def _sampled(kern, g):
     return np.asarray(kern.density(g.x), dtype=float)
 
