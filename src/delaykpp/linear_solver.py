@@ -55,11 +55,11 @@ def _phi(z: np.ndarray) -> list[np.ndarray]:
     sum_i z^i / (i + j)! (20 terms) is used there instead.
     """
     small = np.abs(z) < 1.0
-    z_big = np.where(small, 1.0, z)
+    z_small, z_big = np.where(small, z, 0.0), np.where(small, 1.0, z)
     phis = [np.expm1(z)]
     rest = phis[0]  # phi_{j-1} - 1/(j-1)!
     for j in range(1, 5):
-        series = sum(z ** i / math.factorial(i + j) for i in range(20))
+        series = sum(z_small ** i / math.factorial(i + j) for i in range(20))
         phis.append(np.where(small, series, rest / z_big))
         rest = phis[-1] - 1.0 / math.factorial(j)
     return phis
