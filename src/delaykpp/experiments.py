@@ -452,10 +452,14 @@ def bridge_check(config: dict) -> ExperimentReport:
     u(t, z - c_plus t) <= e^{lambda_plus z} v(t, z) is then checked
     numerically against a linear solve of the constructed equation, a
     deliberate cross-integrator check (stencil ETD for u, spectral
-    collocation for v).  Both runs take the config's n_h and store every
-    n_h-th step, so their snapshots are taken at the same times.
+    collocation for v).  Each u snapshot is compared with the v snapshot
+    nearest in time; both runs take the config's n_h and store every
+    n_h-th step, so the times agree exactly.  Needs h > 0: at h = 0 the
+    linear solver samples fixed times that the KPP snapshots do not share.
     """
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
+    if h == 0.0:
+        raise ConfigError("field 'h': the bridge check needs a delay h > 0")
     g1 = birth.gprime0
     speeds = critical_speeds(kernel0, g1, h)
 
@@ -488,9 +492,10 @@ def bridge_check(config: dict) -> ExperimentReport:
     # the tolerance while both true sides are 0
     w_right = min(c * T + 12.0, 0.5 * grid.length - 1.0)
     for i, t in enumerate(traj_u.times):
+        j = int(np.argmin(np.abs(traj_v.times - t)))
         zq = x + c * float(t)
         sel = (zq >= -12.0) & (zq <= w_right)
-        v_at = np.interp(zq[sel], x, np.real(traj_v.fields[i]),
+        v_at = np.interp(zq[sel], x, np.real(traj_v.fields[j]),
                          period=grid.length)
         rhs = np.exp(lam * zq[sel]) * v_at
         viol = max(viol, float(np.max(traj_u.fields[i][sel] - rhs)))

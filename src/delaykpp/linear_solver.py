@@ -180,15 +180,15 @@ def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
 
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
-                 n_h: int = 64, out_every: int | None = None
+                 n_h: int | None = None, out_every: int | None = None
                  ) -> LinearTrajectory:
     """Solve the linear delayed non-local equation on the periodic grid.
 
     The convolution enters as the analytic transform khat(xi) per mode, so
     spatial accuracy is spectral and the only discretization parameters are
     the grid itself and the step dt = h/n_h.  The step is exact for the
-    stiff part of every mode, so n_h sets accuracy only and is used as
-    given.
+    stiff part of every mode, so n_h (default 64) sets accuracy only and
+    is used as given.
 
     u0: constant profile, callable s -> profile on [-h, 0], or a
     (values, derivatives) history pair; see _history_samples.
@@ -211,6 +211,7 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
         return LinearTrajectory(grid=grid, times=times, fields=fields,
                                n_h=0, edge_fraction=edge)
 
+    n_h = 64 if n_h is None else int(n_h)
     out = Outputs(T, params.h / n_h, out_every, grid.n)
     ring = HistoryRing(params.h, n_h, grid.n, complex)
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)

@@ -247,6 +247,7 @@ HOSTILE = [
     (KPP_CFG, "snapshot_stride", 0),
     (LINEAR_CFG, "n_h", 0),
     (SPEEDS_CFG, "h", -1),
+    ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
     (KPP_CFG, "n", 256.7),
     # step budget: rejected before any ring or output array exists
     (KPP_CFG, "T", 1e300),

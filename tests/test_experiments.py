@@ -83,6 +83,13 @@ def test_bridge_check_passes_on_dirac_preset():
     assert rep.metrics["frame_violation"] <= 1e-8 * rep.metrics["frame_scale"]
 
 
+def test_bridge_check_rejects_zero_delay():
+    # at h = 0 the linear run samples its own fixed times, which the KPP
+    # snapshots do not share; refuse rather than compare mismatched times
+    with pytest.raises(ConfigError, match="field 'h'"):
+        bridge_check({**preset("bridge-dirac"), "h": 0.0})
+
+
 def test_mckean_inconclusive_when_level_unreached():
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},

@@ -140,6 +140,17 @@ def test_stiff_grid_runs_the_given_n_h():
     assert np.max(np.abs(coarse.fields[-1] - fine.fields[-1])) < 2e-5 * scale
 
 
+def test_n_h_none_is_the_default_64():
+    grid = Grid(32.0, 256)
+    params = CharParams(m=0.0, p=-1.0, h=1.0)
+    u0 = np.exp(-grid.x ** 2)
+    kern = Gaussian(0.0, 1.0, 1.0)
+    default = solve_linear(params, kern, grid, u0, T=1.0, n_h=None)
+    given = solve_linear(params, kern, grid, u0, T=1.0, n_h=64)
+    assert default.n_h == 64
+    np.testing.assert_array_equal(default.fields, given.fields)
+
+
 def test_history_pair_shape_validation():
     grid = Grid(32.0, 256)
     bad = (np.zeros((3, grid.n)), np.zeros((3, grid.n)))
