@@ -26,6 +26,18 @@ front tail long before desk-scale horizons (T ~ 200).  Local convolution
 keeps arithmetic errors relative to the local solution scale, so fronts
 stay clean for as long as the domain holds them.
 
+convolve1d applies a stencil of m taps as a banded block product, so that
+BLAS does the multiply-adds: the field is gathered into overlapping rows
+of b + m - 1 points, with b a fixed power of two >= max(32, m), and each
+row is multiplied by the (b + m - 1) x b Toeplitz band of the taps.  Every
+output is still the sum of the same m local products, plus products with
+the band's exact zeros, which add nothing; its rounding is therefore
+relative to the local scale, as in a direct convolution, and a tail at
+1e-200 keeps its relative accuracy next to an O(1) front.  That is what an
+FFT cannot do: there every output mixes every input.  The gemm calls are
+cut into chunks that OpenBLAS runs on one thread, because a two-thread
+call loses its gain whenever another process holds the second core.
+
 The kernel's stencil keeps just the offsets between its first and last
 tap above _STENCIL_DROP of its peak, applied off-centre, so a shifted
 kernel pays for its own support and not for a window symmetric about 0.
@@ -41,21 +53,22 @@ certificate (u <= v from ordered data) survives; a floor relative to each
 run's own peak would cut the larger run's tail first and break it.  It
 only removes mass and never injects any, so errors stay local to the
 solution scale, and zero stays zero.  theta = 1e-250 is sized so that the
-products stay normal: kernel taps are at least _STENCIL_DROP of the
-kernel's peak (about 1e-20 on the preset grids) and the ETD taps at the
-window edges about 1e-36, and a floored value reaches the next floored
-one through at most two stencils (the kernel, then A or B; for h = 0 the
+products stay normal: every stencil keeps just its taps above
+_STENCIL_DROP of its own peak, so kernel taps are at least about 1e-20 on
+the preset grids and ETD taps at least 6e-22 (the peaks of A and B are a
+few 1e-3 at dt = 1/64), and a floored value reaches the next floored one
+through at most two stencils (the kernel, then A or B; for h = 0 the
 predictor is floored too), so no product falls below
-theta * 1e-56 ~ 1e-306.
+theta * 1e-42 ~ 1e-292.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .birth import LinearBirth, subtangential_defect
 from .errors import ConfigError
@@ -70,6 +83,8 @@ __all__ = ["KPPTrajectory", "solve_kpp", "level_set", "LevelCrossings",
 _CLAMP_REL = 1e-13  # negatives below this fraction of the peak count as real
 _STENCIL_DROP = 1e-19  # truncate propagator stencils below this, rel. peak
 _UNDERFLOW = 1e-250  # absolute: |u| below this is set to 0 (module docstring)
+# OpenBLAS runs a gemm of M N K <= 4 * 65536 multiply-adds on one thread
+_GEMM_ONE_THREAD = 4 * 65536
 
 
 @dataclass(frozen=True)
@@ -88,11 +103,51 @@ class KPPTrajectory:
         return Field(values=self.fields[i], time=float(self.times[i]))
 
 
+@lru_cache(maxsize=32)
+def _banded(taps: bytes, origin: int, n: int):
+    """The band, the gather index and the rows per gemm call with which
+    convolve1d applies the taps at this origin to n points."""
+    w = np.frombuffer(taps)
+    m = w.size
+    b = max(32, 1 << (m - 1).bit_length())
+    k = b + m - 1
+    band = np.zeros((k, b))
+    for t in range(b):
+        band[t:t + m, t] = w[::-1]
+    # row r holds the points r b + start .. r b + start + k - 1 (mod n)
+    start = m // 2 + origin - (m - 1)
+    index = (np.arange(0, n, b)[:, None] + start + np.arange(k)) % n
+    band.flags.writeable = index.flags.writeable = False
+    return band, index, max(1, _GEMM_ONE_THREAD // (b * k))
+
+
+def convolve1d(field: np.ndarray, weights: np.ndarray, mode: str = "wrap",
+               origin: int = 0) -> np.ndarray:
+    """Periodic convolution of a 1-D field with m taps, as
+    scipy.ndimage.convolve1d(field, weights, mode="wrap", origin=origin)
+    computes it:
+
+        out[i] = sum_j weights[j] field[(i + m // 2 + origin - j) mod n],
+
+    but as banded block products (module docstring).  The band and the
+    gather index are built once per taps, origin and n."""
+    if mode != "wrap":
+        raise ValueError(f"only mode 'wrap' is supported, got {mode!r}")
+    w = np.ascontiguousarray(weights, dtype=float)
+    band, index, step = _banded(w.tobytes(), int(origin), field.size)
+    rows = field[index]
+    out = np.empty((index.shape[0], band.shape[1]))
+    for r in range(0, out.shape[0], step):
+        np.matmul(rows[r:r + step], band, out=out[r:r + step])
+    return out.ravel()[:field.size]
+
+
 def _phi_dc(dt: float):
     """Exact zero-frequency weights of the step.  ab is computed as the
     float complement of p0 and b as the complement of a, so the three
-    weights sum to 1.0 exactly and constant equilibria are fixed points
-    of the discrete step to the last bit."""
+    weights sum to 1.0 exactly and a constant equilibrium is a fixed point
+    of the step up to the rounding of the stencil sums: it settles some
+    ten eps away during the first delays and does not drift."""
     p0 = math.exp(-dt)
     ab = 1.0 - p0  # dt phi1(-dt)
     z = -dt
@@ -114,8 +169,11 @@ def _etd_stencils(dt: float, dx: float, n: int):
     the endpoint singularity of G).  Building the taps directly keeps
     every one positive even when sqrt(2 dt) < dx; a transform-based
     construction rings in that regime and clipping the lobes biases the
-    operator without bound as dt shrinks.  Tap sums are renormalized to
-    the exact zero-frequency weights.
+    operator without bound as dt shrinks.  The taps are computed on a
+    window that holds every offset above _STENCIL_DROP of the peak; each
+    stencil then keeps just its own offsets above _STENCIL_DROP of its own
+    peak (a symmetric, unimodal run about 0, so the centre stays at tap
+    m // 2) and is renormalized to its exact zero-frequency weight.
 
     A positive stencil cannot match the heat symbol once dt << dx^2 (the
     discrete symbol is 2 pi / dx periodic, the target is not flat at the
@@ -128,7 +186,6 @@ def _etd_stencils(dt: float, dx: float, n: int):
     p0_dc, a_dc, b_dc, ab_dc = _phi_dc(dt)
 
     p0 = np.exp(-xs * xs / (4.0 * dt))
-    p0 *= p0_dc / np.sum(p0)
 
     q, w = np.polynomial.legendre.leggauss(96)
     q = 0.5 * math.sqrt(dt) * (q + 1.0)  # interior nodes of (0, sqrt(dt))
@@ -138,10 +195,14 @@ def _etd_stencils(dt: float, dx: float, n: int):
     a = (w * q * q) @ core
     b = (w * (dt - q * q)) @ core
     ab = w @ core
-    a *= a_dc / np.sum(a)
-    b *= b_dc / np.sum(b)
-    ab *= ab_dc / np.sum(ab)
-    return p0, a, b, ab
+
+    def trimmed(taps, dc):
+        keep = np.flatnonzero(taps > _STENCIL_DROP * np.max(taps))
+        taps = taps[keep[0]:keep[-1] + 1]
+        return taps * (dc / np.sum(taps))
+
+    return (trimmed(p0, p0_dc), trimmed(a, a_dc), trimmed(b, b_dc),
+            trimmed(ab, ab_dc))
 
 
 def _kernel_applier(kernel0: Kernel, grid: Grid):
@@ -257,9 +318,10 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             F_prev = F_next
         else:
             F0 = kconv(_clamped_birth(birth, u, counter))
-            u_star = _floor(wrap(u, st_p0) + wrap(F0, st_ab))
+            p0u = wrap(u, st_p0)
+            u_star = _floor(p0u + wrap(F0, st_ab))
             F1 = kconv(_clamped_birth(birth, u_star, counter))
-            u = _floor(wrap(u, st_p0) + wrap(F0, st_a) + wrap(F1, st_b))
+            u = _floor(p0u + wrap(F0, st_a) + wrap(F1, st_b))
         i = rows.get(n + 1)
         if i is not None:
             if not np.all(np.isfinite(u)):

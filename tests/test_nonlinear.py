@@ -1,6 +1,7 @@
 """KPP integrator: equilibria, positivity, level sets, comparison certificate."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,13 +18,56 @@ GRID = Grid(32.0, 256)
 
 
 def test_equilibrium_is_discrete_fixed_point():
-    # the DC weights sum to 1 exactly, so u = kappa survives to the last bit
+    # the DC weights sum to 1 exactly, so u = kappa is a fixed point up to
+    # the rounding of the stencil sums: it settles a few eps away
     birth = Nicholson(2.0, 1.0)
     with pytest.warns(RuntimeWarning):  # constant data sit on the edge
         traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), birth, GRID, birth.kappa,
                          T=3.0, h=1.0, n_h=32)
     assert np.max(np.abs(traj.fields[-1] - birth.kappa)) < 1e-14
     assert traj.clamp_count == 0
+
+
+def test_constant_state_does_not_drift():
+    # the rounding of each step moves kappa by an ulp or two; the step
+    # contracts towards kappa, so the deviation settles within the first
+    # delay and then stays where it is
+    birth = Nicholson(2.0, 1.0)
+    with pytest.warns(RuntimeWarning):  # constant data sit on the edge
+        traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), birth, GRID, birth.kappa,
+                         T=40.0, h=1.0, n_h=32, out_every=8)
+    dev = np.max(np.abs(traj.fields - birth.kappa), axis=1)
+    assert np.max(dev) < 1e-14
+    settled = traj.times > 2.0
+    assert np.max(dev[settled]) <= np.max(dev[~settled])
+
+
+_SAME_BYTES = """
+import hashlib, sys, warnings
+import numpy as np
+from delaykpp import Gaussian, Grid, Nicholson, solve_kpp
+grid = Grid(256.0, 2048)
+u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
+traj = solve_kpp(Gaussian(1.5, 1.0, 1.0), Nicholson(2.0, 1.0), grid, u0,
+                 T=2.0, h=1.0, n_h=16)
+print(hashlib.sha256(traj.fields.tobytes()).hexdigest())
+"""
+
+
+def test_fields_do_not_depend_on_the_blas_thread_count():
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(nonlinear.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SAME_BYTES], env=env,
+                              stdout=subprocess.PIPE, text=True, check=True,
+                              timeout=120)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_zero_stays_zero():
@@ -118,6 +162,43 @@ def _captured_weights(monkeypatch, apply_k, G):
     return out, weights
 
 
+# (taps, points): odd and even tap counts, n not a multiple of the row
+# block, and n below block + taps
+@pytest.mark.parametrize("m,n", [(1, 40), (2, 40), (24, 1000), (25, 1000),
+                                 (109, 1000), (110, 150), (25, 50)])
+def test_convolve1d_matches_scipy_at_every_origin(m, n):
+    from scipy.ndimage import convolve1d as reference
+
+    rng = np.random.default_rng(m * n)
+    field = 0.1 + rng.random(n)
+    weights = rng.random(m)
+    for origin in range(-(m // 2), (m - 1) // 2 + 1):
+        got = nonlinear.convolve1d(field, weights, mode="wrap", origin=origin)
+        want = reference(field, weights, mode="wrap", origin=origin)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_convolve1d_keeps_far_tails_relative():
+    # each output is a sum of local products, so entries next to an O(1)
+    # half keep their relative accuracy at 1e-200; a global FFT spreads
+    # 1e-17 of the peak over them
+    from scipy.ndimage import convolve1d as reference
+
+    n = 1000
+    field = np.where(np.arange(n) < n // 2, 1.0, 1e-200)
+    field *= 1.0 + 0.5 * np.sin(np.arange(n))
+    weights = np.exp(-np.linspace(-3.0, 3.0, 25) ** 2)
+    got = nonlinear.convolve1d(field, weights)
+    want = reference(field, weights, mode="wrap")
+    tiny = want < 1e-150
+    assert np.count_nonzero(tiny) > 400
+    np.testing.assert_allclose(got[tiny], want[tiny], rtol=1e-13, atol=0.0)
+    taps = np.zeros(n)
+    taps[np.arange(-12, 13) % n] = weights
+    fft = np.fft.irfft(np.fft.rfft(field) * np.fft.rfft(taps), n)
+    assert np.max(np.abs(fft[tiny] / want[tiny] - 1.0)) > 1.0
+
+
 # (kernel, taps in its window); on the grid below, dx = 0.125
 SAMPLED_KERNELS = [
     pytest.param(Gaussian(0.3, 0.9, 1.0), 134, id="gauss+0.3"),
@@ -196,6 +277,24 @@ def test_h0_convolutions_see_no_subnormal_input(monkeypatch):
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
     solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0, T=5.0, h=0.0)
     assert seen and sum(seen) == 0
+
+
+def test_h0_step_applies_p0_once(monkeypatch):
+    # per step: the kernel on u and on the predictor, and the ETD stencils
+    # P0 u (shared by predictor and corrector), AB F0, A F0 and B F1
+    calls = []
+    inner = nonlinear.convolve1d
+
+    def counting(field, *args, **kwargs):
+        calls.append(field)
+        return inner(field, *args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "convolve1d", counting)
+    grid = Grid(128.0, 512)
+    u0 = 0.5 * np.exp(-grid.x ** 2)
+    solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0, T=1.0,
+              h=0.0)
+    assert len(calls) == 6 * 64  # dt = 1/64
 
 
 def _sampled(kern, g):

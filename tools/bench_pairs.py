@@ -11,8 +11,15 @@ first when k is even and the change first when k is odd.  Then one
 metrics.  FILE gets the machine, the software versions, the git commit
 and src tree of each checkout when it has them, every pair's end-to-end metrics, and per
 workload and metric each side's median and quartiles, the change's wins
-(a win is a pair where the change is better; ties count for neither) and
-the change's median relative to the parent's.
+(a win is a pair where the change is better; ties count for neither), the
+change's median relative to the parent's and a verdict, which it also
+prints as a table:
+
+- ``gain``: the change wins at least 9 of 10 pairs and its median beats
+  the parent's by more than the parent's interquartile range;
+- ``within bound``: change / parent medians <= 1 + the metric's bound in
+  CHANGE_DIR/BENCHMARK.json;
+- ``worse``: neither.
 """
 
 from __future__ import annotations
@@ -76,7 +83,24 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], workloads) -> dict:
+def _bounds(root: str) -> dict[str, float]:
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        return {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
+
+
+def verdict(entry: dict, bound: float) -> str:
+    """The module docstring's verdict for one summary entry."""
+    gap = entry["parent"]["median"] - entry["change"]["median"]
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] \
+            and gap > entry["parent_iqr"]:
+        return "gain"
+    if entry["change_over_parent"] <= 1.0 + bound:
+        return "within bound"
+    return "worse"
+
+
+def summarize(pairs: list[dict], workloads, bounds: dict[str, float]
+              ) -> dict:
     out = {}
     for w in workloads:
         out[w] = {}
@@ -84,14 +108,30 @@ def summarize(pairs: list[dict], workloads) -> dict:
             old = [p[w]["parent"]["metrics"][m] for p in pairs]
             new = [p[w]["change"]["metrics"][m] for p in pairs]
             po, pn = _quartiles(old), _quartiles(new)
-            out[w][m] = {
+            entry = {
                 "parent": po, "change": pn,
                 "change_wins": sum(b < a for a, b in zip(old, new)),
                 "parent_wins": sum(a < b for a, b in zip(old, new)),
                 "pairs": len(old),
                 "parent_iqr": po["q3"] - po["q1"],
                 "change_over_parent": pn["median"] / po["median"]}
+            entry["verdict"] = verdict(entry, bounds[m])
+            out[w][m] = entry
     return out
+
+
+def table(summary: dict) -> str:
+    """One line per workload and metric: medians, wins, ratio, verdict."""
+    lines = [f"{'workload':<16} {'metric':<12} {'parent':>10} "
+             f"{'IQR':>8} {'change':>10} {'wins':>6} {'ratio':>6}  verdict"]
+    for w, metrics in summary.items():
+        for m, e in metrics.items():
+            lines.append(
+                f"{w:<16} {m:<12} {e['parent']['median']:>10.4g} "
+                f"{e['parent_iqr']:>8.3g} {e['change']['median']:>10.4g} "
+                f"{e['change_wins']:>3}/{e['pairs']:<2} "
+                f"{e['change_over_parent']:>6.3f}  {e['verdict']}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -106,6 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    bounds = _bounds(sides["change"])
 
     def write(pairs, traced):
         result = {
@@ -116,7 +157,7 @@ def main(argv=None) -> int:
             "command": f"perfbench/run.py --seconds {args.seconds:g}, "
                        f"seeds {args.first_seed}.."
                        f"{args.first_seed + len(pairs) - 1}",
-            "summary": summarize(pairs, args.workloads),
+            "summary": summarize(pairs, args.workloads, bounds),
             "pairs": pairs,
             "traced": traced,
         }
@@ -143,6 +184,7 @@ def main(argv=None) -> int:
         traced[w] = {side: _bench(root, w, args.first_seed, args.seconds, 1)
                      for side, root in sides.items()}
     write(pairs, traced)
+    print(table(summarize(pairs, args.workloads, bounds)))
     return 0
 
 
