@@ -54,12 +54,12 @@ run's own peak would cut the larger run's tail first and break it.  It
 only removes mass and never injects any, so errors stay local to the
 solution scale, and zero stays zero.  theta = 1e-250 is sized so that the
 products stay normal: every stencil keeps just its taps above
-_STENCIL_DROP of its own peak, so kernel taps are at least about 1e-20 on
-the preset grids and ETD taps at least 6e-22 (the peaks of A and B are a
+_STENCIL_DROP of its own peak, so on the KPP preset grids kernel taps are
+at least 5e-21 and ETD taps at least 6e-22 (the peaks of A and B are a
 few 1e-3 at dt = 1/64), and a floored value reaches the next floored one
 through at most two stencils (the kernel, then A or B; for h = 0 the
 predictor is floored too), so no product falls below
-theta * 1e-42 ~ 1e-292.
+theta * 3e-42 ~ 3e-292.
 """
 
 from __future__ import annotations
@@ -198,7 +198,8 @@ def _etd_stencils(dt: float, dx: float, n: int):
 
     def trimmed(taps, dc):
         keep = np.flatnonzero(taps > _STENCIL_DROP * np.max(taps))
-        taps = taps[keep[0]:keep[-1] + 1]
+        if keep.size:  # none for a step so long that every tap underflows
+            taps = taps[keep[0]:keep[-1] + 1]
         return taps * (dc / np.sum(taps))
 
     return (trimmed(p0, p0_dc), trimmed(a, a_dc), trimmed(b, b_dc),
