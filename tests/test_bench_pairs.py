@@ -14,11 +14,14 @@ BOUNDS = {"setup_s": 0.25, "run_s": 0.24, "wall_s": 0.24,
           "peak_rss_mb": 0.05}
 
 
-def _pairs(parent, change):
-    """One workload, every metric reading the given values per pair."""
-    return [{"w": {side: {"metrics": dict.fromkeys(BOUNDS, value)}
-                   for side, value in (("parent", a), ("change", b))}}
-            for a, b in zip(parent, change)]
+def _pairs(parent, change, failed=(0, 0)):
+    """One workload, every metric reading the given values per pair; the
+    parent's and the change's first run record the given failed counts."""
+    return [{"w": {side: {"metrics": dict.fromkeys(BOUNDS, value),
+                          "failed": f if k == 0 else 0}
+                   for side, value, f in (("parent", a, failed[0]),
+                                          ("change", b, failed[1]))}}
+            for k, (a, b) in enumerate(zip(parent, change))]
 
 
 PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
@@ -52,3 +55,35 @@ def test_memory_bound_is_its_own():
         _pairs(PARENT, [1.1 * v for v in PARENT]), ["w"], BOUNDS)
     assert summary["w"]["peak_rss_mb"]["verdict"] == "worse"
     assert summary["w"]["run_s"]["verdict"] == "within bound"
+
+
+# the parent's IQR is 4.0 on a median of 10, above run_s's 0.24 bound
+WIDE = [6.0, 14.0, 8.0, 12.0, 7.0, 13.0, 9.0, 11.0, 10.0, 10.0]
+
+
+def test_wide_parent_spread_is_unresolved():
+    summary = bench_pairs.summarize(
+        _pairs(WIDE, [1.2 * v for v in WIDE]), ["w"], BOUNDS)
+    assert summary["w"]["run_s"]["verdict"] == "unresolved"
+    # 9 of 10 wins past the IQR still leave overlapping runs
+    summary = bench_pairs.summarize(
+        _pairs(WIDE, [v / 3 for v in WIDE[:9]] + [20.0]), ["w"], BOUNDS)
+    assert summary["w"]["run_s"]["change_wins"] == 9
+    assert summary["w"]["run_s"]["verdict"] == "unresolved"
+
+
+def test_wide_parent_spread_resolves_when_every_run_beats_the_parent():
+    summary = bench_pairs.summarize(
+        _pairs(WIDE, [1.0 + v / 10 for v in WIDE]), ["w"], BOUNDS)
+    assert summary["w"]["run_s"]["verdict"] == "gain"
+
+
+def test_no_gain_with_more_failed_runs():
+    change = [v / 2 for v in PARENT]
+    summary = bench_pairs.summarize(_pairs(PARENT, change, failed=(0, 1)),
+                                    ["w"], BOUNDS)
+    assert summary["w"]["run_s"]["failed"] == {"parent": 0, "change": 1}
+    assert summary["w"]["run_s"]["verdict"] == "within bound"
+    summary = bench_pairs.summarize(_pairs(PARENT, change, failed=(1, 1)),
+                                    ["w"], BOUNDS)
+    assert summary["w"]["run_s"]["verdict"] == "gain"

@@ -12,14 +12,18 @@ metrics.  FILE gets the machine, the software versions, the git commit
 and src tree of each checkout when it has them, every pair's end-to-end metrics, and per
 workload and metric each side's median and quartiles, the change's wins
 (a win is a pair where the change is better; ties count for neither), the
-change's median relative to the parent's and a verdict, which it also
-prints as a table:
+change's median relative to the parent's, each side's failed runs and
+a verdict, which it also prints as a table:
 
-- ``gain``: the change wins at least 9 of 10 pairs and its median beats
-  the parent's by more than the parent's interquartile range;
-- ``within bound``: change / parent medians <= 1 + the metric's bound in
-  CHANGE_DIR/BENCHMARK.json;
-- ``worse``: neither.
+- ``unresolved``: the parent's interquartile range exceeds the metric's
+  bound in CHANGE_DIR/BENCHMARK.json, relative to its median, and some
+  change run does not beat every parent run; the spread hides a move of
+  the bound's size;
+- ``gain``: the change wins at least 9 of 10 pairs, its median beats the
+  parent's by more than the parent's interquartile range, and it has no
+  more failed runs than the parent;
+- ``within bound``: change / parent medians <= 1 + the bound;
+- ``worse``: none of these.
 """
 
 from __future__ import annotations
@@ -90,9 +94,13 @@ def _bounds(root: str) -> dict[str, float]:
 
 def verdict(entry: dict, bound: float) -> str:
     """The module docstring's verdict for one summary entry."""
-    gap = entry["parent"]["median"] - entry["change"]["median"]
+    parent = entry["parent"]["median"]
+    if entry["parent_iqr"] > bound * parent and not entry["separated"]:
+        return "unresolved"
+    gap = parent - entry["change"]["median"]
     if 10 * entry["change_wins"] >= 9 * entry["pairs"] \
-            and gap > entry["parent_iqr"]:
+            and gap > entry["parent_iqr"] \
+            and entry["failed"]["change"] <= entry["failed"]["parent"]:
         return "gain"
     if entry["change_over_parent"] <= 1.0 + bound:
         return "within bound"
@@ -104,6 +112,8 @@ def summarize(pairs: list[dict], workloads, bounds: dict[str, float]
     out = {}
     for w in workloads:
         out[w] = {}
+        failed = {side: sum(p[w][side]["failed"] for p in pairs)
+                  for side in ("parent", "change")}
         for m in END_TO_END:
             old = [p[w]["parent"]["metrics"][m] for p in pairs]
             new = [p[w]["change"]["metrics"][m] for p in pairs]
@@ -114,6 +124,8 @@ def summarize(pairs: list[dict], workloads, bounds: dict[str, float]
                 "parent_wins": sum(a < b for a, b in zip(old, new)),
                 "pairs": len(old),
                 "parent_iqr": po["q3"] - po["q1"],
+                "separated": max(new) < min(old),
+                "failed": failed,
                 "change_over_parent": pn["median"] / po["median"]}
             entry["verdict"] = verdict(entry, bounds[m])
             out[w][m] = entry
