@@ -7,15 +7,15 @@ comparison certificates).
 
 from .kernels import (Dirac, Gaussian, LaplaceKernel, UniformKernel,
                       TiltedKernel, DiscreteKernel, discretize,
-                      quadrature_laplace, kernel_from_dict, kernel_to_dict)
+                      quadrature_laplace, kernel_from_dict)
 from .characteristic import (CharParams, DecayPair, TangencySolution,
                              SpeedPair, halanay_root, gamma_zero,
                              gamma_on_grid, tangency_solve, polish_speed,
                              critical_speeds, implicit_l, envelope_bounds,
                              local_tail_ratio, local_expansion)
-from .grids import Grid, Field, HistoryRing
+from .grids import Grid, HistoryRing
 from .birth import (Nicholson, MackeyGlass, LinearCap, LinearBirth,
-                    subtangential_defect, birth_from_dict, birth_to_dict)
+                    subtangential_defect, birth_from_dict)
 from .linear_solver import (LinearTrajectory, scalar_dde_solve, solve_linear,
                             solve_linear_fd, probe_value,
                             tangency_limit_diagnostic,

@@ -1,10 +1,8 @@
 """Birth-rate nonlinearities for the delayed non-local KPP equation.
 
-Each family supplies the map g itself, its slope at the origin, the
-positive equilibrium kappa solving g(kappa) = kappa, and a closed-form
-monotone envelope (the running maximum of g, used by comparison
-arguments when g is hump-shaped).  All families satisfy the
-sub-tangential property g(u) <= g'(0) u on u >= 0, which
+Each family supplies the map g itself, its slope at the origin and the
+positive equilibrium kappa solving g(kappa) = kappa.  All families
+satisfy the sub-tangential property g(u) <= g'(0) u on u >= 0, which
 subtangential_defect verifies numerically.
 """
 
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Nicholson", "MackeyGlass", "LinearCap", "LinearBirth",
-           "subtangential_defect", "birth_from_dict", "birth_to_dict"]
+           "subtangential_defect", "birth_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -43,11 +41,6 @@ class Nicholson:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         return self.p * u * np.exp(-self.a * u)
-
-    def monotone_envelope(self, u):
-        # hump at u = 1/a, peak value p/(a e)
-        u = np.asarray(u, dtype=float)
-        return np.where(u < 1.0 / self.a, self(u), self.p / (self.a * math.e))
 
 
 @dataclass(frozen=True)
@@ -76,14 +69,6 @@ class MackeyGlass:
         u = np.asarray(u, dtype=float)
         return self.p * u / (1.0 + self.a * np.abs(u) ** self.q)
 
-    def monotone_envelope(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.q <= 1.0:
-            return self(u)  # nondecreasing, no hump
-        u_star = (1.0 / (self.a * (self.q - 1.0))) ** (1.0 / self.q)
-        peak = self.p * u_star * (self.q - 1.0) / self.q
-        return np.where(u < u_star, self(u), peak)
-
 
 @dataclass(frozen=True)
 class LinearCap:
@@ -111,9 +96,6 @@ class LinearCap:
         u = np.asarray(u, dtype=float)
         return np.minimum(self.slope * u, self.cap)
 
-    def monotone_envelope(self, u):
-        return self(u)
-
 
 @dataclass(frozen=True)
 class LinearBirth:
@@ -134,9 +116,6 @@ class LinearBirth:
 
     def __call__(self, u):
         return self.slope * np.asarray(u, dtype=float)
-
-    def monotone_envelope(self, u):
-        return self(u)
 
 
 def subtangential_defect(birth, u_max: float, n: int = 2001) -> float:
@@ -166,10 +145,3 @@ def birth_from_dict(spec: dict):
                          f"for family {family!r}")
     kwargs = {k: float(spec[k]) for k in names if k in spec}
     return cls(**kwargs)
-
-
-def birth_to_dict(birth) -> dict:
-    for name, (cls, names) in _FAMILIES.items():
-        if isinstance(birth, cls):
-            return {"family": name, **{k: getattr(birth, k) for k in names}}
-    raise ValueError(f"no dictionary form for {type(birth).__name__}")

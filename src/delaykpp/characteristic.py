@@ -4,10 +4,12 @@ Everything transcendental lives here: the scalar Halanay root, decay pairs
 (gamma0, z0), tangency points (gamma_m, z_m) with the variance sigma_m,
 critical spreading speeds c*+/-, the implicit mode-envelope l(z) with its
 sandwich bounds, and the small-frequency expansion of the dispersion
-relation.  Pointwise quantities are Halanay roots.  The tangency and speed
-solvers take the interior extremum of a grid of Halanay roots (over tilts
-z, or over |lambda| for the speeds) and polish it by Newton; residual
-targets are 1e-10 or better.
+relation.  Pointwise quantities are Halanay roots.  Every extremum of
+the characteristic relation is found the same way: the interior extremum
+of a grid of Halanay roots (over tilts z for the tangency, over |lambda|
+for the speeds and the tuned kernel shift), refined on finer grids by
+_zoom_min, and where a coordinate is reported, polished by the Newton
+loop _newton2; residual targets are 1e-10 or better.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._roots import halanay_root, halanay_root_grid
 from .errors import ConfigError, TangencyError
@@ -142,30 +143,43 @@ def _strip_limits(kernel: Kernel):
     return lo, hi
 
 
+def _newton2(system, x, y, iters: int):
+    """Newton's method on a 2x2 system, each step by Cramer's rule.
+
+    system(x, y) returns (r1, r2, j11, j12, j21, j22): the residuals and
+    the rows of their Jacobian in (x, y).  Stops after iters steps, at a
+    singular Jacobian, or once a step falls below 1e-15 relative to
+    1 + |x| + |y|.  Returns (x, y, r1, r2), the residuals taken at the
+    point returned.
+    """
+    converged = False
+    for it in range(iters + 1):
+        r1, r2, j11, j12, j21, j22 = system(x, y)
+        if converged or it == iters:
+            break
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            break
+        dx = (r1 * j22 - r2 * j12) / det
+        dy = (j11 * r2 - j21 * r1) / det
+        x, y = x - dx, y - dy
+        converged = abs(dx) + abs(dy) < 1e-15 * (1.0 + abs(x) + abs(y))
+    return x, y, r1, r2
+
+
 def _tangency_newton(params, kernel, gam, z, iters=6):
     h = params.h
-    for _ in range(iters):
+
+    def system(gam, z):
         E = np.exp(h * gam)
         q2 = float(np.real(kernel.laplace(z)))
         m1 = float(np.real(kernel.moment1(z)))
         m2 = float(np.real(kernel.moment2(z)))
         r1 = float(params.q1(z)) - gam - E * q2
         r2 = float(params.q1_prime(z)) + E * m1
-        j11 = -1.0 - h * E * q2
-        j12 = r2
-        j21 = h * E * m1
-        j22 = -2.0 - E * m2
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        dg = (r1 * j22 - r2 * j12) / det
-        dz = (j11 * r2 - j21 * r1) / det
-        gam, z = gam - dg, z - dz
-        if abs(dg) + abs(dz) < 1e-15 * (1.0 + abs(gam) + abs(z)):
-            break
-    E = np.exp(h * gam)
-    r1 = float(params.q1(z)) - gam - E * float(np.real(kernel.laplace(z)))
-    r2 = float(params.q1_prime(z)) + E * float(np.real(kernel.moment1(z)))
+        return r1, r2, -1.0 - h * E * q2, r2, h * E * m1, -2.0 - E * m2
+
+    gam, z, r1, r2 = _newton2(system, gam, z, iters)
     return float(gam), float(z), float(r1), float(r2)
 
 
@@ -173,19 +187,28 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
     """Find the tangency point of q1 - gamma and e^{h gamma} q2.
 
     Scans the decay rate gamma(z) for its interior maximum (the tangency
-    tilt z_m), brackets the slope equation, then polishes the 2x2 system
+    tilt z_m).  When the slope function G(z) = q1'(z) - e^{h gamma(z)}
+    q2'(z), which shares the sign of gamma'(z), changes sign across the
+    maximum's grid neighbours, _zoom_min refines the maximum between them;
+    otherwise the grid node seeds the polish.  Newton with the analytic
+    Jacobian then polishes the 2x2 system
 
         q1(z) - gamma = e^{h gamma} q2(z),
         q1'(z)        = e^{h gamma} q2'(z)
 
-    by Newton with the analytic Jacobian.  Returns the tangency point with
-    the variance coefficient
+    in at most 6 steps, and its residuals must fall below 1e-10.  Returns
+    the tangency point with the variance coefficient
 
         sigma_m = (2 + k_star e^{gamma_m h}) / (2 (1 + h e^{gamma_m h} khat0)).
 
     Raises TangencyError when gamma(z) has no interior maximum inside the
     transform strip (the tangency hypothesis fails for these parameters).
     """
+    def G(zz):
+        g = float(gamma_on_grid(params, kernel, zz))
+        return float(params.q1_prime(zz)) + \
+            np.exp(params.h * g) * float(np.real(kernel.moment1(zz)))
+
     lo_lim, hi_lim = _strip_limits(kernel)
     center = -params.m / 2.0
     center = min(max(center, lo_lim if np.isfinite(lo_lim) else center - 1.0),
@@ -204,32 +227,20 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
         if at_lo and lo == lo_lim and np.isfinite(lo_lim) or \
            at_hi and hi == hi_lim and np.isfinite(hi_lim):
             # maximum pinned to the strip edge: no interior tangency
-            g_end = lambda zz: float(params.q1_prime(zz)) + \
-                np.exp(params.h * float(gamma_on_grid(params, kernel, zz))) * \
-                float(np.real(kernel.moment1(zz)))
             raise TangencyError(
                 "no tangency point inside the transform strip "
                 f"({lo_lim:.6g}, {hi_lim:.6g}): slope residual has sign "
-                f"{np.sign(g_end(lo)):+.0f} at the left end and "
-                f"{np.sign(g_end(hi)):+.0f} at the right end")
+                f"{np.sign(G(lo)):+.0f} at the left end and "
+                f"{np.sign(G(hi)):+.0f} at the right end")
         center = zg[j]
         half *= 2.0
     else:
         raise TangencyError("tangency scan failed to localize a maximum")
 
-    # slope function G(z) = q1'(z) - e^{h gamma(z)} q2'(z); its sign change
-    # brackets z_m since gamma'(z) shares the sign of G
-    def G(zz):
-        g = float(gamma_on_grid(params, kernel, zz))
-        return float(params.q1_prime(zz)) + \
-            np.exp(params.h * g) * float(np.real(kernel.moment1(zz)))
-
-    z_lo, z_hi = zg[j - 1], zg[j + 1]
-    g_lo, g_hi = G(z_lo), G(z_hi)
-    if g_lo > 0.0 > g_hi:
-        z_m = brentq(G, z_lo, z_hi, xtol=1e-13)
-    else:
-        z_m = zg[j]
+    z_m = zg[j]
+    if G(zg[j - 1]) > 0.0 > G(zg[j + 1]):
+        z_m = _zoom_min(lambda zz: -gamma_on_grid(params, kernel, zz),
+                        zg[j - 1], zg[j + 1])[0]
     gam_m = float(gamma_on_grid(params, kernel, z_m))
     gam_m, z_m, r1, r2 = _tangency_newton(params, kernel, gam_m, z_m)
     if not max(abs(r1), abs(r2)) <= 1e-10:  # NaN residuals fail too
@@ -256,28 +267,19 @@ def polish_speed(kernel0: Kernel, gprime0: float, h: float, c: float,
     """Newton-polish a critical speed candidate on the 2x2 tangency system
     f1 = f2, f1' = f2' in the unknowns (c, lambda).  Returns
     (c, lambda, residual_value, residual_slope)."""
-    converged = False
-    for it in range(iters + 1):
+    def system(lam, c):
         L0 = float(np.real(kernel0.laplace(lam)))
         m1 = float(np.real(kernel0.moment1(lam)))
+        m2 = float(np.real(kernel0.moment2(lam)))
         w = gprime0 * np.exp(-lam * c * h)
         r1 = (-lam * lam + c * lam + 1.0) - w * L0
         r2 = (-2.0 * lam + c) - w * (-c * h * L0 - m1)
-        if converged or it == iters:
-            break
-        m2 = float(np.real(kernel0.moment2(lam)))
         # d r1/dlam coincides with r2; remaining entries are fresh
-        j11 = r2
-        j12 = lam - (-lam * h) * w * L0
-        j21 = -2.0 - w * (c * c * h * h * L0 + 2.0 * c * h * m1 + m2)
-        j22 = 1.0 - w * (lam * c * h * h * L0 + lam * h * m1 - h * L0)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        dl = (r1 * j22 - r2 * j12) / det
-        dc = (j11 * r2 - j21 * r1) / det
-        lam, c = lam - dl, c - dc
-        converged = abs(dl) + abs(dc) < 1e-15 * (1.0 + abs(lam) + abs(c))
+        return (r1, r2, r2, lam - (-lam * h) * w * L0,
+                -2.0 - w * (c * c * h * h * L0 + 2.0 * c * h * m1 + m2),
+                1.0 - w * (lam * c * h * h * L0 + lam * h * m1 - h * L0))
+
+    lam, c, r1, r2 = _newton2(system, lam, c, iters)
     return c, lam, r1, r2
 
 
@@ -307,6 +309,24 @@ def _tilt_argmin(values, hi: float, what: str):
             f"{what}: the minimum over tilts in [{lam[0]:.6g}, {hi:.6g}] "
             "sits at an end of that range")
     return lam, v, j
+
+
+def _zoom_min(values, lo: float, hi: float):
+    """Refine a grid minimum of values(x) bracketed by [lo, hi].
+
+    Samples the bracket at 601 points and moves to the bracket of their
+    minimum (its two neighbours), three times over, so each pass narrows
+    the bracket 300-fold.  Non-finite values count as +inf.  Returns the
+    last pass's (argmin, minimum).
+    """
+    for _ in range(3):
+        x = np.linspace(lo, hi, 601)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = values(x)
+        v = np.where(np.isfinite(v), v, np.inf)
+        j = int(np.argmin(v))
+        lo, hi = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)]
+    return float(x[j]), float(v[j])
 
 
 def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:

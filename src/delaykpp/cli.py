@@ -215,7 +215,7 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
     kernel = f.kernel()
     grid = f.grid()
     T = f.number("T")
-    traj = solve_linear(params, kernel, grid, f.u0(grid, 1.0), T,
+    traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
                         f.count("n_h", None), f.count("out_every", None))
 
     stride = f.count("snapshot_stride", 1)

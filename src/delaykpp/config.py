@@ -86,9 +86,11 @@ from .errors import ConfigError
 from .grids import Grid
 from .kernels import Kernel, kernel_from_dict
 
-__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_NH"]
+__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_NH",
+           "KPP_AMPLITUDE"]
 
 KPP_NH = 64  # default steps per delay of a KPP run
+KPP_AMPLITUDE = 0.9  # default bump amplitude of a KPP run, times kappa
 _REQUIRED = object()
 
 
@@ -225,14 +227,15 @@ class Fields:
     def grid(self) -> Grid:
         return Grid(self.number("L"), self.count("n"))
 
-    def u0(self, grid: Grid, amplitude: float) -> np.ndarray:
+    def u0(self, x, amplitude: float) -> np.ndarray:
+        """The initial profile at the points x, in closed form."""
         spec = self.obj("u0", {})
         if "constant" in spec.spec:
-            return np.full(grid.n, spec.number("constant"))
+            return np.full(np.shape(x), spec.number("constant"))
         amp = spec.number("amplitude", amplitude)
         width = spec.positive("width", 2.0)
         center = spec.number("center", 0.0)
-        return amp * np.exp(-(((grid.x - center) / width) ** 2))
+        return amp * np.exp(-(((x - center) / width) ** 2))
 
 
 def kpp_inputs(cfg: dict) -> tuple:
@@ -249,4 +252,5 @@ def kpp_inputs(cfg: dict) -> tuple:
     beta = f.number("beta", 0.5 * kappa)
     if not 0.0 < beta < kappa:
         raise ConfigError(f"beta must lie in (0, kappa), got {beta}")
-    return kernel, birth, grid, h, n_h, T, beta, f.u0(grid, 0.9 * kappa)
+    return (kernel, birth, grid, h, n_h, T, beta,
+            f.u0(grid.x, KPP_AMPLITUDE * kappa))

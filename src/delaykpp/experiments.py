@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .characteristic import (CharParams, SpeedPair, _require_growth,
-                             _strip_limits, _tilt_argmin, critical_speeds,
-                             tangency_solve)
-from .config import KPP_NH, Fields, default_out_every, kpp_inputs
+                             _strip_limits, _tilt_argmin, _zoom_min,
+                             critical_speeds, tangency_solve)
+from .config import (KPP_AMPLITUDE, KPP_NH, Fields, default_out_every,
+                     kpp_inputs)
 from .errors import ConfigError
 from .kernels import Kernel
 from .linear_solver import solve_linear
@@ -214,7 +214,7 @@ def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
               - log(1 - m lambda - lambda^2)] / lambda,
 
     which tends to +inf at both ends when g'(0) times the mass exceeds 1:
-    a grid argmin polished by a bounded Brent search.  Returns
+    a grid argmin refined between its neighbours by _zoom_min.  Returns
     (base, 0.0) when s* <= 0 (c_plus is already at most -margin); raises
     ConfigError when s* exceeds max_shift.
     """
@@ -230,9 +230,7 @@ def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
     lam, _, j = _tilt_argmin(shift_at,
                              min(lam_max, _strip_limits(base)[1]),
                              "kernel tuning")
-    best = minimize_scalar(shift_at, bounds=(lam[j - 1], lam[j + 1]),
-                           method="bounded", options={"xatol": 1e-14})
-    shift = float(best.fun)
+    shift = _zoom_min(shift_at, lam[j - 1], lam[j + 1])[1]
     if shift <= 0.0:
         return base, 0.0
     if shift > max_shift:
@@ -478,11 +476,14 @@ def bridge_check(config: dict) -> ExperimentReport:
     params, kern = _tilted_frame_equation(kernel0, g1, h, lam, c)
     traj_u = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, n_h)
     x = grid.x
+    bump = Fields(config).u0
 
     def v_history(s: float) -> np.ndarray:
-        # v(s, z) = e^{-lam z} u0(z - c s) for the constant-history bump
-        return np.exp(-lam * x) * np.interp(x - c * s, x, u0,
-                                            period=grid.length)
+        # v(s, z) = e^{-lam z} u0(z - c s) for the constant-history bump,
+        # in closed form: interpolated samples would be piecewise linear in
+        # s and cost the step its order
+        y = (x - c * s + 0.5 * grid.length) % grid.length - 0.5 * grid.length
+        return np.exp(-lam * x) * bump(y, KPP_AMPLITUDE * birth.kappa)
 
     traj_v = solve_linear(params, kern, grid, v_history, T, n_h, n_h)
     viol = 0.0

@@ -1,5 +1,5 @@
-"""Periodic grid, field snapshots, the delay-line history ring, and the
-output schedule every stepping loop writes its snapshots through."""
+"""Periodic grid, the delay-line history ring, and the output schedule
+every stepping loop writes its snapshots through."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["Grid", "Field", "HistoryRing", "Outputs", "every_kth",
+__all__ = ["Grid", "HistoryRing", "Outputs", "every_kth",
            "edge_fraction", "warn_edge", "step_count", "MAX_STEPS",
            "MAX_BYTES"]
 
@@ -55,18 +55,6 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         # periodic trapezoid = plain rectangle sum
         return float(np.sum(values) * self.dx)
-
-
-@dataclass(frozen=True)
-class Field:
-    """One spatial snapshot."""
-
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError(f"non-finite field values at t={self.time}")
 
 
 class HistoryRing:

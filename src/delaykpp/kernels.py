@@ -44,7 +44,6 @@ __all__ = [
     "discretize",
     "quadrature_laplace",
     "kernel_from_dict",
-    "kernel_to_dict",
 ]
 
 
@@ -482,7 +481,7 @@ def discretize(kernel: Kernel, grid) -> DiscreteKernel:
 
 
 # ---------------------------------------------------------------------------
-# config round trip
+# config form
 
 _FAMILIES = {
     "dirac": Dirac,
@@ -505,13 +504,3 @@ def kernel_from_dict(d: dict) -> Kernel:
         return _FAMILIES[family](**d)
     except TypeError as exc:
         raise ValueError(f"bad parameters for kernel family {family!r}: {exc}") from None
-
-
-def kernel_to_dict(kernel: Kernel) -> dict:
-    for name, cls in _FAMILIES.items():
-        if type(kernel) is cls:
-            d = {"family": name}
-            for field in kernel.__dataclass_fields__:
-                d[field] = getattr(kernel, field)
-            return d
-    raise TypeError(f"kernel {kernel!r} has no config representation")

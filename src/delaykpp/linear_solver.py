@@ -23,7 +23,7 @@ import numpy as np
 
 from .characteristic import CharParams, DecayPair, TangencySolution
 from .errors import ConfigError
-from .grids import (Field, Grid, HistoryRing, Outputs, edge_fraction,
+from .grids import (Grid, HistoryRing, Outputs, edge_fraction,
                     step_count, warn_edge)
 from .kernels import Kernel, discretize
 
@@ -42,9 +42,6 @@ class LinearTrajectory:
     fields: np.ndarray  # (n_out, N) real
     n_h: int
     edge_fraction: float  # max over outputs of edge |u| / max |u|
-
-    def snapshot(self, i: int) -> Field:
-        return Field(values=self.fields[i], time=float(self.times[i]))
 
 
 def _phi(z: np.ndarray) -> list[np.ndarray]:
@@ -101,14 +98,14 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
 
 
 def _profile(u0, width: int, dtype=float) -> np.ndarray:
-    """u0 as one (width,) profile: a Field, an array, or a scalar constant.
+    """u0 as one (width,) profile: an array or a scalar constant.
 
     Only an h = 0 run reaches this with a callable or a history pair; both
     describe a delay window, which an undelayed run does not have.
     """
     if callable(u0) or isinstance(u0, tuple):
         raise ConfigError("h=0 takes a single initial profile")
-    prof = np.asarray(u0.values if isinstance(u0, Field) else u0, dtype)
+    prof = np.asarray(u0, dtype)
     if prof.ndim == 0:
         prof = np.full(width, prof[()])
     if prof.shape != (width,):

@@ -70,7 +70,7 @@ import numpy as np
 
 from .birth import LinearBirth, subtangential_defect
 from .errors import ConfigError
-from .grids import Field, Grid, HistoryRing, Outputs, warn_edge
+from .grids import Grid, HistoryRing, Outputs, warn_edge
 from .kernels import Kernel, discretize
 from .linear_solver import _history_samples, _profile
 
@@ -94,9 +94,6 @@ class KPPTrajectory:
     clamp_count: int  # delayed-profile entries clamped to 0 before g
     edge_fraction: float
     final_history: tuple | None = None  # (values, derivatives) to resume
-
-    def snapshot(self, i: int) -> Field:
-        return Field(values=self.fields[i], time=float(self.times[i]))
 
 
 @lru_cache(maxsize=32)

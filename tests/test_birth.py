@@ -1,18 +1,24 @@
-"""Birth families: equilibria, slopes, envelopes, and the sub-tangential law."""
+"""Birth families: equilibria, slopes, the sub-tangential law and the
+config form."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaykpp import (LinearBirth, LinearCap, MackeyGlass, Nicholson,
-                      birth_from_dict, birth_to_dict, subtangential_defect)
+                      birth_from_dict, subtangential_defect)
 
 FAMILIES = [Nicholson(2.0, 1.0), Nicholson(math.e ** 2, 0.5),
             MackeyGlass(3.0, 1.0, 2.0), MackeyGlass(2.0, 0.7, 0.8),
             LinearCap(1.5, 2.0)]
+# the config form of each entry of FAMILIES, in the same order
+SPECS = [{"family": "nicholson", "p": 2.0, "a": 1.0},
+         {"family": "nicholson", "p": math.e ** 2, "a": 0.5},
+         {"family": "mackey_glass", "p": 3.0, "a": 1.0, "q": 2.0},
+         {"family": "mackey_glass", "p": 2.0, "a": 0.7, "q": 0.8},
+         {"family": "linear_cap", "slope": 1.5, "cap": 2.0}]
 
 
 @pytest.mark.parametrize("birth", FAMILIES, ids=lambda b: type(b).__name__)
@@ -48,25 +54,6 @@ def test_mackey_glass_subtangential_property(p, a, q):
     assert subtangential_defect(b, 10.0 * b.kappa + 1.0) <= 1e-10 * p
 
 
-@pytest.mark.parametrize("birth", FAMILIES, ids=lambda b: type(b).__name__)
-def test_monotone_envelope(birth):
-    u = np.linspace(0.0, 8.0 * birth.kappa, 4001)
-    env = birth.monotone_envelope(u)
-    g = birth(u)
-    assert np.all(np.diff(env) >= -1e-13)  # nondecreasing
-    assert np.all(env >= g - 1e-13)        # dominates g
-    # agrees with g below the hump (first quarter is always below it here)
-    head = u < 0.25 * birth.kappa
-    np.testing.assert_allclose(env[head], g[head], atol=1e-13)
-
-
-def test_nicholson_envelope_peak_value():
-    b = Nicholson(4.0, 2.0)
-    # peak of p u e^{-a u} sits at u = 1/a with value p/(a e)
-    assert float(b.monotone_envelope(5.0)) == pytest.approx(
-        4.0 / (2.0 * math.e), rel=1e-14)
-
-
 def test_linear_cap_kappa_is_cap():
     assert LinearCap(3.0, 0.7).kappa == 0.7
 
@@ -79,11 +66,10 @@ def test_linear_birth_reproduces_slope_and_refuses_kappa():
         b.kappa
 
 
-@pytest.mark.parametrize("birth", FAMILIES, ids=lambda b: type(b).__name__)
-def test_dict_round_trip(birth):
-    spec = birth_to_dict(birth)
-    again = birth_from_dict(spec)
-    assert again == birth
+@pytest.mark.parametrize("birth, spec", zip(FAMILIES, SPECS),
+                         ids=[type(b).__name__ for b in FAMILIES])
+def test_dict_round_trip(birth, spec):
+    assert birth_from_dict(spec) == birth
 
 
 def test_from_dict_validation():
@@ -102,8 +88,3 @@ def test_constructor_guards():
         MackeyGlass(2.0, -1.0)
     with pytest.raises(ValueError):
         LinearCap(1.0, 1.0)
-
-
-def test_linear_birth_has_no_dict_form():
-    with pytest.raises(ValueError, match="no dictionary form"):
-        birth_to_dict(LinearBirth(2.0))

@@ -234,6 +234,25 @@ def test_tangency_gamma_is_max_of_gamma_curve():
     assert gam[100] == pytest.approx(tang.gamma_m, abs=1e-6)
 
 
+def test_tangency_beside_a_transform_pole():
+    # z_m sits 2e-4 inside the strip edge z = rate, where q2 has its pole;
+    # Newton seeded at the scan's grid node does not reach it
+    params = CharParams(-17.75, -2.88, 0.0)
+    kern = LaplaceKernel(rate=2.666835482299397, center=5.9788445980831195,
+                         mass=3.3484599147038203)
+    tang = tangency_solve(params, kern)
+    assert tang.z_m == pytest.approx(2.666629, abs=1e-6)
+    assert tang.gamma_m == pytest.approx(43.0992, abs=1e-4)
+    assert abs(tang.residual_value) < 1e-10
+    assert abs(tang.residual_slope) < 1e-10
+    # at h = 0 the slope equation is q1'(z) = q2'(z) = -moment1(z)
+    oracle = brentq(lambda z: float(params.q1_prime(z))
+                    + float(np.real(kern.moment1(z))), 2.0, 2.6668, xtol=1e-15)
+    assert tang.z_m == pytest.approx(oracle, rel=1e-13)
+    assert tang.gamma_m == pytest.approx(
+        float(gamma_on_grid(params, kern, oracle)), rel=1e-13)
+
+
 def test_local_expansion_recovers_sigma():
     tang = tangency_solve(DESK, DESK_KERNEL)
     r1 = local_expansion(tang, DESK, DESK_KERNEL, 0.1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from delaykpp import ConfigError, Field, Grid, HistoryRing
+from delaykpp import ConfigError, Grid, HistoryRing
 
 
 def test_grid_layout():
@@ -30,11 +30,6 @@ def test_grid_validation():
         Grid(10.0, 300)  # not a power of two
     with pytest.raises(ConfigError):
         Grid(10.0, 128)  # too coarse
-
-
-def test_field_rejects_non_finite():
-    with pytest.raises(ConfigError):
-        Field(values=np.array([1.0, np.nan]), time=0.0)
 
 
 def test_history_ring_dt_divides_delay():

@@ -1,9 +1,13 @@
-"""Source hygiene of the package: every __all__ entry exists and no module
-imports a name it never uses (an ast scan, so no linter is needed)."""
+"""Source hygiene of the package: every __all__ entry exists, no module
+imports a name it never uses (an ast scan, so no linter is needed), and
+importing the CLI loads no SciPy module."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +39,16 @@ def test_no_unused_imports(stem):
                             for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, since this one has SciPy loaded by other tests;
+    # only verify's quadrature oracle imports SciPy, when it runs
+    code = ("import sys, delaykpp.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

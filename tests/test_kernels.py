@@ -1,5 +1,5 @@
 """Kernel families: closed-form transforms against quadrature, algebra of
-shift/tilt/scale, serialization round-trips, and discretization."""
+shift/tilt/scale, the config form, and discretization."""
 
 import math
 
@@ -12,8 +12,7 @@ from delaykpp.errors import TransformDomainError
 from delaykpp.grids import Grid
 from delaykpp.kernels import (Dirac, Gaussian, LaplaceKernel, TiltedKernel,
                               UniformKernel, discretize,
-                              kernel_from_dict, kernel_to_dict,
-                              quadrature_laplace)
+                              kernel_from_dict, quadrature_laplace)
 
 ALL_FAMILIES = [
     Dirac(0.3, 1.0),
@@ -102,9 +101,23 @@ def test_dirac_has_no_density():
         Dirac(0.0, 1.0).density(0.0)
 
 
-@pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=lambda k: type(k).__name__)
-def test_dict_round_trip(kernel):
-    again = kernel_from_dict(kernel_to_dict(kernel))
+# ALL_FAMILIES built from literal config specs, under the same ids
+@pytest.mark.parametrize("spec, kernel", [
+    pytest.param({"family": "dirac", "shift": 0.3, "mass": 1.0},
+                 Dirac(0.3, 1.0), id="Dirac"),
+    pytest.param({"family": "gaussian", "mean": 0.0, "stddev": 1.0},
+                 Gaussian(0.0, 1.0, 1.0), id="Gaussian0"),
+    pytest.param({"family": "gaussian", "mean": -0.5, "stddev": 0.7,
+                  "mass": 2.0}, Gaussian(-0.5, 0.7, 2.0), id="Gaussian1"),
+    pytest.param({"family": "gaussian", "mean": 1.2, "stddev": 0.9},
+                 Gaussian(1.2, 0.9, 1.0), id="ShiftedGaussian"),
+    pytest.param({"family": "laplace", "rate": 1.5}, LaplaceKernel(1.5),
+                 id="LaplaceKernel"),
+    pytest.param({"family": "uniform", "half_width": 2.0},
+                 UniformKernel(2.0), id="UniformKernel"),
+])
+def test_dict_round_trip(spec, kernel):
+    again = kernel_from_dict(spec)
     assert type(again) is type(kernel)
     assert again == kernel
 

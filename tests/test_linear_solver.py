@@ -232,12 +232,3 @@ def test_decay_diagnostics_shapes_and_start():
     assert t2.shape == S.shape == traj.times.shape
     assert D[0] == 0.0 and S[0] == 0.0  # sqrt(t) factor at t = 0
     assert np.all(np.isfinite(D)) and np.all(np.isfinite(S))
-
-
-def test_snapshot_accessor():
-    grid = Grid(32.0, 256)
-    traj = solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
-                        grid, np.exp(-grid.x ** 2), T=1.0)
-    f = traj.snapshot(0)
-    assert f.time == 0.0
-    np.testing.assert_array_equal(f.values, traj.fields[0])
