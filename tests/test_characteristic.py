@@ -245,7 +245,7 @@ def test_tangency_beside_a_transform_pole():
     assert tang.gamma_m == pytest.approx(43.0992, abs=1e-4)
     assert abs(tang.residual_value) < 1e-10
     assert abs(tang.residual_slope) < 1e-10
-    # at h = 0 the slope equation is q1'(z) = q2'(z) = -moment1(z)
+    # at h = 0 the slope equation is q1'(z) = q2'(z), and q2' = -moment1
     oracle = brentq(lambda z: float(params.q1_prime(z))
                     + float(np.real(kern.moment1(z))), 2.0, 2.6668, xtol=1e-15)
     assert tang.z_m == pytest.approx(oracle, rel=1e-13)
