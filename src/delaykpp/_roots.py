@@ -28,10 +28,15 @@ _LOG_SPACE_MIN = 40.0
 
 
 def _log_space_root(u: np.ndarray) -> np.ndarray:
-    """Solve w + log(w) = u for w > 0, u large.  Newton, quadratic."""
-    w = np.maximum(u - np.log(np.maximum(u, 2.0)), 1.0)
-    for _ in range(6):
-        w = w - (w + np.log(w) - u) * w / (w + 1.0)
+    """Solve w + log(w) = u for w > 0, u large.  Newton, quadratic.
+
+    u = +inf gives NaN without a warning; callers treat a non-finite
+    root as no root.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf at u = +inf
+        w = np.maximum(u - np.log(np.maximum(u, 2.0)), 1.0)
+        for _ in range(6):
+            w = w - (w + np.log(w) - u) * w / (w + 1.0)
     return w
 
 

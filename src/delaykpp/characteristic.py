@@ -150,20 +150,22 @@ def _newton2(system, x, y, iters: int):
     the rows of their Jacobian in (x, y).  Stops after iters steps, at a
     singular Jacobian, or once a step falls below 1e-15 relative to
     1 + |x| + |y|.  Returns (x, y, r1, r2), the residuals taken at the
-    point returned.
+    point returned.  Overflow and NaN are not warned about: they reach
+    the returned residuals, which every caller checks.
     """
     converged = False
-    for it in range(iters + 1):
-        r1, r2, j11, j12, j21, j22 = system(x, y)
-        if converged or it == iters:
-            break
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        dx = (r1 * j22 - r2 * j12) / det
-        dy = (j11 * r2 - j21 * r1) / det
-        x, y = x - dx, y - dy
-        converged = abs(dx) + abs(dy) < 1e-15 * (1.0 + abs(x) + abs(y))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(iters + 1):
+            r1, r2, j11, j12, j21, j22 = system(x, y)
+            if converged or it == iters:
+                break
+            det = j11 * j22 - j12 * j21
+            if det == 0.0:
+                break
+            dx = (r1 * j22 - r2 * j12) / det
+            dy = (j11 * r2 - j21 * r1) / det
+            x, y = x - dx, y - dy
+            converged = abs(dx) + abs(dy) < 1e-15 * (1.0 + abs(x) + abs(y))
     return x, y, r1, r2
 
 
@@ -205,9 +207,11 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
     transform strip (the tangency hypothesis fails for these parameters).
     """
     def G(zz):
-        g = float(gamma_on_grid(params, kernel, zz))
-        return float(params.q1_prime(zz)) + \
-            np.exp(params.h * g) * float(np.real(kernel.moment1(zz)))
+        # a NaN slope fails the sign test below and the grid node is polished
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = float(gamma_on_grid(params, kernel, zz))
+            return float(params.q1_prime(zz)) + \
+                np.exp(params.h * g) * float(np.real(kernel.moment1(zz)))
 
     lo_lim, hi_lim = _strip_limits(kernel)
     center = -params.m / 2.0

@@ -79,11 +79,16 @@ class HistoryRing:
         self._step = 0  # global index of the newest stored snapshot
 
     def fill(self, vals: np.ndarray, ders: np.ndarray) -> None:
-        """Load the initial history; row j is time -h + j*dt."""
-        if vals.shape != self.vals.shape or ders.shape != self.ders.shape:
-            raise ConfigError(
-                f"history shape {vals.shape} does not match ring "
-                f"{self.vals.shape}")
+        """Load the initial history; row j is time -h + j*dt.  Arrays that
+        broadcast to the ring's shape are accepted: one (1, width) row is
+        a constant history."""
+        for arr in (vals, ders):
+            try:
+                np.broadcast_to(arr, self.vals.shape)
+            except ValueError:
+                raise ConfigError(
+                    f"history shape {arr.shape} does not broadcast to ring "
+                    f"{self.vals.shape}") from None
         self.vals[:] = vals
         self.ders[:] = ders
         self._step = 0

@@ -13,13 +13,24 @@ Fourier transform
 
 and the transforms of exponentially tilted kernels, L(z0 + i*xi).
 
-Four families are provided (Dirac, Gaussian, Laplace, Uniform), all
-carrying an explicit mass; the config family name "shifted_gaussian" is
-an alias that builds a Gaussian.  Shifting, exponential tilting and
-mass scaling stay inside closed form, either within the family or through
-the thin TiltedKernel wrapper.  ``discretize`` produces the grid-sampled
-object used by the physical-space solvers; Dirac kernels become exact index
-shifts instead of samples.
+Every family is a unit shape s centred at 0, moved to a centre c and
+given a mass: k(x) = mass * s(x - c).  A family states only what is its
+own: its parameters and their checks, its density, a finite strip where
+it has one, and the transform S(z) = int s(y) exp(-z*y) dy of its shape
+with S' and S''.  Kernel derives the rest once,
+
+    L(z)    = mass e^{-zc} S(z),
+    -L'(z)  = mass e^{-zc} (c S - S'),
+    L''(z)  = mass e^{-zc} (c^2 S - 2 c S' + S''),
+
+and shifting moves c, scaling multiplies the mass, and tilting wraps the
+kernel in TiltedKernel.  Four families are provided (Dirac, Gaussian,
+Laplace, Uniform); the config family name "shifted_gaussian" is an alias
+that builds a Gaussian.  Dirac and Gaussian are closed under tilting and
+tilt within the family, and Gaussian writes each transform as one
+exponential.  ``discretize`` produces the grid-sampled object used by the
+physical-space solvers; Dirac kernels become exact index shifts instead
+of samples.
 """
 
 from __future__ import annotations
@@ -79,26 +90,58 @@ def _check_domain(dom: TransformDomain, z) -> None:
 
 
 class Kernel:
-    """Base class.  Subclasses implement density and the transform triplet."""
+    """k(x) = mass * s(x - c): a unit shape s centred at 0, moved to c.
+
+    A family is a frozen dataclass with a ``mass`` field and a centre
+    field, which ``_centre`` names; ``_positive`` names the parameter that
+    must be positive, if any.  It implements ``density`` and ``_shape``,
+    and ``domain`` when its strip is finite; the transforms, the algebra
+    and the checks of mass and strip are derived here.  A family closed
+    under tilting overrides ``tilted`` (Dirac, Gaussian), and Gaussian
+    overrides the transforms in place of ``_shape``.
+    """
 
     mass: float
+    _centre = "center"
+    _positive = None
+
+    def __post_init__(self):
+        if self._positive is not None and getattr(self, self._positive) <= 0:
+            raise ValueError(f"{self._positive} must be positive")
+        if self.mass < 0:
+            raise ValueError("kernel mass must be nonnegative")
 
     # -- transforms ---------------------------------------------------------
 
     def domain(self) -> TransformDomain:
+        return TransformDomain(-math.inf, math.inf)
+
+    def _shape(self, z):
+        """S, S' and S'' at z, for S(z) = int s(y) e^{-z y} dy of the unit
+        shape centred at 0."""
         raise NotImplementedError
+
+    def _parts(self, z):
+        # mass e^{-zc}, c and the shape triple, once z is inside the strip
+        z = np.asarray(z)
+        _check_domain(self.domain(), z)
+        c = getattr(self, self._centre)
+        return self.mass * np.exp(-z * c), c, self._shape(z)
 
     def laplace(self, z):
         """L(z) = int k(y) e^{-z y} dy, complex z allowed, Re(z) in (a,b)."""
-        raise NotImplementedError
+        e, _, (S, _, _) = self._parts(z)
+        return e * S
 
     def moment1(self, z):
         """int y k(y) e^{-z y} dy = -L'(z)."""
-        raise NotImplementedError
+        e, c, (S, S1, _) = self._parts(z)
+        return e * (c * S - S1)
 
     def moment2(self, z):
         """int y^2 k(y) e^{-z y} dy = L''(z)."""
-        raise NotImplementedError
+        e, c, (S, S1, S2) = self._parts(z)
+        return e * (c**2 * S - 2.0 * c * S1 + S2)
 
     def fourier(self, xi):
         """k_hat(xi) = L(i*xi)."""
@@ -111,19 +154,15 @@ class Kernel:
 
     def shifted(self, s: float) -> "Kernel":
         """Kernel x -> k(x - s)."""
-        raise NotImplementedError
+        return replace(self, **{self._centre: getattr(self, self._centre) + s})
 
     def tilted(self, lam: float) -> "Kernel":
         """Kernel x -> k(x) e^{-lam x}; lam must lie in the domain."""
-        raise NotImplementedError
+        return TiltedKernel(self, lam)
 
     def scaled(self, c: float) -> "Kernel":
         """Kernel with mass multiplied by c >= 0."""
-        raise NotImplementedError
-
-    def _validate_mass(self):
-        if self.mass < 0:
-            raise ValueError("kernel mass must be nonnegative")
+        return replace(self, mass=self.mass * c)
 
 
 @dataclass(frozen=True)
@@ -132,51 +171,32 @@ class Dirac(Kernel):
 
     shift: float = 0.0
     mass: float = 1.0
+    _centre = "shift"
 
-    def __post_init__(self):
-        self._validate_mass()
-
-    def domain(self) -> TransformDomain:
-        return TransformDomain(-math.inf, math.inf)
-
-    def laplace(self, z):
-        return self.mass * np.exp(-np.asarray(z) * self.shift)
-
-    def moment1(self, z):
-        return self.shift * self.laplace(z)
-
-    def moment2(self, z):
-        return self.shift**2 * self.laplace(z)
+    def _shape(self, z):
+        return 1.0, 0.0, 0.0
 
     def density(self, x):
         raise TypeError("Dirac kernel has no pointwise density; discretize() "
                         "yields an exact shift operator")
 
-    def shifted(self, s: float) -> "Dirac":
-        return Dirac(self.shift + s, self.mass)
-
     def tilted(self, lam: float) -> "Dirac":
         return Dirac(self.shift, self.mass * math.exp(-lam * self.shift))
-
-    def scaled(self, c: float) -> "Dirac":
-        return Dirac(self.shift, self.mass * c)
 
 
 @dataclass(frozen=True)
 class Gaussian(Kernel):
-    """Gaussian density with the given mean and standard deviation."""
+    """Gaussian density with the given mean and standard deviation.
+
+    Each transform is written as one exponential, e^{-z mean + (z stddev)^2
+    / 2}, rather than as e^{-z mean} times the shape's transform.
+    """
 
     mean: float = 0.0
     stddev: float = 1.0
     mass: float = 1.0
-
-    def __post_init__(self):
-        if self.stddev <= 0:
-            raise ValueError("stddev must be positive")
-        self._validate_mass()
-
-    def domain(self) -> TransformDomain:
-        return TransformDomain(-math.inf, math.inf)
+    _centre = "mean"
+    _positive = "stddev"
 
     def laplace(self, z):
         z = np.asarray(z)
@@ -195,93 +215,38 @@ class Gaussian(Kernel):
         s = self.stddev
         return self.mass * np.exp(-0.5 * ((x - self.mean) / s) ** 2) / (s * math.sqrt(2 * math.pi))
 
-    def shifted(self, s: float) -> "Gaussian":
-        return replace(self, mean=self.mean + s)
-
     def tilted(self, lam: float) -> "Gaussian":
         # N(mu,s) e^{-lam x} = e^{-lam mu + lam^2 s^2/2} N(mu - lam s^2, s)
         factor = math.exp(-lam * self.mean + 0.5 * (lam * self.stddev) ** 2)
         return replace(self, mean=self.mean - lam * self.stddev**2, mass=self.mass * factor)
-
-    def scaled(self, c: float) -> "Gaussian":
-        return replace(self, mass=self.mass * c)
 
 
 @dataclass(frozen=True)
 class LaplaceKernel(Kernel):
     """Two-sided exponential (rate b) centred at ``center``.
 
-    Density mass*(b/2)*exp(-b|x-center|); transform domain (-b, b) after
-    recentring, the finite strip among the four families.
+    Density mass*(b/2)*exp(-b|x-center|); transform domain (-b, b), the
+    finite strip among the four families.
     """
 
     rate: float
     center: float = 0.0
     mass: float = 1.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        self._validate_mass()
+    _positive = "rate"
 
     def domain(self) -> TransformDomain:
         return TransformDomain(-self.rate, self.rate)
 
-    def _B(self, z):
-        b2 = self.rate**2
-        return b2 / (b2 - z * z)
-
-    def laplace(self, z):
-        z = np.asarray(z)
-        _check_domain(self.domain(), z)
-        return self.mass * np.exp(-z * self.center) * self._B(z)
-
-    def moment1(self, z):
-        z = np.asarray(z)
-        _check_domain(self.domain(), z)
-        b2 = self.rate**2
-        B = self._B(z)
-        Bp = 2.0 * z * b2 / (b2 - z * z) ** 2
-        return self.mass * np.exp(-z * self.center) * (self.center * B - Bp)
-
-    def moment2(self, z):
-        z = np.asarray(z)
-        _check_domain(self.domain(), z)
+    def _shape(self, z):
+        # S = b^2 / (b^2 - z^2)
         b2 = self.rate**2
         d = b2 - z * z
-        B = self._B(z)
-        Bp = 2.0 * z * b2 / d**2
-        Bpp = 2.0 * b2 / d**2 + 8.0 * z * z * b2 / d**3
-        c = self.center
-        return self.mass * np.exp(-z * c) * (c * c * B - 2.0 * c * Bp + Bpp)
+        return (b2 / d, 2.0 * z * b2 / d**2,
+                2.0 * b2 / d**2 + 8.0 * z * z * b2 / d**3)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return self.mass * 0.5 * self.rate * np.exp(-self.rate * np.abs(x - self.center))
-
-    def shifted(self, s: float) -> "LaplaceKernel":
-        return replace(self, center=self.center + s)
-
-    def tilted(self, lam: float) -> "TiltedKernel":
-        return TiltedKernel(self, lam)
-
-    def scaled(self, c: float) -> "LaplaceKernel":
-        return replace(self, mass=self.mass * c)
-
-
-def _sinhc(x):
-    """sinh(x)/x and its first two derivatives, complex-safe near 0."""
-    x = np.asarray(x)
-    small = np.abs(x) < 1e-2
-    xs = np.where(small, 0.0, x)  # avoid 0/0 in the direct branch
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sh, ch = np.sinh(xs), np.cosh(xs)
-        S = np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, sh / xs)
-        S1 = np.where(small, x / 3.0 + x**3 / 30.0 + x**5 / 840.0,
-                      (xs * ch - sh) / xs**2)
-        S2 = np.where(small, 1.0 / 3.0 + x * x / 10.0 + x**4 / 168.0,
-                      (xs * xs * sh - 2.0 * xs * ch + 2.0 * sh) / xs**3)
-    return S, S1, S2
 
 
 @dataclass(frozen=True)
@@ -291,45 +256,28 @@ class UniformKernel(Kernel):
     half_width: float
     center: float = 0.0
     mass: float = 1.0
+    _positive = "half_width"
 
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        self._validate_mass()
-
-    def domain(self) -> TransformDomain:
-        return TransformDomain(-math.inf, math.inf)
-
-    def laplace(self, z):
-        z = np.asarray(z)
-        S, _, _ = _sinhc(z * self.half_width)
-        return self.mass * np.exp(-z * self.center) * S
-
-    def moment1(self, z):
-        z = np.asarray(z)
+    def _shape(self, z):
+        # S(z) = sinh(x)/x at x = w z, by its Taylor series near x = 0,
+        # where the direct form cancels; complex-safe
         w = self.half_width
-        S, S1, _ = _sinhc(z * w)
-        return self.mass * np.exp(-z * self.center) * (self.center * S - w * S1)
-
-    def moment2(self, z):
-        z = np.asarray(z)
-        w, c = self.half_width, self.center
-        S, S1, S2 = _sinhc(z * w)
-        return self.mass * np.exp(-z * c) * (c * c * S - 2.0 * c * w * S1 + w * w * S2)
+        x = z * w
+        small = np.abs(x) < 1e-2
+        xs = np.where(small, 0.0, x)  # avoid 0/0 in the direct branch
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sh, ch = np.sinh(xs), np.cosh(xs)
+            S = np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, sh / xs)
+            S1 = np.where(small, x / 3.0 + x**3 / 30.0 + x**5 / 840.0,
+                          (xs * ch - sh) / xs**2)
+            S2 = np.where(small, 1.0 / 3.0 + x * x / 10.0 + x**4 / 168.0,
+                          (xs * xs * sh - 2.0 * xs * ch + 2.0 * sh) / xs**3)
+        return S, w * S1, w * w * S2
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
         inside = np.abs(x - self.center) <= self.half_width
         return np.where(inside, self.mass / (2.0 * self.half_width), 0.0)
-
-    def shifted(self, s: float) -> "UniformKernel":
-        return replace(self, center=self.center + s)
-
-    def tilted(self, lam: float) -> "TiltedKernel":
-        return TiltedKernel(self, lam)
-
-    def scaled(self, c: float) -> "UniformKernel":
-        return replace(self, mass=self.mass * c)
 
 
 class TiltedKernel(Kernel):
@@ -376,8 +324,9 @@ class TiltedKernel(Kernel):
         return float(out[0]) if scalar else out
 
     def shifted(self, s: float) -> "TiltedKernel":
+        # scale base(x - s) e^{-lam (x - s)} = (scale e^{lam s}) base(x - s) e^{-lam x}
         return TiltedKernel(self.base.shifted(s), self.lam,
-                            self.scale * math.exp(-self.lam * s))
+                            self.scale * math.exp(self.lam * s))
 
     def tilted(self, lam: float) -> "TiltedKernel":
         return TiltedKernel(self.base, self.lam + lam, self.scale)

@@ -119,6 +119,8 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
 
     u0 may be a constant profile (see _profile), a callable s -> profile
     on [-h, 0], or a (values, derivatives) pair of (n_h+1, width) arrays.
+    A constant profile gives one (1, width) row of values and one of zero
+    derivatives, which HistoryRing.fill broadcasts to every node.
     """
     shape = (n_h + 1, width)
     if isinstance(u0, tuple) and len(u0) == 2:
@@ -147,8 +149,9 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
                 ders[j] = (4.0 * f(s + e) - f(s + 2.0 * e) - 3.0 * vals[j]) \
                     / (2.0 * e)
         return vals, ders
-    vals = np.tile(_profile(u0, width, dtype), (n_h + 1, 1))
-    return vals, np.zeros(shape, dtype)
+    # a copy, not u0 itself: solve_kpp floors the history in place
+    vals = np.array(_profile(u0, width, dtype), ndmin=2)
+    return vals, np.zeros_like(vals)
 
 
 def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
@@ -192,13 +195,19 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     Snapshots follow the grids.Outputs schedule (out_every=None keeps
     about 400), which also emits the truncation warning when the solution
     touches the periodic edge; for h = 0 the exact solution is sampled at
-    257 equally spaced times instead.
+    257 equally spaced times instead, takes no step, and refuses n_h and
+    out_every.
     """
     xi = grid.xi
     mu = -xi * xi + 1j * params.m * xi + params.p
     kap = kernel.fourier(xi)
 
     if params.h == 0.0:
+        for name, value in (("n_h", n_h), ("out_every", out_every)):
+            if value is not None:
+                raise ConfigError(
+                    f"field '{name}' must be omitted at h = 0: the exact "
+                    "undelayed solution takes no steps")
         w0 = np.fft.fft(_profile(u0, grid.n))
         times = np.linspace(0.0, T, 257)
         fields = np.empty((times.size, grid.n))

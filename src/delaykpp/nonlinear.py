@@ -114,7 +114,7 @@ def _banded(taps: bytes, origin: int, n: int):
     return band, index
 
 
-def convolve1d(field: np.ndarray, weights: np.ndarray, mode: str = "wrap",
+def convolve1d(field: np.ndarray, weights: np.ndarray,
                origin: int = 0) -> np.ndarray:
     """Periodic convolution of a 1-D field with m taps, as
     scipy.ndimage.convolve1d(field, weights, mode="wrap", origin=origin)
@@ -126,8 +126,6 @@ def convolve1d(field: np.ndarray, weights: np.ndarray, mode: str = "wrap",
     any integer origin is accepted, so a one-sided stencil needs no zero
     padding towards offset 0.  The band and the gather index are built
     once per taps, origin and n."""
-    if mode != "wrap":
-        raise ValueError(f"only mode 'wrap' is supported, got {mode!r}")
     w = np.ascontiguousarray(weights, dtype=float)
     band, index = _banded(w.tobytes(), int(origin), field.size)
     return np.matmul(field[index], band).ravel()[:field.size]
@@ -227,7 +225,7 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
     # tap j holds offset lo + j; at origin 0 convolve1d would apply tap
     # m // 2 at offset 0, so the origin moves offset 0 to tap -lo
     origin = -((lo + hi + 1) // 2)
-    return lambda G: convolve1d(G, taps, mode="wrap", origin=origin)
+    return lambda G: convolve1d(G, taps, origin=origin)
 
 
 def _floor(v: np.ndarray) -> np.ndarray:
@@ -280,9 +278,6 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     kconv = _kernel_applier(kernel0, grid)
     counter = [0]
 
-    def wrap(field, stencil):
-        return convolve1d(field, stencil, mode="wrap")
-
     if h > 0.0:
         ring = HistoryRing(h, n_h, grid.n, float)
         hv, _ = _history_samples(u0, n_h, h, grid.n, float)
@@ -305,16 +300,16 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         if ring is not None:
             _, (v1, _) = ring.delayed_nodes()
             F_next = kconv(_clamped_birth(birth, v1, counter))
-            u = _floor(wrap(u, st_p0) + wrap(F_prev, st_a)
-                       + wrap(F_next, st_b))
+            u = _floor(convolve1d(u, st_p0) + convolve1d(F_prev, st_a)
+                       + convolve1d(F_next, st_b))
             ring.push(u, no_der)
             F_prev = F_next
         else:
             F0 = kconv(_clamped_birth(birth, u, counter))
-            p0u = wrap(u, st_p0)
-            u_star = _floor(p0u + wrap(F0, st_ab))
+            p0u = convolve1d(u, st_p0)
+            u_star = _floor(p0u + convolve1d(F0, st_ab))
             F1 = kconv(_clamped_birth(birth, u_star, counter))
-            u = _floor(p0u + wrap(F0, st_a) + wrap(F1, st_b))
+            u = _floor(p0u + convolve1d(F0, st_a) + convolve1d(F1, st_b))
         i = rows.get(n + 1)
         if i is not None:
             if not np.all(np.isfinite(u)):

@@ -229,6 +229,8 @@ def _with(base, path, value):
     return cfg
 
 
+LINEAR_H0_CFG = _with(LINEAR_CFG, "params.h", 0.0)
+
 HOSTILE = [
     (KPP_CFG, "kernel", 5),
     (KPP_CFG, "u0", {"amplitude": None}, "u0.amplitude"),
@@ -246,6 +248,9 @@ HOSTILE = [
     (KPP_CFG, "out_every", 0),
     (KPP_CFG, "snapshot_stride", 0),
     (LINEAR_CFG, "n_h", 0),
+    # the exact h = 0 solution takes no step, so it has no use for these
+    (LINEAR_H0_CFG, "n_h", 8),
+    (LINEAR_H0_CFG, "out_every", 100),
     (SPEEDS_CFG, "h", -1),
     ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
     (KPP_CFG, "n", 256.7),
@@ -285,6 +290,39 @@ def test_hostile_config_names_field(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"'{named[0] if named else path}'" in err
     assert "Traceback" not in err
+
+
+_FRAME_STALL = ("error: field 'kernel': frame tangency at the critical "
+                "speeds failed: tangency polish stalled: residuals (")
+_POLISH_OVERFLOW = ("error: speed polish stalled on branch +1: residuals "
+                    "(nan, nan); g'(0) (field 'gprime0' or 'birth') and "
+                    "field 'kernel' overflow a float\n")
+# (shift, gprime0, h) of a Dirac kernel -> start of the one-line message
+FAR_SHIFTED_SPEEDS = {
+    (1e5, 2.0, 0.0): _FRAME_STALL, (1e5, 2.0, 1.0): _FRAME_STALL,
+    (-1e5, 2.0, 0.0): _FRAME_STALL + "nan, nan)\n",
+    (-1e5, 2.0, 1.0): _FRAME_STALL + "nan, nan)\n",
+    **{(shift, 1e300, h): _POLISH_OVERFLOW
+       for shift in (1e5, -1e5) for h in (0.0, 1.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_SHIFTED_SPEEDS),
+                         ids=lambda c: "shift={:g}-gprime0={:g}-h={:g}".format(*c))
+def test_far_shifted_speeds_fail_without_numpy_warnings(tmp_path, capsys,
+                                                         case):
+    shift, gprime0, h = case
+    cfg = _write_cfg(tmp_path, {**SPEEDS_CFG, "gprime0": gprime0, "h": h,
+                                "kernel": {"family": "dirac",
+                                           "shift": shift}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(FAR_SHIFTED_SPEEDS[case])
+    assert err.count("\n") == 1
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
 
 
 BASES = [KPP_CFG, LINEAR_CFG, MCKEAN_CFG, SPEEDS_CFG,

@@ -39,6 +39,19 @@ def test_history_ring_dt_divides_delay():
         HistoryRing(1.0, 0, 3)
 
 
+def test_history_ring_fill_broadcasts_one_row_and_refuses_other_shapes():
+    ring = HistoryRing(2.0, 8, 3)
+    row = np.array([[1.0, 2.0, 3.0]])
+    ring.fill(row, np.zeros_like(row))
+    vals, ders = ring.window()
+    np.testing.assert_array_equal(vals, np.tile(row, (9, 1)))
+    np.testing.assert_array_equal(ders, 0.0)
+    with pytest.raises(ConfigError, match=r"\(2, 3\).*\(9, 3\)"):
+        ring.fill(np.ones((2, 3)), np.zeros((1, 3)))
+    with pytest.raises(ConfigError, match=r"\(9, 4\).*\(9, 3\)"):
+        ring.fill(np.ones((9, 3)), np.zeros((9, 4)))
+
+
 def test_history_ring_slots_across_windows():
     # push several delay windows of a known signal and check the delayed
     # node is always exactly the value h earlier

@@ -22,6 +22,9 @@ ALL_FAMILIES = [
     pytest.param(Gaussian(1.2, 0.9, 1.0), id="ShiftedGaussian"),
     LaplaceKernel(1.5),
     UniformKernel(2.0),
+    # the wrapper around a family that tilts out of closed form, moved off
+    # 0 and rescaled; its strip is (-2.5, 1.5)
+    LaplaceKernel(2.0, 0.3).tilted(0.5).shifted(-0.4).scaled(1.5),
 ]
 
 
@@ -65,17 +68,38 @@ def test_fourier_is_laplace_on_imaginary_axis(kernel):
                                rtol=1e-12, atol=1e-12)
 
 
+# one case per family and the wrapper; every tilt below keeps z + lam
+# inside the strip (-2.5, 2.5) of the Laplace kernel and (-2.6, 3.4) of
+# the wrapped one
+ALGEBRA_BASES = [Dirac(0.3, 1.0), Gaussian(0.2, 1.1, 1.0),
+                 LaplaceKernel(2.5, 0.2, 1.0), UniformKernel(1.5, -0.3, 2.0),
+                 TiltedKernel(LaplaceKernel(3.0), -0.4, 0.8)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=st.floats(-2.0, 2.0), lam=st.floats(-0.8, 0.8),
        c=st.floats(0.1, 3.0), z=st.floats(-1.0, 1.0))
 def test_shift_tilt_scale_transform_algebra(s, lam, c, z):
-    base = Gaussian(0.2, 1.1, 1.0)
-    assert complex(base.shifted(s).laplace(z)) == pytest.approx(
-        math.exp(-z * s) * complex(base.laplace(z)), rel=1e-12)
-    assert complex(base.tilted(lam).laplace(z)) == pytest.approx(
-        complex(base.laplace(z + lam)), rel=1e-12)
-    assert complex(base.scaled(c).laplace(z)) == pytest.approx(
-        c * complex(base.laplace(z)), rel=1e-12)
+    for base in ALGEBRA_BASES:
+        L, m1, m2 = (complex(f(z)) for f in
+                     (base.laplace, base.moment1, base.moment2))
+        e = math.exp(-z * s)
+        moved = base.shifted(s)
+        # y k(y - s) = ((y - s) + s) k(y - s): the moments pick up s
+        assert complex(moved.laplace(z)) == pytest.approx(e * L, rel=1e-12)
+        assert complex(moved.moment1(z)) == pytest.approx(
+            e * (m1 + s * L), rel=1e-12, abs=1e-12 * e * (abs(m1) + abs(s * L)))
+        assert complex(moved.moment2(z)) == pytest.approx(
+            e * (m2 + 2.0 * s * m1 + s * s * L), rel=1e-12,
+            abs=1e-12 * e * (abs(m2) + abs(2.0 * s * m1) + abs(s * s * L)))
+        assert complex(base.tilted(lam).laplace(z)) == pytest.approx(
+            complex(base.laplace(z + lam)), rel=1e-12)
+        assert complex(base.tilted(lam).moment2(z)) == pytest.approx(
+            complex(base.moment2(z + lam)), rel=1e-12)
+        assert complex(base.scaled(c).laplace(z)) == pytest.approx(
+            c * L, rel=1e-12)
+        assert complex(base.scaled(c).moment1(z)) == pytest.approx(
+            c * m1, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("kernel", [LaplaceKernel(2.0), UniformKernel(1.0)])

@@ -124,6 +124,25 @@ def test_scalar_history_broadcasts_to_uniform_mode():
     assert final[0] == pytest.approx(w[-1].real, rel=1e-10)
 
 
+def test_constant_history_peak_memory_is_the_ring():
+    # a constant profile is one ring row broadcast to every node: no
+    # (n_h + 1, n) copies of it, or of its zero derivative, beside the ring
+    import tracemalloc
+
+    grid = Grid(64.0, 1024)
+    n_h = 512
+    ring_bytes = 2 * (n_h + 1) * grid.n * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning):  # a constant fills the domain
+            solve_linear(CharParams(0.0, -1.0, 1.0), DESK_KERNEL, grid, 0.5,
+                         T=0.25, n_h=n_h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ring_bytes
+
+
 def test_stiff_grid_runs_the_given_n_h():
     # |mu| dt reaches ~625 on the stiffest mode at n_h = 4; the exact step
     # has no stability limit, so n_h is used as given and only sets the
