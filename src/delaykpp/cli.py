@@ -110,17 +110,19 @@ def _write_json(path: str, obj) -> None:
     _write_atomic(path, [_json_text(obj), "\n"])
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = (",".join(_fmt(v) if isinstance(v, float) else str(v)
-                      for v in row) for row in rows)
+def _write_csv(path: str, header: str, blocks) -> None:
+    """Write header and then each text block of blocks (whole lines with
+    no final newline), streamed through _write_atomic: the file text is
+    never held in memory."""
+    _write_atomic(path, itertools.chain(
+        [header + "\n"], (block + "\n" for block in blocks)))
 
-    def blocks():
-        # 4096 rows at a time: the file text is never held in memory
-        yield header + "\n"
-        while block := list(itertools.islice(lines, 4096)):
-            yield "\n".join(block) + "\n"
 
-    _write_atomic(path, blocks())
+def _csv_lines(rows):
+    """One CSV line per tuple row: floats through _fmt, the rest str."""
+    for row in rows:
+        yield ",".join(_fmt(v) if isinstance(v, float) else str(v)
+                       for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +204,14 @@ def _cmd_char(cfg: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-def _snapshot_rows(times, fields, x, stride: int):
+def _snapshot_blocks(times, fields, x, stride: int):
+    """The t,x,u lines of every stride-th output (and the last), one
+    block per output: x is formatted once per run and t once per output."""
+    x_text = [_fmt(v) + "," for v in x.tolist()]
     for i in every_kth(len(times), stride):
-        t = float(times[i])
-        for j in range(x.size):
-            yield (t, float(x[j]), float(fields[i][j]))
+        t_text = _fmt(float(times[i])) + ","
+        yield "\n".join([t_text + xs + us for xs, us in
+                          zip(x_text, map(_fmt, fields[i].tolist()))])
 
 
 def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
@@ -220,7 +225,7 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
 
     stride = f.count("snapshot_stride", 1)
     _write_csv(os.path.join(out, "linear_snapshots.csv"), "t,x,u",
-               _snapshot_rows(traj.times, traj.fields, grid.x, stride))
+               _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
 
     report = {"T": T, "n_h": int(traj.n_h),
               "edge_fraction": float(traj.edge_fraction),
@@ -239,7 +244,8 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
             D = np.full_like(S, math.nan)
         rows = [(float(t), float(d), float(s))
                 for t, d, s in zip(traj.times, D, S)]
-        _write_csv(os.path.join(out, "linear_diagnostics.csv"), "t,D,S", rows)
+        _write_csv(os.path.join(out, "linear_diagnostics.csv"), "t,D,S",
+                   _csv_lines(rows))
         pos = traj.times > 0
         report.update({"gamma0": pair.gamma0, "z0": pair.z0,
                        "S_final": float(S[-1]),
@@ -300,9 +306,10 @@ def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
     trace = trace_levels(traj, beta, speeds)
 
     _write_csv(os.path.join(out, "kpp_snapshots.csv"), "t,x,u",
-               _snapshot_rows(traj.times, traj.fields, grid.x, stride))
+               _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
     _write_csv(os.path.join(out, "kpp_levels.csv"),
-               "t,beta,m_minus,m_plus,attained", _levels_rows(trace))
+               "t,beta,m_minus,m_plus,attained",
+               _csv_lines(_levels_rows(trace)))
     report = {
         "kappa": birth.kappa, "beta": beta,
         "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
@@ -329,7 +336,8 @@ def _cmd_experiment(name: str, cfg: dict, out: str, quiet: bool) -> int:
     _write_json(os.path.join(out, f"{rep.name}_report.json"), rep.to_dict())
     if rep.trace is not None:
         _write_csv(os.path.join(out, f"{rep.name}_levels.csv"),
-                   "t,beta,m_minus,m_plus,attained", _levels_rows(rep.trace))
+                   "t,beta,m_minus,m_plus,attained",
+                   _csv_lines(_levels_rows(rep.trace)))
     if not quiet:
         print(f"experiment {rep.name}: verdict {rep.verdict}")
     return 0 if rep.verdict in ("pass", "diagnostic") else 2

@@ -11,7 +11,9 @@ by one exact exponential Hermite step (_rk4_delay_diag), reading the
 delayed term from a HistoryRing whose node spacing divides the delay
 exactly.  The step has no stability limit, so a run takes the n_h it is
 given; it is fourth order in dt = h/n_h, including across the derivative
-jump at t = 0.
+jump at t = 0.  Parts of a mode array below 1e-150 of its largest part
+are flushed to 0 (_flush), so the decaying high modes never reach the
+slow subnormal range; no output changes by it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ def _phi(z: np.ndarray) -> list[np.ndarray]:
     return phis
 
 
+_FLUSH = 1e-150  # theta of _flush
+
+
+def _flush(v: np.ndarray) -> np.ndarray:
+    """Zero, in place, every real and imaginary part of v whose magnitude
+    is below _FLUSH times the largest part in v; returns v."""
+    parts = v.view(float)  # a complex v as its real and imaginary parts
+    mag = np.abs(parts)
+    np.putmask(parts, mag < _FLUSH * mag.max(), 0.0)
+    return v
+
+
 def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     """Advance the diagonal delayed system w' = mu w + kap w(t-h).
 
@@ -73,15 +87,44 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     [0, dt] is read with that right derivative once the cell before it is
     done, which keeps the step fourth order on constant-history data.
     The name predates this step; perfbench/layertrace.py wraps it by name.
+
+    Modes decay at their own rates, so the high ones run down through
+    the subnormal range (below 2.2e-308), where x86 arithmetic is many
+    times slower: unflushed, 35.6% of the ring's entries on xval-smooth
+    end with a subnormal part (and 48.1% at exactly 0).  _flush zeros the
+    parts below theta = _FLUSH = 1e-150 of their array's largest part M in
+    the ring's rows at entry (a row at a time), in the four Hermite
+    coefficients (a Gaussian khat crosses the subnormal range near
+    |xi| = 38), in each new w and in each pushed derivative row; not in
+    em1 = e^z - 1, whose small entries carry the slow modes.  The flush is
+    relative because the linear equation has no scale.
+    - Staying normal: every kept part is at least theta M, so a product
+      of two kept factors is at least theta^2 = 1e-300 times the product
+      of their arrays' largest parts, which is normal while that product
+      is above about 1e-8; the stored rows hold only kept parts while M
+      stays above 2.2e-308 / theta = 2.2e-158.
+    - Outputs unchanged: the modes are uncoupled, so a flushed part
+      perturbs only its own mode, starting below theta M.  An output is
+      an inverse FFT whose sums add such a part to terms of size up to
+      M, 134 decades below their 17th digit, so it cannot reach one;
+      every preset's CSV and report are byte-identical with and without
+      the flush.
+    - A single mode is its own largest part and is never flushed (unless
+      one of its real and imaginary parts is below theta times the
+      other), so scalar_dde_solve and verify are unchanged.
     """
     dt = ring.dt
     em1, p1, p2, p3, p4 = _phi(mu * dt)
-    a0 = dt * kap * (p1 - 6.0 * p3 + 12.0 * p4)
-    a1 = dt * kap * (6.0 * p3 - 12.0 * p4)
-    b0 = dt * dt * kap * (p2 - 4.0 * p3 + 6.0 * p4)
-    b1 = dt * dt * kap * (6.0 * p4 - 2.0 * p3)
+    a0, a1, b0, b1 = (_flush(c) for c in (
+        dt * kap * (p1 - 6.0 * p3 + 12.0 * p4),
+        dt * kap * (6.0 * p3 - 12.0 * p4),
+        dt * dt * kap * (p2 - 4.0 * p3 + 6.0 * p4),
+        dt * dt * kap * (6.0 * p4 - 2.0 * p3)))
+    for rows in (ring.vals, ring.ders):
+        for row in rows:  # a row at a time: no temporary the ring's size
+            _flush(row)
     w = ring.newest.copy()
-    right0 = mu * w + kap * ring.delayed_nodes()[0][0]
+    right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
     if collect is not None:
         collect(0, w)
     for n in range(n_steps):
@@ -90,8 +133,8 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
             e0[...] = right0  # the ring row of t = 0
         # w + (e^z - 1) w, not e^z w: one rounded e^z applied N times
         # drifts coherently by up to N ulps, a rounded increment does not
-        w = w + (em1 * w + a0 * d0 + a1 * d1 + b0 * e0 + b1 * e1)
-        ring.push(w, mu * w + kap * d1)
+        w = _flush(w + (em1 * w + a0 * d0 + a1 * d1 + b0 * e0 + b1 * e1))
+        ring.push(w, _flush(mu * w + kap * d1))
         if collect is not None:
             collect(n + 1, w)
     return w

@@ -209,10 +209,11 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
     the origin of convolve1d; a shifted kernel thus pays only for its own
     support, also when that support lies wholly on one side of 0."""
     dk = discretize(kernel0, grid)
-    if dk.shift_cells is not None:
-        c, w = dk.shift_cells % grid.n, dk.mass
-        return lambda G: w * np.roll(G, c)
     n = grid.n
+    if dk.shift_cells is not None:
+        c, w = dk.shift_cells % n, dk.mass
+        # np.roll(G, c), without np.roll's per-call index bookkeeping
+        return lambda G: w * np.concatenate((G[n - c:], G[:n - c]))
     kern = np.roll(dk.samples * grid.dx, n // 2)  # index n // 2 is offset 0
     peak = float(np.max(np.abs(kern)))
     if peak == 0.0:

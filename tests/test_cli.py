@@ -1,15 +1,18 @@
 """CLI contract: exit codes, file formats, determinism, dispatch."""
 
 import json
+import math
 import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp.cli import _write_csv, main, run
+from delaykpp.cli import (_csv_lines, _fmt, _snapshot_blocks, _write_csv,
+                          main, run)
 
 SPEEDS_CFG = {"command": "speeds",
               "kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
@@ -157,7 +160,7 @@ def test_csv_write_failing_midway_leaves_no_file(tmp_path):
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError, match="row source failed"):
-        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", rows())
+        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", _csv_lines(rows()))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -351,3 +354,36 @@ def test_any_single_bad_field_exits_cleanly(data):
         with open(p, "w") as f:
             json.dump(cfg, f)
         assert run(p, out, quiet=True) in (0, 1, 2)
+
+
+def _snapshot_data(n_out, width):
+    times = np.linspace(0.0, 1.0 / 3.0, n_out)
+    x = np.linspace(-1.5, 1.5, width)
+    x[width // 2] = -0.0
+    fields = np.random.default_rng(3).standard_normal((n_out, width))
+    fields[:, :5] = [math.nan, math.inf, -math.inf, -0.0, 1e-300]
+    return times, x, fields
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_snapshot_text_matches_row_by_row_format(tmp_path, stride):
+    times, x, fields = _snapshot_data(5, 7)
+    path = tmp_path / "snap.csv"
+    _write_csv(str(path), "t,x,u", _snapshot_blocks(times, fields, x, stride))
+    kept = [0, 1, 2, 3, 4] if stride == 1 else [0, 3, 4]  # the last is kept
+    rows = [(times[i], x[j], fields[i, j]) for i in kept for j in range(7)]
+    expected = "t,x,u\n" + "".join(
+        ",".join(_fmt(float(v)) for v in row) + "\n" for row in rows)
+    assert path.read_text() == expected
+
+
+def test_snapshot_write_failing_midway_leaves_no_file(tmp_path):
+    times, x, fields = _snapshot_data(4, 2048)
+
+    def blocks():
+        yield from _snapshot_blocks(times, fields, x, 1)  # past one buffer
+        raise RuntimeError("snapshot source failed")
+
+    with pytest.raises(RuntimeError, match="snapshot source failed"):
+        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", blocks())
+    assert list(tmp_path.iterdir()) == []

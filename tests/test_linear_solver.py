@@ -10,6 +10,7 @@ from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
                       solve_linear, solve_linear_fd, tangency_solve,
                       tangency_limit_diagnostic, universal_bound_diagnostic,
                       gamma_zero)
+from delaykpp import linear_solver
 from delaykpp.linear_solver import _phi
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
@@ -251,3 +252,55 @@ def test_decay_diagnostics_shapes_and_start():
     assert t2.shape == S.shape == traj.times.shape
     assert D[0] == 0.0 and S[0] == 0.0  # sqrt(t) factor at t = 0
     assert np.all(np.isfinite(D)) and np.all(np.isfinite(S))
+
+
+def _ring_and_fields(monkeypatch, flush):
+    # the fields of a run whose high modes decay through the subnormal
+    # range (|xi| up to 50, where the Gaussian khat is subnormal too), and
+    # the history ring the step leaves behind
+    monkeypatch.setattr(linear_solver, "_FLUSH", flush)
+    seen = []
+    inner = linear_solver._rk4_delay_diag
+
+    def keep_ring(mu, kap, ring, n_steps, collect=None):
+        seen.append(ring)
+        return inner(mu, kap, ring, n_steps, collect)
+
+    monkeypatch.setattr(linear_solver, "_rk4_delay_diag", keep_ring)
+    grid = Grid(16.0, 256)
+    u0 = np.exp(-grid.x ** 2)
+    with pytest.warns(RuntimeWarning):  # the small domain's seam is reached
+        traj = solve_linear(DESK, DESK_KERNEL, grid, u0, T=2.0, n_h=16,
+                            out_every=1)
+    return seen[0], traj.fields
+
+
+def _subnormal_parts(values):
+    parts = np.abs(values.view(float))
+    return np.count_nonzero((parts > 0.0) & (parts < np.finfo(float).tiny))
+
+
+def test_spectral_step_stores_no_subnormal_values(monkeypatch):
+    ring, fields = _ring_and_fields(monkeypatch, linear_solver._FLUSH)
+    assert _subnormal_parts(ring.vals) == 0
+    assert _subnormal_parts(ring.ders) == 0
+    with monkeypatch.context() as unflushed:
+        raw_ring, raw_fields = _ring_and_fields(unflushed, 0.0)
+    # without the flush the same run does store subnormal parts, and the
+    # flush changes no bit of the physical fields
+    assert _subnormal_parts(raw_ring.vals) > 0
+    assert _subnormal_parts(raw_ring.ders) > 0
+    assert np.array_equal(fields, raw_fields)
+    assert fields.tobytes() == raw_fields.tobytes()
+
+
+@pytest.mark.parametrize("mu,kappa", [(-300.0, 1e-120),
+                                      (-300.0 + 5j, 1e-120 + 2e-121j)])
+def test_flush_leaves_a_single_mode_alone(monkeypatch, mu, kappa):
+    # one mode is its own largest part, so it decays below 1e-308 (about
+    # kappa / |mu| per delay, and on to 0) exactly as it would unflushed
+    _, w = scalar_dde_solve(mu, kappa, 1.0, 1.0, T=3.0, dt=1.0 / 64)
+    monkeypatch.setattr(linear_solver, "_FLUSH", 0.0)
+    _, raw = scalar_dde_solve(mu, kappa, 1.0, 1.0, T=3.0, dt=1.0 / 64)
+    assert 0 < np.count_nonzero(np.abs(w) < 1e-308) < w.size
+    assert w.tobytes() == raw.tobytes()
