@@ -358,7 +358,7 @@ def test_any_single_bad_field_exits_cleanly(data):
 
 def _snapshot_data(n_out, width):
     times = np.linspace(0.0, 1.0 / 3.0, n_out)
-    x = np.linspace(-1.5, 1.5, width)
+    x = np.linspace(-1.5, 1.5, width) / 3.0  # needs all 17 digits
     x[width // 2] = -0.0
     fields = np.random.default_rng(3).standard_normal((n_out, width))
     fields[:, :5] = [math.nan, math.inf, -math.inf, -0.0, 1e-300]
