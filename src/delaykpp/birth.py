@@ -2,8 +2,7 @@
 
 Each family supplies the map g itself, its slope at the origin and the
 positive equilibrium kappa solving g(kappa) = kappa.  All families
-satisfy the sub-tangential property g(u) <= g'(0) u on u >= 0, which
-subtangential_defect verifies numerically.
+satisfy the sub-tangential property g(u) <= g'(0) u on u >= 0.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Nicholson", "MackeyGlass", "LinearCap", "LinearBirth",
-           "subtangential_defect", "birth_from_dict"]
+           "birth_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -116,12 +115,6 @@ class LinearBirth:
 
     def __call__(self, u):
         return self.slope * np.asarray(u, dtype=float)
-
-
-def subtangential_defect(birth, u_max: float, n: int = 2001) -> float:
-    """max over [0, u_max] of g(u) - g'(0) u; <= 0 for KPP-type birth."""
-    u = np.linspace(0.0, u_max, n)
-    return float(np.max(birth(u) - birth.gprime0 * u))
 
 
 _FAMILIES = {"nicholson": (Nicholson, ("p", "a")),

@@ -1,10 +1,9 @@
 """Characteristic machinery for the delayed non-local operator.
 
-Everything transcendental lives here: the scalar Halanay root, decay pairs
-(gamma0, z0), tangency points (gamma_m, z_m) with the variance sigma_m,
-critical spreading speeds c*+/-, the implicit mode-envelope l(z) with its
-sandwich bounds, and the small-frequency expansion of the dispersion
-relation.  Pointwise quantities are Halanay roots.  Every extremum of
+Everything transcendental lives here: decay pairs (gamma0, z0), tangency
+points (gamma_m, z_m) with the variance sigma_m, critical spreading speeds
+c*+/-, and the implicit mode-envelope l(z) with its sandwich bounds.
+Pointwise quantities are Halanay roots (_roots).  Every extremum of
 the characteristic relation is found the same way: the interior extremum
 of a grid of Halanay roots (over tilts z for the tangency, over |lambda|
 for the speeds and the tuned kernel shift), refined on finer grids by
@@ -18,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import halanay_root, halanay_root_grid
+from ._roots import halanay_root_grid
 from .errors import ConfigError, TangencyError
 from .kernels import Kernel
 
 __all__ = [
     "CharParams", "DecayPair", "TangencySolution", "SpeedPair",
-    "halanay_root", "gamma_zero", "gamma_on_grid", "tangency_solve",
-    "critical_speeds", "polish_speed", "implicit_l", "envelope_bounds",
-    "local_tail_ratio", "local_expansion",
+    "gamma_zero", "gamma_on_grid", "tangency_solve", "critical_speeds",
+    "polish_speed", "implicit_l", "envelope_bounds",
 ]
 
 
@@ -422,51 +420,3 @@ def envelope_bounds(params: CharParams, pair: DecayPair, kernel: Kernel, z):
     if np.ndim(z) == 0:
         return float(lower), float(upper)
     return lower, upper
-
-
-def local_tail_ratio(q: float, h: float, z: float, t: float) -> float:
-    """Tail diagnostic for the critical local (Dirac-kernel) envelope:
-    e^{l(z) t} / (q / z^2)^{t/h} with l = halanay_root(-z^2 - q, q, h).
-    Tends to 1 as |z| grows."""
-    if h <= 0.0:
-        raise ConfigError("local_tail_ratio needs h > 0")
-    if q <= 0.0:
-        raise ConfigError("local_tail_ratio needs q > 0")
-    l = halanay_root(-z * z - q, q, h)
-    return float(np.exp(l * t) / (q / (z * z)) ** (t / h))
-
-
-def local_expansion(tang: TangencySolution, params: CharParams,
-                    kernel: Kernel, s: float) -> float:
-    """Second-order coefficient probe of the dispersion relation.
-
-    Solves the complex fixed-point equation
-
-        L = -s^2 + i (2 z_m + m) s - q1(z_m) + khat_{z_m}(s) e^{-h L}
-
-    by damped iteration seeded at -gamma_m and returns
-    Re[(L + gamma_m) / s^2], which tends to -sigma_m as s -> 0.
-    Raises RuntimeError when the iteration fails to contract (take a
-    smaller |s|).
-    """
-    if s == 0.0:
-        raise ConfigError("local_expansion needs s != 0")
-    h, zm, gm = params.h, tang.z_m, tang.gamma_m
-    khat = complex(kernel.laplace(zm + 1j * s))
-    lin = -s * s + 1j * (2.0 * zm + params.m) * s - float(params.q1(zm))
-    omega = 1.0 / (1.0 + h * np.exp(h * gm) * tang.khat0)
-    L = complex(-gm)
-    prev_step = None
-    for it in range(500):
-        nxt = (1.0 - omega) * L + omega * (lin + khat * np.exp(-h * L))
-        step = abs(nxt - L)
-        if prev_step is not None and prev_step > 0 and it > 3:
-            if step / prev_step > 0.9 and step > 1e-13:
-                raise RuntimeError(
-                    f"dispersion iteration not contracting at s={s}; "
-                    "use a smaller |s|")
-        L = nxt
-        if step < 1e-15 * (1.0 + abs(L)):
-            break
-        prev_step = step
-    return float(np.real((L + gm) / (s * s)))

@@ -271,12 +271,19 @@ def _cmd_fundamental(cfg: dict, out: str, quiet: bool) -> int:
 
     res_t = f.number("residual_t", 2.0 * params.h)
     report["pde_residual_t"] = res_t
-    report["pde_residual"] = pde_residual(table, res_t)
+    try:
+        report["pde_residual"] = pde_residual(table, res_t)
+    except ConfigError as exc:
+        raise ConfigError(f"field 'residual_t': {exc}") from None
 
     times = f.numbers("identity_times", [0.5, 0.1, 0.02])
     x = np.linspace(-0.5 * x_span, 0.5 * x_span, 801)
     psi = np.exp(-((x / 2.0) ** 2))
-    errs = [approx_identity_error(table, t, x, psi) for t in times]
+    try:
+        errs = [approx_identity_error(table, t, x, psi) for t in times]
+    except ConfigError as exc:
+        raise ConfigError(f"field 'identity_times' (each > 0, on the symbol "
+                          f"grid of 't_min' = {t_min:g}): {exc}") from None
     report["identity_times"] = times
     report["identity_errors"] = errs
     report["identity_strictly_decreasing"] = bool(

@@ -63,15 +63,16 @@ every ``experiment``):
 ``residual_t``  number, default 2 params.h [fundamental]: time of the PDE
     residual check; must exceed params.h.
 ``identity_times``  list of numbers > 0, default [0.5, 0.1, 0.02]
-    [fundamental].
+    [fundamental]; a time too small for the symbol grid that t_min sets
+    is refused.
 ``expect``  string, default "extinction" [extinction]: extinction |
     persistence.
 ``tune``  flag, default true [extinction]: shift the kernel until
     c_plus = -tune_margin (only when expecting extinction).
-``tune_margin``  number, default 0.5; ``max_shift`` number, default 32
-    [extinction].
-``window_halfwidth``  number, default 20; ``probe_x`` number, default 0
-    [extinction]: where the pointwise metrics are read.
+``tune_margin``  number > 0, default 0.5; ``max_shift`` number, default
+    32 [extinction].
+``window_halfwidth``  number > 0, default 20; ``probe_x`` number, default
+    0 [extinction]: where the pointwise metrics are read.
 """
 
 from __future__ import annotations
@@ -251,6 +252,7 @@ def kpp_inputs(cfg: dict) -> tuple:
     kappa = birth.kappa
     beta = f.number("beta", 0.5 * kappa)
     if not 0.0 < beta < kappa:
-        raise ConfigError(f"beta must lie in (0, kappa), got {beta}")
+        raise ConfigError(f"field 'beta': beta must lie in (0, kappa) = "
+                          f"(0, {kappa:.6g}), got {beta}")
     return (kernel, birth, grid, h, n_h, T, beta,
             f.u0(grid.x, KPP_AMPLITUDE * kappa))

@@ -235,8 +235,8 @@ def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
         return base, 0.0
     if shift > max_shift:
         raise ConfigError(
-            f"kernel tuning failed: c_plus stays above {-margin} for "
-            f"shifts up to {max_shift} (needs {shift:.6g})")
+            f"field 'max_shift': kernel tuning failed: c_plus stays above "
+            f"{-margin} for shifts up to {max_shift} (needs {shift:.6g})")
     return base.shifted(shift), shift
 
 
@@ -269,14 +269,17 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     f = Fields(config)
     if h <= 0.0:
-        raise ConfigError("extinction run needs h > 0")
+        raise ConfigError("field 'h': the extinction run needs a delay h > 0")
     expect = f.text("expect", "extinction")
     if expect not in ("extinction", "persistence"):
-        raise ConfigError(f"unknown expectation '{expect}'")
+        raise ConfigError(f"field 'expect': unknown expectation '{expect}'; "
+                          "choose extinction or persistence")
+    win = f.positive("window_halfwidth", 20.0)
+    probe_x = f.number("probe_x", 0.0)
     if expect == "extinction" and f.flag("tune", True):
         kernel0, shift = tune_kernel_shift(
             kernel0, birth.gprime0, h,
-            margin=f.number("tune_margin", 0.5),
+            margin=f.positive("tune_margin", 0.5),
             max_shift=f.number("max_shift", 32.0))
     else:
         shift = 0.0
@@ -336,8 +339,6 @@ def extinction_experiment(config: dict) -> ExperimentReport:
                 left_v[~cal] / (bound_c * np.exp(rate * left_t[~cal]))))
             bound_holds = bound_ratio <= 2.0
 
-    win = f.number("window_halfwidth", 20.0)
-    probe_x = f.number("probe_x", 0.0)
     probe_u_final = float(final_field[np.argmin(np.abs(grid.x - probe_x))])
     wsel = np.abs(grid.x) <= win
     window_sup_final = float(np.max(final_field[wsel])) \
@@ -381,8 +382,8 @@ def spreading_experiment(config: dict) -> ExperimentReport:
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     if 0.8 * speeds.c_plus * T + 5.0 > 0.5 * grid.length:
         raise ConfigError(
-            "domain too small for the spreading cone at T: need "
-            f"L/2 > {0.8 * speeds.c_plus * T + 5.0:.1f}")
+            f"field 'L': domain too small for the spreading cone at "
+            f"T = {T:g}: need L/2 > {0.8 * speeds.c_plus * T + 5.0:.1f}")
     out_every = n_h if T >= 2.0 * h else 1
     traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
 

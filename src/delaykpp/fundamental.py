@@ -27,7 +27,7 @@ from .errors import ConfigError, GateError
 from .kernels import Kernel
 
 __all__ = ["SymbolTable", "gate_check", "rho_solve", "symbol_table",
-           "gamma_h_eval", "approx_identity_error", "pde_residual"]
+           "approx_identity_error", "pde_residual"]
 
 _DECAY_CAP = 1e3  # gate: sup |khat(z)| e^{h z^2} over the grid, per unit mass
 
@@ -141,30 +141,11 @@ def _tail_guard(table: SymbolTable, t: float) -> None:
             f"exp({(tail - top) * t:.3g}) above 1e-12; extend z_max")
 
 
-def gamma_h_eval(table: SymbolTable, t: float, x, gamma_shift: float | None = None,
-                 return_imag: bool = False):
-    """Trapezoid synthesis of Gamma_h(t, x) on the symbol grid.
-
-    gamma_shift defaults to -rho(0) (zero-mode neutral normalization).
-    Returns the real part; with return_imag=True also the largest relative
-    imaginary remainder (nonzero for asymmetric configurations).
-    """
-    if t <= 0.0:
-        raise ConfigError("Gamma_h is defined for t > 0 only")
-    _tail_guard(table, t)
-    if gamma_shift is None:
-        gamma_shift = -table.rho0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = np.exp(1j * np.outer(x_arr + table.params.m * t, table.z))
-    weight = np.exp((table.rho + gamma_shift) * t)
-    vals = phase @ weight * table.dz
-    out = vals.real
-    imag_frac = float(np.max(np.abs(vals.imag)) /
-                      max(np.max(np.abs(out)), 1e-300))
-    res = out[0] if np.ndim(x) == 0 else out
-    if return_imag:
-        return res, imag_frac
-    return res
+def _synthesize(table: SymbolTable, x, t: float, weights):
+    """Trapezoid synthesis int e^{i (x + m t) z} weights(z) dz over the
+    symbol grid, at each point of x."""
+    return np.exp(1j * np.outer(x + table.params.m * t, table.z)) \
+        @ weights * table.dz
 
 
 def approx_identity_error(table: SymbolTable, t: float, psi_x: np.ndarray,
@@ -185,8 +166,7 @@ def approx_identity_error(table: SymbolTable, t: float, psi_x: np.ndarray,
     dx = x[1] - x[0]
     psi_hat = np.exp(-1j * np.outer(table.z, x)) @ psi * dx
     weight = np.exp((table.rho + gamma_shift) * t)
-    conv = (np.exp(1j * np.outer(x + table.params.m * t, table.z))
-            @ (weight * psi_hat)) * table.dz / (2.0 * np.pi)
+    conv = _synthesize(table, x, t, weight * psi_hat) / (2.0 * np.pi)
     return float(np.max(np.abs(conv.real - psi)) / np.max(np.abs(psi)))
 
 
@@ -212,8 +192,7 @@ def pde_residual(table: SymbolTable, t: float, dt: float | None = None,
     z = table.z
 
     def synth(tt, sym):
-        phase = np.exp(1j * np.outer(x + m * tt, z))
-        return (phase @ sym) * table.dz
+        return _synthesize(table, x, tt, sym)
 
     e_rho_t = np.exp(table.rho * t)
     khat = table.kernel.fourier(z)

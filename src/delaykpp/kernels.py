@@ -373,8 +373,6 @@ class DiscreteKernel:
     Either ``samples`` holds density values in FFT offset order (index m is
     the signed offset m*dx, already renormalised so that sum*dx = mass), or
     ``shift_cells`` marks an exact index-shift operator (Dirac case).
-    ``multiplier`` is the FFT-space convolution multiplier; convolving with a
-    field u is ifft(multiplier * fft(u)).
     """
 
     n: int
@@ -383,13 +381,6 @@ class DiscreteKernel:
     samples: np.ndarray | None = None
     shift_cells: int | None = None
     lost_mass: float = 0.0
-
-    @property
-    def multiplier(self) -> np.ndarray:
-        if self.shift_cells is not None:
-            k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-            return self.mass * np.exp(-2j * np.pi * k * self.shift_cells / self.n)
-        return np.fft.fft(self.samples) * self.dx
 
 
 def discretize(kernel: Kernel, grid) -> DiscreteKernel:

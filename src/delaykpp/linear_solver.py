@@ -2,8 +2,7 @@
 
     u_t = u_xx + m u_x + p u + (k * u)(t - h, .)
 
-on a periodic grid, plus an independent finite-difference discretization
-for cross-validation and the scaled decay diagnostics.
+on a periodic grid, and the scaled decay diagnostics.
 
 Each Fourier mode obeys the scalar delay equation
 w' = (-xi^2 + i m xi + p) w + khat(xi) w(t-h); all modes advance together
@@ -25,13 +24,11 @@ import numpy as np
 
 from .characteristic import CharParams, DecayPair, TangencySolution
 from .errors import ConfigError
-from .grids import (Grid, HistoryRing, Outputs, edge_fraction,
-                    step_count, warn_edge)
-from .kernels import Kernel, discretize
+from .grids import Grid, HistoryRing, Outputs, edge_fraction, warn_edge
+from .kernels import Kernel
 
 __all__ = [
-    "LinearTrajectory", "scalar_dde_solve", "solve_linear",
-    "solve_linear_fd", "tangency_limit_diagnostic",
+    "LinearTrajectory", "solve_linear", "tangency_limit_diagnostic",
     "universal_bound_diagnostic", "probe_value",
 ]
 
@@ -93,11 +90,13 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     times slower: unflushed, 35.6% of the ring's entries on xval-smooth
     end with a subnormal part (and 48.1% at exactly 0).  _flush zeros the
     parts below theta = _FLUSH = 1e-150 of their array's largest part M in
-    the ring's rows at entry (a row at a time), in the four Hermite
-    coefficients (a Gaussian khat crosses the subnormal range near
-    |xi| = 38), in each new w and in each pushed derivative row; not in
-    em1 = e^z - 1, whose small entries carry the slow modes.  The flush is
-    relative because the linear equation has no scale.
+    the four Hermite coefficients (a Gaussian khat crosses the subnormal
+    range near |xi| = 38), in each new w and in each pushed derivative
+    row; not in em1 = e^z - 1, whose small entries carry the slow modes.
+    The ring's rows at entry are flushed by whoever fills the ring, once
+    per distinct row (solve_linear fills a constant history as one row
+    broadcast to every node).  The flush is relative because the linear
+    equation has no scale.
     - Staying normal: every kept part is at least theta M, so a product
       of two kept factors is at least theta^2 = 1e-300 times the product
       of their arrays' largest parts, which is normal while that product
@@ -111,7 +110,7 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
       the flush.
     - A single mode is its own largest part and is never flushed (unless
       one of its real and imaginary parts is below theta times the
-      other), so scalar_dde_solve and verify are unchanged.
+      other), so a one-mode run matches its unflushed run bit for bit.
     """
     dt = ring.dt
     em1, p1, p2, p3, p4 = _phi(mu * dt)
@@ -120,9 +119,6 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
         dt * kap * (6.0 * p3 - 12.0 * p4),
         dt * dt * kap * (p2 - 4.0 * p3 + 6.0 * p4),
         dt * dt * kap * (6.0 * p4 - 2.0 * p3)))
-    for rows in (ring.vals, ring.ders):
-        for row in rows:  # a row at a time: no temporary the ring's size
-            _flush(row)
     w = ring.newest.copy()
     right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
     if collect is not None:
@@ -197,31 +193,6 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
     return vals, np.zeros_like(vals)
 
 
-def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
-                     dt: float):
-    """Integrate the scalar delay equation w' = mu w + kappa w(t-h).
-
-    history is a callable on [-h, 0] (or a constant); dt must divide h.
-    Returns (times, values) on [0, T].
-    """
-    if h <= 0.0 or dt <= 0.0:
-        raise ConfigError("scalar_dde_solve needs h > 0 and dt > 0")
-    n_h = round(h / dt)
-    if n_h < 1 or abs(n_h * dt - h) > 1e-9 * h:
-        raise ConfigError(f"dt={dt} does not divide the delay h={h}")
-    fn = history if callable(history) else (lambda s: history)
-    vals, ders = _history_samples(lambda s: np.array([fn(s)], dtype=complex),
-                                  n_h, h, 1, complex)
-    ring = HistoryRing(h, n_h, 1, complex)
-    ring.fill(vals, ders)
-    n_steps = step_count(T, ring.dt)
-    out = np.empty(n_steps + 1, dtype=complex)
-    _rk4_delay_diag(np.asarray([mu]), np.asarray([kappa]), ring, n_steps,
-                    lambda n, w: out.__setitem__(n, w[0]))
-    times = np.arange(n_steps + 1) * ring.dt
-    return times, out
-
-
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                  n_h: int | None = None, out_every: int | None = None
                  ) -> LinearTrajectory:
@@ -264,7 +235,10 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     out = Outputs(T, params.h / n_h, out_every, grid.n)
     ring = HistoryRing(params.h, n_h, grid.n, complex)
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)
-    ring.fill(np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1))
+    vals, ders = np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1)
+    for row in (*vals, *ders):  # one row per node, or one for a constant
+        _flush(row)
+    ring.fill(vals, ders)
     rows = out.rows
 
     def collect(n, w):
@@ -273,77 +247,6 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
             out.store(i, np.fft.ifft(w).real)
 
     _rk4_delay_diag(mu, kap, ring, out.n_steps, collect)
-    return LinearTrajectory(grid=grid, times=out.times, fields=out.fields,
-                           n_h=n_h, edge_fraction=warn_edge(out.edge))
-
-
-def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
-                    T: float, n_h: int | None = None,
-                    out_every: int | None = None) -> LinearTrajectory:
-    """Finite-difference cross-check of solve_linear.
-
-    Second-order central Laplacian, second-order one-sided (upwinded)
-    drift, and the convolution evaluated by trapezoid quadrature of the
-    sampled kernel.  Deliberately shares no spatial machinery with the
-    spectral path beyond the FFT used to apply the sampled-kernel
-    circulant.
-    """
-    if params.h <= 0.0:
-        raise ConfigError("FD cross-check requires h > 0")
-    dx = grid.dx
-    dk = discretize(kernel, grid)
-    kmult = dk.multiplier
-
-    def conv(u):
-        return np.fft.ifft(kmult * np.fft.fft(u)).real
-
-    m, p = params.m, params.p
-
-    def apply_op(u):
-        lap = (np.roll(u, 1) - 2.0 * u + np.roll(u, -1)) / (dx * dx)
-        if m > 0:
-            drift = m * (-3.0 * u + 4.0 * np.roll(u, -1) - np.roll(u, -2)) \
-                / (2.0 * dx)
-        elif m < 0:
-            drift = m * (3.0 * u - 4.0 * np.roll(u, 1) + np.roll(u, 2)) \
-                / (2.0 * dx)
-        else:
-            drift = 0.0
-        return lap + drift + p * u
-
-    # classical RK4 is stable for |lambda| dt up to about 2.8 on the real
-    # axis; raise n_h so the stiffest FD mode stays inside 2.5 of it
-    stiffness = 4.0 / (dx * dx) + 3.0 * abs(m) / dx + abs(p) + kernel.mass
-    n_h = max(64 if n_h is None else n_h,
-              math.ceil(params.h * stiffness / 2.5))
-    dt = params.h / n_h
-    out = Outputs(T, dt, out_every, grid.n)
-
-    cring = HistoryRing(params.h, n_h, grid.n, float)
-    vals, ders = _history_samples(u0, n_h, params.h, grid.n, float)
-    cring.fill(np.stack([conv(v) for v in vals]),
-               np.stack([conv(d) for d in ders]))
-
-    w = vals[-1]
-    right0 = conv(apply_op(w) + cring.delayed_nodes()[0][0])
-    out.store(0, w)
-    for n in range(out.n_steps):
-        (c0, e0), (c1, _) = cring.delayed_nodes()
-        if n == n_h:
-            # the ring row of t = 0: the cell [0, dt] takes the right
-            # derivative at the jump (see _rk4_delay_diag)
-            e0[...] = right0
-        cm = cring.delayed_mid()
-        k1 = apply_op(w) + c0
-        k2 = apply_op(w + (0.5 * dt) * k1) + cm
-        k3 = apply_op(w + (0.5 * dt) * k2) + cm
-        k4 = apply_op(w + dt * k3) + c1
-        w = w + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        der = apply_op(w) + c1
-        cring.push(conv(w), conv(der))
-        i = out.rows.get(n + 1)
-        if i is not None:
-            out.store(i, w)
     return LinearTrajectory(grid=grid, times=out.times, fields=out.fields,
                            n_h=n_h, edge_fraction=warn_edge(out.edge))
 

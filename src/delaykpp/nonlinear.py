@@ -2,8 +2,7 @@
 
     u_t = u_xx - u + (k0 * g(u(t - h, .)))(x)
 
-plus level-crossing tracking and the linear-majorant comparison
-certificate.
+plus level-crossing tracking.
 
 The step is an exponential trapezoid rule built on the stiff linear part
 c = d_xx - 1, integrated exactly, with the delayed birth term carried by
@@ -47,7 +46,7 @@ slows down about twofold.  The initial data and every new profile, before
 it is stored or pushed, therefore have each entry with |u| < _UNDERFLOW
 set to exactly 0.  The floor is absolute: u -> u [|u| >= theta] is
 nondecreasing, so the step stays order-preserving and the comparison
-certificate (u <= v from ordered data) survives; a floor relative to each
+certificate (u <= v from ordered data; tests/oracles.py) survives; a floor relative to each
 run's own peak would cut the larger run's tail first and break it.  It
 only removes mass and never injects any, so errors stay local to the
 solution scale, and zero stays zero.  theta = 1e-250 is sized so that the
@@ -68,15 +67,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .birth import LinearBirth, subtangential_defect
 from .errors import ConfigError
 from .grids import Grid, HistoryRing, Outputs, warn_edge
 from .kernels import Kernel, discretize
 from .linear_solver import _history_samples, _profile
 
 __all__ = ["KPPTrajectory", "solve_kpp", "level_set", "LevelCrossings",
-           "LevelSetTrace", "trace_levels", "comparison_run",
-           "ComparisonReport"]
+           "LevelSetTrace", "trace_levels"]
 
 _CLAMP_REL = 1e-13  # negatives below this fraction of the peak count as real
 _STENCIL_DROP = 1e-19  # truncate propagator stencils below this, rel. peak
@@ -411,82 +408,3 @@ def trace_levels(traj: KPPTrajectory, beta: float, speeds) -> LevelSetTrace:
             - log_t / (2.0 * speeds.lambda_minus)
     return LevelSetTrace(beta=beta, times=times, m_minus=m_minus,
                          m_plus=m_plus, M=M, M_star=M_star)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Outcome of the nonlinear-vs-linear-majorant run."""
-
-    max_violation: float  # max over outputs of max (u - v)+
-    envelope_violation: float  # max over blocks of max (u - N' theta^n e^{lam x})+
-    theta0: float
-    theta: float
-    n_prime: float
-    lam: float
-
-
-def comparison_run(kernel0: Kernel, birth, grid: Grid, u0, T: float,
-                   h: float, lam: float, n_h: int | None = None,
-                   v0=None) -> ComparisonReport:
-    """Run u (nonlinear) and v (linear majorant, g -> g'(0) u) with the
-    same scheme from ordered data and certify u <= v, plus the one-block
-    recursion envelope on u at block boundaries t = nh:
-
-        u(nh, x) <= N' theta^n e^{lam x},
-        theta0 = 1 + h g'(0) e^{q1 h} ||k0 e^{-lam .}||_1,
-        theta  = theta0 e^{q1 h},   N' = N e^{2 |q1| h} theta0,
-
-    with q1 = 1 - lam^2 and N the exponential majorant constant of the
-    history.  The constants follow the one-block Duhamel argument
-    literally and are far from tight; they are the certificate itself.
-
-    v0 defaults to u0; if supplied it must dominate u0 nodewise.
-    """
-    if h <= 0.0:
-        raise ConfigError("comparison certificate needs h > 0")
-    a, b = kernel0.domain()
-    if not a < lam < b:
-        raise ConfigError(
-            f"tilt lam={lam} outside the kernel transform domain ({a}, {b})")
-    g1 = birth.gprime0
-    n_h = 64 if n_h is None else int(n_h)
-    hv_u, _ = _history_samples(u0, n_h, h, grid.n, float)
-    defect = subtangential_defect(birth, 8.0 * max(1.0, float(np.max(hv_u))))
-    if defect > 1e-12 * g1:
-        raise ConfigError(
-            f"birth function is not sub-tangential: max g(u) - g'(0) u = "
-            f"{defect:.3e} > 0")
-    if v0 is None:
-        v0 = u0
-    else:
-        hv_v, _ = _history_samples(v0, n_h, h, grid.n, float)
-        gap = float(np.max(hv_u - hv_v))
-        if gap > 0.0:
-            raise ConfigError(
-                f"ordering of initial data violated: max(u0 - v0) = {gap:.3e}")
-    out_every = n_h // 8 if n_h % 8 == 0 else 1
-    run_u = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
-    run_v = solve_kpp(kernel0, LinearBirth(g1), grid, v0, T, h, n_h,
-                      out_every)
-    max_violation = float(max(np.max(run_u.fields - run_v.fields), 0.0))
-
-    q1 = 1.0 - lam * lam
-    tilted_mass = float(np.real(kernel0.laplace(lam)))
-    theta0 = 1.0 + h * g1 * math.exp(q1 * h) * tilted_mass
-    theta = theta0 * math.exp(q1 * h)
-    growth = np.exp(lam * grid.x)
-    n_cap = float(np.max(hv_u / growth))
-    n_prime = n_cap * math.exp(2.0 * abs(q1) * h) * theta0
-
-    env_violation = 0.0
-    for i, t in enumerate(run_u.times):
-        blocks = t / h
-        if abs(blocks - round(blocks)) > 1e-9:
-            continue
-        bound = n_prime * theta ** round(blocks) * growth
-        env_violation = max(env_violation,
-                            float(np.max(run_u.fields[i] - bound)))
-    return ComparisonReport(max_violation=max_violation,
-                            envelope_violation=max(env_violation, 0.0),
-                            theta0=theta0, theta=theta, n_prime=n_prime,
-                            lam=lam)

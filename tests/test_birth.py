@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaykpp import (LinearBirth, LinearCap, MackeyGlass, Nicholson,
-                      birth_from_dict, subtangential_defect)
+                      birth_from_dict)
+from oracles import subtangential_defect
 
 FAMILIES = [Nicholson(2.0, 1.0), Nicholson(math.e ** 2, 0.5),
             MackeyGlass(3.0, 1.0, 2.0), MackeyGlass(2.0, 0.7, 0.8),

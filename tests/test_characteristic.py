@@ -20,10 +20,10 @@ from scipy.special import lambertw
 from delaykpp import (CharParams, ConfigError, Dirac, Gaussian, LaplaceKernel,
                       UniformKernel, critical_speeds, envelope_bounds,
                       gamma_on_grid, gamma_zero, halanay_root, implicit_l,
-                      local_expansion, local_tail_ratio, polish_speed,
-                      tangency_solve)
+                      polish_speed, tangency_solve)
 from delaykpp._roots import halanay_root_grid
 from delaykpp.characteristic import SpeedPair
+from oracles import local_expansion, local_tail_ratio
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
 DESK_KERNEL = Gaussian(0.0, 1.0, 1.0)

@@ -280,6 +280,19 @@ HOSTILE = [
      "gprime0", 1e300),
     ({**SPEEDS_CFG, "kernel": {"family": "dirac", "shift": -1e5}},
      "gprime0", 1e300, "kernel"),
+    # values only the experiment or the synthesis can refuse; h is the
+    # integer 0, since the bridge row above already has the id h=0.0
+    (EXTINCTION_CFG, "h", 0),
+    (EXTINCTION_CFG, "expect", "both"),
+    (EXTINCTION_CFG, "max_shift", 0.5),
+    (EXTINCTION_CFG, "tune_margin", -0.5),
+    (EXTINCTION_CFG, "tune_margin", 0.0),
+    (EXTINCTION_CFG, "window_halfwidth", -1.0),
+    ({**MCKEAN_CFG, "experiment": "spreading"}, "L", 8.0),
+    (KPP_CFG, "beta", 5.0),
+    (FUNDAMENTAL_CFG, "residual_t", 0.1),
+    (FUNDAMENTAL_CFG, "identity_times", [-1.0]),
+    (FUNDAMENTAL_CFG, "identity_times", [0.001]),
 ]
 
 

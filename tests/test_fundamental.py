@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from delaykpp import (CharParams, ConfigError, Dirac, Gaussian, GateError,
-                      approx_identity_error, gamma_h_eval, gate_check,
-                      pde_residual, rho_solve, symbol_table)
+                      approx_identity_error, gate_check, pde_residual,
+                      rho_solve, symbol_table)
+from oracles import gamma_h_eval
 
 PARAMS = CharParams(m=0.0, p=-1.0, h=0.25)
 KERNEL = Gaussian(0.0, 1.0, 1.0)

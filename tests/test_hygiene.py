@@ -1,6 +1,7 @@
 """Source hygiene of the package: every __all__ entry exists, no module
-imports a name it never uses (an ast scan, so no linter is needed), and
-importing the CLI loads no SciPy module."""
+(nor tests/oracles.py) imports a name it never uses (an ast scan, so no
+linter is needed), the test oracles are not exported, and importing the
+CLI loads no SciPy module."""
 
 import ast
 import importlib
@@ -15,6 +16,13 @@ import delaykpp
 
 SRC = pathlib.Path(delaykpp.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+# the package __init__ imports names to re-export them
+SOURCES = [SRC / f"{m}.py" for m in MODULES if m != "__init__"] + \
+    [pathlib.Path(__file__).with_name("oracles.py")]
+# the reference implementations in tests/oracles.py, which no run calls
+ORACLES = ["scalar_dde_solve", "solve_linear_fd", "comparison_run",
+           "ComparisonReport", "subtangential_defect", "local_tail_ratio",
+           "local_expansion", "gamma_h_eval"]
 
 
 @pytest.mark.parametrize("stem", MODULES)
@@ -26,10 +34,9 @@ def test_all_entries_resolve(stem):
     assert not missing
 
 
-# the package __init__ imports names to re-export them
-@pytest.mark.parametrize("stem", [m for m in MODULES if m != "__init__"])
-def test_no_unused_imports(stem):
-    tree = ast.parse((SRC / f"{stem}.py").read_text())
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -39,6 +46,14 @@ def test_no_unused_imports(stem):
                             for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_package_exports_no_test_oracles():
+    exported = {n for m in MODULES if m != "__init__" for n in getattr(
+        importlib.import_module(f"delaykpp.{m}"), "__all__", ())}
+    assert [n for n in ORACLES
+            if hasattr(delaykpp, n) or n in exported] == []
+    assert not hasattr(delaykpp.DiscreteKernel, "multiplier")
 
 
 def test_cli_import_loads_no_scipy():

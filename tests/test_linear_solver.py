@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
-                      halanay_root, probe_value, scalar_dde_solve,
-                      solve_linear, solve_linear_fd, tangency_solve,
+                      halanay_root, probe_value, solve_linear, tangency_solve,
                       tangency_limit_diagnostic, universal_bound_diagnostic,
                       gamma_zero)
 from delaykpp import linear_solver
 from delaykpp.linear_solver import _phi
+from oracles import scalar_dde_solve, solve_linear_fd
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
 DESK_KERNEL = Gaussian(0.0, 1.0, 1.0)
@@ -142,6 +142,25 @@ def test_constant_history_peak_memory_is_the_ring():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * ring_bytes
+
+
+def test_constant_history_flushes_one_row_not_one_per_node(monkeypatch):
+    # a constant history is one row broadcast to every ring node, so the
+    # flushes before the first step do not grow with n_h
+    counts = []
+    inner = linear_solver._flush
+
+    def counting(v):
+        counts[-1] += 1
+        return inner(v)
+
+    monkeypatch.setattr(linear_solver, "_flush", counting)
+    grid = Grid(32.0, 256)
+    for n_h in (8, 64):
+        counts.append(0)
+        with pytest.warns(RuntimeWarning):  # a constant fills the domain
+            solve_linear(DESK, DESK_KERNEL, grid, 0.5, T=0.0, n_h=n_h)
+    assert counts[0] == counts[1]
 
 
 def test_stiff_grid_runs_the_given_n_h():

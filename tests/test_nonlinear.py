@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from delaykpp import (ConfigError, Dirac, Gaussian, Grid, LaplaceKernel,
-                      Nicholson, UniformKernel, comparison_run,
-                      critical_speeds, level_set, solve_kpp, trace_levels)
+                      Nicholson, UniformKernel, critical_speeds, level_set,
+                      solve_kpp, trace_levels)
 from delaykpp import nonlinear
 from delaykpp.experiments import tune_kernel_shift
 from delaykpp.nonlinear import (_UNDERFLOW, _etd_stencils, _kernel_applier,
                                 _phi_dc)
+from oracles import comparison_run
 
 GRID = Grid(32.0, 256)
 
