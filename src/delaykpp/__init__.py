@@ -22,10 +22,9 @@ from .fundamental import (SymbolTable, gate_check, rho_solve, symbol_table,
                           approx_identity_error, pde_residual)
 from .nonlinear import (KPPTrajectory, solve_kpp, LevelCrossings, level_set,
                         LevelSetTrace, trace_levels)
-from .experiments import (ExperimentReport, LogDriftFit, mckean_experiment,
-                          logdrift_fit, extinction_experiment,
-                          spreading_experiment, bridge_check,
-                          verdict_stability, tune_kernel_shift)
+from .experiments import (ExperimentReport, mckean_experiment, logdrift_fit,
+                          extinction_experiment, spreading_experiment,
+                          bridge_check, verdict_stability, tune_kernel_shift)
 from .presets import preset, preset_names
 from .errors import (ConfigError, TransformDomainError, TangencyError,
                      GateError)

@@ -1,7 +1,7 @@
 """Command-line front end: config loading, dispatch, bit-stable output.
 
 Subcommands: speeds | char | simulate-linear | fundamental | simulate-kpp
-| experiment {mckean, extinction, spreading, bridge, logdrift} | verify.
+| experiment {mckean, extinction, spreading, bridge} | verify.
 Configs are JSON objects; the config module documents every field and the
 presets module holds runnable templates.  Outputs are JSON reports and
 CSV traces written atomically (temp file + rename) with floats at 17
@@ -21,6 +21,7 @@ and ``nan`` in CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -34,8 +35,8 @@ from .characteristic import critical_speeds, gamma_zero, tangency_solve
 from .config import Fields, default_out_every, kpp_inputs
 from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
-                          extinction_experiment, logdrift_experiment,
-                          mckean_experiment, spreading_experiment)
+                          extinction_experiment, mckean_experiment,
+                          spreading_experiment)
 from .fundamental import approx_identity_error, pde_residual, symbol_table
 from .grids import every_kth
 from .linear_solver import (solve_linear, tangency_limit_diagnostic,
@@ -44,8 +45,6 @@ from .nonlinear import solve_kpp, trace_levels
 from .verify import run_checks
 
 __all__ = ["main", "run"]
-
-_EXPERIMENTS = ("mckean", "extinction", "spreading", "bridge", "logdrift")
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +294,12 @@ def _cmd_fundamental(cfg: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-def _levels_rows(trace):
-    for i, t in enumerate(trace.times):
-        attained = int(math.isfinite(trace.m_minus[i])
-                       and math.isfinite(trace.m_plus[i]))
-        yield (float(t), float(trace.beta), float(trace.m_minus[i]),
-               float(trace.m_plus[i]), attained)
+def _write_levels(path: str, trace) -> None:
+    """The level-set trace as the t,beta,m_minus,m_plus,attained CSV."""
+    rows = ((float(t), float(trace.beta), float(lo), float(hi),
+             int(math.isfinite(lo) and math.isfinite(hi)))
+            for t, lo, hi in zip(trace.times, trace.m_minus, trace.m_plus))
+    _write_csv(path, "t,beta,m_minus,m_plus,attained", _csv_lines(rows))
 
 
 def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
@@ -314,9 +313,7 @@ def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
 
     _write_csv(os.path.join(out, "kpp_snapshots.csv"), "t,x,u",
                _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
-    _write_csv(os.path.join(out, "kpp_levels.csv"),
-               "t,beta,m_minus,m_plus,attained",
-               _csv_lines(_levels_rows(trace)))
+    _write_levels(os.path.join(out, "kpp_levels.csv"), trace)
     report = {
         "kappa": birth.kappa, "beta": beta,
         "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
@@ -334,23 +331,17 @@ def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-def _cmd_experiment(name: str, cfg: dict, out: str, quiet: bool) -> int:
-    # looked up per call, so a name rebound on this module takes effect
-    runner = {"mckean": mckean_experiment, "extinction": extinction_experiment,
-              "spreading": spreading_experiment, "bridge": bridge_check,
-              "logdrift": logdrift_experiment}[name]
+def _cmd_experiment(runner, cfg: dict, out: str, quiet: bool) -> int:
     rep = runner(cfg)
     _write_json(os.path.join(out, f"{rep.name}_report.json"), rep.to_dict())
     if rep.trace is not None:
-        _write_csv(os.path.join(out, f"{rep.name}_levels.csv"),
-                   "t,beta,m_minus,m_plus,attained",
-                   _csv_lines(_levels_rows(rep.trace)))
+        _write_levels(os.path.join(out, f"{rep.name}_levels.csv"), rep.trace)
     if not quiet:
         print(f"experiment {rep.name}: verdict {rep.verdict}")
     return 0 if rep.verdict in ("pass", "diagnostic") else 2
 
 
-def _cmd_verify(out: str, quiet: bool) -> int:
+def _cmd_verify(cfg: dict, out: str, quiet: bool) -> int:
     results = run_checks()
     for r in results:
         if not quiet:
@@ -365,41 +356,68 @@ def _cmd_verify(out: str, quiet: bool) -> int:
 # dispatch
 
 
-def _dispatch(command: str, experiment: str | None, cfg: dict, out: str,
-              quiet: bool) -> int:
-    if command == "experiment":
-        if experiment is None:
-            raise ConfigError("config is missing required field 'experiment' "
-                              f"(one of {', '.join(_EXPERIMENTS)})")
-        if experiment not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment '{experiment}'; choose "
-                              f"from {', '.join(_EXPERIMENTS)}")
-        return _cmd_experiment(experiment, cfg, out, quiet)
-    handlers = {"speeds": _cmd_speeds, "char": _cmd_char,
-                "simulate-linear": _cmd_simulate_linear,
-                "fundamental": _cmd_fundamental,
-                "simulate-kpp": _cmd_simulate_kpp}
-    if command not in handlers:
-        raise ConfigError(f"unknown command '{command}'; choose from "
-                          f"{', '.join([*handlers, 'experiment', 'verify'])}")
-    return handlers[command](cfg, out, quiet)
+# every subcommand but experiment; verify reads no config
+_COMMANDS = {"speeds": _cmd_speeds, "char": _cmd_char,
+             "simulate-linear": _cmd_simulate_linear,
+             "fundamental": _cmd_fundamental,
+             "simulate-kpp": _cmd_simulate_kpp, "verify": _cmd_verify}
 
 
-def run(config_path: str, out_dir: str = ".", quiet: bool = False) -> int:
-    """Dispatch a config file on its own 'command' field; returns the
-    process exit status (0 pass/diagnostic, 2 verdict fail, 1 error)."""
-    try:
-        cfg = _load_config(config_path)
-        f = Fields(cfg)
-        command = f.text("command")
-        if command == "verify":
-            return _cmd_verify(out_dir, quiet)
-        return _dispatch(command, f.text("experiment", None), cfg, out_dir,
-                         quiet)
-    # ArithmeticError: a solver overflowing on an extreme but well-typed value
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _experiments() -> dict:
+    """Experiment name -> runner; built per call, so a runner rebound on
+    this module takes effect."""
+    return {"mckean": mckean_experiment, "extinction": extinction_experiment,
+            "spreading": spreading_experiment, "bridge": bridge_check}
+
+
+def _chosen(f: Fields, field: str, invoked: str | None, choices) -> str:
+    """The invoked name, or the config's own field when none was invoked;
+    ConfigError when the config declares another or the name is unknown."""
+    declared = f.text(field, None)
+    if invoked is None:
+        if declared is None:
+            raise ConfigError(f"config is missing required field '{field}' "
+                              f"(one of {', '.join(choices)})")
+        invoked = declared
+    elif declared not in (None, invoked):
+        raise ConfigError(f"config declares {field} '{declared}' but "
+                          f"'{invoked}' was invoked")
+    if invoked not in choices:
+        raise ConfigError(f"unknown {field} '{invoked}'; choose from "
+                          f"{', '.join(choices)}")
+    return invoked
+
+
+def _exit_status(fn):
+    """fn with a refused input turned into exit status 1 and one line on
+    stderr.  ArithmeticError: a solver overflowing on an extreme but
+    well-typed value."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    return wrapper
+
+
+@_exit_status
+def run(config_path: str | None, out_dir: str = ".", quiet: bool = False,
+        command: str | None = None, experiment: str | None = None) -> int:
+    """Run one config; returns the process exit status (0 pass/diagnostic,
+    2 verdict fail, 1 error).
+
+    command and experiment are the ones invoked on the command line; when
+    absent, the config's own 'command' and 'experiment' fields choose."""
+    cfg = {} if command == "verify" else _load_config(config_path)
+    f = Fields(cfg)
+    command = _chosen(f, "command", command, [*_COMMANDS, "experiment"])
+    if command in _COMMANDS:
+        return _COMMANDS[command](cfg, out_dir, quiet)
+    runners = _experiments()
+    name = _chosen(f, "experiment", experiment, list(runners))
+    return _cmd_experiment(runners[name], cfg, out_dir, quiet)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,39 +437,21 @@ def _build_parser() -> _Parser:
     common.add_argument("--quiet", action="store_true",
                         help="suppress the stdout summary line")
     sub = parser.add_subparsers(dest="command")
-    for name in ("speeds", "char", "simulate-linear", "fundamental",
-                 "simulate-kpp"):
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     p_exp = sub.add_parser("experiment", parents=[common])
-    p_exp.add_argument("name", choices=_EXPERIMENTS)
-    sub.add_parser("verify", parents=[common])
+    p_exp.add_argument("name", choices=list(_experiments()))
     return parser
 
 
+@_exit_status
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise ConfigError("no subcommand given (try 'delaykpp --help')")
-        if args.command == "verify":
-            return _cmd_verify(args.out, args.quiet)
-        cfg = _load_config(args.config)
-        f = Fields(cfg)
-        declared = f.text("command", None)
-        if declared not in (None, args.command):
-            raise ConfigError(f"config declares command '{declared}' but "
-                              f"'{args.command}' was invoked")
-        # only the experiment subcommand has a (required) name argument
-        name = getattr(args, "name", None)
-        declared_exp = f.text("experiment", None)
-        if name is not None and declared_exp not in (None, name):
-            raise ConfigError(f"config declares experiment '{declared_exp}' "
-                              f"but '{name}' was invoked")
-        return _dispatch(args.command, name, cfg, args.out, args.quiet)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = _build_parser().parse_args(argv)
+    if args.command is None:
+        raise ConfigError("no subcommand given (try 'delaykpp --help')")
+    # only the experiment subcommand has a (required) name argument
+    return run(args.config, args.out, args.quiet, args.command,
+               getattr(args, "name", None))
 
 
 if __name__ == "__main__":

@@ -15,8 +15,7 @@ every ``experiment``):
 ``command``  string, required: speeds | char | simulate-linear |
     fundamental | simulate-kpp | experiment | verify.
 ``experiment``  string [experiment]: mckean | extinction | spreading |
-    bridge | logdrift; may instead follow ``experiment`` on the command
-    line.
+    bridge; may instead follow ``experiment`` on the command line.
 ``kernel``  object, required [all but verify]: ``family`` (string) plus
     finite-number parameters.  dirac: shift, mass; gaussian (alias
     shifted_gaussian): mean, stddev > 0, mass; laplace: rate > 0, center,
@@ -37,11 +36,11 @@ every ``experiment``):
 ``n``  count, required [simulate-linear, simulate-kpp, exp]: grid points,
     a power of two >= 256.
 ``T``  number, required [simulate-linear, simulate-kpp, exp]: the
-    horizon; > 0 for the KPP runs, and T/dt may not exceed
-    grids.MAX_STEPS.
+    horizon; > 0 for the KPP runs and >= 0 for simulate-linear, and
+    T/dt may not exceed grids.MAX_STEPS.
 ``n_h``  count [simulate-linear, simulate-kpp, exp]: steps per delay;
     default 64 (KPP_NH).
-``out_every``  count [simulate-linear, simulate-kpp, mckean, logdrift]:
+``out_every``  count [simulate-linear, simulate-kpp, mckean]:
     steps between stored snapshots (the last step is always stored);
     default about 400 snapshots for simulate-linear, every quarter delay
     (default_out_every) for the KPP runs.
@@ -65,10 +64,9 @@ every ``experiment``):
 ``identity_times``  list of numbers > 0, default [0.5, 0.1, 0.02]
     [fundamental]; a time too small for the symbol grid that t_min sets
     is refused.
-``expect``  string, default "extinction" [extinction]: extinction |
-    persistence.
 ``tune``  flag, default true [extinction]: shift the kernel until
-    c_plus = -tune_margin (only when expecting extinction).
+    c_plus = -tune_margin.  The retired ``expect`` is refused; the
+    persistence control is ``spreading``.
 ``tune_margin``  number > 0, default 0.5; ``max_shift`` number, default
     32 [extinction].
 ``window_halfwidth``  number > 0, default 20; ``probe_x`` number, default

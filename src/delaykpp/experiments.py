@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristic import (CharParams, SpeedPair, _require_growth,
-                             _strip_limits, _tilt_argmin, _zoom_min,
-                             critical_speeds, tangency_solve)
+from .characteristic import (CharParams, _require_growth, _strip_limits,
+                             _tilt_argmin, _zoom_min, critical_speeds,
+                             tangency_solve)
 from .config import (KPP_AMPLITUDE, KPP_NH, Fields, default_out_every,
                      kpp_inputs)
 from .errors import ConfigError
@@ -29,10 +29,9 @@ from .kernels import Kernel
 from .linear_solver import solve_linear
 from .nonlinear import LevelSetTrace, solve_kpp, trace_levels
 
-__all__ = ["ExperimentReport", "LogDriftFit", "mckean_experiment",
-           "logdrift_fit", "logdrift_experiment", "extinction_experiment",
-           "spreading_experiment", "bridge_check", "verdict_stability",
-           "tune_kernel_shift"]
+__all__ = ["ExperimentReport", "mckean_experiment", "logdrift_fit",
+           "extinction_experiment", "spreading_experiment", "bridge_check",
+           "verdict_stability", "tune_kernel_shift"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,39 @@ def _half_window_stats(times, values, fn):
     return f, s, int(first.size), int(second.size)
 
 
+def logdrift_fit(trace: LevelSetTrace, speeds) -> dict:
+    """Least-squares fit of m_minus(t) + c_plus t against a + b log t over
+    [T/4, T].
+
+    Diagnostic only: the coefficient b is reported with its standard
+    error and the intercept a next to the two reference slopes
+    1/(2 lambda_plus) and 3/(2 lambda_plus), with no pass/fail attached
+    (which slope the delayed equation follows is open).  Refuses
+    (ConfigError) with fewer than 20 attained samples in the fit window:
+    a fit through too few points would dress noise up as a slope.
+    """
+    T = float(trace.times[-1])
+    mask = (trace.times >= 0.25 * T) & np.isfinite(trace.m_minus) \
+        & (trace.times > 0.0)
+    t = trace.times[mask]
+    if t.size < 20:
+        raise ConfigError(
+            f"log-drift fit refused: {t.size} attained samples in "
+            f"[T/4, T], need at least 20")
+    y = trace.m_minus[mask] + speeds.c_plus * t
+    X = np.column_stack([np.ones_like(t), np.log(t)])
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ coef
+    dof = max(t.size - 2, 1)
+    cov = float(np.sum(resid ** 2)) / dof * np.linalg.inv(X.T @ X)
+    lam = speeds.lambda_plus
+    return {"coefficient": float(coef[1]),
+            "stderr": float(math.sqrt(cov[1, 1])),
+            "intercept": float(coef[0]), "n_samples": int(t.size),
+            "ref_half": 1.0 / (2.0 * lam),
+            "ref_three_half": 3.0 / (2.0 * lam)}
+
+
 def mckean_experiment(config: dict) -> ExperimentReport:
     """Drift-residual check on the two front edges.
 
@@ -77,7 +109,9 @@ def mckean_experiment(config: dict) -> ExperimentReport:
     M is bounded below and M_star bounded above in the half-window sense
     (slack 2 dx); "inconclusive" when either side attains the level
     fewer than 4 times in some half.  The empirical offset constants
-    (min of M, max of M_star) are reported, never asserted.
+    (min of M, max of M_star) are reported, never asserted, and so is
+    logdrift_fit of the same trace (its refusal message when the trace
+    has too few samples for it).
     """
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
@@ -119,72 +153,12 @@ def mckean_experiment(config: dict) -> ExperimentReport:
         "clamp_count": traj.clamp_count,
         "edge_fraction": traj.edge_fraction,
     }
+    try:
+        metrics["logdrift"] = logdrift_fit(trace, speeds)
+    except ConfigError as exc:
+        metrics["logdrift"] = str(exc)
     return ExperimentReport(name="mckean", params=dict(config),
                             metrics=metrics, verdict=verdict, trace=trace)
-
-
-@dataclass(frozen=True)
-class LogDriftFit:
-    """Least-squares fit of m_minus(t) + c_plus t against a + b log t.
-
-    Diagnostic only: coefficient is reported with its standard error next
-    to the two reference slopes, with no pass/fail attached (which slope
-    the delayed equation follows is open).
-    """
-
-    coefficient: float
-    stderr: float
-    intercept: float
-    n_samples: int
-    ref_half: float  # 1/(2 lambda_plus)
-    ref_three_half: float  # 3/(2 lambda_plus)
-
-
-def logdrift_fit(trace: LevelSetTrace, speeds) -> LogDriftFit:
-    """Fit the logarithmic drift of the left crossing over [T/4, T].
-
-    Refuses (ConfigError) with fewer than 20 attained samples in the fit
-    window: a fit through too few points would dress noise up as a slope.
-    """
-    T = float(trace.times[-1])
-    mask = (trace.times >= 0.25 * T) & np.isfinite(trace.m_minus) \
-        & (trace.times > 0.0)
-    t = trace.times[mask]
-    if t.size < 20:
-        raise ConfigError(
-            f"log-drift fit refused: {t.size} attained samples in "
-            f"[T/4, T], need at least 20")
-    y = trace.m_minus[mask] + speeds.c_plus * t
-    X = np.column_stack([np.ones_like(t), np.log(t)])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    dof = max(t.size - 2, 1)
-    cov = float(np.sum(resid ** 2)) / dof * np.linalg.inv(X.T @ X)
-    lam = speeds.lambda_plus
-    return LogDriftFit(coefficient=float(coef[1]),
-                       stderr=float(math.sqrt(cov[1, 1])),
-                       intercept=float(coef[0]), n_samples=int(t.size),
-                       ref_half=1.0 / (2.0 * lam),
-                       ref_three_half=3.0 / (2.0 * lam))
-
-
-def logdrift_experiment(config: dict) -> ExperimentReport:
-    """The mckean run with logdrift_fit in place of a verdict.
-
-    Verdict "diagnostic": the coefficient is reported next to its two
-    reference slopes, built from the speeds the mckean run computed.
-    """
-    run = mckean_experiment(config)
-    m = run.metrics
-    fit = logdrift_fit(run.trace, SpeedPair(
-        m["c_minus"], m["c_plus"], m["lambda_minus"], m["lambda_plus"], ()))
-    metrics = {"coefficient": fit.coefficient, "stderr": fit.stderr,
-               "intercept": fit.intercept, "n_samples": fit.n_samples,
-               "ref_half": fit.ref_half,
-               "ref_three_half": fit.ref_three_half,
-               "c_plus": m["c_plus"], "lambda_plus": m["lambda_plus"]}
-    return ExperimentReport(name="logdrift", params=dict(config),
-                            metrics=metrics, verdict="diagnostic")
 
 
 def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
@@ -246,8 +220,9 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     The kernel is shifted (by tune_kernel_shift; with tune false it is
     used as given) until c_plus < 0, so both edge speeds share a sign
     and the population packet travels rightward while every fixed point
-    is left behind.  The run proceeds in blocks of 10 h with an early
-    exit once sup_x u < 1e-4 kappa.  Verdict "pass" requires
+    is left behind.  The run always reaches T; it proceeds in blocks of
+    10 h only so that no block stores more than 10 h of snapshots, which
+    keeps the peak memory of a long run down.  Verdict "pass" requires
     sup_x u(T) < 1e-3 kappa and an eventually-decreasing sup; the
     one-sided decay bound
     sup_{z <= -ct} u <= C e^{lambda_plus (c_plus - c) t} with
@@ -262,21 +237,23 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     over a fixed |x| <= window_halfwidth) and probe_u_final (u at a
     fixed probe_x).  The default tune_margin 0.5 puts the trailing edge
     deep enough into retreat that these decay within desk horizons.
-
-    With expect = "persistence" (symmetric control) the verdict instead
-    requires sup_x u(T) >= 0.1 kappa.
+    Persistence in the symmetric case is the spreading experiment's cone
+    minimum; a config that still names the retired field 'expect' is
+    refused, since ignoring it would turn a persistence request into an
+    extinction verdict.
     """
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     f = Fields(config)
     if h <= 0.0:
         raise ConfigError("field 'h': the extinction run needs a delay h > 0")
-    expect = f.text("expect", "extinction")
-    if expect not in ("extinction", "persistence"):
-        raise ConfigError(f"field 'expect': unknown expectation '{expect}'; "
-                          "choose extinction or persistence")
+    if "expect" in config:
+        raise ConfigError(
+            "field 'expect' is retired: the extinction run always expects "
+            "extinction, and the persistence control is the cone minimum "
+            "of experiment 'spreading'")
     win = f.positive("window_halfwidth", 20.0)
     probe_x = f.number("probe_x", 0.0)
-    if expect == "extinction" and f.flag("tune", True):
+    if f.flag("tune", True):
         kernel0, shift = tune_kernel_shift(
             kernel0, birth.gprime0, h,
             margin=f.positive("tune_margin", 0.5),
@@ -292,7 +269,6 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     left_t, left_v = [], []  # sup over z <= -c t, c = c_plus + 0.2
     c_ray = speeds.c_plus + 0.2
     t_done, state = 0.0, u0
-    early_exit = None
     clamps = 0
     edge = 0.0
     while t_done < T - 1e-9:
@@ -312,9 +288,6 @@ def extinction_experiment(config: dict) -> ExperimentReport:
         t_done += float(traj.times[-1])
         state = traj.final_history
         final_field = traj.fields[-1]
-        if sup_v[-1] < 1e-4 * kappa:
-            early_exit = t_done
-            break
     sup_t = np.array(sup_t)
     sup_v = np.array(sup_v)
 
@@ -345,23 +318,19 @@ def extinction_experiment(config: dict) -> ExperimentReport:
         if np.any(wsel) else math.nan
     ray_sup_final = float(left_v[-1]) if left_v.size else math.nan
 
-    if expect == "extinction":
-        verdict = "pass" if (extinct and monotone_tail) else "fail"
-    else:
-        verdict = "pass" if sup_final >= 0.1 * kappa else "fail"
+    verdict = "pass" if (extinct and monotone_tail) else "fail"
     metrics = {
         "shift": shift, "c_plus": speeds.c_plus, "c_minus": speeds.c_minus,
         "speed_product": speeds.c_plus * speeds.c_minus,
         "sup_initial": float(sup_v[0]), "sup_final": sup_final,
         "sup_threshold": 1e-3 * kappa,
         "monotone_decreasing_tail": monotone_tail,
-        "early_exit_time": early_exit,
         "one_sided_C": bound_c, "one_sided_ratio": bound_ratio,
         "one_sided_bound_holds": bool(bound_holds),
         "ray_sup_final": ray_sup_final,
         "window_sup_final": window_sup_final,
         "probe_u_final": probe_u_final,
-        "expect": expect, "horizon": float(sup_t[-1]),
+        "horizon": float(sup_t[-1]),
         "clamp_count": clamps, "edge_fraction": edge,
     }
     return ExperimentReport(name="extinction", params=dict(config),

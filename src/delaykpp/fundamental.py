@@ -149,8 +149,7 @@ def _synthesize(table: SymbolTable, x, t: float, weights):
 
 
 def approx_identity_error(table: SymbolTable, t: float, psi_x: np.ndarray,
-                          psi_values: np.ndarray,
-                          gamma_shift: float | None = None) -> float:
+                          psi_values: np.ndarray) -> float:
     """sup_x |(1/2pi) (Gamma_h(t,.) * psi)(x) - psi(x)| / sup|psi|.
 
     The convolution is evaluated in symbol space: psi is transformed at
@@ -159,13 +158,11 @@ def approx_identity_error(table: SymbolTable, t: float, psi_x: np.ndarray,
     if t <= 0.0:
         raise ConfigError("approximate-identity probe needs t > 0")
     _tail_guard(table, t)
-    if gamma_shift is None:
-        gamma_shift = -table.rho0
     x = np.asarray(psi_x, dtype=float)
     psi = np.asarray(psi_values, dtype=float)
     dx = x[1] - x[0]
     psi_hat = np.exp(-1j * np.outer(table.z, x)) @ psi * dx
-    weight = np.exp((table.rho + gamma_shift) * t)
+    weight = np.exp((table.rho - table.rho0) * t)
     conv = _synthesize(table, x, t, weight * psi_hat) / (2.0 * np.pi)
     return float(np.max(np.abs(conv.real - psi)) / np.max(np.abs(psi)))
 
@@ -175,7 +172,7 @@ def pde_residual(table: SymbolTable, t: float, dt: float | None = None,
     """Relative residual of the delayed equation for Gamma_h at time t.
 
     Spatial derivatives, the reaction term, and the delayed convolution
-    are evaluated exactly in symbol space (at gamma_shift = 0, where the
+    are evaluated exactly in symbol space (unshifted by rho0, where the
     symbol identity is exact); the time derivative is a central difference
     with step dt (default h/256), so the residual scales as dt^2.
     Requires t > h: the delayed value must come from the same synthesis.

@@ -209,8 +209,8 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     Snapshots follow the grids.Outputs schedule (out_every=None keeps
     about 400), which also emits the truncation warning when the solution
     touches the periodic edge; for h = 0 the exact solution is sampled at
-    257 equally spaced times instead, takes no step, and refuses n_h and
-    out_every.
+    257 equally spaced times instead, takes no step, and refuses n_h,
+    out_every and a negative T.
     """
     xi = grid.xi
     mu = -xi * xi + 1j * params.m * xi + params.p
@@ -222,6 +222,8 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                 raise ConfigError(
                     f"field '{name}' must be omitted at h = 0: the exact "
                     "undelayed solution takes no steps")
+        if not T >= 0.0:
+            raise ConfigError(f"field 'T' = {T:g}: the horizon must be >= 0")
         w0 = np.fft.fft(_profile(u0, grid.n))
         times = np.linspace(0.0, T, 257)
         fields = np.empty((times.size, grid.n))

@@ -36,22 +36,10 @@ _PRESETS: dict[str, dict] = {
         "params": {"m": 0.2, "p": -1.2, "h": 1.0},
         "z0": 0.0,
     },
-    # front drift residual study, both edges
+    # front drift residual study, both edges, and the log-drift fit
     "mckean-dirac-nicholson": {
         "command": "experiment",
         "experiment": "mckean",
-        "kernel": _DIRAC,
-        "birth": _NICHOLSON,
-        "h": 1.0,
-        "n_h": 64,
-        "L": 640.0,
-        "n": 4096,
-        "T": 200.0,
-    },
-    # same run, log-coefficient fit instead of the boundedness verdict
-    "logdrift-dirac-nicholson": {
-        "command": "experiment",
-        "experiment": "logdrift",
         "kernel": _DIRAC,
         "birth": _NICHOLSON,
         "h": 1.0,
@@ -76,21 +64,8 @@ _PRESETS: dict[str, dict] = {
         "window_halfwidth": 20.0,
         "probe_x": 0.0,
     },
-    # symmetric control: the packet fills the cone and persists
-    "persistence-control": {
-        "command": "experiment",
-        "experiment": "extinction",
-        "kernel": _GAUSS,
-        "birth": _NICHOLSON,
-        "h": 1.0,
-        "n_h": 64,
-        "L": 512.0,
-        "n": 4096,
-        "T": 150.0,
-        "tune": False,
-        "expect": "persistence",
-    },
-    # interior-cone lower bound in the symmetric case
+    # interior-cone lower bound in the symmetric case: the persistence
+    # control that extinction-tuned is contrasted with
     "spreading-symmetric": {
         "command": "experiment",
         "experiment": "spreading",

@@ -1,5 +1,6 @@
-"""Verdicts of tools/bench_pairs.py on synthetic pairs."""
+"""Verdicts of tools/bench_pairs.py on synthetic and recorded pairs."""
 
+import json
 import os
 import sys
 
@@ -87,3 +88,27 @@ def test_no_gain_with_more_failed_runs():
     summary = bench_pairs.summarize(_pairs(PARENT, change, failed=(1, 1)),
                                     ["w"], BOUNDS)
     assert summary["w"]["run_s"]["verdict"] == "gain"
+
+
+def _recorded(name):
+    """The summary of a committed BENCH_*.json's pairs, recomputed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, name)) as f:
+        pairs = json.load(f)["pairs"]
+    return bench_pairs.summarize(pairs, sorted(pairs[0]), BOUNDS)
+
+
+def test_negligible_move_past_a_tiny_spread_is_no_gain():
+    # peak RSS 289.2 -> 289.1 MB and 61.47 -> 61.42 MB, each past a parent
+    # IQR of 0.02 MB, but far below 1% of the median
+    summary = _recorded("BENCH_11.json")
+    for w in ("linear-xval", "kpp-dirac"):
+        entry = summary[w]["peak_rss_mb"]
+        assert entry["change_wins"] >= 9
+        assert entry["parent"]["median"] - entry["change"]["median"] \
+            > entry["parent_iqr"]
+        assert entry["verdict"] == "within bound"
+    # a halved run time still reads gain
+    assert _recorded("BENCH_10.json")["linear-xval"]["run_s"]["verdict"] \
+        == "gain"
+

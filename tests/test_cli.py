@@ -184,6 +184,21 @@ def test_experiment_name_consistency_check(tmp_path, capsys):
     assert "declares experiment 'bridge'" in capsys.readouterr().err
 
 
+def test_unknown_experiment_lists_the_experiments(tmp_path, capsys):
+    names = "mckean, extinction, spreading, bridge"
+    cfg = _write_cfg(tmp_path, {"command": "experiment",
+                                "experiment": "logdrift"})
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    assert f"unknown experiment 'logdrift'; choose from {names}\n" in \
+        capsys.readouterr().err
+    assert main(["experiment", "logdrift", "--config", cfg]) == 1
+    assert "invalid choice: 'logdrift'" in capsys.readouterr().err
+    cfg = _write_cfg(tmp_path, {"command": "experiment"})
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    assert f"missing required field 'experiment' (one of {names})" in \
+        capsys.readouterr().err
+
+
 def test_char_reports_desk_values(tmp_path):
     cfg = _write_cfg(tmp_path, {"command": "char",
                                 "params": {"m": 0.2, "p": -1.2, "h": 1.0},
@@ -251,9 +266,11 @@ HOSTILE = [
     (KPP_CFG, "out_every", 0),
     (KPP_CFG, "snapshot_stride", 0),
     (LINEAR_CFG, "n_h", 0),
-    # the exact h = 0 solution takes no step, so it has no use for these
+    # the exact h = 0 solution takes no step, so it has no use for these,
+    # and it refuses a negative horizon as the stepped solver does
     (LINEAR_H0_CFG, "n_h", 8),
     (LINEAR_H0_CFG, "out_every", 100),
+    (LINEAR_H0_CFG, "T", -5.0),
     (SPEEDS_CFG, "h", -1),
     ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
     (KPP_CFG, "n", 256.7),

@@ -27,18 +27,19 @@ def test_logdrift_fit_recovers_synthetic_slope():
     a, b = 1.7, -2.5
     tr = _trace(t, a + b * np.log(t) - SPEEDS.c_plus * t)
     fit = logdrift_fit(tr, SPEEDS)
-    assert fit.coefficient == pytest.approx(b, abs=1e-10)
-    assert fit.intercept == pytest.approx(a, abs=1e-9)
-    assert fit.stderr < 1e-8
-    assert fit.ref_half == pytest.approx(1.0 / 1.2)
-    assert fit.ref_three_half == pytest.approx(3.0 / 1.2)
+    assert fit["coefficient"] == pytest.approx(b, abs=1e-10)
+    assert fit["intercept"] == pytest.approx(a, abs=1e-9)
+    assert fit["stderr"] < 1e-8
+    assert fit["ref_half"] == pytest.approx(1.0 / 1.2)
+    assert fit["ref_three_half"] == pytest.approx(3.0 / 1.2)
+    assert fit["n_samples"] == int(np.sum(t >= 25.0))
 
 
 def test_logdrift_fit_flat_drift_gives_zero_slope():
     t = np.linspace(1.0, 100.0, 200)
     tr = _trace(t, 0.4 - SPEEDS.c_plus * t)
     fit = logdrift_fit(tr, SPEEDS)
-    assert abs(fit.coefficient) < 1e-10
+    assert abs(fit["coefficient"]) < 1e-10
 
 
 def test_logdrift_fit_refuses_sparse_window():
@@ -97,6 +98,8 @@ def test_mckean_inconclusive_when_level_unreached():
            "u0": {"amplitude": 0.05, "width": 2.0}}
     rep = mckean_experiment(cfg)
     assert rep.verdict == "inconclusive"
+    # too few samples for the log-drift fit: its refusal is the entry
+    assert rep.metrics["logdrift"].startswith("log-drift fit refused")
 
 
 def test_mckean_short_symmetric_run_mirrors():
@@ -108,8 +111,12 @@ def test_mckean_short_symmetric_run_mirrors():
     assert rep.metrics["mirror_gap"] < 1e-8
     assert rep.metrics["clamp_count"] == 0
     assert rep.trace is not None
-    fit = logdrift_fit(rep.trace, SPEEDS)  # structural: enough samples
-    assert fit.n_samples >= 20
+    # the fit of the same trace, with the run's own speeds
+    speeds = SpeedPair(rep.metrics["c_minus"], rep.metrics["c_plus"],
+                       rep.metrics["lambda_minus"],
+                       rep.metrics["lambda_plus"], ())
+    assert rep.metrics["logdrift"] == logdrift_fit(rep.trace, speeds)
+    assert rep.metrics["logdrift"]["n_samples"] >= 20
 
 
 def test_spreading_pass_and_domain_guard():
@@ -126,15 +133,31 @@ def test_spreading_pass_and_domain_guard():
 
 
 def test_extinction_persistence_control():
+    # the persistence control is the spreading run: extinction refuses the
+    # request and points there, and the cone minimum at T on the same
+    # config clears the 0.1 kappa that the control once asked of sup u(T)
     cfg = {"kernel": {"family": "gaussian", "mean": 0.0, "stddev": 1.0,
                       "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
-           "L": 256.0, "n": 1024, "h": 1.0, "n_h": 32, "T": 20.0,
-           "expect": "persistence"}
-    rep = extinction_experiment(cfg)
+           "L": 256.0, "n": 1024, "h": 1.0, "n_h": 32, "T": 20.0}
+    with pytest.raises(ConfigError, match="'expect'.*'spreading'"):
+        extinction_experiment({**cfg, "expect": "persistence"})
+    rep = spreading_experiment(cfg)
     assert rep.verdict == "pass"
-    assert rep.metrics["shift"] == 0.0
-    assert rep.metrics["sup_final"] >= 0.1 * math.log(2.0)
+    assert rep.metrics["min_at_T"] >= 0.1 * math.log(2.0)
+
+
+def test_extinction_runs_small_data_to_the_horizon():
+    # the grid sup starts far below kappa and still grows: the run must
+    # not stop before T
+    cfg = {"kernel": {"family": "gaussian", "mean": 0.0, "stddev": 1.0,
+                      "mass": 1.0},
+           "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
+           "L": 256.0, "n": 1024, "h": 1.0, "n_h": 16, "T": 20.0,
+           "u0": {"amplitude": 1e-6}}
+    rep = extinction_experiment(cfg)
+    assert rep.metrics["horizon"] == 20.0
+    assert "early_exit_time" not in rep.metrics
 
 
 def test_extinction_sup_verdict_fails_on_travelling_packet():
@@ -156,10 +179,10 @@ def test_extinction_sup_verdict_fails_on_travelling_packet():
 def test_extinction_validation():
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
-           "L": 64.0, "n": 256, "h": 1.0, "n_h": 8, "T": 2.0,
-           "expect": "both"}
-    with pytest.raises(ConfigError, match="unknown expectation"):
-        extinction_experiment(cfg)
+           "L": 64.0, "n": 256, "h": 1.0, "n_h": 8, "T": 2.0}
+    for expect in ("both", "extinction", "persistence"):
+        with pytest.raises(ConfigError, match="field 'expect' is retired"):
+            extinction_experiment({**cfg, "expect": expect})
 
 
 def test_build_common_errors():

@@ -20,8 +20,10 @@ a verdict, which it also prints as a table:
   change run does not beat every parent run; the spread hides a move of
   the bound's size;
 - ``gain``: the change wins at least 9 of 10 pairs, its median beats the
-  parent's by more than the parent's interquartile range, and it has no
-  more failed runs than the parent;
+  parent's by more than the parent's interquartile range and by more than
+  GAIN_FLOOR (1%) of the parent's median, and it has no more failed runs
+  than the parent; the floor keeps a move too small to matter (a
+  0.02% RSS move past a tiny spread) from reading as a gain;
 - ``within bound``: change / parent medians <= 1 + the bound;
 - ``worse``: none of these.
 """
@@ -38,6 +40,7 @@ import sys
 import time
 
 END_TO_END = ("setup_s", "run_s", "wall_s", "peak_rss_mb")  # lower is better
+GAIN_FLOOR = 0.01  # a gain beats the parent's median by more than this share
 WORKLOADS = ("linear-xval", "kpp-extinction", "kpp-dirac")
 
 
@@ -99,7 +102,7 @@ def verdict(entry: dict, bound: float) -> str:
         return "unresolved"
     gap = parent - entry["change"]["median"]
     if 10 * entry["change_wins"] >= 9 * entry["pairs"] \
-            and gap > entry["parent_iqr"] \
+            and gap > max(entry["parent_iqr"], GAIN_FLOOR * parent) \
             and entry["failed"]["change"] <= entry["failed"]["parent"]:
         return "gain"
     if entry["change_over_parent"] <= 1.0 + bound:
