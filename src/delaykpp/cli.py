@@ -219,13 +219,16 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
     kernel = f.kernel()
     grid = f.grid()
     T = f.number("T")
+    if "diagnostics" in cfg and not T > 0.0:
+        # S_max and S_min range over the outputs after t = 0, and a run
+        # to T = 0 has none
+        raise ConfigError(f"field 'T' = {T:g}: the diagnostics need a "
+                          "horizon T > 0")
+    stride = f.count("snapshot_stride", 1)
     traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
                         f.count("n_h", None), f.count("out_every", None))
 
-    stride = f.count("snapshot_stride", 1)
-    _write_csv(os.path.join(out, "linear_snapshots.csv"), "t,x,u",
-               _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
-
+    # every file is written after the last value that can be refused
     report = {"T": T, "n_h": int(traj.n_h),
               "edge_fraction": float(traj.edge_fraction),
               "final_sup": float(np.max(np.abs(traj.fields[-1])))}
@@ -241,15 +244,17 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
                            "sigma_m": tang.sigma_m, "D_final": float(D[-1])})
         else:
             D = np.full_like(S, math.nan)
-        rows = [(float(t), float(d), float(s))
-                for t, d, s in zip(traj.times, D, S)]
-        _write_csv(os.path.join(out, "linear_diagnostics.csv"), "t,D,S",
-                   _csv_lines(rows))
         pos = traj.times > 0
         report.update({"gamma0": pair.gamma0, "z0": pair.z0,
                        "S_final": float(S[-1]),
                        "S_max": float(np.max(S[pos])),
                        "S_min": float(np.min(S[pos]))})
+        rows = [(float(t), float(d), float(s))
+                for t, d, s in zip(traj.times, D, S)]
+        _write_csv(os.path.join(out, "linear_diagnostics.csv"), "t,D,S",
+                   _csv_lines(rows))
+    _write_csv(os.path.join(out, "linear_snapshots.csv"), "t,x,u",
+               _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
     _write_json(os.path.join(out, "linear_report.json"), report)
     if not quiet:
         print(f"simulate-linear: {traj.times.size} outputs to T={_fmt(T)}, "

@@ -54,8 +54,8 @@ every ``experiment``):
     traced level; kappa is the birth's positive equilibrium.
 ``z0``  number, default 0 [char]: tilt of the decay pair.
 ``diagnostics``  object [simulate-linear]: when present, writes the decay
-    diagnostics.  ``z0`` (number, default 0), ``tangency`` (flag, default
-    true), ``probe_x`` (number, default 0).
+    diagnostics, and then needs ``T`` > 0.  ``z0`` (number, default 0),
+    ``tangency`` (flag, default true), ``probe_x`` (number, default 0).
 ``t_min``  number > 0, default 0.25 [fundamental]: smallest time the
     symbol grid resolves.
 ``x_span``  number > 0, default 40 [fundamental]: width of the x window.
@@ -69,8 +69,9 @@ every ``experiment``):
     persistence control is ``spreading``.
 ``tune_margin``  number > 0, default 0.5; ``max_shift`` number, default
     32 [extinction].
-``window_halfwidth``  number > 0, default 20; ``probe_x`` number, default
-    0 [extinction]: where the pointwise metrics are read.
+``window_halfwidth``  number > 0, default 20; ``probe_x`` number in
+    [-L/2, L/2), default 0 [extinction]: where the pointwise metrics are
+    read.
 """
 
 from __future__ import annotations

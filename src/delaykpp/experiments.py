@@ -220,11 +220,10 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     The kernel is shifted (by tune_kernel_shift; with tune false it is
     used as given) until c_plus < 0, so both edge speeds share a sign
     and the population packet travels rightward while every fixed point
-    is left behind.  The run always reaches T; it proceeds in blocks of
-    10 h only so that no block stores more than 10 h of snapshots, which
-    keeps the peak memory of a long run down.  Verdict "pass" requires
-    sup_x u(T) < 1e-3 kappa and an eventually-decreasing sup; the
-    one-sided decay bound
+    is left behind.  The run reaches T in one pass and reduces each
+    snapshot to its sups as the solver makes it, so no snapshot is
+    stored.  Verdict "pass" requires sup_x u(T) < 1e-3 kappa and an
+    eventually-decreasing sup; the one-sided decay bound
     sup_{z <= -ct} u <= C e^{lambda_plus (c_plus - c) t} with
     c = c_plus + 0.2 is calibrated on the first quarter of the window and
     checked on the rest (factor-2 slack), and reported alongside.
@@ -235,8 +234,9 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     the pointwise claim: ray_sup_final (sup over z <= -ct at the
     horizon, the theorem's own limit quantity), window_sup_final (sup
     over a fixed |x| <= window_halfwidth) and probe_u_final (u at a
-    fixed probe_x).  The default tune_margin 0.5 puts the trailing edge
-    deep enough into retreat that these decay within desk horizons.
+    fixed probe_x, which must lie on the grid [-L/2, L/2)).  The default
+    tune_margin 0.5 puts the trailing edge deep enough into retreat that
+    these decay within desk horizons.
     Persistence in the symmetric case is the spreading experiment's cone
     minimum; a config that still names the retired field 'expect' is
     refused, since ignoring it would turn a persistence request into an
@@ -253,6 +253,10 @@ def extinction_experiment(config: dict) -> ExperimentReport:
             "of experiment 'spreading'")
     win = f.positive("window_halfwidth", 20.0)
     probe_x = f.number("probe_x", 0.0)
+    if not -0.5 * grid.length <= probe_x < 0.5 * grid.length:
+        raise ConfigError(
+            f"field 'probe_x' = {probe_x:g} lies outside the grid "
+            f"[{-0.5 * grid.length:g}, {0.5 * grid.length:g})")
     if f.flag("tune", True):
         kernel0, shift = tune_kernel_shift(
             kernel0, birth.gprime0, h,
@@ -263,31 +267,23 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     kappa = birth.kappa
 
-    block = 10.0 * h
-    out_every = default_out_every(n_h)
-    sup_t, sup_v = [0.0], [float(np.max(u0))]
+    sup_t, sup_v = [], []
     left_t, left_v = [], []  # sup over z <= -c t, c = c_plus + 0.2
     c_ray = speeds.c_plus + 0.2
-    t_done, state = 0.0, u0
-    clamps = 0
-    edge = 0.0
-    while t_done < T - 1e-9:
-        T_blk = min(block, T - t_done)
-        traj = solve_kpp(kernel0, birth, grid, state, T_blk, h, n_h,
-                         out_every, return_history=True)
-        clamps += traj.clamp_count
-        edge = max(edge, traj.edge_fraction)
-        for i in range(1, traj.times.size):
-            t_abs = t_done + float(traj.times[i])
-            sup_t.append(t_abs)
-            sup_v.append(float(np.max(traj.fields[i])))
-            sel = grid.x <= -c_ray * t_abs
-            if np.any(sel):
-                left_t.append(t_abs)
-                left_v.append(float(np.max(traj.fields[i][sel])))
-        t_done += float(traj.times[-1])
-        state = traj.final_history
-        final_field = traj.fields[-1]
+    final_field = None
+
+    def observe(t, u):
+        nonlocal final_field
+        sup_t.append(t)
+        sup_v.append(float(np.max(u)))
+        sel = grid.x <= -c_ray * t
+        if t > 0.0 and np.any(sel):
+            left_t.append(t)
+            left_v.append(float(np.max(u[sel])))
+        final_field = u
+
+    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h,
+                     default_out_every(n_h), collect=observe)
     sup_t = np.array(sup_t)
     sup_v = np.array(sup_v)
 
@@ -331,7 +327,8 @@ def extinction_experiment(config: dict) -> ExperimentReport:
         "window_sup_final": window_sup_final,
         "probe_u_final": probe_u_final,
         "horizon": float(sup_t[-1]),
-        "clamp_count": clamps, "edge_fraction": edge,
+        "clamp_count": traj.clamp_count,
+        "edge_fraction": traj.edge_fraction,
     }
     return ExperimentReport(name="extinction", params=dict(config),
                             metrics=metrics, verdict=verdict)

@@ -121,14 +121,6 @@ class HistoryRing:
         self.vals[s] = val
         self.ders[s] = der
 
-    def window(self):
-        """Stored nodes in time order (values, derivatives); row j is time
-        t - h + j*dt for the newest stored time t.  Feeding this back as a
-        history pair resumes a run exactly."""
-        idx = [self._slot(self._step - self.n_h + j)
-               for j in range(self.n_h + 1)]
-        return self.vals[idx].copy(), self.ders[idx].copy()
-
 
 def _check_bytes(nbytes: int, what: str) -> None:
     if nbytes > MAX_BYTES:
@@ -173,29 +165,37 @@ def warn_edge(edge: float) -> float:
 
 
 class Outputs:
-    """Output schedule of a run of T/dt steps and its stored snapshots.
+    """Output schedule of a run of T/dt steps and where its snapshots go.
 
     Steps 0, out_every, 2 out_every, ... and the last step are kept; the
-    default out_every keeps about 400.  The step count and the snapshot
-    array must fit MAX_STEPS and MAX_BYTES.  rows maps a kept step to its
-    row of the preallocated fields array; store() fills a row and keeps
-    the largest edge fraction in edge, for warn_edge once the run ends.
+    default out_every keeps about 400.  rows maps a kept step to its row
+    of the schedule.  store() writes the snapshot to that row of the
+    preallocated fields array or, given collect, calls collect(t, field)
+    and stores nothing (times and fields are then empty); either way it
+    keeps the largest edge fraction in edge, for warn_edge once the run
+    ends.  The step count must fit MAX_STEPS, and stored snapshots
+    MAX_BYTES.
     """
 
     def __init__(self, T: float, dt: float, out_every: int | None,
-                 width: int):
+                 width: int, collect=None):
         self.n_steps = step_count(T, dt)
         if out_every is None:
             out_every = max(1, self.n_steps // 400)
-        _check_bytes(8 * width * (self.n_steps // out_every + 2),
-                     f"snapshots every {out_every} of {self.n_steps} steps "
-                     f"(fields 'out_every' and 'T')")
+        if collect is None:
+            _check_bytes(8 * width * (self.n_steps // out_every + 2),
+                         f"snapshots every {out_every} of {self.n_steps} "
+                         f"steps (fields 'out_every' and 'T')")
         steps = every_kth(self.n_steps + 1, out_every)
         self.rows = {n: i for i, n in enumerate(steps)}
-        self.times = np.array(steps, dtype=float) * dt
-        self.fields = np.empty((len(steps), width))
+        self._times, self._collect = np.array(steps, float) * dt, collect
+        kept = len(steps) if collect is None else 0
+        self.times, self.fields = self._times[:kept], np.empty((kept, width))
         self.edge = 0.0
 
     def store(self, row: int, field) -> None:
-        self.fields[row] = field
+        if self._collect is None:
+            self.fields[row] = field
+        else:
+            self._collect(float(self._times[row]), field)
         self.edge = max(self.edge, edge_fraction(field))

@@ -139,10 +139,10 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
 def _profile(u0, width: int, dtype=float) -> np.ndarray:
     """u0 as one (width,) profile: an array or a scalar constant.
 
-    Only an h = 0 run reaches this with a callable or a history pair; both
-    describe a delay window, which an undelayed run does not have.
+    Only an h = 0 run reaches this with a callable, which describes a
+    delay window that an undelayed run does not have.
     """
-    if callable(u0) or isinstance(u0, tuple):
+    if callable(u0):
         raise ConfigError("h=0 takes a single initial profile")
     prof = np.asarray(u0, dtype)
     if prof.ndim == 0:
@@ -156,20 +156,13 @@ def _profile(u0, width: int, dtype=float) -> np.ndarray:
 def _history_samples(u0, n_h: int, h: float, width: int, dtype):
     """Sample history and its time derivative on the ring nodes.
 
-    u0 may be a constant profile (see _profile), a callable s -> profile
-    on [-h, 0], or a (values, derivatives) pair of (n_h+1, width) arrays.
-    A constant profile gives one (1, width) row of values and one of zero
-    derivatives, which HistoryRing.fill broadcasts to every node.
+    u0 may be a constant profile (see _profile) or a callable s -> profile
+    on [-h, 0].  A constant profile gives one (1, width) row of values and
+    one of zero derivatives, which HistoryRing.fill broadcasts to every
+    node.
     """
-    shape = (n_h + 1, width)
-    if isinstance(u0, tuple) and len(u0) == 2:
-        vals = np.asarray(u0[0], dtype)
-        ders = np.asarray(u0[1], dtype)
-        if vals.shape != shape or ders.shape != shape:
-            raise ConfigError(
-                f"history arrays must have shape {shape}, got {vals.shape}")
-        return vals.copy(), ders.copy()
     if callable(u0):
+        shape = (n_h + 1, width)
         dt = h / n_h
         vals = np.empty(shape, dtype)
         ders = np.empty(shape, dtype)
@@ -204,8 +197,8 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     stiff part of every mode, so n_h (default 64) sets accuracy only and
     is used as given.
 
-    u0: constant profile, callable s -> profile on [-h, 0], or a
-    (values, derivatives) history pair; see _history_samples.
+    u0: constant profile, or callable s -> profile on [-h, 0]; see
+    _history_samples.
     Snapshots follow the grids.Outputs schedule (out_every=None keeps
     about 400), which also emits the truncation warning when the solution
     touches the periodic edge; for h = 0 the exact solution is sampled at
@@ -270,8 +263,17 @@ def tangency_limit_diagnostic(traj: LinearTrajectory,
 
         D(t) = sqrt(t) e^{gamma_m t} u(t, x_probe) e^{-z_m x_probe},
 
-    which approaches (integral of u0) / (2 sqrt(pi sigma_m)) when the
-    tangency asymptotics hold."""
+    For a constant history u0 it approaches, when the tangency
+    asymptotics hold,
+
+        R (integral of u0(y) e^{-z_m y} dy) / (2 sqrt(pi sigma_m)),
+        R = [1 + kappa (1 - e^{-s h}) / s] / (1 + h kappa e^{-s h}),
+
+    at s = -gamma_m and kappa = tang.khat0, the tilted kernel's mass: R
+    is the residue of the principal root for a constant history.  On
+    desk-tangency-linear (n_h 64) a fit of D_inf + a/t + b/t^2 + c/t^3 to
+    D over t >= 100 lands 3.5e-10 from it; the untilted mass without R is
+    2.4% away."""
     times = traj.times
     D = np.empty_like(times)
     scale = np.exp(-tang.z_m * x_probe)

@@ -90,7 +90,6 @@ class KPPTrajectory:
     n_h: int
     clamp_count: int  # delayed-profile entries clamped to 0 before g
     edge_fraction: float
-    final_history: tuple | None = None  # (values, derivatives) to resume
 
 
 @lru_cache(maxsize=32)
@@ -247,20 +246,22 @@ def _clamped_birth(birth, v, counter):
 
 def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
               n_h: int | None = None, out_every: int | None = None,
-              return_history: bool = False) -> KPPTrajectory:
+              collect=None) -> KPPTrajectory:
     """Solve the delayed non-local KPP equation on the periodic grid.
 
-    u0: constant profile, callable s -> profile on [-h, 0], or a
-    (values, derivatives) history pair (derivatives are ignored here).
+    u0: constant profile, or callable s -> profile on [-h, 0].
 
     Negative delayed values (roundoff undershoots or deliberately signed
     data) are clamped to 0 before entering g; clamps beyond roundoff size
     are counted in the trajectory.  Aborts with the last healthy time if
-    the solution loses finiteness.  With return_history the trajectory
-    carries the final delay window, so a follow-up run can resume exactly.
-    Snapshots follow the grids.Outputs schedule (out_every=None keeps
-    about 400), which also warns when the solution reaches the periodic
-    edge.
+    the solution loses finiteness.  Snapshots follow the grids.Outputs
+    schedule (out_every=None keeps about 400), which also warns when the
+    solution reaches the periodic edge.  Without collect they are stored
+    in the trajectory; with it, each kept snapshot goes to collect(t, u)
+    instead and the trajectory's times and fields are empty.  u is a
+    fresh array that the solver never writes again.  The clamp count, the
+    edge fraction and the finiteness check cover every kept snapshot
+    either way.
     """
     if T <= 0.0:
         raise ConfigError(f"final time must be positive, got {T}")
@@ -270,7 +271,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     if n_h < 1:
         raise ConfigError(f"n_h must be >= 1, got {n_h}")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
-    out = Outputs(T, dt, out_every, grid.n)
+    out = Outputs(T, dt, out_every, grid.n, collect)
 
     st_p0, st_a, st_b, st_ab = _etd_stencils(dt, grid.dx, grid.n)
     kconv = _kernel_applier(kernel0, grid)
@@ -317,11 +318,9 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             out.store(i, u)
             last_healthy = (n + 1) * dt
 
-    history = ring.window() if (return_history and ring is not None) else None
     return KPPTrajectory(grid=grid, times=out.times, fields=out.fields,
                          n_h=n_h, clamp_count=counter[0],
-                         edge_fraction=warn_edge(out.edge),
-                         final_history=history)
+                         edge_fraction=warn_edge(out.edge))
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,9 @@ HOSTILE = [
     (EXTINCTION_CFG, "tune_margin", -0.5),
     (EXTINCTION_CFG, "tune_margin", 0.0),
     (EXTINCTION_CFG, "window_halfwidth", -1.0),
+    (EXTINCTION_CFG, "probe_x", 1e6),
+    # the diagnostics range over the outputs after t = 0
+    (LINEAR_CFG, "T", 0.0),
     ({**MCKEAN_CFG, "experiment": "spreading"}, "L", 8.0),
     (KPP_CFG, "beta", 5.0),
     (FUNDAMENTAL_CFG, "residual_t", 0.1),
@@ -323,6 +326,26 @@ def test_hostile_config_names_field(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"'{named[0] if named else path}'" in err
     assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]  # refused before any write
+
+
+def test_extinction_tiny_horizon_takes_one_step(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {**EXTINCTION_CFG, "L": 128.0, "n": 512,
+                                "n_h": 16, "T": 1e-10,
+                                "kernel": {"family": "gaussian",
+                                           "stddev": 1.0}})
+    assert run(cfg, str(tmp_path), quiet=True) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "extinction_report.json").read_text())
+    assert report["metrics"]["horizon"] == 0.0625  # the one step dt = h/16
+
+
+def test_linear_horizon_zero_runs_without_diagnostics(tmp_path):
+    cfg = {k: v for k, v in LINEAR_CFG.items() if k != "diagnostics"}
+    assert run(_write_cfg(tmp_path, {**cfg, "T": 0.0}), str(tmp_path),
+               quiet=True) == 0
+    report = json.loads((tmp_path / "linear_report.json").read_text())
+    assert report["T"] == 0.0
 
 
 _FRAME_STALL = ("error: field 'kernel': frame tangency at the critical "

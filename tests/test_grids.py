@@ -43,9 +43,8 @@ def test_history_ring_fill_broadcasts_one_row_and_refuses_other_shapes():
     ring = HistoryRing(2.0, 8, 3)
     row = np.array([[1.0, 2.0, 3.0]])
     ring.fill(row, np.zeros_like(row))
-    vals, ders = ring.window()
-    np.testing.assert_array_equal(vals, np.tile(row, (9, 1)))
-    np.testing.assert_array_equal(ders, 0.0)
+    np.testing.assert_array_equal(ring.vals, np.tile(row, (9, 1)))
+    np.testing.assert_array_equal(ring.ders, 0.0)
     with pytest.raises(ConfigError, match=r"\(2, 3\).*\(9, 3\)"):
         ring.fill(np.ones((2, 3)), np.zeros((1, 3)))
     with pytest.raises(ConfigError, match=r"\(9, 4\).*\(9, 3\)"):
@@ -74,24 +73,6 @@ def test_history_ring_slots_across_windows():
         (v_old, _), _ = ring.delayed_nodes()
         assert ring.newest[0] == pytest.approx(np.sin(0.7 * t), abs=1e-14)
         assert v_old[0] == pytest.approx(np.sin(0.7 * (t - h)), abs=1e-14)
-
-
-def test_history_ring_window_resumes_exactly():
-    h, n_h = 1.0, 8
-    ring = HistoryRing(h, n_h, 1, dtype=float)
-    dt = ring.dt
-    times = -h + dt * np.arange(n_h + 1)
-    ring.fill(np.stack([[np.exp(t)] for t in times]),
-              np.stack([[np.exp(t)] for t in times]))
-    for step in range(1, 5):
-        t = step * dt
-        ring.push(np.array([np.exp(t)]), np.array([np.exp(t)]))
-    vals, ders = ring.window()
-    fresh = HistoryRing(h, n_h, 1, dtype=float)
-    fresh.fill(vals, ders)
-    np.testing.assert_array_equal(fresh.newest, ring.newest)
-    np.testing.assert_array_equal(fresh.delayed_nodes()[0][0],
-                                  ring.delayed_nodes()[0][0])
 
 
 def test_history_ring_midpoint_interpolation_order():

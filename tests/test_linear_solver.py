@@ -190,12 +190,8 @@ def test_n_h_none_is_the_default_64():
     np.testing.assert_array_equal(default.fields, given.fields)
 
 
-def test_history_pair_shape_validation():
+def test_history_profile_shape_validation():
     grid = Grid(32.0, 256)
-    bad = (np.zeros((3, grid.n)), np.zeros((3, grid.n)))
-    with pytest.raises(ConfigError, match="history arrays must have shape"):
-        solve_linear(CharParams(0.0, -1.0, 1.0), Gaussian(0.0, 1.0, 1.0),
-                     grid, bad, T=1.0, n_h=8)
     with pytest.raises(ConfigError, match="history profile must have shape"):
         solve_linear(CharParams(0.0, -1.0, 1.0), Gaussian(0.0, 1.0, 1.0),
                      grid, np.zeros(7), T=1.0, n_h=8)

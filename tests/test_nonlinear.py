@@ -118,17 +118,25 @@ def test_input_validation():
                   lambda s: np.zeros(GRID.n), T=1.0, h=0.0)
 
 
-def test_resume_from_final_history_is_exact():
+def test_collector_sees_exactly_the_stored_snapshots():
+    # signed data, so that clamps are counted; of the 74 steps to T = 2.3,
+    # out_every 8 keeps 0, 8, ..., 72 and the last one, off that grid
     birth = Nicholson(2.0, 1.0)
     kern = Gaussian(0.0, 1.0, 1.0)
-    u0 = 0.4 * np.exp(-GRID.x ** 2)
-    full = solve_kpp(kern, birth, GRID, u0, T=2.0, h=0.5, n_h=16,
-                     out_every=8)
-    part = solve_kpp(kern, birth, GRID, u0, T=1.0, h=0.5, n_h=16,
-                     out_every=8, return_history=True)
-    resumed = solve_kpp(kern, birth, GRID, part.final_history, T=1.0,
-                        h=0.5, n_h=16, out_every=8)
-    np.testing.assert_array_equal(resumed.fields[-1], full.fields[-1])
+    u0 = 0.4 * np.exp(-GRID.x ** 2) - 0.2 * np.exp(-(GRID.x - 3.0) ** 2)
+    stored = solve_kpp(kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
+                       out_every=8)
+    seen = []
+    collected = solve_kpp(kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
+                          out_every=8,
+                          collect=lambda t, u: seen.append((t, u)))
+    assert stored.clamp_count > 0
+    assert [t for t, _ in seen] == stored.times.tolist()
+    np.testing.assert_array_equal(np.array([u for _, u in seen]),
+                                  stored.fields)
+    assert collected.times.size == 0 and collected.fields.size == 0
+    assert collected.clamp_count == stored.clamp_count
+    assert collected.edge_fraction == stored.edge_fraction
 
 
 def test_etd_stencils_positive_with_exact_dc():
@@ -280,14 +288,11 @@ def test_no_subnormal_values_are_stored(h):
     # subnormal range; every stored and pushed entry is 0 or >= _UNDERFLOW
     grid = Grid(256.0, 512)
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
+    # out_every=1 stores every profile the run pushes
     traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0,
-                     T=2.0, h=h, n_h=16, return_history=h > 0.0)
-    stored = [traj.fields]
-    if h > 0.0:
-        stored.append(traj.final_history[0])
-    for values in stored:
-        tiny = (values != 0.0) & (np.abs(values) < _UNDERFLOW)
-        assert not np.any(tiny)
+                     T=2.0, h=h, n_h=16, out_every=1)
+    tiny = (traj.fields != 0.0) & (np.abs(traj.fields) < _UNDERFLOW)
+    assert not np.any(tiny)
 
 
 def test_h0_convolutions_see_no_subnormal_input(monkeypatch):
