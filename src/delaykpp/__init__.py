@@ -12,16 +12,16 @@ from .characteristic import (CharParams, DecayPair, TangencySolution,
                              SpeedPair, gamma_zero, gamma_on_grid,
                              tangency_solve, polish_speed, critical_speeds,
                              implicit_l, envelope_bounds)
-from .grids import Grid, HistoryRing
+from .grids import Grid, HistoryRing, Trajectory
 from .birth import (Nicholson, MackeyGlass, LinearCap, LinearBirth,
                     birth_from_dict)
-from .linear_solver import (LinearTrajectory, solve_linear, probe_value,
+from .linear_solver import (solve_linear, probe_value,
                             tangency_limit_diagnostic,
                             universal_bound_diagnostic)
 from .fundamental import (SymbolTable, gate_check, rho_solve, symbol_table,
                           approx_identity_error, pde_residual)
-from .nonlinear import (KPPTrajectory, solve_kpp, LevelCrossings, level_set,
-                        LevelSetTrace, trace_levels)
+from .nonlinear import (solve_kpp, LevelCrossings, level_set, LevelSetTrace,
+                        trace_levels)
 from .experiments import (ExperimentReport, mckean_experiment, logdrift_fit,
                           extinction_experiment, spreading_experiment,
                           bridge_check, verdict_stability, tune_kernel_shift)

@@ -8,6 +8,15 @@ CSV traces written atomically (temp file + rename) with floats at 17
 significant digits and sorted keys, so a rerun of the same config is
 byte-identical.
 
+Each subcommand has a handler that takes only the config and returns
+(files, line, status): files maps an output file name to its content (a
+JSON object, or for a .csv name a (header, lines) pair of the CSV's
+header and an iterable of text lines), line is the stdout summary and
+status the exit status.  run() writes every file in one loop once the
+handler has returned, then prints the line unless --quiet: a refused
+value never leaves a file behind, since every value is read before the
+handler returns.  CSV lines are generated while their file is written.
+
 Exit status: 0 for a passing verdict or a diagnostic, 2 when an
 experiment verdict is "fail" or "inconclusive", 1 for config or runtime
 errors (message on stderr names the offending field or gate).
@@ -148,10 +157,11 @@ def _load_config(path: str | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns a process exit status
+# subcommand handlers: config -> (files, line, status), as the module
+# docstring states
 
 
-def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
+def _cmd_speeds(cfg: dict):
     f = Fields(cfg)
     g1 = f.gprime0()
     kernel0 = f.growing_kernel(g1)
@@ -174,14 +184,12 @@ def _cmd_speeds(cfg: dict, out: str, quiet: bool) -> int:
         # the speeds solved, so the kernel is too extreme for the frame
         raise ConfigError(f"field 'kernel': frame tangency at the critical "
                           f"speeds failed: {exc}") from None
-    _write_json(os.path.join(out, "speeds_report.json"), report)
-    if not quiet:
-        print(f"speeds: c_minus={_fmt(report['c_minus'])} "
-              f"c_plus={_fmt(report['c_plus'])}")
-    return 0
+    return ({"speeds_report.json": report},
+            f"speeds: c_minus={_fmt(report['c_minus'])} "
+            f"c_plus={_fmt(report['c_plus'])}", 0)
 
 
-def _cmd_char(cfg: dict, out: str, quiet: bool) -> int:
+def _cmd_char(cfg: dict):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
@@ -197,10 +205,8 @@ def _cmd_char(cfg: dict, out: str, quiet: bool) -> int:
                        "residual_slope": tang.residual_slope})
     except (ValueError, RuntimeError) as exc:
         report["tangency_error"] = str(exc)
-    _write_json(os.path.join(out, "char_report.json"), report)
-    if not quiet:
-        print(f"char: gamma0={_fmt(report['gamma0'])} at z0={_fmt(z0)}")
-    return 0
+    return ({"char_report.json": report},
+            f"char: gamma0={_fmt(report['gamma0'])} at z0={_fmt(z0)}", 0)
 
 
 def _snapshot_blocks(times, fields, x, stride: int):
@@ -213,7 +219,12 @@ def _snapshot_blocks(times, fields, x, stride: int):
                           zip(x_text, map(_fmt, fields[i].tolist()))])
 
 
-def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
+def _snapshots_csv(traj, stride: int):
+    return "t,x,u", _snapshot_blocks(traj.times, traj.fields, traj.grid.x,
+                                     stride)
+
+
+def _cmd_simulate_linear(cfg: dict):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
@@ -228,7 +239,7 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
     traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
                         f.count("n_h", None), f.count("out_every", None))
 
-    # every file is written after the last value that can be refused
+    files = {}
     report = {"T": T, "n_h": int(traj.n_h),
               "edge_fraction": float(traj.edge_fraction),
               "final_sup": float(np.max(np.abs(traj.fields[-1])))}
@@ -251,18 +262,14 @@ def _cmd_simulate_linear(cfg: dict, out: str, quiet: bool) -> int:
                        "S_min": float(np.min(S[pos]))})
         rows = [(float(t), float(d), float(s))
                 for t, d, s in zip(traj.times, D, S)]
-        _write_csv(os.path.join(out, "linear_diagnostics.csv"), "t,D,S",
-                   _csv_lines(rows))
-    _write_csv(os.path.join(out, "linear_snapshots.csv"), "t,x,u",
-               _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
-    _write_json(os.path.join(out, "linear_report.json"), report)
-    if not quiet:
-        print(f"simulate-linear: {traj.times.size} outputs to T={_fmt(T)}, "
-              f"edge fraction {traj.edge_fraction:.2e}")
-    return 0
+        files["linear_diagnostics.csv"] = ("t,D,S", _csv_lines(rows))
+    files["linear_snapshots.csv"] = _snapshots_csv(traj, stride)
+    files["linear_report.json"] = report
+    return (files, f"simulate-linear: {traj.times.size} outputs to "
+            f"T={_fmt(T)}, edge fraction {traj.edge_fraction:.2e}", 0)
 
 
-def _cmd_fundamental(cfg: dict, out: str, quiet: bool) -> int:
+def _cmd_fundamental(cfg: dict):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
@@ -292,22 +299,20 @@ def _cmd_fundamental(cfg: dict, out: str, quiet: bool) -> int:
     report["identity_errors"] = errs
     report["identity_strictly_decreasing"] = bool(
         all(b < a for a, b in zip(errs, errs[1:])))
-    _write_json(os.path.join(out, "fundamental_report.json"), report)
-    if not quiet:
-        print(f"fundamental: pde residual {report['pde_residual']:.3e}, "
-              f"identity errors {['%.3e' % e for e in errs]}")
-    return 0
+    return ({"fundamental_report.json": report},
+            f"fundamental: pde residual {report['pde_residual']:.3e}, "
+            f"identity errors {['%.3e' % e for e in errs]}", 0)
 
 
-def _write_levels(path: str, trace) -> None:
+def _levels_csv(trace):
     """The level-set trace as the t,beta,m_minus,m_plus,attained CSV."""
     rows = ((float(t), float(trace.beta), float(lo), float(hi),
              int(math.isfinite(lo) and math.isfinite(hi)))
             for t, lo, hi in zip(trace.times, trace.m_minus, trace.m_plus))
-    _write_csv(path, "t,beta,m_minus,m_plus,attained", _csv_lines(rows))
+    return "t,beta,m_minus,m_plus,attained", _csv_lines(rows)
 
 
-def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
+def _cmd_simulate_kpp(cfg: dict):
     f = Fields(cfg)
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
     out_every = f.count("out_every", default_out_every(n_h))
@@ -315,10 +320,6 @@ def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
     traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     trace = trace_levels(traj, beta, speeds)
-
-    _write_csv(os.path.join(out, "kpp_snapshots.csv"), "t,x,u",
-               _snapshot_blocks(traj.times, traj.fields, grid.x, stride))
-    _write_levels(os.path.join(out, "kpp_levels.csv"), trace)
     report = {
         "kappa": birth.kappa, "beta": beta,
         "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
@@ -329,32 +330,30 @@ def _cmd_simulate_kpp(cfg: dict, out: str, quiet: bool) -> int:
         "clamp_count": int(traj.clamp_count),
         "edge_fraction": float(traj.edge_fraction),
     }
-    _write_json(os.path.join(out, "kpp_report.json"), report)
-    if not quiet:
-        print(f"simulate-kpp: final sup {_fmt(report['final_sup'])} "
-              f"(kappa {_fmt(birth.kappa)})")
-    return 0
+    return ({"kpp_snapshots.csv": _snapshots_csv(traj, stride),
+             "kpp_levels.csv": _levels_csv(trace),
+             "kpp_report.json": report},
+            f"simulate-kpp: final sup {_fmt(report['final_sup'])} "
+            f"(kappa {_fmt(birth.kappa)})", 0)
 
 
-def _cmd_experiment(runner, cfg: dict, out: str, quiet: bool) -> int:
+def _cmd_experiment(runner, cfg: dict):
     rep = runner(cfg)
-    _write_json(os.path.join(out, f"{rep.name}_report.json"), rep.to_dict())
+    files = {f"{rep.name}_report.json": rep.to_dict()}
     if rep.trace is not None:
-        _write_levels(os.path.join(out, f"{rep.name}_levels.csv"), rep.trace)
-    if not quiet:
-        print(f"experiment {rep.name}: verdict {rep.verdict}")
-    return 0 if rep.verdict in ("pass", "diagnostic") else 2
+        files[f"{rep.name}_levels.csv"] = _levels_csv(rep.trace)
+    return (files, f"experiment {rep.name}: verdict {rep.verdict}",
+            0 if rep.verdict in ("pass", "diagnostic") else 2)
 
 
-def _cmd_verify(cfg: dict, out: str, quiet: bool) -> int:
+def _cmd_verify(cfg: dict):
     results = run_checks()
-    for r in results:
-        if not quiet:
-            print(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     report = {"checks": [r.to_dict() for r in results],
               "all_passed": all(r.passed for r in results)}
-    _write_json(os.path.join(out, "verify_report.json"), report)
-    return 0 if report["all_passed"] else 1
+    return ({"verify_report.json": report},
+            "\n".join(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: "
+                      f"{r.detail}" for r in results),
+            0 if report["all_passed"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +418,21 @@ def run(config_path: str | None, out_dir: str = ".", quiet: bool = False,
     f = Fields(cfg)
     command = _chosen(f, "command", command, [*_COMMANDS, "experiment"])
     if command in _COMMANDS:
-        return _COMMANDS[command](cfg, out_dir, quiet)
-    runners = _experiments()
-    name = _chosen(f, "experiment", experiment, list(runners))
-    return _cmd_experiment(runners[name], cfg, out_dir, quiet)
+        handler = _COMMANDS[command]
+    else:
+        runners = _experiments()
+        name = _chosen(f, "experiment", experiment, list(runners))
+        handler = functools.partial(_cmd_experiment, runners[name])
+    files, line, status = handler(cfg)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _write_json(path, content)
+    if not quiet:
+        print(line)
+    return status
 
 
 class _Parser(argparse.ArgumentParser):

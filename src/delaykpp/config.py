@@ -34,16 +34,21 @@ every ``experiment``):
 ``L``  number > 0, required [simulate-linear, simulate-kpp, exp]: period
     of the grid.
 ``n``  count, required [simulate-linear, simulate-kpp, exp]: grid points,
-    a power of two >= 256.
+    a power of two >= 256, and at most grids.MAX_BYTES / 16 (2**26): the
+    shortest run's snapshot array, two rows of n floats, must fit the
+    budget.  It is refused before any array of the grid's size exists.
 ``T``  number, required [simulate-linear, simulate-kpp, exp]: the
     horizon; > 0 for the KPP runs and >= 0 for simulate-linear, and
     T/dt may not exceed grids.MAX_STEPS.
 ``n_h``  count [simulate-linear, simulate-kpp, exp]: steps per delay;
-    default 64 (KPP_NH).
+    default 64 (grids.DEFAULT_N_H).  Refused at h = 0, where there is no
+    delay to divide: simulate-linear solves exactly and the KPP runs step
+    at min(1/64, T/64).
 ``out_every``  count [simulate-linear, simulate-kpp, mckean]:
     steps between stored snapshots (the last step is always stored);
     default about 400 snapshots for simulate-linear, every quarter delay
-    (default_out_every) for the KPP runs.
+    (default_out_every) for the KPP runs.  Refused by simulate-linear at
+    h = 0, which keeps the 257 times k T/256 (one when T = 0).
 ``snapshot_stride``  count, default 1 [simulate-linear, simulate-kpp]:
     write every k-th stored snapshot (and the last) to the CSV.
 ``u0``  object, default {} [simulate-linear, simulate-kpp, exp]: either
@@ -83,13 +88,11 @@ import numpy as np
 from .birth import birth_from_dict
 from .characteristic import CharParams, _require_growth
 from .errors import ConfigError
-from .grids import Grid
+from .grids import DEFAULT_N_H, Grid
 from .kernels import Kernel, kernel_from_dict
 
-__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_NH",
-           "KPP_AMPLITUDE"]
+__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_AMPLITUDE"]
 
-KPP_NH = 64  # default steps per delay of a KPP run
 KPP_AMPLITUDE = 0.9  # default bump amplitude of a KPP run, times kappa
 _REQUIRED = object()
 
@@ -246,7 +249,10 @@ def kpp_inputs(cfg: dict) -> tuple:
     kernel = f.growing_kernel(birth.gprime0)
     grid = f.grid()
     h = f.delay()
-    n_h = f.count("n_h", KPP_NH)
+    if h == 0.0 and "n_h" in cfg:
+        raise ConfigError("field 'n_h' must be omitted when field 'h' is 0: "
+                          "an undelayed run steps at min(1/64, T/64)")
+    n_h = f.count("n_h", DEFAULT_N_H)
     T = f.positive("T")
     kappa = birth.kappa
     beta = f.number("beta", 0.5 * kappa)

@@ -22,9 +22,9 @@ import numpy as np
 from .characteristic import (CharParams, _require_growth, _strip_limits,
                              _tilt_argmin, _zoom_min, critical_speeds,
                              tangency_solve)
-from .config import (KPP_AMPLITUDE, KPP_NH, Fields, default_out_every,
-                     kpp_inputs)
+from .config import KPP_AMPLITUDE, Fields, default_out_every, kpp_inputs
 from .errors import ConfigError
+from .grids import DEFAULT_N_H
 from .kernels import Kernel
 from .linear_solver import solve_linear
 from .nonlinear import LevelSetTrace, solve_kpp, trace_levels
@@ -484,7 +484,7 @@ def verdict_stability(experiment, config: dict, metric_keys,
     f = Fields(config)
     base = experiment(config)
     refined = [
-        experiment({**config, "n_h": 2 * f.count("n_h", KPP_NH)}),
+        experiment({**config, "n_h": 2 * f.count("n_h", DEFAULT_N_H)}),
         experiment({**config, "n": 2 * f.count("n")}),
     ]
     moves = {}

@@ -1,5 +1,12 @@
-"""Periodic grid, the delay-line history ring, and the output schedule
-every stepping loop writes its snapshots through."""
+"""Periodic grid, the delay-line history ring, and the one output path
+of every run.
+
+Each snapshot that a run keeps, from either solver at any delay, goes
+through Outputs.store: the schedule picks the steps, the byte budget is
+checked before the run starts, a non-finite snapshot stops the run, and
+the largest edge fraction is kept.  Outputs.trajectory then raises the
+one edge warning and returns the run's Trajectory.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +17,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["Grid", "HistoryRing", "Outputs", "every_kth",
-           "edge_fraction", "warn_edge", "step_count", "MAX_STEPS",
-           "MAX_BYTES"]
+__all__ = ["Grid", "HistoryRing", "Outputs", "Trajectory", "every_kth",
+           "edge_fraction", "step_count", "MAX_STEPS", "MAX_BYTES",
+           "DEFAULT_N_H"]
 
 # over 100x the 102,400 steps of the longest preset (desk-tangency-linear);
 # a longer run is a mistyped horizon, not a study
@@ -21,6 +28,7 @@ MAX_STEPS = 1 << 24
 # 265 MB of xval-smooth); filling a larger one can exhaust the machine
 MAX_BYTES = 1 << 30
 _EDGE_WARN = 1e-8  # edge/peak ratio above which a run warns
+DEFAULT_N_H = 64  # steps per delay of a delayed run that names none
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,10 @@ class Grid:
             raise ConfigError(f"grid length must be positive, got {self.length}")
         if self.n < 256 or self.n & (self.n - 1):
             raise ConfigError(f"grid n must be a power of two >= 256, got {self.n}")
+        # the shortest run (T = 0) budgets two snapshot rows (Outputs);
+        # refused here, before x or any field of the grid's size exists
+        _check_bytes(16 * self.n, f"field 'n' = {self.n}: the snapshot "
+                     "array of the shortest run")
 
     @property
     def dx(self) -> float:
@@ -156,24 +168,30 @@ def edge_fraction(field) -> float:
     return float(edge / peak)
 
 
-def warn_edge(edge: float) -> float:
-    """Warn once when a run's edge fraction shows it reached the seam."""
-    if edge > _EDGE_WARN:
-        warnings.warn(f"solution reached the periodic edge "
-                      f"(edge/peak = {edge:.2e})", RuntimeWarning)
-    return edge
+@dataclass(frozen=True)
+class Trajectory:
+    """The snapshots of one run, as Outputs.trajectory returns them."""
+
+    grid: Grid
+    times: np.ndarray  # empty when the run handed its snapshots to collect
+    fields: np.ndarray  # (n_out, N) real
+    n_h: int  # steps per delay taken; 0 for the exact h = 0 linear solve
+    edge_fraction: float  # max over kept snapshots of edge |u| / max |u|
+    clamp_count: int = 0  # KPP: delayed entries clamped to 0 before g
 
 
 class Outputs:
-    """Output schedule of a run of T/dt steps and where its snapshots go.
+    """Output schedule of a run of T/dt steps and the gate every kept
+    snapshot passes.
 
     Steps 0, out_every, 2 out_every, ... and the last step are kept; the
     default out_every keeps about 400.  rows maps a kept step to its row
-    of the schedule.  store() writes the snapshot to that row of the
-    preallocated fields array or, given collect, calls collect(t, field)
-    and stores nothing (times and fields are then empty); either way it
-    keeps the largest edge fraction in edge, for warn_edge once the run
-    ends.  The step count must fit MAX_STEPS, and stored snapshots
+    of the schedule.  store(step, field) ignores a step that is not kept;
+    otherwise it refuses a non-finite snapshot with the last healthy
+    time, then writes it to its row of the preallocated fields array or,
+    given collect, calls collect(t, field) and stores nothing (times and
+    fields are then empty); either way it keeps the largest edge
+    fraction.  The step count must fit MAX_STEPS, and stored snapshots
     MAX_BYTES.
     """
 
@@ -185,17 +203,36 @@ class Outputs:
         if collect is None:
             _check_bytes(8 * width * (self.n_steps // out_every + 2),
                          f"snapshots every {out_every} of {self.n_steps} "
-                         f"steps (fields 'out_every' and 'T')")
+                         f"steps (fields 'n', 'out_every' and 'T')")
         steps = every_kth(self.n_steps + 1, out_every)
         self.rows = {n: i for i, n in enumerate(steps)}
         self._times, self._collect = np.array(steps, float) * dt, collect
         kept = len(steps) if collect is None else 0
         self.times, self.fields = self._times[:kept], np.empty((kept, width))
-        self.edge = 0.0
+        self._edge, self._healthy = 0.0, 0.0
 
-    def store(self, row: int, field) -> None:
+    def store(self, step: int, field) -> None:
+        row = self.rows.get(step)
+        if row is None:
+            return
+        t = self._times[row]
+        if not np.all(np.isfinite(field)):
+            raise RuntimeError(
+                f"solution lost finiteness near t={t:.6g}; "
+                f"last healthy output at t={self._healthy:.6g}")
         if self._collect is None:
             self.fields[row] = field
         else:
-            self._collect(float(self._times[row]), field)
-        self.edge = max(self.edge, edge_fraction(field))
+            self._collect(float(t), field)
+        self._edge = max(self._edge, edge_fraction(field))
+        self._healthy = t
+
+    def trajectory(self, grid: Grid, n_h: int,
+                   clamp_count: int = 0) -> Trajectory:
+        """The run's Trajectory; warns once if a kept snapshot reached
+        the periodic edge."""
+        if self._edge > _EDGE_WARN:
+            warnings.warn(f"solution reached the periodic edge "
+                          f"(edge/peak = {self._edge:.2e})", RuntimeWarning)
+        return Trajectory(grid, self.times, self.fields, n_h, self._edge,
+                          clamp_count)

@@ -13,34 +13,26 @@ given; it is fourth order in dt = h/n_h, including across the derivative
 jump at t = 0.  Parts of a mode array below 1e-150 of its largest part
 are flushed to 0 (_flush), so the decaying high modes never reach the
 slow subnormal range; no output changes by it.
+
+At h = 0 the equation is solved exactly, mode by mode, at the times of a
+schedule with step T/256.  Either way every kept snapshot passes through
+grids.Outputs, the output gate the KPP solver shares: schedule, byte
+budget, finiteness check and edge warning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristic import CharParams, DecayPair, TangencySolution
 from .errors import ConfigError
-from .grids import Grid, HistoryRing, Outputs, edge_fraction, warn_edge
+from .grids import DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory
 from .kernels import Kernel
 
-__all__ = [
-    "LinearTrajectory", "solve_linear", "tangency_limit_diagnostic",
-    "universal_bound_diagnostic", "probe_value",
-]
-
-@dataclass(frozen=True)
-class LinearTrajectory:
-    """Physical-space snapshots of a linear run."""
-
-    grid: Grid
-    times: np.ndarray
-    fields: np.ndarray  # (n_out, N) real
-    n_h: int
-    edge_fraction: float  # max over outputs of edge |u| / max |u|
+__all__ = ["solve_linear", "tangency_limit_diagnostic",
+           "universal_bound_diagnostic", "probe_value"]
 
 
 def _phi(z: np.ndarray) -> list[np.ndarray]:
@@ -188,22 +180,23 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                  n_h: int | None = None, out_every: int | None = None
-                 ) -> LinearTrajectory:
+                 ) -> Trajectory:
     """Solve the linear delayed non-local equation on the periodic grid.
 
     The convolution enters as the analytic transform khat(xi) per mode, so
     spatial accuracy is spectral and the only discretization parameters are
     the grid itself and the step dt = h/n_h.  The step is exact for the
-    stiff part of every mode, so n_h (default 64) sets accuracy only and
-    is used as given.
+    stiff part of every mode, so n_h (default DEFAULT_N_H) sets accuracy
+    only and is used as given.
 
     u0: constant profile, or callable s -> profile on [-h, 0]; see
     _history_samples.
-    Snapshots follow the grids.Outputs schedule (out_every=None keeps
-    about 400), which also emits the truncation warning when the solution
-    touches the periodic edge; for h = 0 the exact solution is sampled at
-    257 equally spaced times instead, takes no step, and refuses n_h,
-    out_every and a negative T.
+    Snapshots pass through grids.Outputs (out_every=None keeps about
+    400), which refuses a non-finite one and warns when the solution
+    touches the periodic edge.  For h = 0 the exact solution is sampled
+    instead, at the 257 times k T/256 of a schedule with step T/256 (one
+    snapshot when T = 0); it takes no step, and refuses n_h, out_every
+    and a negative T.
     """
     xi = grid.xi
     mu = -xi * xi + 1j * params.m * xi + params.p
@@ -217,16 +210,13 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                     "undelayed solution takes no steps")
         if not T >= 0.0:
             raise ConfigError(f"field 'T' = {T:g}: the horizon must be >= 0")
+        out = Outputs(T, T / 256.0 if T > 0.0 else 1.0, 1, grid.n)
         w0 = np.fft.fft(_profile(u0, grid.n))
-        times = np.linspace(0.0, T, 257)
-        fields = np.empty((times.size, grid.n))
-        for i, t in enumerate(times):
-            fields[i] = np.fft.ifft(w0 * np.exp((mu + kap) * t)).real
-        edge = warn_edge(max(edge_fraction(f) for f in fields))
-        return LinearTrajectory(grid=grid, times=times, fields=fields,
-                               n_h=0, edge_fraction=edge)
+        for n, t in enumerate(out.times):  # every step is kept
+            out.store(n, np.fft.ifft(w0 * np.exp((mu + kap) * t)).real)
+        return out.trajectory(grid, 0)
 
-    n_h = 64 if n_h is None else int(n_h)
+    n_h = DEFAULT_N_H if n_h is None else int(n_h)
     out = Outputs(T, params.h / n_h, out_every, grid.n)
     ring = HistoryRing(params.h, n_h, grid.n, complex)
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)
@@ -234,19 +224,16 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     for row in (*vals, *ders):  # one row per node, or one for a constant
         _flush(row)
     ring.fill(vals, ders)
-    rows = out.rows
 
     def collect(n, w):
-        i = rows.get(n)
-        if i is not None:
-            out.store(i, np.fft.ifft(w).real)
+        if n in out.rows:  # the transform only for a kept step
+            out.store(n, np.fft.ifft(w).real)
 
     _rk4_delay_diag(mu, kap, ring, out.n_steps, collect)
-    return LinearTrajectory(grid=grid, times=out.times, fields=out.fields,
-                           n_h=n_h, edge_fraction=warn_edge(out.edge))
+    return out.trajectory(grid, n_h)
 
 
-def probe_value(traj: LinearTrajectory, i: int, x: float) -> float:
+def probe_value(traj: Trajectory, i: int, x: float) -> float:
     """Linear interpolation of snapshot i at abscissa x."""
     g = traj.grid
     pos = (x + g.length / 2.0) / g.dx
@@ -256,7 +243,7 @@ def probe_value(traj: LinearTrajectory, i: int, x: float) -> float:
     return float((1.0 - frac) * f[j] + frac * f[(j + 1) % g.n])
 
 
-def tangency_limit_diagnostic(traj: LinearTrajectory,
+def tangency_limit_diagnostic(traj: Trajectory,
                               tang: TangencySolution,
                               x_probe: float = 0.0):
     """Scaled pointwise decay series
@@ -283,7 +270,7 @@ def tangency_limit_diagnostic(traj: LinearTrajectory,
     return times, D
 
 
-def universal_bound_diagnostic(traj: LinearTrajectory, pair: DecayPair):
+def universal_bound_diagnostic(traj: Trajectory, pair: DecayPair):
     """Scaled sup series S(t) = sqrt(t) e^{gamma0 t} sup_x |u| e^{-z0 x};
     bounded whenever the universal pointwise bound holds."""
     x = traj.grid.x

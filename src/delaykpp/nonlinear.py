@@ -68,28 +68,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .grids import Grid, HistoryRing, Outputs, warn_edge
+from .grids import DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory
 from .kernels import Kernel, discretize
 from .linear_solver import _history_samples, _profile
 
-__all__ = ["KPPTrajectory", "solve_kpp", "level_set", "LevelCrossings",
+__all__ = ["solve_kpp", "level_set", "LevelCrossings",
            "LevelSetTrace", "trace_levels"]
 
 _CLAMP_REL = 1e-13  # negatives below this fraction of the peak count as real
 _STENCIL_DROP = 1e-19  # truncate propagator stencils below this, rel. peak
 _UNDERFLOW = 1e-250  # absolute: |u| below this is set to 0 (module docstring)
-
-
-@dataclass(frozen=True)
-class KPPTrajectory:
-    """Physical-space snapshots of a nonlinear run."""
-
-    grid: Grid
-    times: np.ndarray
-    fields: np.ndarray  # (n_out, N) real
-    n_h: int
-    clamp_count: int  # delayed-profile entries clamped to 0 before g
-    edge_fraction: float
 
 
 @lru_cache(maxsize=32)
@@ -246,28 +234,29 @@ def _clamped_birth(birth, v, counter):
 
 def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
               n_h: int | None = None, out_every: int | None = None,
-              collect=None) -> KPPTrajectory:
+              collect=None) -> Trajectory:
     """Solve the delayed non-local KPP equation on the periodic grid.
 
     u0: constant profile, or callable s -> profile on [-h, 0].
 
     Negative delayed values (roundoff undershoots or deliberately signed
     data) are clamped to 0 before entering g; clamps beyond roundoff size
-    are counted in the trajectory.  Aborts with the last healthy time if
-    the solution loses finiteness.  Snapshots follow the grids.Outputs
-    schedule (out_every=None keeps about 400), which also warns when the
-    solution reaches the periodic edge.  Without collect they are stored
-    in the trajectory; with it, each kept snapshot goes to collect(t, u)
-    instead and the trajectory's times and fields are empty.  u is a
-    fresh array that the solver never writes again.  The clamp count, the
-    edge fraction and the finiteness check cover every kept snapshot
-    either way.
+    are counted in the trajectory.  Snapshots pass through grids.Outputs
+    (out_every=None keeps about 400), which aborts with the last healthy
+    time if one is not finite and warns when the solution reaches the
+    periodic edge.  Without collect they are stored in the trajectory;
+    with it, each kept snapshot goes to collect(t, u) instead and the
+    trajectory's times and fields are empty.  u is a fresh array that the
+    solver never writes again.  The clamp count, the edge fraction and
+    the finiteness check cover every kept snapshot either way.  At h = 0
+    the step is min(1/64, T/64), n_h is not used and the trajectory
+    reports n_h 0.
     """
     if T <= 0.0:
         raise ConfigError(f"final time must be positive, got {T}")
     if h < 0.0:
         raise ConfigError(f"delay must be nonnegative, got {h}")
-    n_h = 64 if n_h is None else int(n_h)
+    n_h = DEFAULT_N_H if n_h is None else int(n_h)
     if n_h < 1:
         raise ConfigError(f"n_h must be >= 1, got {n_h}")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
@@ -291,8 +280,6 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         F_prev = None
 
     no_der = np.zeros(grid.n)
-    rows = out.rows
-    last_healthy = 0.0
     out.store(0, u)
 
     for n in range(out.n_steps):
@@ -309,18 +296,9 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             u_star = _floor(p0u + convolve1d(F0, st_ab))
             F1 = kconv(_clamped_birth(birth, u_star, counter))
             u = _floor(p0u + convolve1d(F0, st_a) + convolve1d(F1, st_b))
-        i = rows.get(n + 1)
-        if i is not None:
-            if not np.all(np.isfinite(u)):
-                raise RuntimeError(
-                    f"solution lost finiteness near t={(n + 1) * dt:.6g}; "
-                    f"last healthy output at t={last_healthy:.6g}")
-            out.store(i, u)
-            last_healthy = (n + 1) * dt
+        out.store(n + 1, u)
 
-    return KPPTrajectory(grid=grid, times=out.times, fields=out.fields,
-                         n_h=n_h, clamp_count=counter[0],
-                         edge_fraction=warn_edge(out.edge))
+    return out.trajectory(grid, n_h if h > 0.0 else 0, counter[0])
 
 
 @dataclass(frozen=True)
@@ -388,7 +366,7 @@ class LevelSetTrace:
     M_star: np.ndarray
 
 
-def trace_levels(traj: KPPTrajectory, beta: float, speeds) -> LevelSetTrace:
+def trace_levels(traj: Trajectory, beta: float, speeds) -> LevelSetTrace:
     """Scan every stored snapshot for its beta-crossings and attach the
     drift diagnostics built from the critical speeds."""
     x = traj.grid.x

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from delaykpp import (CharParams, ConfigError, DiscreteKernel, Grid,
-                      HistoryRing, LinearBirth, LinearTrajectory,
-                      TangencySolution, discretize, halanay_root, solve_kpp)
+                      HistoryRing, LinearBirth, TangencySolution, Trajectory,
+                      discretize, halanay_root, solve_kpp)
 from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
-from delaykpp.grids import Outputs, step_count, warn_edge
+from delaykpp.grids import DEFAULT_N_H, Outputs, step_count
 from delaykpp.kernels import Kernel
 from delaykpp.linear_solver import _flush, _history_samples, _rk4_delay_diag
 
@@ -67,7 +67,7 @@ def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
 
 
 def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
-                    T: float, n_h: int | None = None) -> LinearTrajectory:
+                    T: float, n_h: int | None = None) -> Trajectory:
     """Finite-difference cross-check of solve_linear.
 
     Second-order central Laplacian, second-order one-sided (upwinded)
@@ -101,7 +101,7 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
     # classical RK4 is stable for |lambda| dt up to about 2.8 on the real
     # axis; raise n_h so the stiffest FD mode stays inside 2.5 of it
     stiffness = 4.0 / (dx * dx) + 3.0 * abs(m) / dx + abs(p) + kernel.mass
-    n_h = max(64 if n_h is None else n_h,
+    n_h = max(DEFAULT_N_H if n_h is None else n_h,
               math.ceil(params.h * stiffness / 2.5))
     dt = params.h / n_h
     out = Outputs(T, dt, None, grid.n)
@@ -128,11 +128,8 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
         w = w + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         der = apply_op(w) + c1
         cring.push(conv(w), conv(der))
-        i = out.rows.get(n + 1)
-        if i is not None:
-            out.store(i, w)
-    return LinearTrajectory(grid=grid, times=out.times, fields=out.fields,
-                           n_h=n_h, edge_fraction=warn_edge(out.edge))
+        out.store(n + 1, w)
+    return out.trajectory(grid, n_h)
 
 
 def subtangential_defect(birth, u_max: float) -> float:
@@ -178,7 +175,7 @@ def comparison_run(kernel0: Kernel, birth, grid: Grid, u0, T: float,
         raise ConfigError(
             f"tilt lam={lam} outside the kernel transform domain ({a}, {b})")
     g1 = birth.gprime0
-    n_h = 64 if n_h is None else int(n_h)
+    n_h = DEFAULT_N_H if n_h is None else int(n_h)
     hv_u, _ = _history_samples(u0, n_h, h, grid.n, float)
     defect = subtangential_defect(birth, 8.0 * max(1.0, float(np.max(hv_u))))
     if defect > 1e-12 * g1:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaykpp import grids
 from delaykpp.cli import (_csv_lines, _fmt, _snapshot_blocks, _write_csv,
                           main, run)
 
@@ -271,6 +272,8 @@ HOSTILE = [
     (LINEAR_H0_CFG, "n_h", 8),
     (LINEAR_H0_CFG, "out_every", 100),
     (LINEAR_H0_CFG, "T", -5.0),
+    # an undelayed KPP run steps at min(1/64, T/64), whatever n_h says
+    ({**KPP_CFG, "h": 0.0}, "n_h", 16),
     (SPEEDS_CFG, "h", -1),
     ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
     (KPP_CFG, "n", 256.7),
@@ -338,6 +341,63 @@ def test_extinction_tiny_horizon_takes_one_step(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads((tmp_path / "extinction_report.json").read_text())
     assert report["metrics"]["horizon"] == 0.0625  # the one step dt = h/16
+
+
+def test_overflowing_linear_run_exits_one_and_writes_nothing(tmp_path,
+                                                            capsys):
+    cfg = {k: v for k, v in LINEAR_CFG.items()
+           if k not in ("diagnostics", "snapshot_stride")}
+    cfg = {**cfg, "params": {**cfg["params"], "p": 400.0}, "n": 256,
+           "T": 3.0, "n_h": 16}
+    path = _write_cfg(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(path, str(tmp_path), quiet=True) == 1
+    assert capsys.readouterr().err == (
+        "error: solution lost finiteness near t=1.8125; last healthy "
+        "output at t=1.75\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_grid_too_large_for_any_run_is_refused_before_x(tmp_path, capsys,
+                                                         monkeypatch):
+    # the shortest run budgets two rows of n floats: 16 n bytes
+    monkeypatch.setattr(grids, "MAX_BYTES", 16 * 1024 - 1)
+
+    def no_x(self):
+        raise AssertionError("Grid.x built for a refused n")
+
+    monkeypatch.setattr(grids.Grid, "x", property(no_x))
+    cfg = _write_cfg(tmp_path, {**KPP_CFG, "n": 1024})
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'n' = 1024: ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_snapshot_budget_names_n_at_h0(tmp_path, capsys, monkeypatch):
+    # the exact h = 0 solution keeps 257 snapshots; out_every is refused
+    # there, so the refusal must point at n (and T) as well
+    monkeypatch.setattr(grids, "MAX_BYTES", 8 * 256 * 200)
+    cfg = _write_cfg(tmp_path, {**LINEAR_H0_CFG, "n": 256})
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "fields 'n', 'out_every' and 'T'" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_summary_lines_on_stdout(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, SPEEDS_CFG)
+    assert run(cfg, str(tmp_path), quiet=True) == 0
+    assert capsys.readouterr().out == ""
+    assert run(cfg, str(tmp_path)) == 0
+    rep = json.loads((tmp_path / "speeds_report.json").read_text())
+    assert capsys.readouterr().out == (
+        f"speeds: c_minus={_fmt(rep['c_minus'])} "
+        f"c_plus={_fmt(rep['c_plus'])}\n")
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert capsys.readouterr().out == "".join(
+        f"ok   {c['name']}: {c['detail']}\n" for c in rep["checks"])
 
 
 def test_linear_horizon_zero_runs_without_diagnostics(tmp_path):

@@ -1,9 +1,11 @@
-"""Grid layout, field validation, and the history ring's slot discipline."""
+"""Grid layout, field validation, the history ring's slot discipline and
+the output gate."""
 
 import numpy as np
 import pytest
 
 from delaykpp import ConfigError, Grid, HistoryRing
+from delaykpp.grids import Outputs
 
 
 def test_grid_layout():
@@ -87,3 +89,24 @@ def test_history_ring_midpoint_interpolation_order():
         mid = ring.delayed_mid()
         errs.append(abs(mid[0] - np.sin(-1.0 + dt / 2.0)))
     assert errs[0] > 8.0 * errs[1]  # at least ~dt^3; Hermite gives dt^4
+
+
+def test_outputs_refuse_a_non_finite_snapshot_with_the_last_healthy_time():
+    out = Outputs(1.0, 0.25, 1, 4)
+    out.store(0, np.zeros(4))
+    out.store(1, np.ones(4))
+    with pytest.raises(RuntimeError, match=r"lost finiteness near t=0.5; "
+                       r"last healthy output at t=0.25$"):
+        out.store(2, np.array([0.0, np.inf, 0.0, 0.0]))
+
+
+def test_trajectory_warns_once_for_every_snapshot_at_the_edge():
+    grid = Grid(8.0, 256)
+    out = Outputs(0.5, 0.25, 1, grid.n)
+    for row in range(3):
+        out.store(row, np.ones(grid.n))
+    with pytest.warns(RuntimeWarning, match="periodic edge") as caught:
+        traj = out.trajectory(grid, 4, clamp_count=2)
+    assert len(caught) == 1
+    assert (traj.n_h, traj.clamp_count, traj.edge_fraction) == (4, 2, 1.0)
+    assert traj.times.tolist() == [0.0, 0.25, 0.5]

@@ -1,6 +1,7 @@
 """Linear solver: mode-by-mode oracle, closed forms, and the FD cross-check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,29 @@ def test_h0_heat_closed_form():
     expect = np.sqrt(s0 / (s0 + 2.0)) * np.exp(-grid.x ** 2 / (4.0 * (s0 + 2.0)))
     np.testing.assert_allclose(traj.fields[-1], expect, atol=1e-12)
     assert traj.n_h == 0
+
+
+@pytest.mark.parametrize("T", [1e-7, 1e-3, 0.1, 1.0 / 3.0, 2.0, 7.5, 1e3,
+                               12345.678, 1e100, 1e300])
+def test_h0_times_are_linspace_bit_for_bit(T):
+    # the exact h = 0 solution keeps the schedule of a step T/256
+    grid = Grid(32.0, 256)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # edge contact
+        traj = solve_linear(CharParams(0.0, 0.0, 0.0),
+                            Gaussian(0.0, 1.0, 0.0), grid,
+                            np.exp(-grid.x ** 2), T=T)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, T, 257))
+    assert traj.fields.shape == (257, grid.n)
+
+
+def test_h0_horizon_zero_keeps_one_snapshot():
+    grid = Grid(32.0, 256)
+    u0 = np.exp(-grid.x ** 2)
+    traj = solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
+                        grid, u0, T=0.0)
+    assert traj.times.tolist() == [0.0]
+    np.testing.assert_allclose(traj.fields[0], u0, atol=1e-15)
 
 
 def test_h0_rejects_callable_history():

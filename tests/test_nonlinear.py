@@ -379,6 +379,7 @@ def test_fisher_front_speed_two_percent():
     grid = Grid(256.0, 2048)
     u0 = np.where(np.abs(grid.x) < 2.0, birth.kappa, 0.0)
     traj = solve_kpp(Dirac(0.0, 1.0), birth, grid, u0, T=40.0, h=0.0)
+    assert traj.n_h == 0  # no delay to divide
     beta = 0.5 * birth.kappa
     xs = {}
     for t_target in (20.0, 40.0):

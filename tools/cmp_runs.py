@@ -7,7 +7,9 @@ OLD_SRC and NEW_SRC are directories holding a ``delaykpp`` package (the
 the default is every preset followed by ``verify``.  Each tree runs the
 names one after another through ``cli.run`` in its own child process
 (old tree first), writing to DIR/old/NAME and DIR/new/NAME; DIR defaults
-to a fresh temporary directory, which is removed afterwards.
+to a fresh temporary directory, which is removed afterwards.  Each name
+runs without --quiet, and what it prints to stdout is saved beside its
+files as NAME.stdout and compared with them.
 
 For every name it prints both exit statuses and, for every file that is
 not byte-identical (``cmp``):
@@ -17,7 +19,8 @@ not byte-identical (``cmp``):
   one side only are printed as they are;
 - CSV: the row counts, and over the entries that differ the count, how
   many of them now read 0, the largest |old|, the largest |new| and the
-  largest relative change.
+  largest relative change;
+- any other file (NAME.stdout): the first line that differs, both sides.
 
 The exit status is 0 when every status matches and every file is
 identical, 1 otherwise.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import itertools
 import json
 import math
 import os
@@ -37,7 +41,7 @@ import tempfile
 
 # runs in a child whose PYTHONPATH is one tree; argv: out dir, names
 _CHILD = """
-import json, os, sys
+import contextlib, json, os, sys
 from delaykpp import cli, presets
 out, names = sys.argv[1], sys.argv[2:]
 status = {}
@@ -48,7 +52,9 @@ for name in names:
     path = os.path.join(out, name + ".config.json")
     with open(path, "w") as f:
         json.dump(cfg, f)
-    status[name] = cli.run(path, d, quiet=True)
+    with open(os.path.join(d, name + ".stdout"), "w") as f, \
+            contextlib.redirect_stdout(f):
+        status[name] = cli.run(path, d)
 print(json.dumps(status))
 """
 
@@ -157,7 +163,12 @@ def compare(old_dir: str, new_dir: str) -> list[str]:
         elif f.endswith(".csv"):
             lines.append(f"  {f}: {_csv_diff(a, b)}")
         else:
-            lines.append(f"  {f}: differs")
+            with open(a) as fa, open(b) as fb:
+                pairs = itertools.zip_longest(fa, fb, fillvalue="")
+                k, (x, y) = next((k, p) for k, p in enumerate(pairs, 1)
+                                 if p[0] != p[1])
+            lines.append(f"  {f}: differs at line {k}: {x.rstrip()!r} -> "
+                         f"{y.rstrip()!r}")
     return lines
 
 
