@@ -24,8 +24,9 @@ __all__ = ["Grid", "HistoryRing", "Outputs", "Trajectory", "every_kth",
 # over 100x the 102,400 steps of the longest preset (desk-tangency-linear);
 # a longer run is a mistyped horizon, not a study
 MAX_STEPS = 1 << 24
-# per history ring or snapshot array: 4x the largest preset's ring (the
-# 265 MB of xval-smooth); filling a larger one can exhaust the machine
+# per history ring or snapshot array: over 15x the largest preset's array
+# (the 69 MB ring of xval-smooth's 535 coupled modes); filling a larger one
+# can exhaust the machine
 MAX_BYTES = 1 << 30
 _EDGE_WARN = 1e-8  # edge/peak ratio above which a run warns
 DEFAULT_N_H = 64  # steps per delay of a delayed run that names none
@@ -82,7 +83,8 @@ class HistoryRing:
             raise ConfigError(f"n_h must be >= 1, got {n_h}")
         _check_bytes(2 * (n_h + 1) * width * np.dtype(dtype).itemsize,
                      f"a history ring of n_h + 1 = {n_h + 1} rows of "
-                     f"{width} points (fields 'n_h' and 'n')")
+                     f"{width} grid points or coupled modes (fields 'n_h' "
+                     "and 'n')")
         self.h = float(h)
         self.n_h = int(n_h)
         self.dt = self.h / self.n_h

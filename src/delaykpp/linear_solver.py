@@ -14,6 +14,12 @@ jump at t = 0.  Parts of a mode array below 1e-150 of its largest part
 are flushed to 0 (_flush), so the decaying high modes never reach the
 slow subnormal range; no output changes by it.
 
+The ring holds only the modes the delay couples: those with a Hermite
+weight that is nonzero after the flush (535 of 2048 on xval-smooth, none
+for a kernel of mass 0).  Every other mode has khat so small that all
+its weights are exactly 0, so it never reads its history and only
+decays; it is stepped without one, which changes no bit of any output.
+
 At h = 0 the equation is solved exactly, mode by mode, at the times of a
 schedule with step T/256.  Either way every kept snapshot passes through
 grids.Outputs, the output gate the KPP solver shares: schedule, byte
@@ -58,14 +64,28 @@ _FLUSH = 1e-150  # theta of _flush
 
 def _flush(v: np.ndarray) -> np.ndarray:
     """Zero, in place, every real and imaginary part of v whose magnitude
-    is below _FLUSH times the largest part in v; returns v."""
+    is below _FLUSH times the largest part in v; returns v, unchanged
+    when it is empty (the ring rows of a kernel of mass 0)."""
     parts = v.view(float)  # a complex v as its real and imaginary parts
     mag = np.abs(parts)
-    np.putmask(parts, mag < _FLUSH * mag.max(), 0.0)
+    np.putmask(parts, mag < _FLUSH * mag.max(initial=0.0), 0.0)
     return v
 
 
-def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
+def _step_weights(mu, kap, dt: float):
+    """e^z - 1 (z = mu dt) and the flushed Hermite weights a0, a1, b0, b1
+    of one step, mode by mode (see _rk4_delay_diag).  A mode whose four
+    weights are all 0 never reads the delayed term."""
+    em1, p1, p2, p3, p4 = _phi(mu * dt)
+    return (em1, *(_flush(c) for c in (
+        dt * kap * (p1 - 6.0 * p3 + 12.0 * p4),
+        dt * kap * (6.0 * p3 - 12.0 * p4),
+        dt * dt * kap * (p2 - 4.0 * p3 + 6.0 * p4),
+        dt * dt * kap * (6.0 * p4 - 2.0 * p3))))
+
+
+def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None,
+                    w0=None):
     """Advance the diagonal delayed system w' = mu w + kap w(t-h).
 
     Over one step the delayed term is the cubic Hermite interpolant of the
@@ -77,16 +97,30 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     done, which keeps the step fourth order on constant-history data.
     The name predates this step; perfbench/layertrace.py wraps it by name.
 
+    The ring holds only the first nc = its width modes, the coupled ones;
+    w0 is the full starting vector (default: the ring's newest row, so
+    nc = mu.size) with those modes first.  A mode past nc must have all
+    four Hermite weights 0 after the flush (_step_weights): it never reads
+    the delayed term, so it only decays, w + (e^z - 1) w, and keeping its
+    history would change no bit of it.  The coupled modes add their four
+    delayed terms to (e^z - 1) w in the same order as a run with every
+    mode in the ring, so both give the same bits.  Once the free tail is
+    all 0 it stays 0 and is dropped; collect(n, w) then gets the first nc
+    modes only.  Overflow is left to the caller's finiteness check.
+
     Modes decay at their own rates, so the high ones run down through
     the subnormal range (below 2.2e-308), where x86 arithmetic is many
     times slower: unflushed, 35.6% of the ring's entries on xval-smooth
     end with a subnormal part (and 48.1% at exactly 0).  _flush zeros the
     parts below theta = _FLUSH = 1e-150 of their array's largest part M in
     the four Hermite coefficients (a Gaussian khat crosses the subnormal
-    range near |xi| = 38), in each new w and in each pushed derivative
-    row; not in em1 = e^z - 1, whose small entries carry the slow modes.
-    The ring's rows at entry are flushed by whoever fills the ring, once
-    per distinct row (solve_linear fills a constant history as one row
+    range near |xi| = 38), in each new w (all modes, so the threshold does
+    not depend on nc) and in each pushed derivative row; not in em1 =
+    e^z - 1, whose small entries carry the slow modes.  A derivative row
+    holds the coupled modes only, so its M is their largest part, which
+    may keep a part that a row over all modes would have flushed.  The
+    ring's rows at entry are flushed by whoever fills the ring, once per
+    distinct row (solve_linear fills a constant history as one row
     broadcast to every node).  The flush is relative because the linear
     equation has no scale.
     - Staying normal: every kept part is at least theta M, so a product
@@ -94,25 +128,23 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
       of their arrays' largest parts, which is normal while that product
       is above about 1e-8; the stored rows hold only kept parts while M
       stays above 2.2e-308 / theta = 2.2e-158.
-    - Outputs unchanged: the modes are uncoupled, so a flushed part
-      perturbs only its own mode, starting below theta M.  An output is
-      an inverse FFT whose sums add such a part to terms of size up to
-      M, 134 decades below their 17th digit, so it cannot reach one;
-      every preset's CSV and report are byte-identical with and without
-      the flush.
+    - Outputs unchanged: the modes are uncoupled, so a part flushed or
+      kept perturbs only its own mode, by less than theta times its
+      array's largest part.  An output is an inverse FFT whose sums add
+      such a part to terms of size up to M, 134 decades below their 17th
+      digit, so it cannot reach one; every preset's CSV and report are
+      byte-identical with and without the flush, and with the
+      derivative rows flushed over all modes or over the coupled ones.
     - A single mode is its own largest part and is never flushed (unless
       one of its real and imaginary parts is below theta times the
       other), so a one-mode run matches its unflushed run bit for bit.
     """
-    dt = ring.dt
-    em1, p1, p2, p3, p4 = _phi(mu * dt)
-    a0, a1, b0, b1 = (_flush(c) for c in (
-        dt * kap * (p1 - 6.0 * p3 + 12.0 * p4),
-        dt * kap * (6.0 * p3 - 12.0 * p4),
-        dt * dt * kap * (p2 - 4.0 * p3 + 6.0 * p4),
-        dt * dt * kap * (6.0 * p4 - 2.0 * p3)))
-    w = ring.newest.copy()
-    right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
+    nc = ring.newest.size
+    em1, *weights = _step_weights(mu, kap, ring.dt)
+    a0, a1, b0, b1 = (c[:nc] for c in weights)
+    mu_c, kap_c = mu[:nc], kap[:nc]
+    w = (ring.newest if w0 is None else w0).copy()
+    right0 = _flush(mu_c * w[:nc] + kap_c * ring.delayed_nodes()[0][0])
     if collect is not None:
         collect(0, w)
     for n in range(n_steps):
@@ -121,8 +153,16 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
             e0[...] = right0  # the ring row of t = 0
         # w + (e^z - 1) w, not e^z w: one rounded e^z applied N times
         # drifts coherently by up to N ulps, a rounded increment does not
-        w = _flush(w + (em1 * w + a0 * d0 + a1 * d1 + b0 * e0 + b1 * e1))
-        ring.push(w, _flush(mu * w + kap * d1))
+        inc = em1 * w
+        head = inc[:nc]
+        head += a0 * d0
+        head += a1 * d1
+        head += b0 * e0
+        head += b1 * e1
+        w = _flush(w + inc)
+        if w.size > nc and not w[nc:].any():
+            w, em1 = w[:nc], em1[:nc]
+        ring.push(w[:nc], _flush(mu_c * w[:nc] + kap_c * d1))
         if collect is not None:
             collect(n + 1, w)
     return w
@@ -218,18 +258,26 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
 
     n_h = DEFAULT_N_H if n_h is None else int(n_h)
     out = Outputs(T, params.h / n_h, out_every, grid.n)
-    ring = HistoryRing(params.h, n_h, grid.n, complex)
+    # the coupled modes first, in their own order; only they are in the ring
+    coupled = np.any(_step_weights(mu, kap, params.h / n_h)[1:], axis=0)
+    order = np.argsort(~coupled, kind="stable")
+    nc = int(np.count_nonzero(coupled))
+    ring = HistoryRing(params.h, n_h, nc, complex)
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)
     vals, ders = np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1)
     for row in (*vals, *ders):  # one row per node, or one for a constant
         _flush(row)
-    ring.fill(vals, ders)
+    ring.fill(vals[:, order[:nc]], ders[:, order[:nc]])
 
     def collect(n, w):
         if n in out.rows:  # the transform only for a kept step
-            out.store(n, np.fft.ifft(w).real)
+            spectrum = np.zeros(grid.n, complex)  # a dropped tail is all 0
+            spectrum[order[:w.size]] = w
+            out.store(n, np.fft.ifft(spectrum).real)
 
-    _rk4_delay_diag(mu, kap, ring, out.n_steps, collect)
+    with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
+        _rk4_delay_diag(mu[order], kap[order], ring, out.n_steps, collect,
+                        vals[-1, order])
     return out.trajectory(grid, n_h)
 
 

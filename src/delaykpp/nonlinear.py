@@ -282,21 +282,23 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     no_der = np.zeros(grid.n)
     out.store(0, u)
 
-    for n in range(out.n_steps):
-        if ring is not None:
-            _, (v1, _) = ring.delayed_nodes()
-            F_next = kconv(_clamped_birth(birth, v1, counter))
-            u = _floor(convolve1d(u, st_p0) + convolve1d(F_prev, st_a)
-                       + convolve1d(F_next, st_b))
-            ring.push(u, no_der)
-            F_prev = F_next
-        else:
-            F0 = kconv(_clamped_birth(birth, u, counter))
-            p0u = convolve1d(u, st_p0)
-            u_star = _floor(p0u + convolve1d(F0, st_ab))
-            F1 = kconv(_clamped_birth(birth, u_star, counter))
-            u = _floor(p0u + convolve1d(F0, st_a) + convolve1d(F1, st_b))
-        out.store(n + 1, u)
+    with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
+        for n in range(out.n_steps):
+            if ring is not None:
+                _, (v1, _) = ring.delayed_nodes()
+                F_next = kconv(_clamped_birth(birth, v1, counter))
+                u = _floor(convolve1d(u, st_p0) + convolve1d(F_prev, st_a)
+                           + convolve1d(F_next, st_b))
+                ring.push(u, no_der)
+                F_prev = F_next
+            else:
+                F0 = kconv(_clamped_birth(birth, u, counter))
+                p0u = convolve1d(u, st_p0)
+                u_star = _floor(p0u + convolve1d(F0, st_ab))
+                F1 = kconv(_clamped_birth(birth, u_star, counter))
+                u = _floor(p0u + convolve1d(F0, st_a)
+                           + convolve1d(F1, st_b))
+            out.store(n + 1, u)
 
     return out.trajectory(grid, n_h if h > 0.0 else 0, counter[0])
 

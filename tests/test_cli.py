@@ -350,7 +350,8 @@ def test_overflowing_linear_run_exits_one_and_writes_nothing(tmp_path,
     cfg = {**cfg, "params": {**cfg["params"], "p": 400.0}, "n": 256,
            "T": 3.0, "n_h": 16}
     path = _write_cfg(tmp_path, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the one error line says it all
         assert run(path, str(tmp_path), quiet=True) == 1
     assert capsys.readouterr().err == (
         "error: solution lost finiteness near t=1.8125; last healthy "

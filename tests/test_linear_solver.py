@@ -10,8 +10,9 @@ from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
                       halanay_root, probe_value, solve_linear, tangency_solve,
                       tangency_limit_diagnostic, universal_bound_diagnostic,
                       gamma_zero)
-from delaykpp import linear_solver
-from delaykpp.linear_solver import _phi
+from delaykpp import HistoryRing, linear_solver
+from delaykpp.linear_solver import (_flush, _history_samples, _phi,
+                                    _rk4_delay_diag, _step_weights)
 from oracles import scalar_dde_solve, solve_linear_fd
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
@@ -301,9 +302,9 @@ def _ring_and_fields(monkeypatch, flush):
     seen = []
     inner = linear_solver._rk4_delay_diag
 
-    def keep_ring(mu, kap, ring, n_steps, collect=None):
+    def keep_ring(mu, kap, ring, n_steps, collect=None, w0=None):
         seen.append(ring)
-        return inner(mu, kap, ring, n_steps, collect)
+        return inner(mu, kap, ring, n_steps, collect, w0)
 
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", keep_ring)
     grid = Grid(16.0, 256)
@@ -343,3 +344,88 @@ def test_flush_leaves_a_single_mode_alone(monkeypatch, mu, kappa):
     _, raw = scalar_dde_solve(mu, kappa, 1.0, 1.0, T=3.0, dt=1.0 / 64)
     assert 0 < np.count_nonzero(np.abs(w) < 1e-308) < w.size
     assert w.tobytes() == raw.tobytes()
+
+
+def test_flush_returns_an_empty_array_unchanged():
+    # the ring rows of a kernel of mass 0 have no modes
+    for dtype in (float, complex):
+        empty = np.zeros(0, dtype)
+        assert _flush(empty) is empty and empty.size == 0
+
+
+XVAL_GRID = Grid(48.0, 1024)  # xval-smooth's kernel and params, smaller
+XVAL = CharParams(m=0.4, p=-0.8, h=1.0)
+
+
+def _coupled_run(monkeypatch, kernel, u0):
+    """solve_linear's fields at every step to T = 2 (n_h 16), its ring,
+    and the width of each w the step hands to collect."""
+    rings, widths = [], []
+    inner = linear_solver._rk4_delay_diag
+
+    def spy(mu, kap, ring, n_steps, collect=None, w0=None):
+        def seen(n, w):
+            widths.append(w.size)
+            collect(n, w)
+
+        rings.append(ring)
+        return inner(mu, kap, ring, n_steps, seen, w0)
+
+    monkeypatch.setattr(linear_solver, "_rk4_delay_diag", spy)
+    traj = solve_linear(XVAL, kernel, XVAL_GRID, u0, T=2.0, n_h=16,
+                        out_every=1)
+    return traj.fields, rings[0], widths
+
+
+def _full_ring_fields(kernel, u0):
+    # the same step with every mode in the ring, in the grid's own order
+    grid = XVAL_GRID
+    mu = -grid.xi ** 2 + 1j * XVAL.m * grid.xi + XVAL.p
+    ring = HistoryRing(XVAL.h, 16, grid.n, complex)
+    hv, hd = _history_samples(u0, 16, XVAL.h, grid.n, float)
+    vals, ders = np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1)
+    for row in (*vals, *ders):
+        _flush(row)
+    ring.fill(vals, ders)
+    fields = []
+    _rk4_delay_diag(mu, kernel.fourier(grid.xi), ring, 32,
+                    lambda n, w: fields.append(np.fft.ifft(w).real))
+    return np.array(fields)
+
+
+def test_ring_holds_only_the_coupled_modes(monkeypatch):
+    kern = Gaussian(0.0, 1.0, 1.0)
+    _, ring, _ = _coupled_run(monkeypatch, kern,
+                              np.exp(-XVAL_GRID.x ** 2 / 8.0))
+    xi = XVAL_GRID.xi
+    weights = _step_weights(-xi ** 2 + 1j * XVAL.m * xi + XVAL.p,
+                            kern.fourier(xi), XVAL.h / 16)[1:]
+    coupled = np.count_nonzero(np.any(weights, axis=0))
+    assert ring.vals.shape == ring.ders.shape == (17, coupled)
+    assert 0 < coupled < XVAL_GRID.n / 2
+
+
+@pytest.mark.parametrize("history", ["constant", "callable"])
+def test_coupled_ring_matches_a_full_ring_bit_for_bit(monkeypatch, history):
+    kern = Gaussian(0.0, 1.0, 1.0)
+    bump = np.exp(-XVAL_GRID.x ** 2 / 8.0)
+    u0 = bump if history == "constant" else \
+        (lambda s: bump * np.exp(0.5 * s) * (1.0 + 0.3 * np.sin(3.0 * s)))
+    fields, ring, widths = _coupled_run(monkeypatch, kern, u0)
+    full = _full_ring_fields(kern, u0)
+    assert fields.tobytes() == full.tobytes()
+    # the free tail decays to 0 and is dropped during the run
+    nc = ring.newest.size
+    assert widths[0] == XVAL_GRID.n and widths[-1] == nc < XVAL_GRID.n
+
+
+def test_mass_zero_kernel_has_an_empty_ring_and_decays_exactly(monkeypatch):
+    kern = Gaussian(0.0, 1.0, 0.0)
+    u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
+    fields, ring, _ = _coupled_run(monkeypatch, kern, u0)
+    assert ring.vals.shape == (17, 0)
+    xi = XVAL_GRID.xi
+    mu = -xi ** 2 + 1j * XVAL.m * xi + XVAL.p
+    t = np.arange(33)[:, None] / 16.0
+    exact = np.fft.ifft(np.fft.fft(u0) * np.exp(mu * t), axis=1).real
+    np.testing.assert_allclose(fields, exact, rtol=0, atol=1e-13)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ def test_positivity_preserved():
 
 def test_blowup_aborts_with_last_healthy_time():
     from delaykpp import LinearBirth
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the abort
         with pytest.raises(RuntimeError, match="lost finiteness"):
             solve_kpp(Dirac(0.0, 1.0), LinearBirth(1e6), GRID, 1e300,
                       T=20.0, h=0.5, n_h=8)

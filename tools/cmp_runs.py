@@ -9,10 +9,12 @@ names one after another through ``cli.run`` in its own child process
 (old tree first), writing to DIR/old/NAME and DIR/new/NAME; DIR defaults
 to a fresh temporary directory, which is removed afterwards.  Each name
 runs without --quiet, and what it prints to stdout is saved beside its
-files as NAME.stdout and compared with them.
+files as NAME.stdout and compared with them.  The child also times each
+``cli.run`` call (``time.perf_counter``); the times are printed, never
+written beside the compared files.
 
-For every name it prints both exit statuses and, for every file that is
-not byte-identical (``cmp``):
+For every name it prints both exit statuses, both ``cli.run`` times and,
+for every file that is not byte-identical (``cmp``):
 
 - JSON: each number that differs, with both values and the relative
   change |new - old| / |old|; other differing values and keys present on
@@ -41,10 +43,10 @@ import tempfile
 
 # runs in a child whose PYTHONPATH is one tree; argv: out dir, names
 _CHILD = """
-import contextlib, json, os, sys
+import contextlib, json, os, sys, time
 from delaykpp import cli, presets
 out, names = sys.argv[1], sys.argv[2:]
-status = {}
+status, seconds = {}, {}
 for name in names:
     d = os.path.join(out, name)
     os.makedirs(d)
@@ -54,12 +56,15 @@ for name in names:
         json.dump(cfg, f)
     with open(os.path.join(d, name + ".stdout"), "w") as f, \
             contextlib.redirect_stdout(f):
+        start = time.perf_counter()
         status[name] = cli.run(path, d)
-print(json.dumps(status))
+        seconds[name] = time.perf_counter() - start
+print(json.dumps({"status": status, "seconds": seconds}))
 """
 
 
-def _run_tree(src: str, names: list[str], out: str) -> dict[str, int]:
+def _run_tree(src: str, names: list[str], out: str) -> dict[str, dict]:
+    """{"status": {name: exit status}, "seconds": {name: cli.run time}}."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", _CHILD, out, *names],
                           env=env, stdout=subprocess.PIPE, text=True,
@@ -189,19 +194,21 @@ def main(argv=None) -> int:
 
     out = args.out or tempfile.mkdtemp(prefix="cmp_runs_")
     try:
-        status = {}
+        runs = {}
         for side, src in (("old", args.old_src), ("new", args.new_src)):
             os.makedirs(os.path.join(out, side))
-            status[side] = _run_tree(src, names, os.path.join(out, side))
+            runs[side] = _run_tree(src, names, os.path.join(out, side))
         same = True
         for name in names:
-            s_old, s_new = status["old"][name], status["new"][name]
+            s_old, s_new = (runs[side]["status"][name] for side in runs)
+            t_old, t_new = (runs[side]["seconds"][name] for side in runs)
             lines = compare(os.path.join(out, "old", name),
                             os.path.join(out, "new", name))
             verdict = "identical" if not lines else "differs"
             if s_old != s_new:
                 verdict = "EXIT STATUS DIFFERS"
-            print(f"{name}: exit {s_old} -> {s_new}, {verdict}")
+            print(f"{name}: exit {s_old} -> {s_new}, {verdict}; "
+                  f"cli.run {t_old:.2f} s -> {t_new:.2f} s")
             for line in lines:
                 print(line)
             same = same and not lines and s_old == s_new
