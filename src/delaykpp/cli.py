@@ -163,8 +163,8 @@ def _load_config(path: str | None) -> dict:
 
 def _cmd_speeds(cfg: dict):
     f = Fields(cfg)
-    g1 = f.gprime0()
-    kernel0 = f.growing_kernel(g1)
+    g1, source = f.gprime0()
+    kernel0 = f.growing_kernel(g1, source)
     h = f.delay()
     sp = critical_speeds(kernel0, g1, h)
     report = {

@@ -202,24 +202,27 @@ class Fields:
                               "a float")
         return kernel
 
-    def growing_kernel(self, gprime0: float) -> Kernel:
+    def growing_kernel(self, gprime0: float, source: str) -> Kernel:
         """The kernel of a speeds or KPP run, where g'(0) times its mass
-        must exceed 1."""
+        must exceed 1; a refusal names kernel.mass and source, the field
+        that gave g'(0)."""
         kernel = self.kernel()
         try:
             _require_growth(kernel, gprime0)
         except ConfigError as exc:
-            raise ConfigError(f"field 'kernel.mass': {exc}") from None
+            raise ConfigError(
+                f"fields 'kernel.mass' and '{source}': {exc}") from None
         return kernel
 
     def birth(self):
         return self._family("birth", birth_from_dict)
 
-    def gprime0(self) -> float:
+    def gprime0(self) -> tuple[float, str]:
+        """g'(0) and the field that gave it."""
         if "gprime0" in self.spec:
-            return self.number("gprime0")
+            return self.number("gprime0"), "gprime0"
         if "birth" in self.spec:
-            return self.birth().gprime0
+            return self.birth().gprime0, "birth"
         raise ConfigError("config needs either 'gprime0' or a 'birth' spec")
 
     def params(self) -> CharParams:
@@ -228,7 +231,7 @@ class Fields:
                           h=spec.delay())
 
     def grid(self) -> Grid:
-        return Grid(self.number("L"), self.count("n"))
+        return Grid(self.positive("L"), self.count("n"))
 
     def u0(self, x, amplitude: float) -> np.ndarray:
         """The initial profile at the points x, in closed form."""
@@ -246,7 +249,7 @@ def kpp_inputs(cfg: dict) -> tuple:
     (simulate-kpp and each experiment) reads from its config."""
     f = Fields(cfg)
     birth = f.birth()
-    kernel = f.growing_kernel(birth.gprime0)
+    kernel = f.growing_kernel(birth.gprime0, "birth")
     grid = f.grid()
     h = f.delay()
     if h == 0.0 and "n_h" in cfg:

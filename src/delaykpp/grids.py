@@ -150,13 +150,16 @@ def every_kth(count: int, k: int) -> list[int]:
     return idx
 
 
-def step_count(T: float, dt: float) -> int:
-    """Steps of size dt that cover [0, T]; ConfigError (naming T) for a
-    negative or non-finite horizon, or one past MAX_STEPS."""
+def step_count(T: float, dt: float, n_h: int | None = None) -> int:
+    """Steps of size dt that cover [0, T]; ConfigError for a negative or
+    non-finite horizon, or one past MAX_STEPS, naming T and, when given,
+    the n_h that set dt = h/n_h."""
     steps = T / dt
     if not 0.0 <= steps <= MAX_STEPS:
+        fields = f"field 'T' = {T:g}" if n_h is None else \
+            f"fields 'T' = {T:g} and 'n_h' = {n_h:g}"
         raise ConfigError(
-            f"field 'T' = {T:g} needs {steps:.3g} steps of dt = {dt:.3g}; "
+            f"{fields} need {steps:.3g} steps of dt = {dt:.3g}; "
             f"a run may take 0 to {MAX_STEPS}")
     return int(np.ceil(steps - 1e-12))
 
@@ -193,13 +196,14 @@ class Outputs:
     time, then writes it to its row of the preallocated fields array or,
     given collect, calls collect(t, field) and stores nothing (times and
     fields are then empty); either way it keeps the largest edge
-    fraction.  The step count must fit MAX_STEPS, and stored snapshots
+    fraction.  The step count must fit MAX_STEPS (a refusal names n_h
+    too when given, as the n_h that set dt), and stored snapshots
     MAX_BYTES.
     """
 
     def __init__(self, T: float, dt: float, out_every: int | None,
-                 width: int, collect=None):
-        self.n_steps = step_count(T, dt)
+                 width: int, collect=None, n_h: int | None = None):
+        self.n_steps = step_count(T, dt, n_h)
         if out_every is None:
             out_every = max(1, self.n_steps // 400)
         if collect is None:

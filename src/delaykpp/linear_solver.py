@@ -5,20 +5,23 @@
 on a periodic grid, and the scaled decay diagnostics.
 
 Each Fourier mode obeys the scalar delay equation
-w' = (-xi^2 + i m xi + p) w + khat(xi) w(t-h); all modes advance together
-by one exact exponential Hermite step (_rk4_delay_diag), reading the
-delayed term from a HistoryRing whose node spacing divides the delay
-exactly.  The step has no stability limit, so a run takes the n_h it is
-given; it is fourth order in dt = h/n_h, including across the derivative
-jump at t = 0.  Parts of a mode array below 1e-150 of its largest part
-are flushed to 0 (_flush), so the decaying high modes never reach the
-slow subnormal range; no output changes by it.
+w' = (-xi^2 + i m xi + p) w + khat(xi) w(t-h).  The modes the delay
+couples, those with a Hermite weight that is nonzero after the flush
+(535 of 2048 on xval-smooth, none for a kernel of mass 0), advance
+together by one exact exponential Hermite step (_rk4_delay_diag),
+reading the delayed term from a HistoryRing of their own whose node
+spacing divides the delay exactly.  The step has no stability limit, so
+a run takes the n_h it is given; it is fourth order in dt = h/n_h,
+including across the derivative jump at t = 0.  Parts of a mode array
+below 1e-150 of its largest part are flushed to 0 (_flush), so the
+decaying high modes never reach the slow subnormal range; no output
+changes by it.
 
-The ring holds only the modes the delay couples: those with a Hermite
-weight that is nonzero after the flush (535 of 2048 on xval-smooth, none
-for a kernel of mass 0).  Every other mode has khat so small that all
-its weights are exactly 0, so it never reads its history and only
-decays; it is stepped without one, which changes no bit of any output.
+Every other mode has khat so small that all its weights are exactly 0:
+it obeys w' = mu w, so it is not stepped but sampled in closed form,
+w0 e^{mu t}, at the kept steps only.  It carries no discretisation
+error, and on a kernel of mass 0 (the heat equation) the step loop runs
+over an empty ring.
 
 At h = 0 the equation is solved exactly, mode by mode, at the times of a
 schedule with step T/256.  Either way every kept snapshot passes through
@@ -84,9 +87,9 @@ def _step_weights(mu, kap, dt: float):
         dt * dt * kap * (6.0 * p4 - 2.0 * p3))))
 
 
-def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None,
-                    w0=None):
-    """Advance the diagonal delayed system w' = mu w + kap w(t-h).
+def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
+    """Advance the diagonal delayed system w' = mu w + kap w(t-h) from the
+    ring's newest row; collect(n, w) sees w at step 0 and after each step.
 
     Over one step the delayed term is the cubic Hermite interpolant of the
     ring cell (d0, d0', d1, d1'), so variation of constants integrates the
@@ -96,17 +99,9 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None,
     [0, dt] is read with that right derivative once the cell before it is
     done, which keeps the step fourth order on constant-history data.
     The name predates this step; perfbench/layertrace.py wraps it by name.
-
-    The ring holds only the first nc = its width modes, the coupled ones;
-    w0 is the full starting vector (default: the ring's newest row, so
-    nc = mu.size) with those modes first.  A mode past nc must have all
-    four Hermite weights 0 after the flush (_step_weights): it never reads
-    the delayed term, so it only decays, w + (e^z - 1) w, and keeping its
-    history would change no bit of it.  The coupled modes add their four
-    delayed terms to (e^z - 1) w in the same order as a run with every
-    mode in the ring, so both give the same bits.  Once the free tail is
-    all 0 it stays 0 and is dropped; collect(n, w) then gets the first nc
-    modes only.  Overflow is left to the caller's finiteness check.
+    mu, kap and every array the step touches have the ring's width:
+    solve_linear passes the coupled modes only.  Overflow is left to the
+    caller's finiteness check.
 
     Modes decay at their own rates, so the high ones run down through
     the subnormal range (below 2.2e-308), where x86 arithmetic is many
@@ -114,13 +109,14 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None,
     end with a subnormal part (and 48.1% at exactly 0).  _flush zeros the
     parts below theta = _FLUSH = 1e-150 of their array's largest part M in
     the four Hermite coefficients (a Gaussian khat crosses the subnormal
-    range near |xi| = 38), in each new w (all modes, so the threshold does
-    not depend on nc) and in each pushed derivative row; not in em1 =
-    e^z - 1, whose small entries carry the slow modes.  A derivative row
-    holds the coupled modes only, so its M is their largest part, which
-    may keep a part that a row over all modes would have flushed.  The
-    ring's rows at entry are flushed by whoever fills the ring, once per
-    distinct row (solve_linear fills a constant history as one row
+    range near |xi| = 38), in each new w and in each pushed derivative
+    row; not in em1 = e^z - 1, whose small entries carry the slow modes.
+    Both w and the derivative rows hold the coupled modes only, so their
+    M is the coupled modes' largest part, which may keep a part that an
+    array over all modes would have flushed.
+    The ring's rows at entry are flushed by whoever fills the ring, once
+    per distinct row (solve_linear flushes each over all modes, then
+    keeps the coupled ones, and fills a constant history as one row
     broadcast to every node).  The flush is relative because the linear
     equation has no scale.
     - Staying normal: every kept part is at least theta M, so a product
@@ -133,18 +129,15 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None,
       array's largest part.  An output is an inverse FFT whose sums add
       such a part to terms of size up to M, 134 decades below their 17th
       digit, so it cannot reach one; every preset's CSV and report are
-      byte-identical with and without the flush, and with the
+      byte-identical with and without the flush, and with w and the
       derivative rows flushed over all modes or over the coupled ones.
     - A single mode is its own largest part and is never flushed (unless
       one of its real and imaginary parts is below theta times the
       other), so a one-mode run matches its unflushed run bit for bit.
     """
-    nc = ring.newest.size
-    em1, *weights = _step_weights(mu, kap, ring.dt)
-    a0, a1, b0, b1 = (c[:nc] for c in weights)
-    mu_c, kap_c = mu[:nc], kap[:nc]
-    w = (ring.newest if w0 is None else w0).copy()
-    right0 = _flush(mu_c * w[:nc] + kap_c * ring.delayed_nodes()[0][0])
+    em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
+    w = ring.newest.copy()
+    right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
     if collect is not None:
         collect(0, w)
     for n in range(n_steps):
@@ -154,15 +147,12 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None,
         # w + (e^z - 1) w, not e^z w: one rounded e^z applied N times
         # drifts coherently by up to N ulps, a rounded increment does not
         inc = em1 * w
-        head = inc[:nc]
-        head += a0 * d0
-        head += a1 * d1
-        head += b0 * e0
-        head += b1 * e1
+        inc += a0 * d0
+        inc += a1 * d1
+        inc += b0 * e0
+        inc += b1 * e1
         w = _flush(w + inc)
-        if w.size > nc and not w[nc:].any():
-            w, em1 = w[:nc], em1[:nc]
-        ring.push(w[:nc], _flush(mu_c * w[:nc] + kap_c * d1))
+        ring.push(w, _flush(mu * w + kap * d1))
         if collect is not None:
             collect(n + 1, w)
     return w
@@ -227,7 +217,10 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     spatial accuracy is spectral and the only discretization parameters are
     the grid itself and the step dt = h/n_h.  The step is exact for the
     stiff part of every mode, so n_h (default DEFAULT_N_H) sets accuracy
-    only and is used as given.
+    only and is used as given.  Only the modes the delay couples are
+    stepped, from a ring of their own; every other mode is w0 e^{mu t}
+    at each kept step t = n dt, with w0 from the flushed t = 0 row, so a
+    run with no coupled mode does not depend on n_h.
 
     u0: constant profile, or callable s -> profile on [-h, 0]; see
     _history_samples.
@@ -257,27 +250,29 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
         return out.trajectory(grid, 0)
 
     n_h = DEFAULT_N_H if n_h is None else int(n_h)
-    out = Outputs(T, params.h / n_h, out_every, grid.n)
-    # the coupled modes first, in their own order; only they are in the ring
-    coupled = np.any(_step_weights(mu, kap, params.h / n_h)[1:], axis=0)
-    order = np.argsort(~coupled, kind="stable")
-    nc = int(np.count_nonzero(coupled))
-    ring = HistoryRing(params.h, n_h, nc, complex)
+    dt = params.h / n_h
+    out = Outputs(T, dt, out_every, grid.n, n_h=n_h)
+    coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
+    ring = HistoryRing(params.h, n_h, int(np.count_nonzero(coupled)),
+                       complex)
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)
     vals, ders = np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1)
     for row in (*vals, *ders):  # one row per node, or one for a constant
         _flush(row)
-    ring.fill(vals[:, order[:nc]], ders[:, order[:nc]])
+    ring.fill(vals[:, coupled], ders[:, coupled])
+    free = ~coupled
+    w_free, mu_free = vals[-1, free], mu[free]
 
     def collect(n, w):
         if n in out.rows:  # the transform only for a kept step
-            spectrum = np.zeros(grid.n, complex)  # a dropped tail is all 0
-            spectrum[order[:w.size]] = w
+            spectrum = np.empty(grid.n, complex)
+            spectrum[coupled] = w
+            spectrum[free] = w_free * np.exp(mu_free * (n * dt))
             out.store(n, np.fft.ifft(spectrum).real)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
-        _rk4_delay_diag(mu[order], kap[order], ring, out.n_steps, collect,
-                        vals[-1, order])
+        _rk4_delay_diag(mu[coupled], kap[coupled], ring, out.n_steps,
+                        collect)
     return out.trajectory(grid, n_h)
 
 

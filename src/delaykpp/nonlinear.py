@@ -260,7 +260,8 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     if n_h < 1:
         raise ConfigError(f"n_h must be >= 1, got {n_h}")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
-    out = Outputs(T, dt, out_every, grid.n, collect)
+    out = Outputs(T, dt, out_every, grid.n, collect,
+                  n_h if h > 0.0 else None)
 
     st_p0, st_a, st_b, st_ab = _etd_stencils(dt, grid.dx, grid.n)
     kconv = _kernel_applier(kernel0, grid)
@@ -311,14 +312,6 @@ class LevelCrossings:
 
     m_minus: float
     m_plus: float
-
-    @property
-    def attained_minus(self) -> bool:
-        return math.isfinite(self.m_minus)
-
-    @property
-    def attained_plus(self) -> bool:
-        return math.isfinite(self.m_plus)
 
 
 def level_set(values: np.ndarray, x: np.ndarray, beta: float

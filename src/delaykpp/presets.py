@@ -123,10 +123,11 @@ _PRESETS: dict[str, dict] = {
         "L": 360.0,
         "n": 4096,
         "T": 100.0,
-        # the step this run has always taken (an RK4 stability raise of
-        # the configured 64 once chose it), so outputs keep their times
-        "n_h": 512,
-        "out_every": 64,
+        # no mode is coupled (kernel mass 0), so every mode is sampled in
+        # closed form and the outputs do not depend on n_h; out_every
+        # n_h/8 keeps the output times k/8
+        "n_h": 64,
+        "out_every": 8,
         "u0": {"amplitude": 1.0, "width": 1.4142135623730951, "center": 0.0},
         "snapshot_stride": 50,
         "diagnostics": {"z0": 0.0, "probe_x": 0.0, "tangency": False},

@@ -277,14 +277,22 @@ HOSTILE = [
     (SPEEDS_CFG, "h", -1),
     ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
     (KPP_CFG, "n", 256.7),
+    (LINEAR_CFG, "L", -1.0),
     # step budget: rejected before any ring or output array exists
     (KPP_CFG, "T", 1e300),
     (MCKEAN_CFG, "T", 1e300),
     (LINEAR_CFG, "T", 1e300),
     (KPP_CFG, "T", 1e9),
+    # dt = h/n_h: a step too small for the budget is n_h's as much as T's
+    (LINEAR_CFG, "n_h", 1e300),
+    (KPP_CFG, "n_h", 1e300),
     # speeds and KPP runs need g'(0) * mass > 1; simulate-linear does not
     (SPEEDS_CFG, "kernel.mass", 0.4),
     (SPEEDS_CFG, "gprime0", 0.5, "kernel.mass"),
+    (SPEEDS_CFG, "gprime0", 0.9),
+    ({"command": "speeds", "kernel": {"family": "dirac", "mass": 0.6},
+      "birth": {"family": "nicholson", "p": 2.0, "a": 1.0}, "h": 1.0},
+     "birth.p", 1.5, "birth"),
     ({**KPP_CFG, "kernel": {"family": "gaussian", "stddev": 1.0}},
      "kernel.mass", 0.0),
     (MCKEAN_CFG, "kernel.mass", 0.4),

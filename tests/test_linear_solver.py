@@ -302,9 +302,9 @@ def _ring_and_fields(monkeypatch, flush):
     seen = []
     inner = linear_solver._rk4_delay_diag
 
-    def keep_ring(mu, kap, ring, n_steps, collect=None, w0=None):
+    def keep_ring(mu, kap, ring, n_steps, collect=None):
         seen.append(ring)
-        return inner(mu, kap, ring, n_steps, collect, w0)
+        return inner(mu, kap, ring, n_steps, collect)
 
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", keep_ring)
     grid = Grid(16.0, 256)
@@ -357,23 +357,23 @@ XVAL_GRID = Grid(48.0, 1024)  # xval-smooth's kernel and params, smaller
 XVAL = CharParams(m=0.4, p=-0.8, h=1.0)
 
 
-def _coupled_run(monkeypatch, kernel, u0):
-    """solve_linear's fields at every step to T = 2 (n_h 16), its ring,
-    and the width of each w the step hands to collect."""
+def _coupled_run(monkeypatch, kernel, u0, n_h=16, out_every=1):
+    """solve_linear's fields at every out_every-th step to T = 2, its
+    ring, and the width of each w the step hands to collect."""
     rings, widths = [], []
     inner = linear_solver._rk4_delay_diag
 
-    def spy(mu, kap, ring, n_steps, collect=None, w0=None):
+    def spy(mu, kap, ring, n_steps, collect=None):
         def seen(n, w):
             widths.append(w.size)
             collect(n, w)
 
         rings.append(ring)
-        return inner(mu, kap, ring, n_steps, seen, w0)
+        return inner(mu, kap, ring, n_steps, seen)
 
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", spy)
-    traj = solve_linear(XVAL, kernel, XVAL_GRID, u0, T=2.0, n_h=16,
-                        out_every=1)
+    traj = solve_linear(XVAL, kernel, XVAL_GRID, u0, T=2.0, n_h=n_h,
+                        out_every=out_every)
     return traj.fields, rings[0], widths
 
 
@@ -414,18 +414,28 @@ def test_coupled_ring_matches_a_full_ring_bit_for_bit(monkeypatch, history):
     fields, ring, widths = _coupled_run(monkeypatch, kern, u0)
     full = _full_ring_fields(kern, u0)
     assert fields.tobytes() == full.tobytes()
-    # the free tail decays to 0 and is dropped during the run
-    nc = ring.newest.size
-    assert widths[0] == XVAL_GRID.n and widths[-1] == nc < XVAL_GRID.n
+    # the step carries the coupled modes only, from the first step on
+    assert set(widths) == {ring.newest.size}
 
 
 def test_mass_zero_kernel_has_an_empty_ring_and_decays_exactly(monkeypatch):
+    # every mode is free, so each kept field is the closed form itself
     kern = Gaussian(0.0, 1.0, 0.0)
     u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
     fields, ring, _ = _coupled_run(monkeypatch, kern, u0)
     assert ring.vals.shape == (17, 0)
     xi = XVAL_GRID.xi
     mu = -xi ** 2 + 1j * XVAL.m * xi + XVAL.p
-    t = np.arange(33)[:, None] / 16.0
-    exact = np.fft.ifft(np.fft.fft(u0) * np.exp(mu * t), axis=1).real
-    np.testing.assert_allclose(fields, exact, rtol=0, atol=1e-13)
+    exact = [np.fft.ifft(np.fft.fft(u0) * np.exp(mu * (n * (1.0 / 16)))).real
+             for n in range(33)]
+    assert fields.tobytes() == np.array(exact).tobytes()
+
+
+def test_mass_zero_kernel_does_not_depend_on_n_h(monkeypatch):
+    # the same kept times k/16 at n_h 16 and at n_h 128
+    kern = Gaussian(0.0, 1.0, 0.0)
+    u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
+    coarse, _, _ = _coupled_run(monkeypatch, kern, u0)
+    fine, _, _ = _coupled_run(monkeypatch, kern, u0, n_h=128, out_every=8)
+    assert coarse.shape == (33, XVAL_GRID.n)
+    assert coarse.tobytes() == fine.tobytes()

@@ -20,8 +20,10 @@ for every file that is not byte-identical (``cmp``):
   change |new - old| / |old|; other differing values and keys present on
   one side only are printed as they are;
 - CSV: the row counts, and over the entries that differ the count, how
-  many of them now read 0, the largest |old|, the largest |new| and the
-  largest relative change;
+  many of them now read 0, the largest |old|, the largest |new|, the
+  largest relative change (inf once an entry moves off 0) and the
+  largest |new - old| over the largest |old| of its column in the whole
+  old file (the scale a move off 0 is read against);
 - any other file (NAME.stdout): the first line that differs, both sides.
 
 The exit status is 0 when every status matches and every file is
@@ -116,17 +118,25 @@ def _csv_diff(old_path: str, new_path: str) -> str:
     count, zeroed, max_old, max_new, max_rel = 0, 0, 0.0, 0.0, 0.0
     rows = [0, 0]
     other = 0  # differing non-numeric cells, or rows of unequal width
+    scale = {}  # column -> largest |old| of the file
+    move = {}  # column -> largest |new - old| of its differing entries
     with open(old_path) as fo, open(new_path) as fn:
-        for a, b in zip(fo, fn):
-            rows[0] += 1
-            rows[1] += 1
-            if a == b:
+        for a, b in itertools.zip_longest(fo, fn):
+            rows[0] += a is not None
+            rows[1] += b is not None
+            if a is None:
                 continue
-            ca, cb = a.rstrip("\n").split(","), b.rstrip("\n").split(",")
+            ca = a.rstrip("\n").split(",")
+            for j, x in enumerate(map(_cell, ca)):
+                if isinstance(x, float):
+                    scale[j] = max(scale.get(j, 0.0), abs(x))
+            if b is None or a == b:
+                continue
+            cb = b.rstrip("\n").split(",")
             if len(ca) != len(cb):
                 other += 1
                 continue
-            for x, y in zip(ca, cb):
+            for j, (x, y) in enumerate(zip(ca, cb)):
                 if x == y:
                     continue
                 x, y = _cell(x), _cell(y)
@@ -136,14 +146,16 @@ def _csv_diff(old_path: str, new_path: str) -> str:
                     max_old = max(max_old, abs(x))
                     max_new = max(max_new, abs(y))
                     max_rel = max(max_rel, _rel(x, y))
+                    move[j] = max(move.get(j, 0.0), abs(y - x))
                 else:
                     other += 1
-        rows[0] += sum(1 for _ in fo)
-        rows[1] += sum(1 for _ in fn)
+    max_move = max((math.inf if scale[j] == 0.0 else d / scale[j]
+                    for j, d in move.items()), default=0.0)
     line = (f"rows {rows[0]} -> {rows[1]}; {count} entries differ "
             f"({zeroed} now 0), "
             f"max |old| {max_old:.3g}, max |new| {max_new:.3g}, "
-            f"max rel. change {max_rel:.3g}")
+            f"max rel. change {max_rel:.3g}, "
+            f"max |new - old| / column max |old| {max_move:.3g}")
     return line + (f"; {other} other cells or rows differ" if other else "")
 
 
