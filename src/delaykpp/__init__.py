@@ -20,8 +20,8 @@ from .linear_solver import (solve_linear, probe_value,
                             universal_bound_diagnostic)
 from .fundamental import (SymbolTable, gate_check, rho_solve, symbol_table,
                           approx_identity_error, pde_residual)
-from .nonlinear import (solve_kpp, LevelCrossings, level_set, LevelSetTrace,
-                        trace_levels)
+from .nonlinear import (solve_kpp, LevelCrossings, level_set, LevelScan,
+                        LevelSetTrace, trace_levels)
 from .experiments import (ExperimentReport, mckean_experiment, logdrift_fit,
                           extinction_experiment, spreading_experiment,
                           bridge_check, verdict_stability, tune_kernel_shift)

@@ -368,8 +368,8 @@ def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:
             kernel0, gprime0, h, sign * float(v[j]), sign * float(mu[j]))
         if not max(abs(r1), abs(r2)) <= 1e-10:  # NaN residuals fail too
             cause = "" if np.isfinite(r1 + r2) else (
-                "; g'(0) (field 'gprime0' or 'birth') and field 'kernel' "
-                "overflow a float")
+                "; g'(0) (field 'gprime0' or 'birth'), field 'kernel' and "
+                "field 'h' overflow a float")
             raise ConfigError(
                 f"speed polish stalled on branch {sign:+d}: "
                 f"residuals ({r1:.3e}, {r2:.3e}){cause}")

@@ -50,7 +50,7 @@ from .fundamental import approx_identity_error, pde_residual, symbol_table
 from .grids import every_kth
 from .linear_solver import (solve_linear, tangency_limit_diagnostic,
                             universal_bound_diagnostic)
-from .nonlinear import solve_kpp, trace_levels
+from .nonlinear import LevelScan, solve_kpp, trace_levels
 from .verify import run_checks
 
 __all__ = ["main", "run"]
@@ -230,14 +230,15 @@ def _cmd_simulate_linear(cfg: dict):
     kernel = f.kernel()
     grid = f.grid()
     T = f.number("T")
-    if "diagnostics" in cfg and not T > 0.0:
-        # S_max and S_min range over the outputs after t = 0, and a run
-        # to T = 0 has none
-        raise ConfigError(f"field 'T' = {T:g}: the diagnostics need a "
-                          "horizon T > 0")
     stride = f.count("snapshot_stride", 1)
     traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
                         f.count("n_h", None), f.count("out_every", None))
+    if "diagnostics" in cfg and not np.any(traj.times > 0.0):
+        # S_max and S_min range over the outputs after t = 0: a run to
+        # T = 0 keeps none, nor does one whose step h/n_h is 1e12 T or more
+        raise ConfigError(f"fields 'T' = {T:g} and 'params.h' = "
+                          f"{params.h:g}: the diagnostics need an output "
+                          "after t = 0, and the run keeps none")
 
     files = {}
     report = {"T": T, "n_h": int(traj.n_h),
@@ -319,7 +320,10 @@ def _cmd_simulate_kpp(cfg: dict):
     stride = f.count("snapshot_stride", 1)
     traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
-    trace = trace_levels(traj, beta, speeds)
+    scan = LevelScan(grid.x, beta)  # the scan mckean passes as collect
+    for t, u in zip(traj.times, traj.fields):
+        scan(float(t), u)
+    trace = trace_levels(scan, speeds)
     report = {
         "kappa": birth.kappa, "beta": beta,
         "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
@@ -387,8 +391,8 @@ def _chosen(f: Fields, field: str, invoked: str | None, choices) -> str:
         raise ConfigError(f"config declares {field} '{declared}' but "
                           f"'{invoked}' was invoked")
     if invoked not in choices:
-        raise ConfigError(f"unknown {field} '{invoked}'; choose from "
-                          f"{', '.join(choices)}")
+        raise ConfigError(f"field '{field}': unknown {field} '{invoked}'; "
+                          f"choose from {', '.join(choices)}")
     return invoked
 
 

@@ -9,6 +9,23 @@ given as null is a bad value, not a request for the default.  A run that
 would take more than grids.MAX_STEPS steps, or whose history ring or
 snapshot array would pass grids.MAX_BYTES, is refused before it starts.
 
+What a refusal names.  A refused config exits 1 with one line that names
+the offending field by its dotted path.  It may name instead:
+
+- the ``kernel`` or ``birth`` object, for a bad value of one of its
+  parameters: a family checks its parameters together (Nicholson's p and
+  a; a kernel whose mass or moments overflow a float), so its refusal is
+  the object's;
+- a field inside an object given in place of the whole object (the
+  missing ``birth.family`` of ``"birth": {}``).
+
+A value of the right type and range that is merely extreme (a birth p,
+a kernel mass or a delay of 1e300) is not a bad config.  The run is
+made, and if it overflows it is a failed run: the finiteness gate stops
+it with "solution lost finiteness near t=...; last healthy output at
+t=..." and exit 1.  That line names the gate, not a field, since the
+solver cannot tell which value overflowed.
+
 Field reference (subcommands that read the field in brackets; "exp" is
 every ``experiment``):
 

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .grids import DEFAULT_N_H
 from .kernels import Kernel
 from .linear_solver import solve_linear
-from .nonlinear import LevelSetTrace, solve_kpp, trace_levels
+from .nonlinear import LevelScan, LevelSetTrace, solve_kpp, trace_levels
 
 __all__ = ["ExperimentReport", "mckean_experiment", "logdrift_fit",
            "extinction_experiment", "spreading_experiment", "bridge_check",
@@ -103,9 +103,11 @@ def logdrift_fit(trace: LevelSetTrace, speeds) -> dict:
 def mckean_experiment(config: dict) -> ExperimentReport:
     """Drift-residual check on the two front edges.
 
-    Runs the nonlinear equation from a compact bump, traces the
-    beta-crossings, and forms M(t) = m_minus + c_plus t
-    - log(t)/(2 lambda_plus) and its mirror M_star.  Verdict "pass" when
+    Runs the nonlinear equation from a compact bump in one pass that
+    reduces each kept snapshot to its beta-crossings as the solver makes
+    it (a LevelScan passed as collect), so no snapshot is stored; then
+    forms M(t) = m_minus + c_plus t - log(t)/(2 lambda_plus) and its
+    mirror M_star from the crossings.  Verdict "pass" when
     M is bounded below and M_star bounded above in the half-window sense
     (slack 2 dx); "inconclusive" when either side attains the level
     fewer than 4 times in some half.  The empirical offset constants
@@ -116,8 +118,10 @@ def mckean_experiment(config: dict) -> ExperimentReport:
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     out_every = Fields(config).count("out_every", default_out_every(n_h))
-    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
-    trace = trace_levels(traj, beta, speeds)
+    scan = LevelScan(grid.x, beta)
+    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every,
+                     collect=scan)
+    trace = trace_levels(scan, speeds)
 
     slack = 2.0 * grid.dx
     pos = trace.times > 0.0
@@ -342,7 +346,9 @@ def spreading_experiment(config: dict) -> ExperimentReport:
     when both minima stay above 1e-3 kappa (the reported eps0_hat is the
     smaller of the two).  A widened cone (factor 1.2) minimum is reported
     as the contrapositive control: outside the critical cone the solution
-    collapses toward 0.
+    collapses toward 0.  The run takes one pass and keeps, as they
+    arrive, only the snapshot nearest T/2 and the one nearest T (the
+    earlier one on a tie); no other snapshot is stored.
     """
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
@@ -351,15 +357,23 @@ def spreading_experiment(config: dict) -> ExperimentReport:
             f"field 'L': domain too small for the spreading cone at "
             f"T = {T:g}: need L/2 > {0.8 * speeds.c_plus * T + 5.0:.1f}")
     out_every = n_h if T >= 2.0 * h else 1
-    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
+    nearest = {}  # target time -> (t, u) of the nearest snapshot so far
+
+    def keep_nearest(t, u):
+        for target in (0.5 * T, T):
+            best = nearest.get(target)
+            if best is None or abs(t - target) < abs(best[0] - target):
+                nearest[target] = (t, u)
+
+    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every,
+                     collect=keep_nearest)
 
     def cone_min(t_target: float, widen: float) -> float:
-        i = int(np.argmin(np.abs(traj.times - t_target)))
-        t = float(traj.times[i])
+        t, u = nearest[t_target]
         lo = -widen * abs(speeds.c_minus) * t
         hi = widen * speeds.c_plus * t
-        sel = (traj.grid.x >= lo) & (traj.grid.x <= hi)
-        return float(np.min(traj.fields[i][sel]))
+        sel = (grid.x >= lo) & (grid.x <= hi)
+        return float(np.min(u[sel]))
 
     m_half = cone_min(0.5 * T, 0.8)
     m_full = cone_min(T, 0.8)

@@ -47,7 +47,8 @@ class Grid:
         if self.length <= 0.0:
             raise ConfigError(f"grid length must be positive, got {self.length}")
         if self.n < 256 or self.n & (self.n - 1):
-            raise ConfigError(f"grid n must be a power of two >= 256, got {self.n}")
+            raise ConfigError(f"field 'n' must be a power of two >= 256, "
+                              f"got {self.n}")
         # the shortest run (T = 0) budgets two snapshot rows (Outputs);
         # refused here, before x or any field of the grid's size exists
         _check_bytes(16 * self.n, f"field 'n' = {self.n}: the snapshot "

@@ -20,8 +20,8 @@ changes by it.
 Every other mode has khat so small that all its weights are exactly 0:
 it obeys w' = mu w, so it is not stepped but sampled in closed form,
 w0 e^{mu t}, at the kept steps only.  It carries no discretisation
-error, and on a kernel of mass 0 (the heat equation) the step loop runs
-over an empty ring.
+error, and on a kernel of mass 0 (the heat equation) no mode is
+stepped at all.
 
 At h = 0 the equation is solved exactly, mode by mode, at the times of a
 schedule with step T/256.  Either way every kept snapshot passes through
@@ -101,7 +101,8 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     The name predates this step; perfbench/layertrace.py wraps it by name.
     mu, kap and every array the step touches have the ring's width:
     solve_linear passes the coupled modes only.  Overflow is left to the
-    caller's finiteness check.
+    caller's finiteness check.  An empty ring (a kernel of mass 0) takes
+    no step: collect sees the same empty w at every step.
 
     Modes decay at their own rates, so the high ones run down through
     the subnormal range (below 2.2e-308), where x86 arithmetic is many
@@ -135,8 +136,13 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
       one of its real and imaginary parts is below theta times the
       other), so a one-mode run matches its unflushed run bit for bit.
     """
-    em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
     w = ring.newest.copy()
+    if w.size == 0:  # no coupled mode: nothing to step, only to hand over
+        if collect is not None:
+            for n in range(n_steps + 1):
+                collect(n, w)
+        return w
+    em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
     right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
     if collect is not None:
         collect(0, w)
@@ -252,7 +258,8 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     n_h = DEFAULT_N_H if n_h is None else int(n_h)
     dt = params.h / n_h
     out = Outputs(T, dt, out_every, grid.n, n_h=n_h)
-    coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the step
+        coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
     ring = HistoryRing(params.h, n_h, int(np.count_nonzero(coupled)),
                        complex)
     hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)

@@ -2,7 +2,10 @@
 
     u_t = u_xx - u + (k0 * g(u(t - h, .)))(x)
 
-plus level-crossing tracking.
+plus level-crossing tracking.  A LevelScan passed to solve_kpp as
+collect reduces each kept snapshot to its beta-crossings as the solver
+makes it, so a run traced this way stores no snapshot; trace_levels then
+forms the drift diagnostics from the crossings alone.
 
 The step is an exponential trapezoid rule built on the stiff linear part
 c = d_xx - 1, integrated exactly, with the delayed birth term carried by
@@ -72,7 +75,7 @@ from .grids import DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory
 from .kernels import Kernel, discretize
 from .linear_solver import _history_samples, _profile
 
-__all__ = ["solve_kpp", "level_set", "LevelCrossings",
+__all__ = ["solve_kpp", "level_set", "LevelCrossings", "LevelScan",
            "LevelSetTrace", "trace_levels"]
 
 _CLAMP_REL = 1e-13  # negatives below this fraction of the peak count as real
@@ -342,9 +345,32 @@ def level_set(values: np.ndarray, x: np.ndarray, beta: float
     return LevelCrossings(m_minus=m_minus, m_plus=m_plus)
 
 
+class LevelScan:
+    """The beta-crossings of a run, one snapshot at a time.
+
+    Each call scan(t, u) appends t and the level_set crossings of u to
+    times, m_minus and m_plus.  Passed to solve_kpp as collect, it reduces
+    every kept snapshot as the solver makes it, so none is stored; a run
+    that stores its snapshots calls it on each of them instead."""
+
+    def __init__(self, x: np.ndarray, beta: float):
+        self.x = x
+        self.beta = beta
+        self.times: list[float] = []
+        self.m_minus: list[float] = []
+        self.m_plus: list[float] = []
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        lc = level_set(u, self.x, self.beta)
+        self.times.append(t)
+        self.m_minus.append(lc.m_minus)
+        self.m_plus.append(lc.m_plus)
+
+
 @dataclass(frozen=True)
 class LevelSetTrace:
-    """Time series of the two beta-crossings with drift diagnostics.
+    """Time series of the two beta-crossings with drift diagnostics, as
+    trace_levels forms them from a LevelScan.
 
     M(t) = m_minus(t) + c_plus t - log(t)/(2 lambda_plus) is the
     left-front drift residual: the spreading theorem says it stays
@@ -361,22 +387,18 @@ class LevelSetTrace:
     M_star: np.ndarray
 
 
-def trace_levels(traj: Trajectory, beta: float, speeds) -> LevelSetTrace:
-    """Scan every stored snapshot for its beta-crossings and attach the
-    drift diagnostics built from the critical speeds."""
-    x = traj.grid.x
-    times = traj.times
-    m_minus = np.full(times.size, math.nan)
-    m_plus = np.full(times.size, math.nan)
-    for i in range(times.size):
-        lc = level_set(traj.fields[i], x, beta)
-        m_minus[i] = lc.m_minus
-        m_plus[i] = lc.m_plus
+def trace_levels(scan: LevelScan, speeds) -> LevelSetTrace:
+    """The crossings a LevelScan collected, with the drift diagnostics
+    built from the critical speeds; the snapshots themselves are not
+    needed."""
+    times = np.array(scan.times)
+    m_minus = np.array(scan.m_minus)
+    m_plus = np.array(scan.m_plus)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t = np.where(times > 0.0, np.log(times), math.nan)
         M = m_minus + speeds.c_plus * times \
             - log_t / (2.0 * speeds.lambda_plus)
         M_star = m_plus + speeds.c_minus * times \
             - log_t / (2.0 * speeds.lambda_minus)
-    return LevelSetTrace(beta=beta, times=times, m_minus=m_minus,
+    return LevelSetTrace(beta=scan.beta, times=times, m_minus=m_minus,
                          m_plus=m_plus, M=M, M_star=M_star)

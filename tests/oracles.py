@@ -11,6 +11,9 @@ as independent routes to what the package computes:
 - local_tail_ratio and local_expansion: the Dirac-kernel envelope tail
   and the small-frequency expansion of the dispersion relation;
 - gamma_h_eval: the synthesis of the fundamental solution itself;
+- stored_trace_levels and stored_cone_minima: the mckean level trace and
+  the spreading cone minima, read from a run's stored snapshots after
+  the run instead of reduced as the solver makes each one;
 - multiplier: the FFT multiplier of a discretized kernel.
 """
 
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from delaykpp import (CharParams, ConfigError, DiscreteKernel, Grid,
-                      HistoryRing, LinearBirth, TangencySolution, Trajectory,
-                      discretize, halanay_root, solve_kpp)
+                      HistoryRing, LevelSetTrace, LinearBirth,
+                      TangencySolution, Trajectory, discretize, halanay_root,
+                      level_set, solve_kpp)
 from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
 from delaykpp.grids import DEFAULT_N_H, Outputs, step_count
 from delaykpp.kernels import Kernel
@@ -285,3 +289,40 @@ def gamma_h_eval(table: SymbolTable, t: float, x, return_imag: bool = False):
     if return_imag:
         return res, imag_frac
     return res
+
+
+def stored_trace_levels(traj: Trajectory, beta: float, speeds
+                        ) -> LevelSetTrace:
+    """The beta-crossings of every stored snapshot of traj, scanned after
+    the run, with the drift diagnostics M and M_star."""
+    x = traj.grid.x
+    times = traj.times
+    m_minus = np.full(times.size, math.nan)
+    m_plus = np.full(times.size, math.nan)
+    for i in range(times.size):
+        lc = level_set(traj.fields[i], x, beta)
+        m_minus[i] = lc.m_minus
+        m_plus[i] = lc.m_plus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = np.where(times > 0.0, np.log(times), math.nan)
+        M = m_minus + speeds.c_plus * times \
+            - log_t / (2.0 * speeds.lambda_plus)
+        M_star = m_plus + speeds.c_minus * times \
+            - log_t / (2.0 * speeds.lambda_minus)
+    return LevelSetTrace(beta=beta, times=times, m_minus=m_minus,
+                         m_plus=m_plus, M=M, M_star=M_star)
+
+
+def stored_cone_minima(traj: Trajectory, speeds, T: float) -> list[float]:
+    """min u over the cones [-w |c_minus| t, w c_plus t] of the stored
+    snapshots nearest T/2 and T (np.argmin: the first on a tie), as
+    [w 0.8 at T/2, 0.8 at T, 1.2 at T/2, 1.2 at T]."""
+    out = []
+    for widen in (0.8, 1.2):
+        for t_target in (0.5 * T, T):
+            i = int(np.argmin(np.abs(traj.times - t_target)))
+            t = float(traj.times[i])
+            sel = (traj.grid.x >= -widen * abs(speeds.c_minus) * t) & \
+                (traj.grid.x <= widen * speeds.c_plus * t)
+            out.append(float(np.min(traj.fields[i][sel])))
+    return out

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, file formats, determinism, dispatch."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -277,6 +279,11 @@ HOSTILE = [
     (SPEEDS_CFG, "h", -1),
     ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
     (KPP_CFG, "n", 256.7),
+    (KPP_CFG, "n", 1e300),
+    (KPP_CFG, "command", "1"),
+    (MCKEAN_CFG, "experiment", "1"),
+    (SPEEDS_CFG, "h", 1e300),
+    (LINEAR_CFG, "params.h", 1e300),
     (LINEAR_CFG, "L", -1.0),
     # step budget: rejected before any ring or output array exists
     (KPP_CFG, "T", 1e300),
@@ -420,8 +427,8 @@ def test_linear_horizon_zero_runs_without_diagnostics(tmp_path):
 _FRAME_STALL = ("error: field 'kernel': frame tangency at the critical "
                 "speeds failed: tangency polish stalled: residuals (")
 _POLISH_OVERFLOW = ("error: speed polish stalled on branch +1: residuals "
-                    "(nan, nan); g'(0) (field 'gprime0' or 'birth') and "
-                    "field 'kernel' overflow a float\n")
+                    "(nan, nan); g'(0) (field 'gprime0' or 'birth'), "
+                    "field 'kernel' and field 'h' overflow a float\n")
 # (shift, gprime0, h) of a Dirac kernel -> start of the one-line message
 FAR_SHIFTED_SPEEDS = {
     (1e5, 2.0, 0.0): _FRAME_STALL, (1e5, 2.0, 1.0): _FRAME_STALL,
@@ -463,19 +470,36 @@ def _paths(spec, prefix=""):
             yield from _paths(value, prefix + key + ".")
 
 
+def _names_the_field(err: str, path: str) -> bool:
+    """Whether an exit-1 message names the changed path as the config
+    module docstring requires: the path itself, a field inside it, the
+    kernel or birth object a parameter of it belongs to, or (for an
+    extreme value that overflows) the finiteness gate of a failed run."""
+    parent = path.rpartition(".")[0]
+    return (f"'{path}'" in err or f"'{path}." in err
+            or (parent in ("kernel", "birth") and f"'{parent}'" in err)
+            or err.startswith("error: solution lost finiteness near t="))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_any_single_bad_field_exits_cleanly(data):
     base = data.draw(st.sampled_from(BASES))
     path = data.draw(st.sampled_from(sorted(_paths(base))))
     cfg = _with(base, path, data.draw(st.sampled_from(VALUES)))
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
-        # extreme values overflow inside the solvers; only the exit matters
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err):
+        # extreme values overflow inside the solvers; the exit and its
+        # message matter, not the warnings on the way
         warnings.simplefilter("ignore", RuntimeWarning)
         p = os.path.join(out, "cfg.json")
         with open(p, "w") as f:
             json.dump(cfg, f)
-        assert run(p, out, quiet=True) in (0, 1, 2)
+        status = run(p, out, quiet=True)
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert _names_the_field(err.getvalue(), path), err.getvalue()
 
 
 def _snapshot_data(n_out, width):

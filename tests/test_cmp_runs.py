@@ -1,10 +1,12 @@
-"""The CSV line of tools/cmp_runs.py on two small files."""
+"""tools/cmp_runs.py: its CSV line on two small files, and its per-name
+lines on a run of one tree against itself."""
 
 import os
+import re
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tools"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import cmp_runs  # noqa: E402
 
@@ -20,3 +22,20 @@ def test_csv_line_reads_a_move_off_zero_against_its_column(tmp_path):
     assert line == ("rows 4 -> 4; 2 entries differ (0 now 0), "
                     "max |old| 0.25, max |new| 0.25, max rel. change inf, "
                     "max |new - old| / column max |old| 1.11e-16")
+
+
+def test_each_name_prints_its_times_and_peak_rss(tmp_path, capsys):
+    # each name runs in a child of its own, so each reads its own VmHWM
+    src = os.path.join(ROOT, "src")
+    names = ["char-desk", "speeds-dirac"]
+    assert cmp_runs.main([src, src, *names, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pattern = (r"(\S+): exit 0 -> 0, identical; "
+               r"cli\.run \d+\.\d\d s -> \d+\.\d\d s, "
+               r"peak (\d+\.\d) MB -> (\d+\.\d) MB")
+    matches = [re.fullmatch(pattern, line) for line in lines]
+    assert all(matches), lines
+    assert [m.group(1) for m in matches] == names
+    assert all(float(p) > 0.0 for m in matches for p in m.groups()[1:])
+    assert sorted(os.listdir(tmp_path / "old")) == sorted(
+        [*names, *(n + ".config.json" for n in names)])

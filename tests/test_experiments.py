@@ -7,9 +7,12 @@ import pytest
 
 from delaykpp import (ConfigError, Dirac, Gaussian, LaplaceKernel,
                       LevelSetTrace, SpeedPair, UniformKernel, bridge_check,
-                      critical_speeds, extinction_experiment, logdrift_fit,
-                      mckean_experiment, preset, spreading_experiment,
-                      tune_kernel_shift, verdict_stability)
+                      critical_speeds, experiments, extinction_experiment,
+                      logdrift_fit, mckean_experiment, preset, solve_kpp,
+                      spreading_experiment, tune_kernel_shift,
+                      verdict_stability)
+from delaykpp.config import default_out_every, kpp_inputs
+from oracles import stored_cone_minima, stored_trace_levels
 
 SPEEDS = SpeedPair(c_minus=-0.8, c_plus=0.8, lambda_minus=-0.6,
                    lambda_plus=0.6, residuals=(0.0, 0.0, 0.0, 0.0))
@@ -218,3 +221,61 @@ def test_report_to_dict_round_trips_metrics():
     assert d["verdict"] == rep.verdict
     assert d["metrics"] == rep.metrics
     assert "trace" not in d
+
+
+# a small KPP config whose level beta is attained on both sides for most
+# of the run, but not at t = 0 (amplitude below beta) nor at the first
+# outputs
+SMALL_KPP = {"kernel": {"family": "gaussian", "mean": 0.5, "stddev": 1.0,
+                        "mass": 1.0},
+             "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
+             "L": 64.0, "n": 256, "h": 1.0, "n_h": 16, "T": 6.0,
+             "u0": {"amplitude": 0.3, "width": 2.0}}
+
+
+def _stored_run(cfg, out_every):
+    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
+    speeds = critical_speeds(kernel0, birth.gprime0, h)
+    return solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every), \
+        beta, speeds
+
+
+def test_one_pass_mckean_trace_equals_the_stored_scan():
+    rep = mckean_experiment(SMALL_KPP)
+    traj, beta, speeds = _stored_run(SMALL_KPP, default_out_every(16))
+    ref = stored_trace_levels(traj, beta, speeds)
+    m = rep.trace.m_minus
+    assert np.isnan(m[0]) and np.isfinite(m[-1])  # both cases are covered
+    assert rep.trace.beta == ref.beta
+    for name in ("times", "m_minus", "m_plus", "M", "M_star"):
+        assert getattr(rep.trace, name).tobytes() == \
+            getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("T", [3.0, 1.5, 6.25])
+def test_one_pass_cone_minima_equal_the_stored_run(T):
+    # T = 3 keeps t = 0, 1, 2, 3: T/2 = 1.5 ties between 1 and 2, and the
+    # earlier one is taken, as np.argmin takes it; T = 1.5 < 2h keeps every
+    # step; T = 6.25 ends off the grid of whole delays
+    cfg = {**SMALL_KPP, "T": T, "u0": {}}
+    rep = spreading_experiment(cfg)
+    traj, _, speeds = _stored_run(cfg, 16 if T >= 2.0 else 1)
+    assert [rep.metrics[k] for k in (
+        "min_at_half_T", "min_at_T", "widened_min_at_half_T",
+        "widened_min_at_T")] == stored_cone_minima(traj, speeds, T)
+
+
+@pytest.mark.parametrize("runner", [mckean_experiment, spreading_experiment,
+                                    extinction_experiment])
+def test_experiments_reduce_every_snapshot_and_store_none(monkeypatch,
+                                                          runner):
+    collects = []
+    real = experiments.solve_kpp
+
+    def spy(*args, **kwargs):
+        collects.append(kwargs.get("collect", (args + (None,) * 9)[8]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_kpp", spy)
+    runner({**SMALL_KPP, "T": 2.0})
+    assert collects and None not in collects

@@ -22,7 +22,8 @@ SOURCES = [SRC / f"{m}.py" for m in MODULES if m != "__init__"] + \
 # the reference implementations in tests/oracles.py, which no run calls
 ORACLES = ["scalar_dde_solve", "solve_linear_fd", "comparison_run",
            "ComparisonReport", "subtangential_defect", "local_tail_ratio",
-           "local_expansion", "gamma_h_eval"]
+           "local_expansion", "gamma_h_eval", "stored_trace_levels",
+           "stored_cone_minima"]
 
 
 @pytest.mark.parametrize("stem", MODULES)

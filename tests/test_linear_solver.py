@@ -439,3 +439,18 @@ def test_mass_zero_kernel_does_not_depend_on_n_h(monkeypatch):
     fine, _, _ = _coupled_run(monkeypatch, kern, u0, n_h=128, out_every=8)
     assert coarse.shape == (33, XVAL_GRID.n)
     assert coarse.tobytes() == fine.tobytes()
+
+
+def test_empty_ring_takes_no_step(monkeypatch):
+    # a kernel of mass 0 couples no mode: collect still sees every step,
+    # but the ring is neither read nor written
+    def stepped(*args):
+        raise AssertionError("an empty ring was stepped")
+
+    for method in ("push", "delayed_nodes"):
+        monkeypatch.setattr(HistoryRing, method, stepped)
+    seen = []
+    empty = np.zeros(0, complex)
+    _rk4_delay_diag(empty, empty, HistoryRing(1.0, 16, 0, complex), 40,
+                    lambda n, w: seen.append((n, w.size)))
+    assert seen == [(n, 0) for n in range(41)]

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from delaykpp import (ConfigError, Dirac, Gaussian, Grid, LaplaceKernel,
-                      Nicholson, UniformKernel, critical_speeds, level_set,
-                      solve_kpp, trace_levels)
+                      LevelScan, Nicholson, UniformKernel, critical_speeds,
+                      level_set, solve_kpp, trace_levels)
 from delaykpp import nonlinear
 from delaykpp.experiments import tune_kernel_shift
 from delaykpp.nonlinear import (_UNDERFLOW, _etd_stencils, _kernel_applier,
@@ -365,7 +365,10 @@ def test_trace_levels_columns_and_t0_nan():
     traj = solve_kpp(kern, birth, grid, u0, T=6.0, h=1.0, n_h=32,
                      out_every=32)
     speeds = critical_speeds(kern, birth.gprime0, 1.0)
-    tr = trace_levels(traj, 0.5 * birth.kappa, speeds)
+    scan = LevelScan(grid.x, 0.5 * birth.kappa)
+    for t, u in zip(traj.times, traj.fields):
+        scan(t, u)
+    tr = trace_levels(scan, speeds)
     assert math.isnan(tr.M[0]) and math.isnan(tr.M_star[0])  # log 0
     lc = level_set(traj.fields[-1], grid.x, tr.beta)
     assert tr.m_minus[-1] == pytest.approx(lc.m_minus, abs=1e-14)

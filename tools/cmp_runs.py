@@ -4,17 +4,18 @@ Usage: python3 tools/cmp_runs.py OLD_SRC NEW_SRC [NAME ...] [--out DIR]
 
 OLD_SRC and NEW_SRC are directories holding a ``delaykpp`` package (the
 ``src`` directory of two checkouts).  NAME is a preset name or ``verify``;
-the default is every preset followed by ``verify``.  Each tree runs the
-names one after another through ``cli.run`` in its own child process
-(old tree first), writing to DIR/old/NAME and DIR/new/NAME; DIR defaults
-to a fresh temporary directory, which is removed afterwards.  Each name
-runs without --quiet, and what it prints to stdout is saved beside its
-files as NAME.stdout and compared with them.  The child also times each
-``cli.run`` call (``time.perf_counter``); the times are printed, never
-written beside the compared files.
+the default is every preset followed by ``verify``.  Each tree runs each
+name through ``cli.run`` in a child process of its own (old tree first),
+writing to DIR/old/NAME and DIR/new/NAME; DIR defaults to a fresh
+temporary directory, which is removed afterwards.  Each name runs without
+--quiet, and what it prints to stdout is saved beside its files as
+NAME.stdout and compared with them.  The child also times its
+``cli.run`` call (``time.perf_counter``) and reads its peak resident
+memory (VmHWM, as ``perfbench/child.py`` does) when the call returns;
+both are printed, never written beside the compared files.
 
-For every name it prints both exit statuses, both ``cli.run`` times and,
-for every file that is not byte-identical (``cmp``):
+For every name it prints both exit statuses, both ``cli.run`` times, both
+peak RSS values and, for every file that is not byte-identical (``cmp``):
 
 - JSON: each number that differs, with both values and the relative
   change |new - old| / |old|; other differing values and keys present on
@@ -43,32 +44,34 @@ import subprocess
 import sys
 import tempfile
 
-# runs in a child whose PYTHONPATH is one tree; argv: out dir, names
+# runs in a child whose PYTHONPATH is one tree; argv: out dir, name
 _CHILD = """
 import contextlib, json, os, sys, time
 from delaykpp import cli, presets
-out, names = sys.argv[1], sys.argv[2:]
-status, seconds = {}, {}
-for name in names:
-    d = os.path.join(out, name)
-    os.makedirs(d)
-    cfg = {"command": "verify"} if name == "verify" else presets.preset(name)
-    path = os.path.join(out, name + ".config.json")
-    with open(path, "w") as f:
-        json.dump(cfg, f)
-    with open(os.path.join(d, name + ".stdout"), "w") as f, \
-            contextlib.redirect_stdout(f):
-        start = time.perf_counter()
-        status[name] = cli.run(path, d)
-        seconds[name] = time.perf_counter() - start
-print(json.dumps({"status": status, "seconds": seconds}))
+out, name = sys.argv[1], sys.argv[2]
+d = os.path.join(out, name)
+os.makedirs(d)
+cfg = {"command": "verify"} if name == "verify" else presets.preset(name)
+path = os.path.join(out, name + ".config.json")
+with open(path, "w") as f:
+    json.dump(cfg, f)
+with open(os.path.join(d, name + ".stdout"), "w") as f, \\
+        contextlib.redirect_stdout(f):
+    start = time.perf_counter()
+    status = cli.run(path, d)
+    seconds = time.perf_counter() - start
+with open("/proc/self/status") as f:
+    peak = next(int(line.split()[1]) / 1024.0 for line in f
+                if line.startswith("VmHWM:"))
+print(json.dumps({"status": status, "seconds": seconds, "peak_mb": peak}))
 """
 
 
-def _run_tree(src: str, names: list[str], out: str) -> dict[str, dict]:
-    """{"status": {name: exit status}, "seconds": {name: cli.run time}}."""
+def _run_name(src: str, name: str, out: str) -> dict:
+    """{"status": exit status, "seconds": cli.run time, "peak_mb": VmHWM
+    in MB} of one name, run in a fresh child process."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, out, *names],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, out, name],
                           env=env, stdout=subprocess.PIPE, text=True,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -209,21 +212,23 @@ def main(argv=None) -> int:
         runs = {}
         for side, src in (("old", args.old_src), ("new", args.new_src)):
             os.makedirs(os.path.join(out, side))
-            runs[side] = _run_tree(src, names, os.path.join(out, side))
+            runs[side] = {name: _run_name(src, name, os.path.join(out, side))
+                          for name in names}
         same = True
         for name in names:
-            s_old, s_new = (runs[side]["status"][name] for side in runs)
-            t_old, t_new = (runs[side]["seconds"][name] for side in runs)
+            old, new = runs["old"][name], runs["new"][name]
             lines = compare(os.path.join(out, "old", name),
                             os.path.join(out, "new", name))
             verdict = "identical" if not lines else "differs"
-            if s_old != s_new:
+            if old["status"] != new["status"]:
                 verdict = "EXIT STATUS DIFFERS"
-            print(f"{name}: exit {s_old} -> {s_new}, {verdict}; "
-                  f"cli.run {t_old:.2f} s -> {t_new:.2f} s")
+            print(f"{name}: exit {old['status']} -> {new['status']}, "
+                  f"{verdict}; cli.run {old['seconds']:.2f} s -> "
+                  f"{new['seconds']:.2f} s, peak {old['peak_mb']:.1f} MB -> "
+                  f"{new['peak_mb']:.1f} MB")
             for line in lines:
                 print(line)
-            same = same and not lines and s_old == s_new
+            same = same and not lines and old["status"] == new["status"]
     finally:
         if args.out is None:
             shutil.rmtree(out, ignore_errors=True)
