@@ -24,7 +24,7 @@ from .nonlinear import (solve_kpp, LevelCrossings, level_set, LevelScan,
                         LevelSetTrace, trace_levels)
 from .experiments import (ExperimentReport, mckean_experiment, logdrift_fit,
                           extinction_experiment, spreading_experiment,
-                          bridge_check, verdict_stability, tune_kernel_shift)
+                          bridge_check, tune_kernel_shift)
 from .presets import preset, preset_names
 from .errors import (ConfigError, TransformDomainError, TangencyError,
                      GateError)

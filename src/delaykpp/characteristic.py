@@ -167,7 +167,7 @@ def _newton2(system, x, y, iters: int):
     return x, y, r1, r2
 
 
-def _tangency_newton(params, kernel, gam, z, iters=6):
+def _tangency_newton(params, kernel, gam, z):
     h = params.h
 
     def system(gam, z):
@@ -179,7 +179,7 @@ def _tangency_newton(params, kernel, gam, z, iters=6):
         r2 = float(params.q1_prime(z)) + E * m1
         return r1, r2, -1.0 - h * E * q2, r2, h * E * m1, -2.0 - E * m2
 
-    gam, z, r1, r2 = _newton2(system, gam, z, iters)
+    gam, z, r1, r2 = _newton2(system, gam, z, 6)
     return float(gam), float(z), float(r1), float(r2)
 
 
@@ -265,9 +265,10 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
 
 
 def polish_speed(kernel0: Kernel, gprime0: float, h: float, c: float,
-                 lam: float, iters: int = 12):
-    """Newton-polish a critical speed candidate on the 2x2 tangency system
-    f1 = f2, f1' = f2' in the unknowns (c, lambda).  Returns
+                 lam: float):
+    """Newton-polish a critical speed candidate, in at most 12 steps, on
+    the 2x2 tangency system f1 = f2, f1' = f2' in the unknowns
+    (c, lambda).  Returns
     (c, lambda, residual_value, residual_slope)."""
     def system(lam, c):
         L0 = float(np.real(kernel0.laplace(lam)))
@@ -281,7 +282,7 @@ def polish_speed(kernel0: Kernel, gprime0: float, h: float, c: float,
                 -2.0 - w * (c * c * h * h * L0 + 2.0 * c * h * m1 + m2),
                 1.0 - w * (lam * c * h * h * L0 + lam * h * m1 - h * L0))
 
-    lam, c, r1, r2 = _newton2(system, lam, c, iters)
+    lam, c, r1, r2 = _newton2(system, lam, c, 12)
     return c, lam, r1, r2
 
 

@@ -24,14 +24,13 @@ from .characteristic import (CharParams, _require_growth, _strip_limits,
                              tangency_solve)
 from .config import KPP_AMPLITUDE, Fields, default_out_every, kpp_inputs
 from .errors import ConfigError
-from .grids import DEFAULT_N_H
 from .kernels import Kernel
 from .linear_solver import solve_linear
 from .nonlinear import LevelScan, LevelSetTrace, solve_kpp, trace_levels
 
 __all__ = ["ExperimentReport", "mckean_experiment", "logdrift_fit",
            "extinction_experiment", "spreading_experiment", "bridge_check",
-           "verdict_stability", "tune_kernel_shift"]
+           "tune_kernel_shift"]
 
 
 @dataclass(frozen=True)
@@ -488,28 +487,3 @@ def bridge_check(config: dict) -> ExperimentReport:
     verdict = "pass" if (tang_ok and frame_ok) else "fail"
     return ExperimentReport(name="bridge", params=dict(config),
                             metrics=metrics, verdict=verdict)
-
-
-def verdict_stability(experiment, config: dict, metric_keys,
-                      rtol: float = 0.05) -> dict:
-    """Grid-convergence gate: rerun with the step halved and with the
-    grid doubled; the verdict must not move and the named metrics must
-    move by less than rtol relative."""
-    f = Fields(config)
-    base = experiment(config)
-    refined = [
-        experiment({**config, "n_h": 2 * f.count("n_h", DEFAULT_N_H)}),
-        experiment({**config, "n": 2 * f.count("n")}),
-    ]
-    moves = {}
-    stable = True
-    for rep in refined:
-        for k in metric_keys:
-            a, b = base.metrics[k], rep.metrics[k]
-            move = abs(b - a) / max(abs(a), 1e-12)
-            moves[k] = max(moves.get(k, 0.0), move)
-            stable = stable and move < rtol
-    verdicts = [base.verdict] + [r.verdict for r in refined]
-    return {"verdict_stable": len(set(verdicts)) == 1,
-            "metrics_stable": stable, "moves": moves,
-            "verdicts": verdicts, "base": base}

@@ -111,21 +111,17 @@ class SymbolTable:
 
 
 def symbol_table(params: CharParams, kernel: Kernel, t_min: float = 0.25,
-                 x_span: float = 40.0, z_max: float | None = None,
-                 n: int | None = None) -> SymbolTable:
+                 x_span: float = 40.0) -> SymbolTable:
     """Build the symbol grid after passing the gate.
 
     z_max is sized so the synthesis integrand at t_min is below 1e-14 of
     its peak at the grid ends; dz resolves oscillations e^{izx} for
-    |x| up to x_span with margin.
+    |x| up to x_span with margin.  The node count is odd, so z = 0 is a
+    node.
     """
-    if z_max is None:
-        z_max = float(np.sqrt(37.0 / t_min))
-    if n is None:
-        dz_target = 2.0 * np.pi / (2.5 * x_span)
-        n = int(2 * round(z_max / dz_target) + 1)
-    if n % 2 == 0:
-        n += 1  # keep z=0 on the grid
+    z_max = float(np.sqrt(37.0 / t_min))
+    dz_target = 2.0 * np.pi / (2.5 * x_span)
+    n = int(2 * round(z_max / dz_target) + 1)
     gate_check(params, kernel, z_max, max(n, 801))
     z = np.linspace(-z_max, z_max, n)
     rho = rho_solve(params, kernel, z)
@@ -167,9 +163,10 @@ def approx_identity_error(table: SymbolTable, t: float, psi_x: np.ndarray,
     return float(np.max(np.abs(conv.real - psi)) / np.max(np.abs(psi)))
 
 
-def pde_residual(table: SymbolTable, t: float, dt: float | None = None,
-                 x_max: float = 20.0, n_x: int = 257) -> float:
-    """Relative residual of the delayed equation for Gamma_h at time t.
+def pde_residual(table: SymbolTable, t: float,
+                 dt: float | None = None) -> float:
+    """Relative residual of the delayed equation for Gamma_h at time t,
+    over 257 points of [-20, 20].
 
     Spatial derivatives, the reaction term, and the delayed convolution
     are evaluated exactly in symbol space (unshifted by rho0, where the
@@ -184,7 +181,7 @@ def pde_residual(table: SymbolTable, t: float, dt: float | None = None,
     if dt is None:
         dt = h / 256.0 if h > 0 else t / 256.0
     _tail_guard(table, t + dt)
-    x = np.linspace(-x_max, x_max, n_x)
+    x = np.linspace(-20.0, 20.0, 257)
     m, p = table.params.m, table.params.p
     z = table.z
 

@@ -1,5 +1,9 @@
-"""Periodic grid, the delay-line history ring, and the one output path
-of every run.
+"""Periodic grid, the delay-line history ring with the history samples
+that fill it, and the one output path of every run.
+
+_history_samples turns a run's initial data into the values and time
+derivatives on the ring's nodes; both solvers call it, and at h = 0,
+where there is no delay window, it returns the one initial profile.
 
 Each snapshot that a run keeps, from either solver at any delay, goes
 through Outputs.store: the schedule picks the steps, the byte budget is
@@ -48,10 +52,10 @@ class Grid:
             raise ConfigError(f"grid length must be positive, got {self.length}")
         if self.n < 256 or self.n & (self.n - 1):
             raise ConfigError(f"field 'n' must be a power of two >= 256, "
-                              f"got {self.n}")
+                              f"got {self.n:g}")
         # the shortest run (T = 0) budgets two snapshot rows (Outputs);
         # refused here, before x or any field of the grid's size exists
-        _check_bytes(16 * self.n, f"field 'n' = {self.n}: the snapshot "
+        _check_bytes(16 * self.n, f"field 'n' = {self.n:g}: the snapshot "
                      "array of the shortest run")
 
     @property
@@ -65,10 +69,6 @@ class Grid:
     @property
     def xi(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-    def integrate(self, values: np.ndarray) -> float:
-        # periodic trapezoid = plain rectangle sum
-        return float(np.sum(values) * self.dx)
 
 
 class HistoryRing:
@@ -135,6 +135,50 @@ class HistoryRing:
         s = self._slot(self._step)
         self.vals[s] = val
         self.ders[s] = der
+
+
+def _history_samples(u0, n_h: int, h: float, width: int, dtype):
+    """Sample history and its time derivative on the ring nodes
+    -h + j h/n_h, j = 0 .. n_h.
+
+    u0 may be a constant profile (an array of shape (width,) or a scalar)
+    or, for h > 0, a callable s -> profile on [-h, 0]; at h = 0 there is
+    no delay window for a callable to describe.  A constant profile gives
+    one (1, width) row of values and one of zero derivatives, which
+    HistoryRing.fill broadcasts to every node; at h = 0 that row is the
+    initial profile.
+    """
+    if not callable(u0):
+        prof = np.asarray(u0, dtype)
+        if prof.ndim == 0:
+            prof = np.full(width, prof[()])
+        if prof.shape != (width,):
+            raise ConfigError(f"history profile must have shape ({width},), "
+                              f"got {prof.shape}")
+        # a copy, not u0 itself: solve_kpp floors the history in place
+        vals = np.array(prof, ndmin=2)
+        return vals, np.zeros_like(vals)
+    if h == 0.0:
+        raise ConfigError("h=0 takes a single initial profile")
+    shape = (n_h + 1, width)
+    dt = h / n_h
+    vals = np.empty(shape, dtype)
+    ders = np.empty(shape, dtype)
+    eps = 1e-3 * dt  # every difference stays inside [-h, 0]
+
+    def f(s):
+        return np.asarray(u0(s), dtype)
+
+    for j in range(n_h + 1):
+        s = -h + j * dt
+        vals[j] = f(s)
+        if 0 < j < n_h:
+            ders[j] = (f(s + eps) - f(s - eps)) / ((s + eps) - (s - eps))
+        else:  # second-order one-sided difference at the two ends
+            e = eps if j == 0 else -eps
+            ders[j] = (4.0 * f(s + e) - f(s + 2.0 * e) - 3.0 * vals[j]) \
+                / (2.0 * e)
+    return vals, ders
 
 
 def _check_bytes(nbytes: int, what: str) -> None:

@@ -335,11 +335,12 @@ class TiltedKernel(Kernel):
         return TiltedKernel(self.base, self.lam, self.scale * c)
 
 
-def quadrature_laplace(kernel: Kernel, z, abs_tol: float = 1e-12):
+def quadrature_laplace(kernel: Kernel, z):
     """Adaptive-quadrature evaluation of L(z), used to validate closed forms.
 
     Real z only.  Splits the axis at the kernel's centre of mass so the two
-    half-line integrals are well behaved.
+    half-line integrals are well behaved; each is integrated to an
+    absolute tolerance of 1e-12.
     """
     from scipy.integrate import quad
 
@@ -357,8 +358,8 @@ def quadrature_laplace(kernel: Kernel, z, abs_tol: float = 1e-12):
             return 0.0
         return math.exp(min(math.log(d) - z * y, 690.0))
 
-    left, _ = quad(f, -np.inf, centre, epsabs=abs_tol, limit=400)
-    right, _ = quad(f, centre, np.inf, epsabs=abs_tol, limit=400)
+    left, _ = quad(f, -np.inf, centre, epsabs=1e-12, limit=400)
+    right, _ = quad(f, centre, np.inf, epsabs=1e-12, limit=400)
     return left + right
 
 

@@ -20,11 +20,11 @@ changes by it.
 Every other mode has khat so small that all its weights are exactly 0:
 it obeys w' = mu w, so it is not stepped but sampled in closed form,
 w0 e^{mu t}, at the kept steps only.  It carries no discretisation
-error, and on a kernel of mass 0 (the heat equation) no mode is
-stepped at all.
-
-At h = 0 the equation is solved exactly, mode by mode, at the times of a
-schedule with step T/256.  Either way every kept snapshot passes through
+error.  At h = 0 the same sampler solves the equation exactly: no mode
+is coupled and each obeys w' = (mu + khat) w, sampled as
+w0 e^{(mu + khat) t} on a schedule with step T/256.  A run with no
+coupled mode (h = 0, or a kernel of mass 0, the heat equation) builds no
+ring and takes no step.  Every kept snapshot passes through
 grids.Outputs, the output gate the KPP solver shares: schedule, byte
 budget, finiteness check and edge warning.
 """
@@ -37,7 +37,8 @@ import numpy as np
 
 from .characteristic import CharParams, DecayPair, TangencySolution
 from .errors import ConfigError
-from .grids import DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory
+from .grids import (DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory,
+                    _history_samples)
 from .kernels import Kernel
 
 __all__ = ["solve_linear", "tangency_limit_diagnostic",
@@ -68,7 +69,7 @@ _FLUSH = 1e-150  # theta of _flush
 def _flush(v: np.ndarray) -> np.ndarray:
     """Zero, in place, every real and imaginary part of v whose magnitude
     is below _FLUSH times the largest part in v; returns v, unchanged
-    when it is empty (the ring rows of a kernel of mass 0)."""
+    when it is empty."""
     parts = v.view(float)  # a complex v as its real and imaginary parts
     mag = np.abs(parts)
     np.putmask(parts, mag < _FLUSH * mag.max(initial=0.0), 0.0)
@@ -100,9 +101,9 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     done, which keeps the step fourth order on constant-history data.
     The name predates this step; perfbench/layertrace.py wraps it by name.
     mu, kap and every array the step touches have the ring's width:
-    solve_linear passes the coupled modes only.  Overflow is left to the
-    caller's finiteness check.  An empty ring (a kernel of mass 0) takes
-    no step: collect sees the same empty w at every step.
+    solve_linear passes the coupled modes only, and builds no ring when
+    there are none (h = 0, or a kernel of mass 0), so the ring is never
+    empty.  Overflow is left to the caller's finiteness check.
 
     Modes decay at their own rates, so the high ones run down through
     the subnormal range (below 2.2e-308), where x86 arithmetic is many
@@ -137,11 +138,6 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
       other), so a one-mode run matches its unflushed run bit for bit.
     """
     w = ring.newest.copy()
-    if w.size == 0:  # no coupled mode: nothing to step, only to hand over
-        if collect is not None:
-            for n in range(n_steps + 1):
-                collect(n, w)
-        return w
     em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
     right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
     if collect is not None:
@@ -164,56 +160,6 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     return w
 
 
-def _profile(u0, width: int, dtype=float) -> np.ndarray:
-    """u0 as one (width,) profile: an array or a scalar constant.
-
-    Only an h = 0 run reaches this with a callable, which describes a
-    delay window that an undelayed run does not have.
-    """
-    if callable(u0):
-        raise ConfigError("h=0 takes a single initial profile")
-    prof = np.asarray(u0, dtype)
-    if prof.ndim == 0:
-        prof = np.full(width, prof[()])
-    if prof.shape != (width,):
-        raise ConfigError(
-            f"history profile must have shape ({width},), got {prof.shape}")
-    return prof
-
-
-def _history_samples(u0, n_h: int, h: float, width: int, dtype):
-    """Sample history and its time derivative on the ring nodes.
-
-    u0 may be a constant profile (see _profile) or a callable s -> profile
-    on [-h, 0].  A constant profile gives one (1, width) row of values and
-    one of zero derivatives, which HistoryRing.fill broadcasts to every
-    node.
-    """
-    if callable(u0):
-        shape = (n_h + 1, width)
-        dt = h / n_h
-        vals = np.empty(shape, dtype)
-        ders = np.empty(shape, dtype)
-        eps = 1e-3 * dt  # every difference stays inside [-h, 0]
-
-        def f(s):
-            return np.asarray(u0(s), dtype)
-
-        for j in range(n_h + 1):
-            s = -h + j * dt
-            vals[j] = f(s)
-            if 0 < j < n_h:
-                ders[j] = (f(s + eps) - f(s - eps)) / ((s + eps) - (s - eps))
-            else:  # second-order one-sided difference at the two ends
-                e = eps if j == 0 else -eps
-                ders[j] = (4.0 * f(s + e) - f(s + 2.0 * e) - 3.0 * vals[j]) \
-                    / (2.0 * e)
-        return vals, ders
-    # a copy, not u0 itself: solve_kpp floors the history in place
-    vals = np.array(_profile(u0, width, dtype), ndmin=2)
-    return vals, np.zeros_like(vals)
-
-
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                  n_h: int | None = None, out_every: int | None = None
                  ) -> Trajectory:
@@ -224,24 +170,26 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     the grid itself and the step dt = h/n_h.  The step is exact for the
     stiff part of every mode, so n_h (default DEFAULT_N_H) sets accuracy
     only and is used as given.  Only the modes the delay couples are
-    stepped, from a ring of their own; every other mode is w0 e^{mu t}
-    at each kept step t = n dt, with w0 from the flushed t = 0 row, so a
-    run with no coupled mode does not depend on n_h.
+    stepped, from a ring of their own; every other mode is sampled in
+    closed form, w0 e^{rate t}, at each kept step t = n dt, with w0 from
+    the flushed t = 0 row and rate = mu.  A run with no coupled mode
+    builds no ring, takes no step and does not depend on n_h.
 
     u0: constant profile, or callable s -> profile on [-h, 0]; see
-    _history_samples.
+    grids._history_samples.
     Snapshots pass through grids.Outputs (out_every=None keeps about
     400), which refuses a non-finite one and warns when the solution
-    touches the periodic edge.  For h = 0 the exact solution is sampled
-    instead, at the 257 times k T/256 of a schedule with step T/256 (one
-    snapshot when T = 0); it takes no step, and refuses n_h, out_every
-    and a negative T.
+    touches the periodic edge.  At h = 0 no mode is coupled and rate =
+    mu + kap, so the solution is exact; it is kept at the 257 times
+    k T/256 of a schedule with step T/256 (one snapshot when T = 0), and
+    n_h, out_every and a negative T are refused.
     """
     xi = grid.xi
     mu = -xi * xi + 1j * params.m * xi + params.p
     kap = kernel.fourier(xi)
+    h = params.h
 
-    if params.h == 0.0:
+    if h == 0.0:
         for name, value in (("n_h", n_h), ("out_every", out_every)):
             if value is not None:
                 raise ConfigError(
@@ -249,37 +197,39 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                     "undelayed solution takes no steps")
         if not T >= 0.0:
             raise ConfigError(f"field 'T' = {T:g}: the horizon must be >= 0")
-        out = Outputs(T, T / 256.0 if T > 0.0 else 1.0, 1, grid.n)
-        w0 = np.fft.fft(_profile(u0, grid.n))
-        for n, t in enumerate(out.times):  # every step is kept
-            out.store(n, np.fft.ifft(w0 * np.exp((mu + kap) * t)).real)
-        return out.trajectory(grid, 0)
-
-    n_h = DEFAULT_N_H if n_h is None else int(n_h)
-    dt = params.h / n_h
-    out = Outputs(T, dt, out_every, grid.n, n_h=n_h)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the step
-        coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
-    ring = HistoryRing(params.h, n_h, int(np.count_nonzero(coupled)),
-                       complex)
-    hv, hd = _history_samples(u0, n_h, params.h, grid.n, float)
+        n_h, dt, out_every = 0, T / 256.0 if T > 0.0 else 1.0, 1
+        # no delay couples a mode: each grows at mu + kap
+        coupled, rate = np.zeros(grid.n, bool), mu + kap
+    else:
+        n_h = DEFAULT_N_H if n_h is None else int(n_h)
+        dt, rate = h / n_h, mu
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the step
+            coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
+    out = Outputs(T, dt, out_every, grid.n, n_h=n_h if h > 0.0 else None)
+    ring = HistoryRing(h, n_h, int(np.count_nonzero(coupled)), complex) \
+        if coupled.any() else None
+    hv, hd = _history_samples(u0, n_h, h, grid.n, float)
     vals, ders = np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1)
     for row in (*vals, *ders):  # one row per node, or one for a constant
         _flush(row)
-    ring.fill(vals[:, coupled], ders[:, coupled])
     free = ~coupled
-    w_free, mu_free = vals[-1, free], mu[free]
+    w_free, rate_free = vals[-1, free], rate[free]
 
     def collect(n, w):
         if n in out.rows:  # the transform only for a kept step
             spectrum = np.empty(grid.n, complex)
             spectrum[coupled] = w
-            spectrum[free] = w_free * np.exp(mu_free * (n * dt))
+            spectrum[free] = w_free * np.exp(rate_free * (n * dt))
             out.store(n, np.fft.ifft(spectrum).real)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
-        _rk4_delay_diag(mu[coupled], kap[coupled], ring, out.n_steps,
-                        collect)
+        if ring is None:
+            for n in out.rows:
+                collect(n, vals[-1, coupled])
+        else:
+            ring.fill(vals[:, coupled], ders[:, coupled])
+            _rk4_delay_diag(mu[coupled], kap[coupled], ring, out.n_steps,
+                            collect)
     return out.trajectory(grid, n_h)
 
 

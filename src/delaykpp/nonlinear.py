@@ -15,9 +15,11 @@ second-order phi-weights:
     P0 = e^{c dt},  A = dt (phi1 - phi2)(c dt),  B = dt phi2(c dt),
     F_n = k0 * g(u(t_n - h)).
 
-Because the step divides the delay exactly, F_{n+1} reads the stored
-profile u(t_{n+1} - h), so the scheme stays one-step explicit; for h = 0
-an exponential predictor-corrector of the same order replaces it.
+solve_kpp writes this update once.  Because the step divides the delay
+exactly, F_{n+1} reads the stored profile u(t_{n+1} - h) from the
+HistoryRing, so the scheme stays one-step explicit.  At h = 0 there is no
+ring, and F_{n+1} reads the exponential-Euler predictor
+floor(P0 u_n + (A + B) F_n) instead, which keeps the same order.
 
 P0, A and B are mixtures of heat kernels, hence positivity- and
 order-preserving.  They are applied as compactly truncated physical-space
@@ -71,9 +73,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .grids import DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory
+from .grids import (DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory,
+                    _history_samples)
 from .kernels import Kernel, discretize
-from .linear_solver import _history_samples, _profile
 
 __all__ = ["solve_kpp", "level_set", "LevelCrossings", "LevelScan",
            "LevelSetTrace", "trace_levels"]
@@ -135,6 +137,19 @@ def _phi_dc(dt: float):
     return p0, a, b, ab
 
 
+def _trimmed(taps: np.ndarray, total: float):
+    """The stencil rule: keep the taps between the first and the last
+    above _STENCIL_DROP of the largest |tap|, clip them at 0 and rescale
+    them to sum to total exactly.  Returns the kept taps and the index of
+    the first; all of them are kept when none is above (a step so long
+    that every ETD tap underflows)."""
+    mag = np.abs(taps)
+    keep = np.flatnonzero(mag > _STENCIL_DROP * np.max(mag))
+    first, last = (keep[0], keep[-1]) if keep.size else (0, taps.size - 1)
+    kept = np.clip(taps[first:last + 1], 0.0, None)
+    return kept * (total / np.sum(kept)), int(first)
+
+
 def _etd_stencils(dt: float, dx: float, n: int):
     """Physical-space taps of the three propagator weights.
 
@@ -150,9 +165,9 @@ def _etd_stencils(dt: float, dx: float, n: int):
     construction rings in that regime and clipping the lobes biases the
     operator without bound as dt shrinks.  The taps are computed on a
     window that holds every offset above _STENCIL_DROP of the peak; each
-    stencil then keeps just its own offsets above _STENCIL_DROP of its own
-    peak (a symmetric, unimodal run about 0, so the centre stays at tap
-    m // 2) and is renormalized to its exact zero-frequency weight.
+    stencil is then trimmed by _trimmed to its own run above _STENCIL_DROP
+    of its own peak (symmetric and unimodal about 0, so the centre stays
+    at tap m // 2) and renormalized to its exact zero-frequency weight.
 
     A positive stencil cannot match the heat symbol once dt << dx^2 (the
     discrete symbol is 2 pi / dx periodic, the target is not flat at the
@@ -175,14 +190,8 @@ def _etd_stencils(dt: float, dx: float, n: int):
     b = (w * (dt - q * q)) @ core
     ab = w @ core
 
-    def trimmed(taps, dc):
-        keep = np.flatnonzero(taps > _STENCIL_DROP * np.max(taps))
-        if keep.size:  # none for a step so long that every tap underflows
-            taps = taps[keep[0]:keep[-1] + 1]
-        return taps * (dc / np.sum(taps))
-
-    return (trimmed(p0, p0_dc), trimmed(a, a_dc), trimmed(b, b_dc),
-            trimmed(ab, ab_dc))
+    return tuple(_trimmed(taps, dc)[0] for taps, dc in
+                 ((p0, p0_dc), (a, a_dc), (b, b_dc), (ab, ab_dc)))
 
 
 def _kernel_applier(kernel0: Kernel, grid: Grid):
@@ -190,11 +199,10 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
     grid-aligned point masses, a truncated sampled stencil otherwise, and
     zero for a kernel whose samples all vanish.
 
-    The stencil holds exactly the offsets lo..hi between the first and the
-    last sample above _STENCIL_DROP of the peak, clipped at 0 and
-    renormalized to the kernel's mass, and is applied off-centre through
-    the origin of convolve1d; a shifted kernel thus pays only for its own
-    support, also when that support lies wholly on one side of 0."""
+    The stencil holds the offsets lo..hi of the samples that _trimmed
+    keeps, renormalized to the kernel's mass; it is applied off-centre
+    through the origin of convolve1d, so a shifted kernel pays only for
+    its own support, also when that lies wholly on one side of 0."""
     dk = discretize(kernel0, grid)
     n = grid.n
     if dk.shift_cells is not None:
@@ -202,17 +210,13 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
         # np.roll(G, c), without np.roll's per-call index bookkeeping
         return lambda G: w * np.concatenate((G[n - c:], G[:n - c]))
     kern = np.roll(dk.samples * grid.dx, n // 2)  # index n // 2 is offset 0
-    peak = float(np.max(np.abs(kern)))
-    if peak == 0.0:
+    if not np.any(kern):
         return np.zeros_like
-    keep = np.flatnonzero(np.abs(kern) > _STENCIL_DROP * peak) - n // 2
-    lo, hi = int(keep[0]), int(keep[-1])
-    taps = np.clip(kern[n // 2 + lo:n // 2 + hi + 1], 0.0, None)
-    total = float(np.sum(dk.samples) * grid.dx)
-    taps *= total / float(np.sum(taps))
-    # tap j holds offset lo + j; at origin 0 convolve1d would apply tap
-    # m // 2 at offset 0, so the origin moves offset 0 to tap -lo
-    origin = -((lo + hi + 1) // 2)
+    taps, first = _trimmed(kern, float(np.sum(dk.samples) * grid.dx))
+    lo = first - n // 2  # tap j holds offset lo + j
+    # at origin 0 convolve1d would apply tap m // 2 at offset 0, so the
+    # origin moves offset 0 to tap -lo
+    origin = -(lo + taps.size // 2)
     return lambda G: convolve1d(G, taps, origin=origin)
 
 
@@ -270,38 +274,32 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     kconv = _kernel_applier(kernel0, grid)
     counter = [0]
 
-    if h > 0.0:
-        ring = HistoryRing(h, n_h, grid.n, float)
-        hv, _ = _history_samples(u0, n_h, h, grid.n, float)
-        _floor(hv)
+    ring = HistoryRing(h, n_h, grid.n, float) if h > 0.0 else None
+    hv, _ = _history_samples(u0, n_h, h, grid.n, float)
+    _floor(hv)
+    u = hv[-1].copy()
+    if ring is not None:
         ring.fill(hv, np.zeros_like(hv))
-        u = hv[-1].copy()
         (v0, _), _ = ring.delayed_nodes()
         F_prev = kconv(_clamped_birth(birth, v0, counter))
-    else:
-        u = _floor(np.array(_profile(u0, grid.n)))  # a copy, not u0 itself
-        ring = None
-        F_prev = None
 
     no_der = np.zeros(grid.n)
     out.store(0, u)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
         for n in range(out.n_steps):
+            p0u = convolve1d(u, st_p0)
+            if ring is None:  # F_n from u, F_{n+1} from the predictor
+                F_prev = kconv(_clamped_birth(birth, u, counter))
+                ahead = _floor(p0u + convolve1d(F_prev, st_ab))
+            else:  # F_{n+1} from the stored u(t_{n+1} - h)
+                _, (ahead, _) = ring.delayed_nodes()
+            F_next = kconv(_clamped_birth(birth, ahead, counter))
+            u = _floor(p0u + convolve1d(F_prev, st_a)
+                       + convolve1d(F_next, st_b))
             if ring is not None:
-                _, (v1, _) = ring.delayed_nodes()
-                F_next = kconv(_clamped_birth(birth, v1, counter))
-                u = _floor(convolve1d(u, st_p0) + convolve1d(F_prev, st_a)
-                           + convolve1d(F_next, st_b))
                 ring.push(u, no_der)
-                F_prev = F_next
-            else:
-                F0 = kconv(_clamped_birth(birth, u, counter))
-                p0u = convolve1d(u, st_p0)
-                u_star = _floor(p0u + convolve1d(F0, st_ab))
-                F1 = kconv(_clamped_birth(birth, u_star, counter))
-                u = _floor(p0u + convolve1d(F0, st_a)
-                           + convolve1d(F1, st_b))
+            F_prev = F_next
             out.store(n + 1, u)
 
     return out.trajectory(grid, n_h if h > 0.0 else 0, counter[0])

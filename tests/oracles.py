@@ -14,6 +14,8 @@ as independent routes to what the package computes:
 - stored_trace_levels and stored_cone_minima: the mckean level trace and
   the spreading cone minima, read from a run's stored snapshots after
   the run instead of reduced as the solver makes each one;
+- verdict_stability: an experiment rerun with the step halved and with
+  the grid doubled, as a grid-convergence gate;
 - multiplier: the FFT multiplier of a discretized kernel.
 """
 
@@ -28,10 +30,12 @@ from delaykpp import (CharParams, ConfigError, DiscreteKernel, Grid,
                       HistoryRing, LevelSetTrace, LinearBirth,
                       TangencySolution, Trajectory, discretize, halanay_root,
                       level_set, solve_kpp)
+from delaykpp.config import Fields
 from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
-from delaykpp.grids import DEFAULT_N_H, Outputs, step_count
+from delaykpp.grids import (DEFAULT_N_H, Outputs, _history_samples,
+                            step_count)
 from delaykpp.kernels import Kernel
-from delaykpp.linear_solver import _flush, _history_samples, _rk4_delay_diag
+from delaykpp.linear_solver import _flush, _rk4_delay_diag
 
 
 def multiplier(dk: DiscreteKernel) -> np.ndarray:
@@ -326,3 +330,28 @@ def stored_cone_minima(traj: Trajectory, speeds, T: float) -> list[float]:
                 (traj.grid.x <= widen * speeds.c_plus * t)
             out.append(float(np.min(traj.fields[i][sel])))
     return out
+
+
+def verdict_stability(experiment, config: dict, metric_keys,
+                      rtol: float = 0.05) -> dict:
+    """Grid-convergence gate: rerun with the step halved and with the
+    grid doubled; the verdict must not move and the named metrics must
+    move by less than rtol relative."""
+    f = Fields(config)
+    base = experiment(config)
+    refined = [
+        experiment({**config, "n_h": 2 * f.count("n_h", DEFAULT_N_H)}),
+        experiment({**config, "n": 2 * f.count("n")}),
+    ]
+    moves = {}
+    stable = True
+    for rep in refined:
+        for k in metric_keys:
+            a, b = base.metrics[k], rep.metrics[k]
+            move = abs(b - a) / max(abs(a), 1e-12)
+            moves[k] = max(moves.get(k, 0.0), move)
+            stable = stable and move < rtol
+    verdicts = [base.verdict] + [r.verdict for r in refined]
+    return {"verdict_stable": len(set(verdicts)) == 1,
+            "metrics_stable": stable, "moves": moves,
+            "verdicts": verdicts, "base": base}

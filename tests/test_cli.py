@@ -307,6 +307,8 @@ HOSTILE = [
     # transforms that overflow a float at tilt 0
     (CHAR_CFG, "kernel.stddev", 1e300, "kernel"),
     (SPEEDS_CFG, "kernel.shift", 1e300, "kernel"),
+    (KPP_CFG, "kernel.shift", 1e300, "kernel"),
+    (LINEAR_CFG, "kernel.mean", 1e300, "kernel"),
     # the speeds solve but the frame tangency of the report cannot
     ({**SPEEDS_CFG, "h": 0.0}, "kernel.shift", -1e5, "kernel"),
     ({**SPEEDS_CFG, "h": 0.0}, "kernel.shift", 1e5, "kernel"),
@@ -372,6 +374,28 @@ def test_overflowing_linear_run_exits_one_and_writes_nothing(tmp_path,
         "error: solution lost finiteness near t=1.8125; last healthy "
         "output at t=1.75\n")
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_huge_kernel_mass_stops_at_the_finiteness_gate(tmp_path, capsys):
+    # an extreme but valid mass is a failed run, not a bad field (config
+    # docstring): the run overflows and the finiteness gate stops it
+    path = _write_cfg(tmp_path, _with(LINEAR_CFG, "kernel.mass", 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the one error line says it all
+        assert run(path, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solution lost finiteness near t=")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_huge_count_is_refused_in_one_short_line(tmp_path, capsys):
+    # n = 1e300 is an integral float, read as a count; the refusal prints
+    # it as 1e+300, not as its 301 digits
+    path = _write_cfg(tmp_path, {**KPP_CFG, "n": 1e300})
+    assert run(path, str(tmp_path), quiet=True) == 1
+    assert capsys.readouterr().err == (
+        "error: field 'n' must be a power of two >= 256, got 1e+300\n")
 
 
 def test_grid_too_large_for_any_run_is_refused_before_x(tmp_path, capsys,

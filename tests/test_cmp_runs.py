@@ -1,6 +1,8 @@
 """tools/cmp_runs.py: its CSV line on two small files, and its per-name
-lines on a run of one tree against itself."""
+lines on a run of one tree against itself, for presets and for a config
+file."""
 
+import json
 import os
 import re
 import sys
@@ -39,3 +41,23 @@ def test_each_name_prints_its_times_and_peak_rss(tmp_path, capsys):
     assert all(float(p) > 0.0 for m in matches for p in m.groups()[1:])
     assert sorted(os.listdir(tmp_path / "old")) == sorted(
         [*names, *(n + ".config.json" for n in names)])
+
+
+def test_a_config_path_runs_under_its_stem(tmp_path, capsys):
+    # a NAME that is an existing .json file runs that config, so a path no
+    # preset takes (here an undelayed linear run) can be compared too
+    cfg = {"command": "simulate-linear",
+           "params": {"m": 0.2, "p": -1.2, "h": 0.0},
+           "kernel": {"family": "gaussian", "stddev": 1.0},
+           "L": 64.0, "n": 256, "T": 1.0}
+    path = tmp_path / "h0-linear.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.join(ROOT, "src")
+    out = tmp_path / "out"
+    assert cmp_runs.main([src, src, str(path), "--out", str(out)]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("h0-linear: exit 0 -> 0, identical; ")
+    for side in ("old", "new"):
+        assert json.loads((out / side / "h0-linear.config.json")
+                          .read_text()) == cfg
+        assert "linear_snapshots.csv" in os.listdir(out / side / "h0-linear")

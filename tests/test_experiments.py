@@ -9,10 +9,10 @@ from delaykpp import (ConfigError, Dirac, Gaussian, LaplaceKernel,
                       LevelSetTrace, SpeedPair, UniformKernel, bridge_check,
                       critical_speeds, experiments, extinction_experiment,
                       logdrift_fit, mckean_experiment, preset, solve_kpp,
-                      spreading_experiment, tune_kernel_shift,
-                      verdict_stability)
+                      spreading_experiment, tune_kernel_shift)
 from delaykpp.config import default_out_every, kpp_inputs
-from oracles import stored_cone_minima, stored_trace_levels
+from oracles import (stored_cone_minima, stored_trace_levels,
+                     verdict_stability)
 
 SPEEDS = SpeedPair(c_minus=-0.8, c_plus=0.8, lambda_minus=-0.6,
                    lambda_plus=0.6, residuals=(0.0, 0.0, 0.0, 0.0))

@@ -19,12 +19,6 @@ def test_grid_layout():
     assert g.xi[1] == pytest.approx(2.0 * np.pi / 32.0)
 
 
-def test_grid_integrate_is_exact_for_periodic_trig():
-    g = Grid(10.0, 512)
-    vals = 2.0 + np.cos(2.0 * np.pi * g.x / 10.0)
-    assert g.integrate(vals) == pytest.approx(20.0, rel=1e-13)
-
-
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid(-1.0, 256)

@@ -23,7 +23,7 @@ SOURCES = [SRC / f"{m}.py" for m in MODULES if m != "__init__"] + \
 ORACLES = ["scalar_dde_solve", "solve_linear_fd", "comparison_run",
            "ComparisonReport", "subtangential_defect", "local_tail_ratio",
            "local_expansion", "gamma_h_eval", "stored_trace_levels",
-           "stored_cone_minima"]
+           "stored_cone_minima", "verdict_stability"]
 
 
 @pytest.mark.parametrize("stem", MODULES)

@@ -11,8 +11,9 @@ from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
                       tangency_limit_diagnostic, universal_bound_diagnostic,
                       gamma_zero)
 from delaykpp import HistoryRing, linear_solver
-from delaykpp.linear_solver import (_flush, _history_samples, _phi,
-                                    _rk4_delay_diag, _step_weights)
+from delaykpp.grids import _history_samples
+from delaykpp.linear_solver import (_flush, _phi, _rk4_delay_diag,
+                                    _step_weights)
 from oracles import scalar_dde_solve, solve_linear_fd
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
@@ -347,7 +348,7 @@ def test_flush_leaves_a_single_mode_alone(monkeypatch, mu, kappa):
 
 
 def test_flush_returns_an_empty_array_unchanged():
-    # the ring rows of a kernel of mass 0 have no modes
+    # an empty array has no largest part to flush against
     for dtype in (float, complex):
         empty = np.zeros(0, dtype)
         assert _flush(empty) is empty and empty.size == 0
@@ -418,12 +419,24 @@ def test_coupled_ring_matches_a_full_ring_bit_for_bit(monkeypatch, history):
     assert set(widths) == {ring.newest.size}
 
 
-def test_mass_zero_kernel_has_an_empty_ring_and_decays_exactly(monkeypatch):
+def _uncoupled_run(monkeypatch, params, kernel, u0, **kw):
+    """solve_linear's fields to T = 2 with the ring and the step made to
+    fail: a run with no coupled mode builds no ring and takes no step."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a run with no coupled mode built a ring or "
+                             "took a step")
+
+    monkeypatch.setattr(linear_solver, "HistoryRing", refused)
+    monkeypatch.setattr(linear_solver, "_rk4_delay_diag", refused)
+    return solve_linear(params, kernel, XVAL_GRID, u0, T=2.0, **kw).fields
+
+
+def test_mass_zero_kernel_builds_no_ring_and_decays_exactly(monkeypatch):
     # every mode is free, so each kept field is the closed form itself
     kern = Gaussian(0.0, 1.0, 0.0)
     u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
-    fields, ring, _ = _coupled_run(monkeypatch, kern, u0)
-    assert ring.vals.shape == (17, 0)
+    fields = _uncoupled_run(monkeypatch, XVAL, kern, u0, n_h=16,
+                            out_every=1)
     xi = XVAL_GRID.xi
     mu = -xi ** 2 + 1j * XVAL.m * xi + XVAL.p
     exact = [np.fft.ifft(np.fft.fft(u0) * np.exp(mu * (n * (1.0 / 16)))).real
@@ -435,22 +448,21 @@ def test_mass_zero_kernel_does_not_depend_on_n_h(monkeypatch):
     # the same kept times k/16 at n_h 16 and at n_h 128
     kern = Gaussian(0.0, 1.0, 0.0)
     u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
-    coarse, _, _ = _coupled_run(monkeypatch, kern, u0)
-    fine, _, _ = _coupled_run(monkeypatch, kern, u0, n_h=128, out_every=8)
+    coarse = _uncoupled_run(monkeypatch, XVAL, kern, u0, n_h=16, out_every=1)
+    fine = _uncoupled_run(monkeypatch, XVAL, kern, u0, n_h=128, out_every=8)
     assert coarse.shape == (33, XVAL_GRID.n)
     assert coarse.tobytes() == fine.tobytes()
 
 
-def test_empty_ring_takes_no_step(monkeypatch):
-    # a kernel of mass 0 couples no mode: collect still sees every step,
-    # but the ring is neither read nor written
-    def stepped(*args):
-        raise AssertionError("an empty ring was stepped")
-
-    for method in ("push", "delayed_nodes"):
-        monkeypatch.setattr(HistoryRing, method, stepped)
-    seen = []
-    empty = np.zeros(0, complex)
-    _rk4_delay_diag(empty, empty, HistoryRing(1.0, 16, 0, complex), 40,
-                    lambda n, w: seen.append((n, w.size)))
-    assert seen == [(n, 0) for n in range(41)]
+def test_h0_run_builds_no_ring_and_takes_no_step(monkeypatch):
+    # at h = 0 no delay couples a mode: each is w0 e^{(mu + khat) t}, kept
+    # at the times k T/256
+    kern = Gaussian(0.0, 1.0, 1.0)
+    params = CharParams(m=XVAL.m, p=XVAL.p, h=0.0)
+    u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
+    fields = _uncoupled_run(monkeypatch, params, kern, u0)
+    xi = XVAL_GRID.xi
+    rate = -xi ** 2 + 1j * params.m * xi + params.p + kern.fourier(xi)
+    exact = [np.fft.ifft(np.fft.fft(u0) * np.exp(rate * (n * (2.0 / 256))))
+             .real for n in range(257)]
+    assert fields.tobytes() == np.array(exact).tobytes()

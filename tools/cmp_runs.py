@@ -3,10 +3,12 @@
 Usage: python3 tools/cmp_runs.py OLD_SRC NEW_SRC [NAME ...] [--out DIR]
 
 OLD_SRC and NEW_SRC are directories holding a ``delaykpp`` package (the
-``src`` directory of two checkouts).  NAME is a preset name or ``verify``;
-the default is every preset followed by ``verify``.  Each tree runs each
-name through ``cli.run`` in a child process of its own (old tree first),
-writing to DIR/old/NAME and DIR/new/NAME; DIR defaults to a fresh
+``src`` directory of two checkouts).  NAME is a preset name, ``verify``,
+or the path of an existing ``.json`` config file, which runs that config
+under the file's stem (``h0.json`` runs as ``h0``); the default is every
+preset followed by ``verify``.  Each tree runs each name through
+``cli.run`` in a child process of its own (old tree first), writing to
+DIR/old/NAME and DIR/new/NAME; DIR defaults to a fresh
 temporary directory, which is removed afterwards.  Each name runs without
 --quiet, and what it prints to stdout is saved beside its files as
 NAME.stdout and compared with them.  The child also times its
@@ -44,14 +46,19 @@ import subprocess
 import sys
 import tempfile
 
-# runs in a child whose PYTHONPATH is one tree; argv: out dir, name
+# runs in a child whose PYTHONPATH is one tree; argv: out dir, name, and
+# the config file that name stands for, if any
 _CHILD = """
 import contextlib, json, os, sys, time
 from delaykpp import cli, presets
-out, name = sys.argv[1], sys.argv[2]
+out, name, *config = sys.argv[1:]
 d = os.path.join(out, name)
 os.makedirs(d)
-cfg = {"command": "verify"} if name == "verify" else presets.preset(name)
+if config:
+    with open(config[0]) as f:
+        cfg = json.load(f)
+else:
+    cfg = {"command": "verify"} if name == "verify" else presets.preset(name)
 path = os.path.join(out, name + ".config.json")
 with open(path, "w") as f:
     json.dump(cfg, f)
@@ -67,13 +74,22 @@ print(json.dumps({"status": status, "seconds": seconds, "peak_mb": peak}))
 """
 
 
+def _label(name: str) -> str:
+    """The name a NAME runs under: a config file's stem, else NAME."""
+    if name.endswith(".json") and os.path.isfile(name):
+        return os.path.splitext(os.path.basename(name))[0]
+    return name
+
+
 def _run_name(src: str, name: str, out: str) -> dict:
     """{"status": exit status, "seconds": cli.run time, "peak_mb": VmHWM
-    in MB} of one name, run in a fresh child process."""
+    in MB} of one NAME, run in a fresh child process."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, out, name],
-                          env=env, stdout=subprocess.PIPE, text=True,
-                          check=True)
+    label = _label(name)
+    config = [] if label == name else [os.path.abspath(name)]
+    proc = subprocess.run([sys.executable, "-c", _CHILD, out, label,
+                           *config], env=env, stdout=subprocess.PIPE,
+                          text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -217,12 +233,12 @@ def main(argv=None) -> int:
         same = True
         for name in names:
             old, new = runs["old"][name], runs["new"][name]
-            lines = compare(os.path.join(out, "old", name),
-                            os.path.join(out, "new", name))
+            lines = compare(os.path.join(out, "old", _label(name)),
+                            os.path.join(out, "new", _label(name)))
             verdict = "identical" if not lines else "differs"
             if old["status"] != new["status"]:
                 verdict = "EXIT STATUS DIFFERS"
-            print(f"{name}: exit {old['status']} -> {new['status']}, "
+            print(f"{_label(name)}: exit {old['status']} -> {new['status']}, "
                   f"{verdict}; cli.run {old['seconds']:.2f} s -> "
                   f"{new['seconds']:.2f} s, peak {old['peak_mb']:.1f} MB -> "
                   f"{new['peak_mb']:.1f} MB")
