@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp import grids
+from delaykpp import cli, grids
 from delaykpp.cli import (_csv_lines, _fmt, _snapshot_blocks, _write_csv,
                           main, run)
 
@@ -527,11 +527,17 @@ def test_any_single_bad_field_exits_cleanly(data):
 
 
 def _snapshot_data(n_out, width):
+    """n_out >= 3 outputs of width >= 7, with values that need every digit:
+    extreme and subnormal u, 0.1 + 0.2, and a time of -0.0."""
     times = np.linspace(0.0, 1.0 / 3.0, n_out)
+    times[0] = -0.0
     x = np.linspace(-1.5, 1.5, width) / 3.0  # needs all 17 digits
     x[width // 2] = -0.0
     fields = np.random.default_rng(3).standard_normal((n_out, width))
     fields[:, :5] = [math.nan, math.inf, -math.inf, -0.0, 1e-300]
+    fields[:3, 5:7] = [[5e-324, -5e-324],
+                       [1.7976931348623157e308, -1.7976931348623157e308],
+                       [2.2250738585072014e-308, 0.1 + 0.2]]
     return times, x, fields
 
 
@@ -545,6 +551,55 @@ def test_snapshot_text_matches_row_by_row_format(tmp_path, stride):
     expected = "t,x,u\n" + "".join(
         ",".join(_fmt(float(v)) for v in row) + "\n" for row in rows)
     assert path.read_text() == expected
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(_ANY_FLOAT, min_size=width, max_size=width),
+    st.lists(st.tuples(_ANY_FLOAT, st.lists(_ANY_FLOAT, min_size=width,
+                                            max_size=width)),
+             min_size=1, max_size=3))))
+def test_snapshot_text_matches_per_value_format_for_any_float(data):
+    x, outputs = data
+    times = np.array([t for t, _ in outputs])
+    fields = np.array([u for _, u in outputs])
+    text = "".join(block + "\n" for block in
+                   _snapshot_blocks(times, fields, np.array(x), 1))
+    rows = [(t, xj, uj) for t, u in outputs for xj, uj in zip(x, u)]
+    assert text == "".join(
+        ",".join(_fmt(float(v)) for v in row) + "\n" for row in rows)
+
+
+def test_snapshot_blocks_format_x_once_and_t_once_per_output(monkeypatch):
+    n_out, width = 6, 9
+    times, x, fields = _snapshot_data(n_out, width)
+    calls = []
+
+    def counting_fmt(v):
+        calls.append(v)
+        return _fmt(v)
+
+    monkeypatch.setattr(cli, "_fmt", counting_fmt)
+    blocks = list(_snapshot_blocks(times, fields, x, 1))
+    assert len(blocks) == n_out
+    assert len(calls) <= width + n_out  # not one call per written value
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_written_files_get_the_umask_mode(tmp_path, umask):
+    cfg = _write_cfg(tmp_path, KPP_CFG)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run(cfg, str(out), quiet=True) == 0
+    finally:
+        os.umask(old)
+    for name in ("kpp_report.json", "kpp_snapshots.csv"):
+        assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
 def test_snapshot_write_failing_midway_leaves_no_file(tmp_path):
