@@ -11,7 +11,7 @@ from ._roots import halanay_root
 from .characteristic import (CharParams, DecayPair, TangencySolution,
                              SpeedPair, gamma_zero, gamma_on_grid,
                              tangency_solve, polish_speed, critical_speeds,
-                             implicit_l, envelope_bounds)
+                             tune_kernel_shift, implicit_l, envelope_bounds)
 from .grids import Grid, HistoryRing, Trajectory
 from .birth import (Nicholson, MackeyGlass, LinearCap, LinearBirth,
                     birth_from_dict)
@@ -24,7 +24,7 @@ from .nonlinear import (solve_kpp, LevelCrossings, level_set, LevelScan,
                         LevelSetTrace, trace_levels)
 from .experiments import (ExperimentReport, mckean_experiment, logdrift_fit,
                           extinction_experiment, spreading_experiment,
-                          bridge_check, tune_kernel_shift)
+                          bridge_check)
 from .presets import preset, preset_names
 from .errors import (ConfigError, TransformDomainError, TangencyError,
                      GateError)

@@ -12,6 +12,15 @@ fundamental-solution symbol rho(z) and, with tau = c*lambda, the critical
 speed c(lambda) = tau / lambda at which the moving-frame symbols meet at
 tilt lambda (re_mu = lambda^2 - 1, k_abs = g'(0) L(lambda)), so one careful
 implementation serves them all.
+
+For h, k_abs > 0 one iteration serves every input: tau = re_mu + e^s / h,
+where s solves e^s + s = u with u = log h + log k_abs - h*re_mu.  That
+g(s) = e^s + s - u is convex and increasing, and s0 = log u (u > 1) or
+s0 = u (otherwise) lies above its root, so Newton from s0 falls onto the
+root monotonically, and in 8 steps from any finite u.  At the root e^s
+equals u - s, and past s = 1 the difference is the more accurate of the
+two: exp multiplies the rounding of s by s.  Four Newton steps on a(tau)
+then polish the root in the original variable.
 """
 
 from __future__ import annotations
@@ -22,22 +31,6 @@ __all__ = ["halanay_root", "halanay_root_grid"]
 
 # exp overflows float64 just above 709; stay clear of it
 _EXP_MAX = 690.0
-# past this the bisection bracket re_mu + e^u is too wide to close in 90
-# halvings; the w + log w = u substitution is accurate from here up
-_LOG_SPACE_MIN = 40.0
-
-
-def _log_space_root(u: np.ndarray) -> np.ndarray:
-    """Solve w + log(w) = u for w > 0, u large.  Newton, quadratic.
-
-    u = +inf gives NaN without a warning; callers treat a non-finite
-    root as no root.
-    """
-    with np.errstate(invalid="ignore"):  # inf - inf at u = +inf
-        w = np.maximum(u - np.log(np.maximum(u, 2.0)), 1.0)
-        for _ in range(6):
-            w = w - (w + np.log(w) - u) * w / (w + 1.0)
-    return w
 
 
 def halanay_root_grid(re_mu, k_abs, h: float):
@@ -54,7 +47,9 @@ def halanay_root_grid(re_mu, k_abs, h: float):
     Returns
     -------
     ndarray of the unique real roots, |a(tau)| polished below ~1e-13
-    on the scale of the inputs.
+    on the scale of the inputs, and exactly 0 where re_mu + k_abs == 0.
+    A non-finite root (u = +inf) comes without a warning; callers treat
+    it as no root.
     """
     re_mu = np.asarray(re_mu, dtype=float)
     k_abs = np.asarray(k_abs, dtype=float)
@@ -73,35 +68,24 @@ def halanay_root_grid(re_mu, k_abs, h: float):
 
     rm = re_mu[pos]
     ka = k_abs[pos]
-    with np.errstate(divide="ignore"):
-        # tau - re_mu = w/h with w + log w = u; u may be huge, w stays tame
-        u = np.log(h * ka) - h * rm
+    with np.errstate(over="ignore", invalid="ignore"):
+        # log h + log k, not log(h k): the product underflows.  Below
+        # -2 _EXP_MAX e^s is 0 either way; the floor keeps an overflowing
+        # h re_mu (u = -inf) from turning the iteration into NaN
+        u = np.maximum(np.log(h) + np.log(ka) - h * rm, -2.0 * _EXP_MAX)
+        s = np.where(u > 1.0, np.log(np.maximum(u, 1.0)), u)
+        for _ in range(8):
+            es = np.exp(s)
+            s = s - (es + s - u) / (es + 1.0)
+        t = rm + np.where(s > 1.0, u - s, np.exp(s)) / h
 
-    out = np.empty_like(rm)
-    big = u > _LOG_SPACE_MIN
-    if np.any(big):
-        out[big] = rm[big] + _log_space_root(u[big]) / h
-
-    if np.any(~big):
-        rmn, kan = rm[~big], ka[~big]
-        lo = rmn.copy()
-        # a(re_mu) = -k*exp(-h*re_mu) <= 0 and a(re_mu + k e^{-h re_mu}) >= 0
-        hi = rmn + np.exp(np.minimum(np.log(kan) - h * rmn, _EXP_MAX))
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            a = mid - rmn - np.exp(np.minimum(np.log(kan) - h * mid, _EXP_MAX))
-            take_hi = a > 0.0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        out[~big] = 0.5 * (lo + hi)
-
-    # polish in the original variable; at the root k*exp(-h*tau) equals
-    # tau - re_mu, so the clamp only guards wayward intermediate steps
-    t = out
-    for _ in range(4):
-        e = np.exp(np.minimum(np.log(ka) - h * t, _EXP_MAX))
-        t = t - (t - rm - e) / (1.0 + h * e)
-    tau[pos] = t
+        # polish in the original variable; at the root k*exp(-h*tau)
+        # equals tau - re_mu, so the clamp only guards wayward steps
+        for _ in range(4):
+            e = np.exp(np.minimum(np.log(ka) - h * t, _EXP_MAX))
+            t = t - (t - rm - e) / (1.0 + h * e)
+    # the root is exactly 0 there, which rounding would miss
+    tau[pos] = np.where(rm + ka == 0.0, 0.0, t)
     return tau
 
 

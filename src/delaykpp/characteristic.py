@@ -2,17 +2,20 @@
 
 Everything transcendental lives here: decay pairs (gamma0, z0), tangency
 points (gamma_m, z_m) with the variance sigma_m, critical spreading speeds
-c*+/-, and the implicit mode-envelope l(z) with its sandwich bounds.
-Pointwise quantities are Halanay roots (_roots).  Every extremum of
-the characteristic relation is found the same way: the interior extremum
-of a grid of Halanay roots (over tilts z for the tangency, over |lambda|
-for the speeds and the tuned kernel shift), refined on finer grids by
+c*+/-, the kernel shift that tunes c_plus to a given negative value, and
+the implicit mode-envelope l(z) with its sandwich bounds.  Pointwise
+quantities are Halanay roots, each from the one Newton iteration of
+_roots.halanay_root_grid.  Every extremum of the characteristic relation
+is found the same way: the interior extremum of a grid of values (Halanay
+roots over tilts z for the tangency and over |lambda| for the speeds, a
+closed form over lambda for the tuned shift), refined on finer grids by
 _zoom_min, and where a coordinate is reported, polished by the Newton
 loop _newton2; residual targets are 1e-10 or better.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ from .kernels import Kernel
 __all__ = [
     "CharParams", "DecayPair", "TangencySolution", "SpeedPair",
     "gamma_zero", "gamma_on_grid", "tangency_solve", "critical_speeds",
-    "polish_speed", "implicit_l", "envelope_bounds",
+    "polish_speed", "tune_kernel_shift", "implicit_l", "envelope_bounds",
 ]
 
 
@@ -379,6 +382,59 @@ def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:
     cm, lm, rm1, rm2 = out[-1]
     return SpeedPair(c_minus=cm, c_plus=cp, lambda_minus=lm, lambda_plus=lp,
                      residuals=(rm1, rm2, rp1, rp2))
+
+
+def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
+                      margin: float = 0.05, max_shift: float = 32.0
+                      ) -> tuple[Kernel, float]:
+    """Shift the kernel rightward until both critical speeds are negative
+    (c_plus = -margin).
+
+    Same-sign speeds are reachable only on this side: the tilted mass
+    int e^{-zx} k >= e^{-z mean} (Jensen) keeps the z < 0 branch's f2
+    above f1's maximum whenever the mean is positive, so no rightward
+    shift ever makes c_minus positive.  What a large shift does instead
+    is drive c_plus below zero: the displaced births make even the
+    trailing edge retreat, the whole growth cone moves rightward, and
+    c_minus < c_plus < 0 gives the same-sign product.
+
+    No speed is solved.  Shifting by s multiplies the transform L by
+    e^{-lambda s}, and c_plus >= -m (m the margin) holds exactly when the
+    Halanay root of critical_speeds satisfies tau(lambda) >= -m lambda
+    for every lambda > 0, that is when
+    g'(0) L(lambda) e^{-lambda s} e^{h m lambda} >= 1 - m lambda - lambda^2.
+    Only 0 < lambda < lambda_max = (sqrt(m^2 + 4) - m) / 2 binds, so
+    c_plus = -m at the shift
+
+        s* = min over 0 < lambda < lambda_max of
+             [log(g'(0) L(lambda)) + h m lambda
+              - log(1 - m lambda - lambda^2)] / lambda,
+
+    which tends to +inf at both ends when g'(0) times the mass exceeds 1:
+    a grid argmin refined between its neighbours by _zoom_min.  Returns
+    (base, 0.0) when s* <= 0 (c_plus is already at most -margin); raises
+    ConfigError when s* exceeds max_shift.
+    """
+    _require_growth(base, gprime0)
+
+    def shift_at(lam):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return (np.log(gprime0 * np.real(base.laplace(lam)))
+                    + h * margin * lam
+                    - np.log(1.0 - margin * lam - lam * lam)) / lam
+
+    lam_max = (math.sqrt(margin * margin + 4.0) - margin) / 2.0
+    lam, _, j = _tilt_argmin(shift_at,
+                             min(lam_max, _strip_limits(base)[1]),
+                             "kernel tuning")
+    shift = _zoom_min(shift_at, lam[j - 1], lam[j + 1])[1]
+    if shift <= 0.0:
+        return base, 0.0
+    if shift > max_shift:
+        raise ConfigError(
+            f"field 'max_shift': kernel tuning failed: c_plus stays above "
+            f"{-margin} for shifts up to {max_shift} (needs {shift:.6g})")
+    return base.shifted(shift), shift
 
 
 def implicit_l(params: CharParams, pair: DecayPair, kernel: Kernel, z):

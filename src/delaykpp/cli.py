@@ -258,6 +258,8 @@ def _cmd_simulate_linear(cfg: dict):
     grid = f.grid()
     T = f.number("T")
     stride = f.count("snapshot_stride", 1)
+    diag = f.obj("diagnostics", {})
+    diag.known(("z0", "tangency", "probe_x"))
     traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
                         f.count("n_h", None), f.count("out_every", None))
     if "diagnostics" in cfg and not np.any(traj.times > 0.0):
@@ -272,7 +274,6 @@ def _cmd_simulate_linear(cfg: dict):
               "edge_fraction": float(traj.edge_fraction),
               "final_sup": float(np.max(np.abs(traj.fields[-1])))}
     if "diagnostics" in cfg:
-        diag = f.obj("diagnostics")
         pair = gamma_zero(params, kernel, diag.number("z0", 0.0))
         _, S = universal_bound_diagnostic(traj, pair)
         if diag.flag("tangency", True):

@@ -71,13 +71,15 @@ every ``experiment``):
 ``u0``  object, default {} [simulate-linear, simulate-kpp, exp]: either
     ``constant`` (number), or a bump ``amplitude`` (number, default 1 for
     simulate-linear and 0.9 kappa otherwise), ``width`` (number > 0,
-    default 2) and ``center`` (number, default 0).
+    default 2) and ``center`` (number, default 0).  Any other key, or a
+    bump key next to ``constant``, is refused.
 ``beta``  number in (0, kappa), default kappa/2 [simulate-kpp, exp]: the
     traced level; kappa is the birth's positive equilibrium.
 ``z0``  number, default 0 [char]: tilt of the decay pair.
 ``diagnostics``  object [simulate-linear]: when present, writes the decay
     diagnostics, and then needs ``T`` > 0.  ``z0`` (number, default 0),
-    ``tangency`` (flag, default true), ``probe_x`` (number, default 0).
+    ``tangency`` (flag, default true), ``probe_x`` (number, default 0);
+    any other key is refused.
 ``t_min``  number > 0, default 0.25 [fundamental]: smallest time the
     symbol grid resolves.
 ``x_span``  number > 0, default 40 [fundamental]: width of the x window.
@@ -188,6 +190,15 @@ class Fields:
         listed = Fields(dict(enumerate(items)), self.name(key))
         return [listed.number(i) for i in range(len(items))]
 
+    def known(self, keys, reads: str = "") -> None:
+        """Refuse a key of this object outside keys; the refusal says
+        what the object reads (reads, or else the keys)."""
+        for key in self.spec:
+            if key not in keys:
+                raise ConfigError(f"field '{self.name(key)}' is not read: "
+                                  f"'{self.label}' reads "
+                                  f"{reads or ', '.join(keys)}")
+
     def delay(self) -> float:
         return float(self._read("h", _REQUIRED,
                                 lambda v: _is_number(v) and v >= 0,
@@ -253,6 +264,9 @@ class Fields:
     def u0(self, x, amplitude: float) -> np.ndarray:
         """The initial profile at the points x, in closed form."""
         spec = self.obj("u0", {})
+        spec.known(("constant",) if "constant" in spec.spec else
+                   ("amplitude", "width", "center"),
+                   "constant alone, or amplitude, width and center")
         if "constant" in spec.spec:
             return np.full(np.shape(x), spec.number("constant"))
         amp = spec.number("amplitude", amplitude)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristic import (CharParams, _require_growth, _strip_limits,
-                             _tilt_argmin, _zoom_min, critical_speeds,
-                             tangency_solve)
+from .characteristic import (CharParams, critical_speeds, tangency_solve,
+                             tune_kernel_shift)
 from .config import KPP_AMPLITUDE, Fields, default_out_every, kpp_inputs
 from .errors import ConfigError
 from .kernels import Kernel
@@ -29,8 +28,7 @@ from .linear_solver import solve_linear
 from .nonlinear import LevelScan, LevelSetTrace, solve_kpp, trace_levels
 
 __all__ = ["ExperimentReport", "mckean_experiment", "logdrift_fit",
-           "extinction_experiment", "spreading_experiment", "bridge_check",
-           "tune_kernel_shift"]
+           "extinction_experiment", "spreading_experiment", "bridge_check"]
 
 
 @dataclass(frozen=True)
@@ -164,59 +162,6 @@ def mckean_experiment(config: dict) -> ExperimentReport:
                             metrics=metrics, verdict=verdict, trace=trace)
 
 
-def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
-                      margin: float = 0.05, max_shift: float = 32.0
-                      ) -> tuple[Kernel, float]:
-    """Shift the kernel rightward until both critical speeds are negative
-    (c_plus = -margin).
-
-    Same-sign speeds are reachable only on this side: the tilted mass
-    int e^{-zx} k >= e^{-z mean} (Jensen) keeps the z < 0 branch's f2
-    above f1's maximum whenever the mean is positive, so no rightward
-    shift ever makes c_minus positive.  What a large shift does instead
-    is drive c_plus below zero: the displaced births make even the
-    trailing edge retreat, the whole growth cone moves rightward, and
-    c_minus < c_plus < 0 gives the same-sign product.
-
-    No speed is solved.  Shifting by s multiplies the transform L by
-    e^{-lambda s}, and c_plus >= -m (m the margin) holds exactly when the
-    Halanay root of critical_speeds satisfies tau(lambda) >= -m lambda
-    for every lambda > 0, that is when
-    g'(0) L(lambda) e^{-lambda s} e^{h m lambda} >= 1 - m lambda - lambda^2.
-    Only 0 < lambda < lambda_max = (sqrt(m^2 + 4) - m) / 2 binds, so
-    c_plus = -m at the shift
-
-        s* = min over 0 < lambda < lambda_max of
-             [log(g'(0) L(lambda)) + h m lambda
-              - log(1 - m lambda - lambda^2)] / lambda,
-
-    which tends to +inf at both ends when g'(0) times the mass exceeds 1:
-    a grid argmin refined between its neighbours by _zoom_min.  Returns
-    (base, 0.0) when s* <= 0 (c_plus is already at most -margin); raises
-    ConfigError when s* exceeds max_shift.
-    """
-    _require_growth(base, gprime0)
-
-    def shift_at(lam):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return (np.log(gprime0 * np.real(base.laplace(lam)))
-                    + h * margin * lam
-                    - np.log(1.0 - margin * lam - lam * lam)) / lam
-
-    lam_max = (math.sqrt(margin * margin + 4.0) - margin) / 2.0
-    lam, _, j = _tilt_argmin(shift_at,
-                             min(lam_max, _strip_limits(base)[1]),
-                             "kernel tuning")
-    shift = _zoom_min(shift_at, lam[j - 1], lam[j + 1])[1]
-    if shift <= 0.0:
-        return base, 0.0
-    if shift > max_shift:
-        raise ConfigError(
-            f"field 'max_shift': kernel tuning failed: c_plus stays above "
-            f"{-margin} for shifts up to {max_shift} (needs {shift:.6g})")
-    return base.shifted(shift), shift
-
-
 def extinction_experiment(config: dict) -> ExperimentReport:
     """Same-sign-speeds run from a compact bump.
 
@@ -347,14 +292,17 @@ def spreading_experiment(config: dict) -> ExperimentReport:
     as the contrapositive control: outside the critical cone the solution
     collapses toward 0.  The run takes one pass and keeps, as they
     arrive, only the snapshot nearest T/2 and the one nearest T (the
-    earlier one on a tie); no other snapshot is stored.
+    earlier one on a tie); no other snapshot is stored.  The run is
+    refused (field 'L') unless the longer end of the cone at T, plus 5,
+    stays inside L/2, so that neither front wraps around the seam.
     """
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
-    if 0.8 * speeds.c_plus * T + 5.0 > 0.5 * grid.length:
+    reach = 0.8 * max(abs(speeds.c_minus), abs(speeds.c_plus)) * T + 5.0
+    if reach > 0.5 * grid.length:
         raise ConfigError(
             f"field 'L': domain too small for the spreading cone at "
-            f"T = {T:g}: need L/2 > {0.8 * speeds.c_plus * T + 5.0:.1f}")
+            f"T = {T:g}: need L/2 > {reach:.1f}")
     out_every = n_h if T >= 2.0 * h else 1
     nearest = {}  # target time -> (t, u) of the nearest snapshot so far
 

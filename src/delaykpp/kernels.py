@@ -44,7 +44,6 @@ import numpy as np
 from .errors import TransformDomainError
 
 __all__ = [
-    "TransformDomain",
     "Kernel",
     "Dirac",
     "Gaussian",
@@ -58,34 +57,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransformDomain:
-    """Maximal open interval (a, b), a < 0 < b, where L(z) is finite."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a < 0.0 < self.b):
-            raise ValueError(f"transform domain must straddle 0, got ({self.a}, {self.b})")
-
-    def contains(self, re_z: float) -> bool:
-        return self.a < re_z < self.b
-
-    def __iter__(self):
-        yield self.a
-        yield self.b
-
-
-def _check_domain(dom: TransformDomain, z) -> None:
+def _check_domain(dom: tuple[float, float], z) -> None:
+    a, b = dom
     re = np.real(z)
-    bad_lo = np.any(re <= dom.a)
-    bad_hi = np.any(re >= dom.b)
+    bad_lo = np.any(re <= a)
+    bad_hi = np.any(re >= b)
     if bad_lo or bad_hi:
-        side = dom.a if bad_lo else dom.b
+        side = a if bad_lo else b
         raise TransformDomainError(
             f"bilateral Laplace transform diverges: Re(z) must lie in "
-            f"({dom.a}, {dom.b}), violated abscissa {side}"
+            f"({a}, {b}), violated abscissa {side}"
         )
 
 
@@ -113,8 +94,9 @@ class Kernel:
 
     # -- transforms ---------------------------------------------------------
 
-    def domain(self) -> TransformDomain:
-        return TransformDomain(-math.inf, math.inf)
+    def domain(self) -> tuple[float, float]:
+        """The strip (a, b), a < 0 < b, where L(z) is finite."""
+        return -math.inf, math.inf
 
     def _shape(self, z):
         """S, S' and S'' at z, for S(z) = int s(y) e^{-z y} dy of the unit
@@ -234,8 +216,8 @@ class LaplaceKernel(Kernel):
     mass: float = 1.0
     _positive = "rate"
 
-    def domain(self) -> TransformDomain:
-        return TransformDomain(-self.rate, self.rate)
+    def domain(self) -> tuple[float, float]:
+        return -self.rate, self.rate
 
     def _shape(self, z):
         # S = b^2 / (b^2 - z^2)
@@ -284,10 +266,10 @@ class TiltedKernel(Kernel):
     """scale * base(x) * exp(-lam x) for families not closed under tilting."""
 
     def __init__(self, base: Kernel, lam: float, scale: float = 1.0):
-        dom = base.domain()
-        if not dom.contains(lam):
+        a, b = base.domain()
+        if not a < lam < b:
             raise TransformDomainError(
-                f"tilt {lam} outside the base transform domain ({dom.a}, {dom.b})"
+                f"tilt {lam} outside the base transform domain ({a}, {b})"
             )
         if scale < 0:
             raise ValueError("scale must be nonnegative")
@@ -299,9 +281,9 @@ class TiltedKernel(Kernel):
     def mass(self) -> float:
         return float(np.real(self.scale * self.base.laplace(self.lam)))
 
-    def domain(self) -> TransformDomain:
-        dom = self.base.domain()
-        return TransformDomain(dom.a - self.lam, dom.b - self.lam)
+    def domain(self) -> tuple[float, float]:
+        a, b = self.base.domain()
+        return a - self.lam, b - self.lam
 
     def laplace(self, z):
         return self.scale * self.base.laplace(np.asarray(z) + self.lam)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw
@@ -36,6 +36,15 @@ DESK_KERNEL = Gaussian(0.0, 1.0, 1.0)
 @settings(max_examples=150, deadline=None)
 @given(re_mu=st.floats(-8.0, 8.0), k_abs=st.floats(0.0, 8.0),
        h=st.floats(0.0, 4.0))
+# re_mu + k_abs == 0: the root is exactly 0, which rounding would miss
+@example(re_mu=-1.0, k_abs=1.0, h=1.0)
+@example(re_mu=-2.5, k_abs=2.5, h=0.5)
+@example(re_mu=-7.75, k_abs=7.75, h=4.0)
+@example(re_mu=-0.1, k_abs=0.1, h=3.0)
+@example(re_mu=-1.0, k_abs=1.0, h=0.0)
+@example(re_mu=0.0, k_abs=0.0, h=1.0)
+# h * k_abs underflows: u must be log h + log k_abs, not log(h k_abs)
+@example(re_mu=0.0, k_abs=4.9e-272, h=4.9e-272)
 def test_halanay_root_residual_and_signs(re_mu, k_abs, h):
     root = halanay_root(re_mu, k_abs, h)
     assert abs(root - re_mu - k_abs * math.exp(-h * root)) < 1e-12
@@ -62,13 +71,34 @@ def test_halanay_root_against_lambertw():
         0.3748225281836234, abs=1e-13)
 
 
+def test_halanay_root_grid_against_lambertw_across_u():
+    # tau = a + W(e^u) / h with u = log h + log k - h a; u runs from -30 to
+    # 120 on each delay, across u = 1 + e, where tau - a is read from u - s
+    # instead of e^s, and across u = 40, where an earlier solver switched
+    # from bisection to a second Newton iteration
+    u = np.linspace(-30.0, 120.0, 301)
+    for h, k in ((0.05, 3.0), (0.7, 1.0), (2.0, 1e-6), (4.0, 5e4)):
+        a = (math.log(h) + math.log(k) - u) / h
+        root = halanay_root_grid(a, k, h)
+        w = lambertw(np.exp(u)).real / h
+        assert np.all(np.abs(root - (a + w)) <= 1e-14 * (np.abs(a) + w))
+    # h * k underflows to 0; here e^{-h tau} = 1 to rounding, so tau = k
+    assert halanay_root(0.0, 4.9e-272, 4.9e-272) == pytest.approx(
+        4.9e-272, rel=1e-12)
+
+
 def test_halanay_root_deep_decay_regression():
-    # large-negative linear rates between the bisection and log-space
-    # regimes used to return garbage midpoints
+    # large-negative linear rates once returned garbage bisection
+    # midpoints
     for a in (-401.0, -1601.0, -6401.0):
         root = halanay_root(a, 1.0, 1.0)
         assert abs(root - a - math.exp(-root)) < 2e-12
         assert root == pytest.approx(-math.log(-a), abs=0.05)
+    # u = -a and s is about 35: taking tau - a as e^s rather than u - s
+    # would multiply its rounding by s, past what four polish steps undo
+    for a in (-1e15, -5e15):
+        assert halanay_root(a, 1.0, 1.0) == pytest.approx(-math.log(-a),
+                                                          abs=1e-9)
 
 
 def test_halanay_root_rejects_bad_inputs():
@@ -364,7 +394,7 @@ def test_speeds_are_global_extrema_of_tilt_speed(family, width, shift, mass,
     gprime0 = growth / mass
     sp = critical_speeds(kern, gprime0, h)
     assert max(abs(r) for r in sp.residuals) < 1e-10
-    edge = min(kern.domain().b, 10.0)
+    edge = min(kern.domain()[1], 10.0)
     lam = np.linspace(1e-3 * edge, edge, 20001)[:-1]
     for sign, c in ((1.0, sp.c_plus), (-1.0, sp.c_minus)):
         tau = halanay_root_grid(lam * lam - 1.0,

@@ -333,6 +333,15 @@ HOSTILE = [
     (FUNDAMENTAL_CFG, "residual_t", 0.1),
     (FUNDAMENTAL_CFG, "identity_times", [-1.0]),
     (FUNDAMENTAL_CFG, "identity_times", [0.001]),
+    # u0 and diagnostics refuse the keys they do not read
+    (KPP_CFG, "u0", {"amplitud": 3}, "u0.amplitud"),
+    (KPP_CFG, "u0", {"constant": 0.5, "amplitude": 3, "width": -1},
+     "u0.amplitude"),
+    (LINEAR_CFG, "diagnostics", {"z0": 0.0, "tangancy": False},
+     "diagnostics.tangancy"),
+    # c_minus -1.63 and c_plus 0.52: the cone's left end wraps at T = 60
+    ({**MCKEAN_CFG, "experiment": "spreading", "n": 512,
+      "kernel": {"family": "gaussian", "mean": 1.0}}, "T", 60.0, "L"),
 ]
 
 

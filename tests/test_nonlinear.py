@@ -13,7 +13,7 @@ from delaykpp import (ConfigError, Dirac, Gaussian, Grid, LaplaceKernel,
                       LevelScan, Nicholson, UniformKernel, critical_speeds,
                       level_set, solve_kpp, trace_levels)
 from delaykpp import nonlinear
-from delaykpp.experiments import tune_kernel_shift
+from delaykpp.characteristic import tune_kernel_shift
 from delaykpp.nonlinear import (_UNDERFLOW, _etd_stencils, _kernel_applier,
                                 _phi_dc)
 from oracles import comparison_run
