@@ -260,14 +260,13 @@ def _cmd_simulate_linear(cfg: dict):
     stride = f.count("snapshot_stride", 1)
     diag = f.obj("diagnostics", {})
     diag.known(("z0", "tangency", "probe_x"))
+    if "diagnostics" in cfg and T == 0.0:
+        # S_max and S_min range over the outputs after t = 0: a run to
+        # T = 0 keeps none (grids.step_count gives a positive T a step)
+        raise ConfigError(f"field 'T' = {T:g}: the diagnostics need an "
+                          "output after t = 0, and the run keeps none")
     traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
                         f.count("n_h", None), f.count("out_every", None))
-    if "diagnostics" in cfg and not np.any(traj.times > 0.0):
-        # S_max and S_min range over the outputs after t = 0: a run to
-        # T = 0 keeps none, nor does one whose step h/n_h is 1e12 T or more
-        raise ConfigError(f"fields 'T' = {T:g} and 'params.h' = "
-                          f"{params.h:g}: the diagnostics need an output "
-                          "after t = 0, and the run keeps none")
 
     files = {}
     report = {"T": T, "n_h": int(traj.n_h),

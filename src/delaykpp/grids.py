@@ -28,9 +28,9 @@ __all__ = ["Grid", "HistoryRing", "Outputs", "Trajectory", "every_kth",
 # over 100x the 102,400 steps of the longest preset (desk-tangency-linear);
 # a longer run is a mistyped horizon, not a study
 MAX_STEPS = 1 << 24
-# per history ring or snapshot array: over 15x the largest preset's array
-# (the 69 MB ring of xval-smooth's 535 coupled modes); filling a larger one
-# can exhaust the machine
+# per history ring or snapshot array: over 30x the largest preset's array
+# (the 35 MB ring of xval-smooth's 268 coupled modes of the half spectrum);
+# filling a larger one can exhaust the machine
 MAX_BYTES = 1 << 30
 _EDGE_WARN = 1e-8  # edge/peak ratio above which a run warns
 DEFAULT_N_H = 64  # steps per delay of a delayed run that names none
@@ -40,8 +40,10 @@ DEFAULT_N_H = 64  # steps per delay of a delayed run that names none
 class Grid:
     """Uniform periodic grid on [-length/2, length/2).
 
-    n must be a power of two (>= 256) so transforms stay fast and mode
-    frequencies are the usual FFT set 2*pi*k/length.
+    n must be a power of two (>= 256) so transforms stay fast.  xi holds
+    the frequencies 2*pi*k/length, k = 0 .. n/2, of the half spectrum
+    that rfft gives a real field: the modes the linear solver steps.  The
+    other half are their conjugates, which a real field determines.
     """
 
     length: float
@@ -68,7 +70,7 @@ class Grid:
 
     @property
     def xi(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
 
 
 class HistoryRing:
@@ -136,6 +138,30 @@ class HistoryRing:
         self.vals[s] = val
         self.ders[s] = der
 
+    @property
+    def room(self) -> int:
+        """Rows store_rows can give before the ring wraps to row 0."""
+        return self.n_h + 1 - self._slot(self._step + 1)
+
+    def delayed_rows(self, count: int):
+        """(values, derivatives) at the count + 1 nodes t-h, t-h+dt, ...,
+        t-h+count dt read by the next count <= n_h steps from the newest
+        stored time t, all of them stored already; the ring's own rows
+        where they do not wrap, a copy where they do."""
+        first = self._slot(self._step - self.n_h)
+        rows = slice(first, first + count + 1) if first + count <= self.n_h \
+            else np.arange(first, first + count + 1) % (self.n_h + 1)
+        return self.vals[rows], self.ders[rows]
+
+    def store_rows(self, count: int):
+        """Advance count <= min(n_h, room) steps and return (values,
+        derivatives), the ring's rows of the count new times, oldest
+        first, for the caller to fill.  They are the rows of the count
+        oldest nodes, so read those (delayed_rows) first."""
+        first = self._slot(self._step + 1)
+        self._step += count
+        return self.vals[first:first + count], self.ders[first:first + count]
+
 
 def _history_samples(u0, n_h: int, h: float, width: int, dtype):
     """Sample history and its time derivative on the ring nodes
@@ -195,18 +221,22 @@ def every_kth(count: int, k: int) -> list[int]:
     return idx
 
 
-def step_count(T: float, dt: float, n_h: int | None = None) -> int:
+def step_count(T: float, dt: float, delay: str | None = None) -> int:
     """Steps of size dt that cover [0, T]; ConfigError for a negative or
-    non-finite horizon, or one past MAX_STEPS, naming T and, when given,
-    the n_h that set dt = h/n_h."""
+    non-finite horizon, one past MAX_STEPS, or a positive one that would
+    take no step (T/dt below 1e-12: a delay so long that the run would
+    keep t = 0 only while its report says T).  The refusal names T and,
+    when given, delay: the fields that set dt = h/n_h, as text."""
     steps = T / dt
-    if not 0.0 <= steps <= MAX_STEPS:
-        fields = f"field 'T' = {T:g}" if n_h is None else \
-            f"fields 'T' = {T:g} and 'n_h' = {n_h:g}"
+    count = int(np.ceil(steps - 1e-12)) if 0.0 <= steps <= MAX_STEPS else -1
+    if count < 0 or (count == 0 and T > 0.0):
+        fields = f"field 'T' = {T:g} needs" if delay is None else \
+            f"fields 'T' = {T:g}, {delay} need"
+        step = "dt" if delay is None else "dt = h/n_h"
         raise ConfigError(
-            f"{fields} need {steps:.3g} steps of dt = {dt:.3g}; "
-            f"a run may take 0 to {MAX_STEPS}")
-    return int(np.ceil(steps - 1e-12))
+            f"{fields} {steps:.3g} steps of {step} = {dt:.3g}; a run takes "
+            f"0 steps at T = 0, else 1 to {MAX_STEPS}")
+    return count
 
 
 def edge_fraction(field) -> float:
@@ -241,14 +271,14 @@ class Outputs:
     time, then writes it to its row of the preallocated fields array or,
     given collect, calls collect(t, field) and stores nothing (times and
     fields are then empty); either way it keeps the largest edge
-    fraction.  The step count must fit MAX_STEPS (a refusal names n_h
-    too when given, as the n_h that set dt), and stored snapshots
-    MAX_BYTES.
+    fraction.  The step count is step_count's (a refusal names delay
+    too when given, the fields that set dt), and stored snapshots must
+    fit MAX_BYTES.
     """
 
     def __init__(self, T: float, dt: float, out_every: int | None,
-                 width: int, collect=None, n_h: int | None = None):
-        self.n_steps = step_count(T, dt, n_h)
+                 width: int, collect=None, delay: str | None = None):
+        self.n_steps = step_count(T, dt, delay)
         if out_every is None:
             out_every = max(1, self.n_steps // 400)
         if collect is None:

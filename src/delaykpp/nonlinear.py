@@ -268,7 +268,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         raise ConfigError(f"n_h must be >= 1, got {n_h}")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
     out = Outputs(T, dt, out_every, grid.n, collect,
-                  n_h if h > 0.0 else None)
+                  f"'h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None)
 
     st_p0, st_a, st_b, st_ab = _etd_stencils(dt, grid.dx, grid.n)
     kconv = _kernel_applier(kernel0, grid)

@@ -4,6 +4,8 @@ No run of the package calls these; they stay here, beside the tests,
 as independent routes to what the package computes:
 
 - scalar_dde_solve: one Fourier mode through the spectral step;
+- stepwise_delay_diag: the spectral step one step at a time, each new
+  row flushed and pushed before the next step reads the ring;
 - solve_linear_fd: finite differences in space and classical RK4 in time;
 - comparison_run: the nonlinear run against its linear majorant, with
   the one-block recursion envelope (the comparison certificate);
@@ -35,7 +37,7 @@ from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
 from delaykpp.grids import (DEFAULT_N_H, Outputs, _history_samples,
                             step_count)
 from delaykpp.kernels import Kernel
-from delaykpp.linear_solver import _flush, _rk4_delay_diag
+from delaykpp.linear_solver import _flush, _rk4_delay_diag, _step_weights
 
 
 def multiplier(dk: DiscreteKernel) -> np.ndarray:
@@ -72,6 +74,30 @@ def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
                     lambda n, w: out.__setitem__(n, w[0]))
     times = np.arange(n_steps + 1) * ring.dt
     return times, out
+
+
+def stepwise_delay_diag(mu, kap, ring: HistoryRing, n_steps: int,
+                        collect=None):
+    """linear_solver._rk4_delay_diag one step at a time: the same
+    exponential Hermite step, with the increment summed as
+    (e^z - 1) w + a0 d0 + a1 d1 + b0 e0 + b1 e1, each new w and
+    derivative row flushed, and both pushed before the next step reads
+    the ring.  The ring row of t = 0 takes the right derivative once step
+    n_h - 1 is done, so step n_h reads the cell [0, dt] with it."""
+    w = ring.newest.copy()
+    em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
+    right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
+    if collect is not None:
+        collect(0, w)
+    for n in range(n_steps):
+        (d0, e0), (d1, e1) = ring.delayed_nodes()
+        if n == ring.n_h:
+            e0[...] = right0
+        w = _flush(w + (em1 * w + a0 * d0 + a1 * d1 + b0 * e0 + b1 * e1))
+        ring.push(w, _flush(mu * w + kap * d1))
+        if collect is not None:
+            collect(n + 1, w)
+    return w
 
 
 def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,

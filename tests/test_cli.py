@@ -284,6 +284,9 @@ HOSTILE = [
     (MCKEAN_CFG, "experiment", "1"),
     (SPEEDS_CFG, "h", 1e300),
     (LINEAR_CFG, "params.h", 1e300),
+    # a delay so long that T = 2 would take no step of h/n_h
+    ({k: v for k, v in LINEAR_CFG.items() if k != "diagnostics"},
+     "params.h", 1e299, "T"),
     (LINEAR_CFG, "L", -1.0),
     # step budget: rejected before any ring or output array exists
     (KPP_CFG, "T", 1e300),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delaykpp import ConfigError, Grid, HistoryRing
-from delaykpp.grids import Outputs
+from delaykpp.grids import Outputs, step_count
 
 
 def test_grid_layout():
@@ -14,9 +14,14 @@ def test_grid_layout():
     assert g.x[0] == pytest.approx(-16.0)
     assert g.x[g.n // 2] == 0.0
     assert g.x[-1] == pytest.approx(16.0 - g.dx)
-    # FFT frequency layout: xi[1] is the fundamental 2 pi / L
+    # the half spectrum of rfft: 2 pi k / L for k = 0 .. n/2, so xi[1] is
+    # the fundamental and xi[-1] the Nyquist frequency pi / dx
+    assert g.xi.shape == (g.n // 2 + 1,)
     assert g.xi[0] == 0.0
     assert g.xi[1] == pytest.approx(2.0 * np.pi / 32.0)
+    assert g.xi[-1] == pytest.approx(np.pi / g.dx)
+    np.testing.assert_array_equal(g.xi, 2.0 * np.pi * np.fft.rfftfreq(
+        g.n, d=g.dx))
 
 
 def test_grid_validation():
@@ -71,6 +76,38 @@ def test_history_ring_slots_across_windows():
         assert v_old[0] == pytest.approx(np.sin(0.7 * (t - h)), abs=1e-14)
 
 
+def test_history_ring_block_rows_match_push_and_delayed_nodes():
+    # the count + 1 delayed rows of a block are the nodes delayed_nodes
+    # gives its steps (views, or a copy across the wrap), and storing a
+    # block of rows leaves the ring as pushing them one at a time does
+    n_h = 5
+    blocked, pushed = HistoryRing(1.0, n_h, 2), HistoryRing(1.0, n_h, 2)
+    start = np.arange(2 * (n_h + 1), dtype=complex).reshape(n_h + 1, 2)
+    for ring in (blocked, pushed):
+        ring.fill(start, -start)
+    step, wraps = 0, []
+    for count in (3, 1, 2, 4, 1, 5, 1):
+        count = min(count, blocked.room)
+        vals, ders = blocked.delayed_rows(count)
+        wraps.append(not np.shares_memory(vals, blocked.vals))
+        assert wraps[-1] == (blocked._slot(step - n_h) + count > n_h)
+        vals, ders = vals.copy(), ders.copy()
+        new_vals, new_ders = blocked.store_rows(count)
+        for k in range(count):
+            (v0, d0), (v1, d1) = pushed.delayed_nodes()
+            assert [vals[k].tolist(), ders[k].tolist(), vals[k + 1].tolist(),
+                    ders[k + 1].tolist()] == [v0.tolist(), d0.tolist(),
+                                              v1.tolist(), d1.tolist()]
+            row = np.full(2, 100.0 * (step + k + 1))
+            new_vals[k], new_ders[k] = row, -row
+            pushed.push(row, -row)
+        step += count
+        np.testing.assert_array_equal(blocked.vals, pushed.vals)
+        np.testing.assert_array_equal(blocked.ders, pushed.ders)
+        assert blocked.newest.tolist() == pushed.newest.tolist()
+    assert any(wraps) and not all(wraps)
+
+
 def test_history_ring_midpoint_interpolation_order():
     # cubic Hermite on one cell: midpoint error scales like dt^4
     errs = []
@@ -104,3 +141,16 @@ def test_trajectory_warns_once_for_every_snapshot_at_the_edge():
     assert len(caught) == 1
     assert (traj.n_h, traj.clamp_count, traj.edge_fraction) == (4, 2, 1.0)
     assert traj.times.tolist() == [0.0, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("dt,delay,named", [
+    (1e300 / 16, "'h' = 1e+300 and 'n_h' = 16",
+     "fields 'T' = 2, 'h' = 1e.300 and 'n_h' = 16 need 3.2e-299 steps of "
+     "dt = h/n_h"),
+    (1e300, None, "field 'T' = 2 needs 2e-300 steps of dt")])
+def test_step_count_refuses_a_horizon_that_takes_no_step(dt, delay, named):
+    # T/dt below 1e-12 would keep only t = 0 of a run reported as T = 2
+    with pytest.raises(ConfigError, match=named):
+        step_count(2.0, dt, delay)
+    assert step_count(0.0, dt, delay) == 0
+    assert step_count(1e-10, 1.0 / 16, delay) == 1

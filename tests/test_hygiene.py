@@ -20,7 +20,7 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 SOURCES = [SRC / f"{m}.py" for m in MODULES if m != "__init__"] + \
     [pathlib.Path(__file__).with_name("oracles.py")]
 # the reference implementations in tests/oracles.py, which no run calls
-ORACLES = ["scalar_dde_solve", "solve_linear_fd", "comparison_run",
+ORACLES = ["scalar_dde_solve", "stepwise_delay_diag", "solve_linear_fd", "comparison_run",
            "ComparisonReport", "subtangential_defect", "local_tail_ratio",
            "local_expansion", "gamma_h_eval", "stored_trace_levels",
            "stored_cone_minima", "verdict_stability"]

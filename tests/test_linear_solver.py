@@ -12,9 +12,9 @@ from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
                       gamma_zero)
 from delaykpp import HistoryRing, linear_solver
 from delaykpp.grids import _history_samples
-from delaykpp.linear_solver import (_flush, _phi, _rk4_delay_diag,
-                                    _step_weights)
-from oracles import scalar_dde_solve, solve_linear_fd
+from delaykpp.linear_solver import (_BLOCK_ELEMS, _flush, _phi,
+                                    _rk4_delay_diag, _step_weights)
+from oracles import scalar_dde_solve, solve_linear_fd, stepwise_delay_diag
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
 DESK_KERNEL = Gaussian(0.0, 1.0, 1.0)
@@ -378,32 +378,46 @@ def _coupled_run(monkeypatch, kernel, u0, n_h=16, out_every=1):
     return traj.fields, rings[0], widths
 
 
+def _half_spectrum(n):
+    # the rfft modes 2 pi k / L, k = 0 .. n/2, named here, not taken from
+    # Grid.xi, so that the tests pin the set the solver steps
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=XVAL_GRID.dx)
+
+
 def _full_ring_fields(kernel, u0):
-    # the same step with every mode in the ring, in the grid's own order
+    # the same step with every mode of the half spectrum in the ring
     grid = XVAL_GRID
-    mu = -grid.xi ** 2 + 1j * XVAL.m * grid.xi + XVAL.p
-    ring = HistoryRing(XVAL.h, 16, grid.n, complex)
+    xi = _half_spectrum(grid.n)
+    mu = -xi ** 2 + 1j * XVAL.m * xi + XVAL.p
+    ring = HistoryRing(XVAL.h, 16, xi.size, complex)
     hv, hd = _history_samples(u0, 16, XVAL.h, grid.n, float)
-    vals, ders = np.fft.fft(hv, axis=1), np.fft.fft(hd, axis=1)
+    vals, ders = np.fft.rfft(hv, axis=1), np.fft.rfft(hd, axis=1)
     for row in (*vals, *ders):
         _flush(row)
     ring.fill(vals, ders)
     fields = []
-    _rk4_delay_diag(mu, kernel.fourier(grid.xi), ring, 32,
-                    lambda n, w: fields.append(np.fft.ifft(w).real))
+    _rk4_delay_diag(mu, kernel.fourier(xi), ring, 32,
+                    lambda n, w: fields.append(np.fft.irfft(w, grid.n)))
     return np.array(fields)
 
 
+def _coupled_count(kern, xi):
+    weights = _step_weights(-xi ** 2 + 1j * XVAL.m * xi + XVAL.p,
+                            kern.fourier(xi), XVAL.h / 16)[1:]
+    return np.count_nonzero(np.any(weights, axis=0))
+
+
 def test_ring_holds_only_the_coupled_modes(monkeypatch):
+    # coupled modes of the half spectrum only: each conjugate pair of the
+    # full FFT set once, and the real mode 0 (the Nyquist mode is free)
     kern = Gaussian(0.0, 1.0, 1.0)
     _, ring, _ = _coupled_run(monkeypatch, kern,
                               np.exp(-XVAL_GRID.x ** 2 / 8.0))
-    xi = XVAL_GRID.xi
-    weights = _step_weights(-xi ** 2 + 1j * XVAL.m * xi + XVAL.p,
-                            kern.fourier(xi), XVAL.h / 16)[1:]
-    coupled = np.count_nonzero(np.any(weights, axis=0))
+    coupled = _coupled_count(kern, _half_spectrum(XVAL_GRID.n))
+    full = 2.0 * np.pi * np.fft.fftfreq(XVAL_GRID.n, d=XVAL_GRID.dx)
     assert ring.vals.shape == ring.ders.shape == (17, coupled)
-    assert 0 < coupled < XVAL_GRID.n / 2
+    assert 2 * coupled - 1 == _coupled_count(kern, full)
+    assert 0 < coupled < XVAL_GRID.n / 4
 
 
 @pytest.mark.parametrize("history", ["constant", "callable"])
@@ -437,10 +451,10 @@ def test_mass_zero_kernel_builds_no_ring_and_decays_exactly(monkeypatch):
     u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
     fields = _uncoupled_run(monkeypatch, XVAL, kern, u0, n_h=16,
                             out_every=1)
-    xi = XVAL_GRID.xi
+    xi = _half_spectrum(XVAL_GRID.n)
     mu = -xi ** 2 + 1j * XVAL.m * xi + XVAL.p
-    exact = [np.fft.ifft(np.fft.fft(u0) * np.exp(mu * (n * (1.0 / 16)))).real
-             for n in range(33)]
+    exact = [np.fft.irfft(np.fft.rfft(u0) * np.exp(mu * (n * (1.0 / 16))),
+                          XVAL_GRID.n) for n in range(33)]
     assert fields.tobytes() == np.array(exact).tobytes()
 
 
@@ -461,8 +475,63 @@ def test_h0_run_builds_no_ring_and_takes_no_step(monkeypatch):
     params = CharParams(m=XVAL.m, p=XVAL.p, h=0.0)
     u0 = np.exp(-XVAL_GRID.x ** 2 / 8.0)
     fields = _uncoupled_run(monkeypatch, params, kern, u0)
-    xi = XVAL_GRID.xi
+    xi = _half_spectrum(XVAL_GRID.n)
     rate = -xi ** 2 + 1j * params.m * xi + params.p + kern.fourier(xi)
-    exact = [np.fft.ifft(np.fft.fft(u0) * np.exp(rate * (n * (2.0 / 256))))
-             .real for n in range(257)]
+    exact = [np.fft.irfft(np.fft.rfft(u0) * np.exp(rate * (n * (2.0 / 256))),
+                          XVAL_GRID.n) for n in range(257)]
     assert fields.tobytes() == np.array(exact).tobytes()
+
+
+def _random_ring(width, n_h):
+    """mu (one growing mode, the rest decaying), kap and a ring filled
+    with a random, flushed history, the same for the same arguments."""
+    rng = np.random.default_rng(n_h * 100003 + width)
+    shape = (n_h + 1, width)
+    vals, ders = (_flush(rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape))
+                  for _ in range(2))
+    ring = HistoryRing(1.0, n_h, width, complex)
+    ring.fill(vals, ders)
+    mu = -rng.uniform(0.0, 30.0, width) + 1j * rng.uniform(-5.0, 5.0, width)
+    mu[0] = 0.5
+    kap = rng.uniform(0.1, 1.0, width) * np.exp(
+        2j * np.pi * rng.uniform(size=width))
+    return mu, kap, ring
+
+
+# rows per block max(1, _BLOCK_ELEMS // width): above every n_h (3), equal
+# to n_h 17 (481), just below it (482), 2 (2731) and 1 (one step per block)
+@pytest.mark.parametrize("width", [3, _BLOCK_ELEMS // 17,
+                                   _BLOCK_ELEMS // 17 + 1,
+                                   _BLOCK_ELEMS // 3 + 1, _BLOCK_ELEMS + 1])
+@pytest.mark.parametrize("n_h", [1, 2, 3, 17])
+def test_block_step_matches_the_stepwise_reference(width, n_h):
+    # three delays and more, so blocks read rows across the ring's wrap;
+    # with fewer rows per block than n_h, the block that ends at step n_h
+    # also holds step n_h - 1, which reads the ring row of t = 0 with the
+    # left derivative while step n_h reads it with the right one.  The
+    # block step sums the increment in another order and flushes its rows
+    # once per block: each row within 16 ulps of its largest entry (4.3
+    # measured)
+    n_steps = 3 * (n_h + 1) + 2
+    mu, kap, ring = _random_ring(width, n_h)
+    _, _, ref_ring = _random_ring(width, n_h)
+    blocks, store = [], ring.store_rows
+
+    def spy(count):
+        blocks.append(range(ring._step, ring._step + count))  # its steps
+        return store(count)
+
+    ring.store_rows = spy
+    got, ref = [], []
+    _rk4_delay_diag(mu, kap, ring, n_steps, lambda n, w: got.append(w.copy()))
+    stepwise_delay_diag(mu, kap, ref_ring, n_steps,
+                        lambda n, w: ref.append(w.copy()))
+    straddles = any(n_h - 1 in b and n_h in b for b in blocks)
+    assert straddles == (1 < _BLOCK_ELEMS // width < n_h)
+    assert sum(map(len, blocks)) == n_steps
+    for new, old in ((np.array(got), np.array(ref)),
+                     (ring.vals, ref_ring.vals), (ring.ders, ref_ring.ders)):
+        scale = np.abs(old).max(axis=1)
+        assert np.all(np.abs(new - old).max(axis=1)
+                      <= 16 * np.finfo(float).eps * scale)

@@ -151,15 +151,19 @@ def test_etd_stencils_positive_with_exact_dc():
         assert p0_dc + a_dc + b_dc == pytest.approx(1.0, abs=1e-15)
 
 
-def test_delay_past_every_tap_still_runs():
-    # at dt ~ 1e299 every heat tap and e^{-dt} underflow, so no tap is
-    # above the drop rule: the stencils keep their window and the run
-    # ends cleanly (here before its first step)
-    with np.errstate(all="ignore"), pytest.warns(RuntimeWarning,
-                                                 match="periodic edge"):
-        traj = solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0, 1.0), GRID, 0.5,
-                         T=3.0, h=1e300, n_h=16)
-    np.testing.assert_array_equal(traj.times, [0.0])
+def test_delay_past_every_tap_keeps_the_stencil_window():
+    # at dt ~ 1e299 e^{-dt} underflows and the mixture taps overflow, so
+    # no A, B or AB tap is above the drop rule: each stencil keeps its
+    # whole window of n - 1 taps, and P0 = e^{-dt} G is exactly 0
+    with np.errstate(all="ignore"):
+        stencils = _etd_stencils(1e300 / 16, GRID.dx, GRID.n)
+    assert [s.size for s in stencils] == [GRID.n - 1] * 4
+    np.testing.assert_array_equal(stencils[0], 0.0)
+    # a run at that delay would take no step before T = 3: refused
+    with pytest.raises(ConfigError, match="'T' = 3, 'h' = 1e.300 and "
+                       "'n_h' = 16 need"):
+        solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0, 1.0), GRID, 0.5, T=3.0,
+                  h=1e300, n_h=16)
 
 
 def test_kernel_applier_dirac_is_exact_roll():
