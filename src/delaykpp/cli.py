@@ -44,7 +44,7 @@ import tempfile
 import numpy as np
 
 from .characteristic import critical_speeds, gamma_zero, tangency_solve
-from .config import Fields, default_out_every, kpp_inputs
+from .config import FIELD_READERS, Fields, default_out_every, kpp_inputs
 from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, mckean_experiment,
@@ -449,11 +449,14 @@ def run(config_path: str | None, out_dir: str = ".", quiet: bool = False,
     f = Fields(cfg)
     command = _chosen(f, "command", command, [*_COMMANDS, "experiment"])
     if command in _COMMANDS:
-        handler = _COMMANDS[command]
+        handler, reader = _COMMANDS[command], command
     else:
         runners = _experiments()
-        name = _chosen(f, "experiment", experiment, list(runners))
-        handler = functools.partial(_cmd_experiment, runners[name])
+        reader = _chosen(f, "experiment", experiment, list(runners))
+        handler = functools.partial(_cmd_experiment, runners[reader])
+    kind = "command" if reader == command else "experiment"
+    f.known([k for k, readers in FIELD_READERS.items() if reader in readers],
+            reader=f"{kind} '{reader}'")
     files, line, status = handler(cfg)
     for name, content in files.items():
         path = os.path.join(out_dir, name)

@@ -8,6 +8,9 @@ numbers >= 1; objects are JSON objects; flags are true/false.  A field
 given as null is a bad value, not a request for the default.  A run that
 would take more than grids.MAX_STEPS steps, or whose history ring or
 snapshot array would pass grids.MAX_BYTES, is refused before it starts.
+The ring's budget counts the arrays it allocates: n_h + 1 rows of
+coupled modes with their derivative rows for simulate-linear, n_h + 1
+rows of n values and no derivative rows for the KPP runs.
 
 What a refusal names.  A refused config exits 1 with one line that names
 the offending field by its dotted path.  It may name instead:
@@ -26,12 +29,15 @@ it with "solution lost finiteness near t=...; last healthy output at
 t=..." and exit 1.  That line names the gate, not a field, since the
 solver cannot tell which value overflowed.
 
-Field reference (subcommands that read the field in brackets; "exp" is
-every ``experiment``):
+Field reference.  The brackets name the subcommands that read the
+field: a command, an experiment by its name, "exp" for every
+experiment, "all" for every command and "all but verify".  They are the
+table FIELD_READERS, and cli.run refuses, before it dispatches, a
+top-level field that the invoked command or experiment does not read.
 
-``command``  string, required: speeds | char | simulate-linear |
+``command``  string, required [all]: speeds | char | simulate-linear |
     fundamental | simulate-kpp | experiment | verify.
-``experiment``  string [experiment]: mckean | extinction | spreading |
+``experiment``  string [exp]: mckean | extinction | spreading |
     bridge; may instead follow ``experiment`` on the command line.
 ``kernel``  object, required [all but verify]: ``family`` (string) plus
     finite-number parameters.  dirac: shift, mass; gaussian (alias
@@ -40,9 +46,10 @@ every ``experiment``):
     speeds and the KPP runs need g'(0) times the mass to exceed 1 (no
     front grows otherwise).  Parameters whose mass or first two moments
     overflow a float are refused.
-``birth``  object [simulate-kpp, exp; speeds when gprime0 is absent]:
-    ``family`` plus finite-number parameters.  nicholson: p > 1, a > 0;
-    mackey_glass: p > 1, a > 0, q > 0; linear_cap: slope > 1, cap > 0.
+``birth``  object [simulate-kpp, exp, speeds]: ``family`` plus
+    finite-number parameters.  nicholson: p > 1, a > 0; mackey_glass:
+    p > 1, a > 0, q > 0; linear_cap: slope > 1, cap > 0.  speeds reads
+    it only when gprime0 is absent.
 ``gprime0``  number [speeds]: g'(0); default the birth's slope.
 ``params``  object, required [char, simulate-linear, fundamental]:
     numbers ``m``, ``p`` and ``h`` >= 0, all required.
@@ -89,13 +96,14 @@ every ``experiment``):
     [fundamental]; a time too small for the symbol grid that t_min sets
     is refused.
 ``tune``  flag, default true [extinction]: shift the kernel until
-    c_plus = -tune_margin.  The retired ``expect`` is refused; the
-    persistence control is ``spreading``.
-``tune_margin``  number > 0, default 0.5; ``max_shift`` number, default
-    32 [extinction].
-``window_halfwidth``  number > 0, default 20; ``probe_x`` number in
-    [-L/2, L/2), default 0 [extinction]: where the pointwise metrics are
-    read.
+    c_plus = -tune_margin.
+``expect``  [extinction]: retired, and refused by name; the persistence
+    control is ``spreading``.
+``tune_margin``  number > 0, default 0.5 [extinction].
+``max_shift``  number, default 32 [extinction].
+``window_halfwidth``  number > 0, default 20 [extinction]: with
+    ``probe_x``, where the pointwise metrics are read.
+``probe_x``  number in [-L/2, L/2), default 0 [extinction].
 """
 
 from __future__ import annotations
@@ -110,10 +118,38 @@ from .errors import ConfigError
 from .grids import DEFAULT_N_H, Grid
 from .kernels import Kernel, kernel_from_dict
 
-__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_AMPLITUDE"]
+__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_AMPLITUDE",
+           "FIELD_READERS"]
 
 KPP_AMPLITUDE = 0.9  # default bump amplitude of a KPP run, times kappa
 _REQUIRED = object()
+
+_EXP = ("mckean", "extinction", "spreading", "bridge")
+_KPP = ("simulate-kpp", *_EXP)
+_RUNS = ("simulate-linear", *_KPP)
+_ALL_BUT_VERIFY = ("speeds", "char", "simulate-linear", "fundamental", *_KPP)
+# top-level field -> the commands that read it, an experiment by its name;
+# the module docstring's bracket lists say the same
+FIELD_READERS = {
+    "command": (*_ALL_BUT_VERIFY, "verify"),
+    "experiment": _EXP,
+    "kernel": _ALL_BUT_VERIFY,
+    "birth": (*_KPP, "speeds"),
+    "gprime0": ("speeds",),
+    "params": ("char", "simulate-linear", "fundamental"),
+    "h": ("speeds", *_KPP),
+    "L": _RUNS, "n": _RUNS, "T": _RUNS, "n_h": _RUNS, "u0": _RUNS,
+    "out_every": ("simulate-linear", "simulate-kpp", "mckean"),
+    "snapshot_stride": ("simulate-linear", "simulate-kpp"),
+    "beta": _KPP,
+    "z0": ("char",),
+    "diagnostics": ("simulate-linear",),
+    **dict.fromkeys(("t_min", "x_span", "residual_t", "identity_times"),
+                    ("fundamental",)),
+    # expect: read to be refused by its own message
+    **dict.fromkeys(("tune", "expect", "tune_margin", "max_shift",
+                     "window_halfwidth", "probe_x"), ("extinction",)),
+}
 
 
 def default_out_every(n_h: int) -> int:
@@ -190,13 +226,15 @@ class Fields:
         listed = Fields(dict(enumerate(items)), self.name(key))
         return [listed.number(i) for i in range(len(items))]
 
-    def known(self, keys, reads: str = "") -> None:
+    def known(self, keys, reads: str = "", reader: str = "") -> None:
         """Refuse a key of this object outside keys; the refusal says
-        what the object reads (reads, or else the keys)."""
+        who reads the object (reader, or else its label) and what it
+        reads (reads, or else the keys)."""
+        reader = reader or f"'{self.label}'"
         for key in self.spec:
             if key not in keys:
                 raise ConfigError(f"field '{self.name(key)}' is not read: "
-                                  f"'{self.label}' reads "
+                                  f"{reader} reads "
                                   f"{reads or ', '.join(keys)}")
 
     def delay(self) -> float:

@@ -74,17 +74,30 @@ class Grid:
 
 
 class HistoryRing:
-    """Ring of the last n_h+1 snapshots with their time derivatives.
+    """Ring of the last n_h+1 snapshots, with their time derivatives when
+    derivatives is true.
 
     dt = h/n_h exactly, so the delayed time t-h always lands on the oldest
     stored node; the one-in step t-h+dt is the next node and the midpoint
     t-h+dt/2 comes from cubic Hermite interpolation on that cell.
+
+    Derivative rows are optional.  The linear solver's exponential
+    Hermite step reads each cell's two derivatives and keeps them; the
+    KPP step reads u(t - h) only through g, at the nodes, so solve_kpp
+    builds its ring without them.  ders is then a zero-width
+    (n_h + 1, 0) array: fill, push, delayed_nodes, delayed_rows and
+    store_rows handle it as they handle a full one (only delayed_mid
+    needs the derivatives), no derivative row is allocated or written,
+    and MAX_BYTES counts only the arrays allocated.
     """
 
-    def __init__(self, h: float, n_h: int, width: int, dtype=complex):
+    def __init__(self, h: float, n_h: int, width: int, dtype=complex,
+                 derivatives: bool = True):
         if n_h < 1:
             raise ConfigError(f"n_h must be >= 1, got {n_h}")
-        _check_bytes(2 * (n_h + 1) * width * np.dtype(dtype).itemsize,
+        der_width = width if derivatives else 0
+        _check_bytes((n_h + 1) * (width + der_width)
+                     * np.dtype(dtype).itemsize,
                      f"a history ring of n_h + 1 = {n_h + 1} rows of "
                      f"{width} grid points or coupled modes (fields 'n_h' "
                      "and 'n')")
@@ -92,20 +105,21 @@ class HistoryRing:
         self.n_h = int(n_h)
         self.dt = self.h / self.n_h
         self.vals = np.zeros((n_h + 1, width), dtype)
-        self.ders = np.zeros((n_h + 1, width), dtype)
+        self.ders = np.zeros((n_h + 1, der_width), dtype)
         self._step = 0  # global index of the newest stored snapshot
 
-    def fill(self, vals: np.ndarray, ders: np.ndarray) -> None:
-        """Load the initial history; row j is time -h + j*dt.  Arrays that
-        broadcast to the ring's shape are accepted: one (1, width) row is
-        a constant history."""
-        for arr in (vals, ders):
+    def fill(self, vals: np.ndarray, ders) -> None:
+        """Load the initial history; row j is time -h + j*dt.  Each array
+        must broadcast to the shape of its own part of the ring: one
+        (1, width) row is a constant history, and a scalar 0 fills the
+        derivatives of either kind of ring."""
+        for arr, part in ((vals, self.vals), (ders, self.ders)):
             try:
-                np.broadcast_to(arr, self.vals.shape)
+                np.broadcast_to(arr, part.shape)
             except ValueError:
                 raise ConfigError(
-                    f"history shape {arr.shape} does not broadcast to ring "
-                    f"{self.vals.shape}") from None
+                    f"history shape {np.shape(arr)} does not broadcast to "
+                    f"ring {part.shape}") from None
         self.vals[:] = vals
         self.ders[:] = ders
         self._step = 0

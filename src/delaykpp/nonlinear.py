@@ -17,9 +17,14 @@ second-order phi-weights:
 
 solve_kpp writes this update once.  Because the step divides the delay
 exactly, F_{n+1} reads the stored profile u(t_{n+1} - h) from the
-HistoryRing, so the scheme stays one-step explicit.  At h = 0 there is no
-ring, and F_{n+1} reads the exponential-Euler predictor
-floor(P0 u_n + (A + B) F_n) instead, which keeps the same order.
+HistoryRing, so the scheme stays one-step explicit.  The step reads that
+profile only through g, at the ring's nodes, so the ring holds values
+only: one delay of n_h + 1 profiles and no derivative rows.  At h = 0
+there is no ring, and F_{n+1} reads the exponential-Euler predictor
+floor(P0 u_n + (A + B) F_n) instead, which keeps the same order.  The
+new profile is summed in place into the fresh array that P0 u_n is,
+u = P0 u_n; u += A F_n; u += B F_{n+1}, which rounds as
+(P0 u_n + A F_n) + B F_{n+1} does and allocates no further temporary.
 
 P0, A and B are mixtures of heat kernels, hence positivity- and
 order-preserving.  They are applied as compactly truncated physical-space
@@ -222,11 +227,13 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
 
 def _floor(v: np.ndarray) -> np.ndarray:
     """Set every entry of v of magnitude below _UNDERFLOW to exactly 0, in
-    place, and return v; NaN and inf stay, so a blow-up still shows."""
-    # row by row: a temporary the size of a whole history would raise the
-    # run's peak memory
+    place (np.putmask, which writes through the mask without gathering
+    the entries it selects), and return v; NaN and inf stay, so a
+    blow-up still shows.  A 2-D v (a sampled history) goes row by row,
+    so the mask and |v| stay one row in size and a whole history's
+    temporaries never raise the run's peak memory."""
     for row in np.atleast_2d(v):
-        row[np.abs(row) < _UNDERFLOW] = 0.0
+        np.putmask(row, np.abs(row) < _UNDERFLOW, 0.0)
     return v
 
 
@@ -274,16 +281,17 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     kconv = _kernel_applier(kernel0, grid)
     counter = [0]
 
-    ring = HistoryRing(h, n_h, grid.n, float) if h > 0.0 else None
+    # values only: the step reads u(t - h) through g, never its derivative
+    ring = HistoryRing(h, n_h, grid.n, float, derivatives=False) \
+        if h > 0.0 else None
     hv, _ = _history_samples(u0, n_h, h, grid.n, float)
     _floor(hv)
     u = hv[-1].copy()
     if ring is not None:
-        ring.fill(hv, np.zeros_like(hv))
+        ring.fill(hv, 0.0)
         (v0, _), _ = ring.delayed_nodes()
         F_prev = kconv(_clamped_birth(birth, v0, counter))
 
-    no_der = np.zeros(grid.n)
     out.store(0, u)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
@@ -295,10 +303,14 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             else:  # F_{n+1} from the stored u(t_{n+1} - h)
                 _, (ahead, _) = ring.delayed_nodes()
             F_next = kconv(_clamped_birth(birth, ahead, counter))
-            u = _floor(p0u + convolve1d(F_prev, st_a)
-                       + convolve1d(F_next, st_b))
+            # summed in place into the fresh p0u, in the order
+            # (P0 u + A F_n) + B F_{n+1}; no ring row is written but by push
+            u = p0u
+            u += convolve1d(F_prev, st_a)
+            u += convolve1d(F_next, st_b)
+            _floor(u)
             if ring is not None:
-                ring.push(u, no_der)
+                ring.push(u, 0.0)
             F_prev = F_next
             out.store(n + 1, u)
 

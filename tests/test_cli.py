@@ -342,6 +342,9 @@ HOSTILE = [
      "u0.amplitude"),
     (LINEAR_CFG, "diagnostics", {"z0": 0.0, "tangancy": False},
      "diagnostics.tangancy"),
+    # so does the top-level object, against config.FIELD_READERS
+    (KPP_CFG, "n_hh", 8),
+    (KPP_CFG, "snapshot_strid", 8),
     # c_minus -1.63 and c_plus 0.52: the cone's left end wraps at T = 60
     ({**MCKEAN_CFG, "experiment": "spreading", "n": 512,
       "kernel": {"family": "gaussian", "mean": 1.0}}, "T", 60.0, "L"),
@@ -408,6 +411,27 @@ def test_huge_count_is_refused_in_one_short_line(tmp_path, capsys):
     assert run(path, str(tmp_path), quiet=True) == 1
     assert capsys.readouterr().err == (
         "error: field 'n' must be a power of two >= 256, got 1e+300\n")
+
+
+def test_top_level_field_is_refused_unless_the_invoked_run_reads_it(
+        tmp_path, capsys):
+    # mckean reads out_every and spreading sets its own, so the same key
+    # is refused by one experiment and not by the other; the refusal names
+    # the run and every field it reads
+    spreading = {**MCKEAN_CFG, "experiment": "spreading", "L": 256.0,
+                 "n": 1024, "out_every": 4}
+    assert run(_write_cfg(tmp_path, spreading), str(tmp_path),
+               quiet=True) == 1
+    assert capsys.readouterr().err == (
+        "error: field 'out_every' is not read: experiment 'spreading' reads "
+        "command, experiment, kernel, birth, h, L, n, T, n_h, u0, beta\n")
+    assert run(_write_cfg(tmp_path, {**spreading, "experiment": "mckean"}),
+               str(tmp_path), quiet=True) in (0, 2)
+    path = _write_cfg(tmp_path, {**KPP_CFG, "n_hh": 8})
+    assert main(["simulate-kpp", "--config", path, "--out", str(tmp_path),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: field 'n_hh' is not read: command 'simulate-kpp' reads ")
 
 
 def test_grid_too_large_for_any_run_is_refused_before_x(tmp_path, capsys,

@@ -4,7 +4,7 @@ the output gate."""
 import numpy as np
 import pytest
 
-from delaykpp import ConfigError, Grid, HistoryRing
+from delaykpp import ConfigError, Grid, HistoryRing, grids
 from delaykpp.grids import Outputs, step_count
 
 
@@ -41,23 +41,34 @@ def test_history_ring_dt_divides_delay():
 
 
 def test_history_ring_fill_broadcasts_one_row_and_refuses_other_shapes():
-    ring = HistoryRing(2.0, 8, 3)
+    # each array is checked against its own part of the ring, which for a
+    # values-only ring is a zero-width derivative array
     row = np.array([[1.0, 2.0, 3.0]])
-    ring.fill(row, np.zeros_like(row))
-    np.testing.assert_array_equal(ring.vals, np.tile(row, (9, 1)))
-    np.testing.assert_array_equal(ring.ders, 0.0)
-    with pytest.raises(ConfigError, match=r"\(2, 3\).*\(9, 3\)"):
-        ring.fill(np.ones((2, 3)), np.zeros((1, 3)))
-    with pytest.raises(ConfigError, match=r"\(9, 4\).*\(9, 3\)"):
-        ring.fill(np.ones((9, 3)), np.zeros((9, 4)))
+    for derivatives, width in ((True, 3), (False, 0)):
+        ring = HistoryRing(2.0, 8, 3, derivatives=derivatives)
+        ring.fill(row, np.zeros((1, width)))
+        np.testing.assert_array_equal(ring.vals, np.tile(row, (9, 1)))
+        assert ring.ders.shape == (9, width) and not ring.ders.any()
+        with pytest.raises(ConfigError, match=r"\(2, 3\).*\(9, 3\)"):
+            ring.fill(np.ones((2, 3)), np.zeros((1, width)))
+        with pytest.raises(ConfigError, match=rf"\(9, 4\).*\(9, {width}\)"):
+            ring.fill(np.ones((9, 3)), np.zeros((9, 4)))
+
+
+def test_ring_budget_counts_the_arrays_allocated(monkeypatch):
+    # one delay of value rows fits a budget that values and derivatives
+    # together pass; the refusal still names the fields that size it
+    monkeypatch.setattr(grids, "MAX_BYTES", 2 * 9 * 3 * 16 - 1)
+    assert HistoryRing(2.0, 8, 3, derivatives=False).vals.nbytes == 9 * 3 * 16
+    with pytest.raises(ConfigError, match=r"fields 'n_h' and 'n'"):
+        HistoryRing(2.0, 8, 3)
 
 
 def test_history_ring_slots_across_windows():
     # push several delay windows of a known signal and check the delayed
-    # node is always exactly the value h earlier
+    # node is always exactly the value h earlier; a values-only ring is
+    # filled and pushed with a scalar 0 derivative, as solve_kpp does
     h, n_h = 1.0, 8
-    ring = HistoryRing(h, n_h, 1, dtype=float)
-    dt = ring.dt
 
     def f(t):
         return np.array([np.sin(0.7 * t)])
@@ -65,47 +76,63 @@ def test_history_ring_slots_across_windows():
     def fdot(t):
         return np.array([0.7 * np.cos(0.7 * t)])
 
-    times = -h + dt * np.arange(n_h + 1)
-    ring.fill(np.stack([f(t) for t in times]),
-              np.stack([fdot(t) for t in times]))
-    for step in range(1, 4 * n_h + 1):
-        t = step * dt
-        ring.push(f(t), fdot(t))
-        (v_old, _), _ = ring.delayed_nodes()
-        assert ring.newest[0] == pytest.approx(np.sin(0.7 * t), abs=1e-14)
-        assert v_old[0] == pytest.approx(np.sin(0.7 * (t - h)), abs=1e-14)
+    for derivatives in (True, False):
+        ring = HistoryRing(h, n_h, 1, dtype=float, derivatives=derivatives)
+        dt = ring.dt
+        times = -h + dt * np.arange(n_h + 1)
+        ring.fill(np.stack([f(t) for t in times]),
+                  np.stack([fdot(t) for t in times]) if derivatives else 0.0)
+        for step in range(1, 4 * n_h + 1):
+            t = step * dt
+            ring.push(f(t), fdot(t) if derivatives else 0.0)
+            (v_old, d_old), (v_next, _) = ring.delayed_nodes()
+            assert ring.newest[0] == pytest.approx(np.sin(0.7 * t),
+                                                   abs=1e-14)
+            assert v_old[0] == pytest.approx(np.sin(0.7 * (t - h)),
+                                             abs=1e-14)
+            assert v_next[0] == pytest.approx(np.sin(0.7 * (t - h + dt)),
+                                              abs=1e-14)
+            if derivatives:
+                assert d_old[0] == pytest.approx(fdot(t - h)[0], abs=1e-14)
+            else:
+                assert d_old.shape == (0,)
 
 
 def test_history_ring_block_rows_match_push_and_delayed_nodes():
     # the count + 1 delayed rows of a block are the nodes delayed_nodes
     # gives its steps (views, or a copy across the wrap), and storing a
-    # block of rows leaves the ring as pushing them one at a time does
+    # block of rows leaves the ring as pushing them one at a time does;
+    # for a ring with derivative rows and for a values-only one
     n_h = 5
-    blocked, pushed = HistoryRing(1.0, n_h, 2), HistoryRing(1.0, n_h, 2)
     start = np.arange(2 * (n_h + 1), dtype=complex).reshape(n_h + 1, 2)
-    for ring in (blocked, pushed):
-        ring.fill(start, -start)
-    step, wraps = 0, []
-    for count in (3, 1, 2, 4, 1, 5, 1):
-        count = min(count, blocked.room)
-        vals, ders = blocked.delayed_rows(count)
-        wraps.append(not np.shares_memory(vals, blocked.vals))
-        assert wraps[-1] == (blocked._slot(step - n_h) + count > n_h)
-        vals, ders = vals.copy(), ders.copy()
-        new_vals, new_ders = blocked.store_rows(count)
-        for k in range(count):
-            (v0, d0), (v1, d1) = pushed.delayed_nodes()
-            assert [vals[k].tolist(), ders[k].tolist(), vals[k + 1].tolist(),
-                    ders[k + 1].tolist()] == [v0.tolist(), d0.tolist(),
-                                              v1.tolist(), d1.tolist()]
-            row = np.full(2, 100.0 * (step + k + 1))
-            new_vals[k], new_ders[k] = row, -row
-            pushed.push(row, -row)
-        step += count
-        np.testing.assert_array_equal(blocked.vals, pushed.vals)
-        np.testing.assert_array_equal(blocked.ders, pushed.ders)
-        assert blocked.newest.tolist() == pushed.newest.tolist()
-    assert any(wraps) and not all(wraps)
+    for derivatives in (True, False):
+        blocked, pushed = (HistoryRing(1.0, n_h, 2, derivatives=derivatives)
+                           for _ in range(2))
+        width = blocked.ders.shape[1]  # 2, or 0 for a values-only ring
+        for ring in (blocked, pushed):
+            ring.fill(start, -start[:, :width])
+        step, wraps = 0, []
+        for count in (3, 1, 2, 4, 1, 5, 1):
+            count = min(count, blocked.room)
+            vals, ders = blocked.delayed_rows(count)
+            wraps.append(not np.shares_memory(vals, blocked.vals))
+            assert wraps[-1] == (blocked._slot(step - n_h) + count > n_h)
+            assert ders.shape == (count + 1, width)
+            vals, ders = vals.copy(), ders.copy()
+            new_vals, new_ders = blocked.store_rows(count)
+            for k in range(count):
+                (v0, d0), (v1, d1) = pushed.delayed_nodes()
+                assert [vals[k].tolist(), ders[k].tolist(),
+                        vals[k + 1].tolist(), ders[k + 1].tolist()] == \
+                    [v0.tolist(), d0.tolist(), v1.tolist(), d1.tolist()]
+                row = np.full(2, 100.0 * (step + k + 1))
+                new_vals[k], new_ders[k] = row, -row[:width]
+                pushed.push(row, -row[:width])
+            step += count
+            np.testing.assert_array_equal(blocked.vals, pushed.vals)
+            np.testing.assert_array_equal(blocked.ders, pushed.ders)
+            assert blocked.newest.tolist() == pushed.newest.tolist()
+        assert any(wraps) and not all(wraps)
 
 
 def test_history_ring_midpoint_interpolation_order():

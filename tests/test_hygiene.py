@@ -1,18 +1,22 @@
 """Source hygiene of the package: every __all__ entry exists, no module
 (nor tests/oracles.py) imports a name it never uses (an ast scan, so no
-linter is needed), the test oracles are not exported, and importing the
-CLI loads no SciPy module."""
+linter is needed), the test oracles are not exported, importing the
+CLI loads no SciPy module, and the config docstring's lists of who reads
+each field are the table that cli.run checks."""
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import delaykpp
+from delaykpp.config import FIELD_READERS
+from delaykpp.presets import preset, preset_names
 
 SRC = pathlib.Path(delaykpp.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
@@ -68,3 +72,37 @@ def test_cli_import_loads_no_scipy():
                          text=True, timeout=120, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def _bracket_readers() -> dict:
+    """field -> readers, from the bracket list of each entry of the
+    config docstring's field reference (the first bracket whose items
+    are all reader names, so "[-L/2, L/2)" and "[0.5, 0.1, 0.02]" are
+    passed over)."""
+    names = {r for readers in FIELD_READERS.values() for r in readers}
+    exp = ["mckean", "extinction", "spreading", "bridge"]
+    words = {"all": sorted(names), "exp": exp,
+             "all but verify": sorted(names - {"verify"})}
+    doc = delaykpp.config.__doc__.split("Field reference.")[1]
+    entries = re.split(r"^``(\w+)``", doc, flags=re.M)[1:]
+    found = {}
+    for field, text in zip(entries[::2], entries[1::2]):
+        for group in re.findall(r"\[([^\[\]]*)\]", text):
+            items = group.split(", ")
+            if all(i in names or i in words for i in items):
+                found[field] = sorted({r for i in items
+                                       for r in words.get(i, [i])})
+                break
+    return found
+
+
+def test_config_docstring_brackets_match_the_field_readers():
+    assert _bracket_readers() == {k: sorted(set(v))
+                                  for k, v in FIELD_READERS.items()}
+
+
+def test_every_preset_field_is_read_by_its_run():
+    for name in preset_names():
+        cfg = preset(name)
+        reader = cfg.get("experiment", cfg["command"])
+        assert [k for k in cfg if reader not in FIELD_READERS[k]] == [], name

@@ -4,14 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from delaykpp import (ConfigError, Dirac, Gaussian, Grid, LaplaceKernel,
-                      LevelScan, Nicholson, UniformKernel, critical_speeds,
-                      level_set, solve_kpp, trace_levels)
+from delaykpp import (CharParams, ConfigError, Dirac, Gaussian, Grid,
+                      LaplaceKernel, LevelScan, LinearCap, Nicholson,
+                      UniformKernel, critical_speeds, level_set, solve_kpp,
+                      solve_linear, trace_levels)
 from delaykpp import nonlinear
 from delaykpp.characteristic import tune_kernel_shift
 from delaykpp.nonlinear import (_UNDERFLOW, _etd_stencils, _kernel_applier,
@@ -139,6 +141,75 @@ def test_collector_sees_exactly_the_stored_snapshots():
     assert collected.times.size == 0 and collected.fields.size == 0
     assert collected.clamp_count == stored.clamp_count
     assert collected.edge_fraction == stored.edge_fraction
+
+
+def test_delayed_run_holds_one_delay_of_value_rows():
+    # the step reads u(t - h) only through g, so the history is n_h + 1
+    # rows of n values and nothing else; a ring that also held derivative
+    # rows would peak at 2.1 rings.  The slack of a quarter ring covers the
+    # stencils and the per-step temporaries (together 0.08 ring at
+    # n = 1024, n_h = 128); the warm-up run builds the cached bands
+    grid = Grid(32.0, 1024)
+    n_h = 128
+    ring = (n_h + 1) * grid.n * 8
+    args = (Gaussian(0.0, 1.0, 1.0), Nicholson(2.0, 1.0), grid,
+            0.5 * np.exp(-grid.x ** 2))
+    kwargs = dict(T=0.5, h=1.0, n_h=n_h, collect=lambda t, u: None)
+    solve_kpp(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        solve_kpp(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring < peak < ring + ring // 4
+
+
+# The two solvers in the linear regime.  With g(u) = min(2u, 1) and data
+# below cap/slope = 1/2, solve_kpp solves u_t = u_xx - u + 2 (k0 * u)(t - h)
+# exactly: (*) with m = 0, p = -1 and the kernel 2 k0, which solve_linear
+# solves spectrally in x and to fourth order in dt (n_h 256 here, exact at
+# h = 0).  The error is max |u_kpp - u_lin| / max |u_lin| at T.  The n
+# ladder 512, 1024, 2048 runs at n_h 128 (dt = 1/128, above dx^2/3 on
+# every rung, see _etd_stencils), the n_h ladder 4, 8, 16 at n 4096.  The
+# band [1.8, 2.2] for every observed order is the scheme's order (the
+# stencils and the exponential trapezoid are second order), not a fit to
+# these errors; the two bounds below keep 1.4x and 2x over the errors
+# measured when the test was written.
+_XC_GRID_L, _XC_T = 64.0, 4.0
+
+
+def _linear_regime_errors(n: int, h: float, ladder=(None,)) -> list:
+    """The error of a KPP run at each n_h of ladder (None at h = 0)
+    against one linear reference on n points."""
+    grid = Grid(_XC_GRID_L, n)
+    u0 = 1e-3 * np.exp(-(grid.x / 2.0) ** 2)
+    kern = Gaussian(0.0, 1.0, 1.0)
+    ref = solve_linear(CharParams(m=0.0, p=-1.0, h=h), kern.scaled(2.0),
+                       grid, u0, _XC_T, 256 if h > 0.0 else None).fields[-1]
+    errors = []
+    for n_h in ladder:
+        last = []
+        traj = solve_kpp(kern, LinearCap(2.0, 1.0), grid, u0, _XC_T, h, n_h,
+                         out_every=1 << 20,  # keeps t = 0 and T only
+                         collect=lambda t, u: last.append(u))
+        assert traj.clamp_count == 0 and np.max(last[-1]) < 0.5  # g linear
+        errors.append(np.max(np.abs(last[-1] - ref)) / np.max(np.abs(ref)))
+    return errors
+
+
+def test_kpp_step_matches_the_linear_solver_in_the_linear_regime():
+    space = [_linear_regime_errors(n, 1.0, (128,))[0]
+             for n in (512, 1024, 2048)]
+    time = _linear_regime_errors(4096, 1.0, (4, 8, 16))
+    for errors in (space, time):
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), (errors, orders)
+    # dx 1/16, dt 1/128: 3.5e-5 when the ladders were fixed
+    assert space[1] < 5e-5
+    # h = 0: the linear solve is exact, and the KPP step (dt 1/64, which
+    # n_h cannot refine) reads its predictor; 5.0e-4 at n 512
+    assert _linear_regime_errors(512, 0.0)[0] < 1e-3
 
 
 def test_etd_stencils_positive_with_exact_dc():
