@@ -12,7 +12,12 @@ Each subcommand has a handler that takes only the config and returns
 (files, line, status): files maps an output file name to its content (a
 JSON object, or for a .csv name a (header, lines) pair of the CSV's
 header and an iterable of text lines), line is the stdout summary and
-status the exit status.  run() writes every file in one loop once the
+status the exit status.  A handler reads every field it uses through
+config.Fields before its first solve, so a refused value costs no solve
+time.  An experiment's handler reads the KPP inputs and the
+experiment's own options, calls the runner with those typed values and
+builds the report {name, params, metrics, verdict} itself, params being
+the config as loaded.  run() writes every file in one loop once the
 handler has returned, then prints the line unless --quiet: a refused
 value never leaves a file behind, since every value is read before the
 handler returns.  CSV text is generated while its file is written, one
@@ -260,12 +265,14 @@ def _cmd_simulate_linear(cfg: dict):
     stride = f.count("snapshot_stride", 1)
     diag = f.obj("diagnostics", {})
     diag.known(("z0", "tangency", "probe_x"))
+    z0, tangency = diag.number("z0", 0.0), diag.flag("tangency", True)
+    probe_x = diag.number("probe_x", 0.0)
     if "diagnostics" in cfg and T == 0.0:
         # S_max and S_min range over the outputs after t = 0: a run to
         # T = 0 keeps none (grids.step_count gives a positive T a step)
         raise ConfigError(f"field 'T' = {T:g}: the diagnostics need an "
                           "output after t = 0, and the run keeps none")
-    traj = solve_linear(params, kernel, grid, f.u0(grid.x, 1.0), T,
+    traj = solve_linear(params, kernel, grid, f.u0(1.0)(grid.x), T,
                         f.count("n_h", None), f.count("out_every", None))
 
     files = {}
@@ -273,12 +280,11 @@ def _cmd_simulate_linear(cfg: dict):
               "edge_fraction": float(traj.edge_fraction),
               "final_sup": float(np.max(np.abs(traj.fields[-1])))}
     if "diagnostics" in cfg:
-        pair = gamma_zero(params, kernel, diag.number("z0", 0.0))
+        pair = gamma_zero(params, kernel, z0)
         _, S = universal_bound_diagnostic(traj, pair)
-        if diag.flag("tangency", True):
+        if tangency:
             tang = tangency_solve(params, kernel)
-            _, D = tangency_limit_diagnostic(
-                traj, tang, diag.number("probe_x", 0.0))
+            _, D = tangency_limit_diagnostic(traj, tang, probe_x)
             report.update({"gamma_m": tang.gamma_m, "z_m": tang.z_m,
                            "sigma_m": tang.sigma_m, "D_final": float(D[-1])})
         else:
@@ -303,19 +309,17 @@ def _cmd_fundamental(cfg: dict):
     kernel = f.kernel()
     t_min = f.positive("t_min", 0.25)
     x_span = f.positive("x_span", 40.0)
+    res_t = f.number("residual_t", 2.0 * params.h)
+    times = f.numbers("identity_times", [0.5, 0.1, 0.02])
     table = symbol_table(params, kernel, t_min=t_min, x_span=x_span)
     report = {"gate": "accepted", "rho_residual": table.residual(),
               "rho0": table.rho0, "z_max": float(table.z[-1]),
-              "n_modes": int(table.z.size)}
-
-    res_t = f.number("residual_t", 2.0 * params.h)
-    report["pde_residual_t"] = res_t
+              "n_modes": int(table.z.size), "pde_residual_t": res_t}
     try:
         report["pde_residual"] = pde_residual(table, res_t)
     except ConfigError as exc:
         raise ConfigError(f"field 'residual_t': {exc}") from None
 
-    times = f.numbers("identity_times", [0.5, 0.1, 0.02])
     x = np.linspace(-0.5 * x_span, 0.5 * x_span, 801)
     psi = np.exp(-((x / 2.0) ** 2))
     try:
@@ -345,7 +349,7 @@ def _cmd_simulate_kpp(cfg: dict):
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
     out_every = f.count("out_every", default_out_every(n_h))
     stride = f.count("snapshot_stride", 1)
-    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
+    traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h, out_every)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     scan = LevelScan(grid.x, beta)  # the scan mckean passes as collect
     for t, u in zip(traj.times, traj.fields):
@@ -368,12 +372,26 @@ def _cmd_simulate_kpp(cfg: dict):
             f"(kappa {_fmt(birth.kappa)})", 0)
 
 
-def _cmd_experiment(runner, cfg: dict):
-    rep = runner(cfg)
-    files = {f"{rep.name}_report.json": rep.to_dict()}
+# experiment -> its options: the config fields it reads besides the KPP
+# inputs, each with its getter; an absent one takes the runner's default
+_OPTIONS = {"mckean": {"out_every": Fields.count},
+            "extinction": {"tune": Fields.flag, "tune_margin": Fields.positive,
+                           "max_shift": Fields.number,
+                           "window_halfwidth": Fields.positive,
+                           "probe_x": Fields.number}}
+
+
+def _cmd_experiment(name: str, runner, cfg: dict):
+    inputs, f = kpp_inputs(cfg), Fields(cfg)
+    options = {key: read(f, key)
+               for key, read in _OPTIONS.get(name, {}).items() if key in cfg}
+    rep = runner(inputs, **options)
+    files = {f"{name}_report.json": {"name": name, "params": cfg,
+                                     "metrics": rep.metrics,
+                                     "verdict": rep.verdict}}
     if rep.trace is not None:
-        files[f"{rep.name}_levels.csv"] = _levels_csv(rep.trace)
-    return (files, f"experiment {rep.name}: verdict {rep.verdict}",
+        files[f"{name}_levels.csv"] = _levels_csv(rep.trace)
+    return (files, f"experiment {name}: verdict {rep.verdict}",
             0 if rep.verdict in ("pass", "diagnostic") else 2)
 
 
@@ -453,7 +471,7 @@ def run(config_path: str | None, out_dir: str = ".", quiet: bool = False,
     else:
         runners = _experiments()
         reader = _chosen(f, "experiment", experiment, list(runners))
-        handler = functools.partial(_cmd_experiment, runners[reader])
+        handler = functools.partial(_cmd_experiment, reader, runners[reader])
     kind = "command" if reader == command else "experiment"
     f.known([k for k, readers in FIELD_READERS.items() if reader in readers],
             reader=f"{kind} '{reader}'")

@@ -29,6 +29,10 @@ it with "solution lost finiteness near t=...; last healthy output at
 t=..." and exit 1.  That line names the gate, not a field, since the
 solver cannot tell which value overflowed.
 
+When a field is read.  Every field a run reads, nested ones included,
+is read before its first solve: a refused config costs no solve time,
+and the experiment runners take typed values, never the config.
+
 Field reference.  The brackets name the subcommands that read the
 field: a command, an experiment by its name, "exp" for every
 experiment, "all" for every command and "all but verify".  They are the
@@ -48,8 +52,9 @@ top-level field that the invoked command or experiment does not read.
     overflow a float are refused.
 ``birth``  object [simulate-kpp, exp, speeds]: ``family`` plus
     finite-number parameters.  nicholson: p > 1, a > 0; mackey_glass:
-    p > 1, a > 0, q > 0; linear_cap: slope > 1, cap > 0.  speeds reads
-    it only when gprime0 is absent.
+    p > 1, a > 0, q > 0; linear_cap: slope > 1, cap > 0.  speeds checks
+    it whenever it is given, and takes g'(0) from it when gprime0 is
+    absent.
 ``gprime0``  number [speeds]: g'(0); default the birth's slope.
 ``params``  object, required [char, simulate-linear, fundamental]:
     numbers ``m``, ``p`` and ``h`` >= 0, all required.
@@ -97,8 +102,6 @@ top-level field that the invoked command or experiment does not read.
     is refused.
 ``tune``  flag, default true [extinction]: shift the kernel until
     c_plus = -tune_margin.
-``expect``  [extinction]: retired, and refused by name; the persistence
-    control is ``spreading``.
 ``tune_margin``  number > 0, default 0.5 [extinction].
 ``max_shift``  number, default 32 [extinction].
 ``window_halfwidth``  number > 0, default 20 [extinction]: with
@@ -146,9 +149,8 @@ FIELD_READERS = {
     "diagnostics": ("simulate-linear",),
     **dict.fromkeys(("t_min", "x_span", "residual_t", "identity_times"),
                     ("fundamental",)),
-    # expect: read to be refused by its own message
-    **dict.fromkeys(("tune", "expect", "tune_margin", "max_shift",
-                     "window_halfwidth", "probe_x"), ("extinction",)),
+    **dict.fromkeys(("tune", "tune_margin", "max_shift", "window_halfwidth",
+                     "probe_x"), ("extinction",)),
 }
 
 
@@ -284,11 +286,13 @@ class Fields:
         return self._family("birth", birth_from_dict)
 
     def gprime0(self) -> tuple[float, str]:
-        """g'(0) and the field that gave it."""
+        """g'(0) and the field that gave it: gprime0 if given, else the
+        birth, which is checked whenever it is given."""
+        birth = self.birth() if "birth" in self.spec else None
         if "gprime0" in self.spec:
             return self.number("gprime0"), "gprime0"
-        if "birth" in self.spec:
-            return self.birth().gprime0, "birth"
+        if birth is not None:
+            return birth.gprime0, "birth"
         raise ConfigError("config needs either 'gprime0' or a 'birth' spec")
 
     def params(self) -> CharParams:
@@ -299,23 +303,26 @@ class Fields:
     def grid(self) -> Grid:
         return Grid(self.positive("L"), self.count("n"))
 
-    def u0(self, x, amplitude: float) -> np.ndarray:
-        """The initial profile at the points x, in closed form."""
+    def u0(self, amplitude: float):
+        """The initial profile x -> u0(x), in closed form; its fields are
+        read here, once."""
         spec = self.obj("u0", {})
         spec.known(("constant",) if "constant" in spec.spec else
                    ("amplitude", "width", "center"),
                    "constant alone, or amplitude, width and center")
         if "constant" in spec.spec:
-            return np.full(np.shape(x), spec.number("constant"))
+            constant = spec.number("constant")
+            return lambda x: np.full(np.shape(x), constant)
         amp = spec.number("amplitude", amplitude)
         width = spec.positive("width", 2.0)
         center = spec.number("center", 0.0)
-        return amp * np.exp(-(((x - center) / width) ** 2))
+        return lambda x: amp * np.exp(-(((x - center) / width) ** 2))
 
 
 def kpp_inputs(cfg: dict) -> tuple:
     """(kernel, birth, grid, h, n_h, T, beta, u0): what every KPP run
-    (simulate-kpp and each experiment) reads from its config."""
+    (simulate-kpp and each experiment) reads from its config; u0 is the
+    profile x -> u0(x)."""
     f = Fields(cfg)
     birth = f.birth()
     kernel = f.growing_kernel(birth.gprime0, "birth")
@@ -331,5 +338,4 @@ def kpp_inputs(cfg: dict) -> tuple:
     if not 0.0 < beta < kappa:
         raise ConfigError(f"field 'beta': beta must lie in (0, kappa) = "
                           f"(0, {kappa:.6g}), got {beta}")
-    return (kernel, birth, grid, h, n_h, T, beta,
-            f.u0(grid.x, KPP_AMPLITUDE * kappa))
+    return kernel, birth, grid, h, n_h, T, beta, f.u0(KPP_AMPLITUDE * kappa)

@@ -1,15 +1,20 @@
 """Packaged end-to-end front studies with machine-checkable verdicts.
 
-Each experiment takes a plain config mapping (the same structure the CLI
-loads from JSON), builds its solver inputs, runs the trajectories it
-needs, and returns an ExperimentReport.  Verdicts are honest
-finite-horizon proxies for asymptotic statements; each docstring states
-the proxy exactly.  "Bounded below" for a drift diagnostic means: its
-minimum over the last half of the window is no smaller than the minimum
-over the first half minus 2 dx.
+Each experiment takes typed inputs, never a config: the tuple
+(kernel, birth, grid, h, n_h, T, beta, u0) of a KPP run, with u0 the
+initial profile x -> u0(x), and its own options as keyword parameters
+whose defaults are those of the config fields of the same names.  The
+CLI reads all of them from the config before it calls the experiment.
+The experiment runs the trajectories it needs and returns an
+ExperimentReport, which the CLI writes out with the config and the
+experiment's name.  Verdicts are honest finite-horizon proxies for
+asymptotic statements; each docstring states the proxy exactly.
+"Bounded below" for a drift diagnostic means: its minimum over the last
+half of the window is no smaller than the minimum over the first half
+minus 2 dx.
 
-Experiments are deterministic given a config; there is no randomness to
-seed.
+Experiments are deterministic given their inputs; there is no randomness
+to seed.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .characteristic import (CharParams, critical_speeds, tangency_solve,
                              tune_kernel_shift)
-from .config import KPP_AMPLITUDE, Fields, default_out_every, kpp_inputs
+from .config import default_out_every
 from .errors import ConfigError
 from .kernels import Kernel
 from .linear_solver import solve_linear
@@ -41,15 +46,9 @@ class ExperimentReport:
     without rerunning.
     """
 
-    name: str
-    params: dict
     metrics: dict
     verdict: str
     trace: LevelSetTrace | None = None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": self.params,
-                "metrics": self.metrics, "verdict": self.verdict}
 
 
 def _half_window_stats(times, values, fn):
@@ -97,7 +96,8 @@ def logdrift_fit(trace: LevelSetTrace, speeds) -> dict:
             "ref_three_half": 3.0 / (2.0 * lam)}
 
 
-def mckean_experiment(config: dict) -> ExperimentReport:
+def mckean_experiment(inputs: tuple, out_every: int | None = None
+                      ) -> ExperimentReport:
     """Drift-residual check on the two front edges.
 
     Runs the nonlinear equation from a compact bump in one pass that
@@ -110,14 +110,14 @@ def mckean_experiment(config: dict) -> ExperimentReport:
     fewer than 4 times in some half.  The empirical offset constants
     (min of M, max of M_star) are reported, never asserted, and so is
     logdrift_fit of the same trace (its refusal message when the trace
-    has too few samples for it).
+    has too few samples for it).  out_every None keeps a snapshot every
+    quarter delay (default_out_every).
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = inputs
     speeds = critical_speeds(kernel0, birth.gprime0, h)
-    out_every = Fields(config).count("out_every", default_out_every(n_h))
     scan = LevelScan(grid.x, beta)
-    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every,
-                     collect=scan)
+    traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
+                     out_every or default_out_every(n_h), collect=scan)
     trace = trace_levels(scan, speeds)
 
     slack = 2.0 * grid.dx
@@ -158,11 +158,13 @@ def mckean_experiment(config: dict) -> ExperimentReport:
         metrics["logdrift"] = logdrift_fit(trace, speeds)
     except ConfigError as exc:
         metrics["logdrift"] = str(exc)
-    return ExperimentReport(name="mckean", params=dict(config),
-                            metrics=metrics, verdict=verdict, trace=trace)
+    return ExperimentReport(metrics, verdict, trace)
 
 
-def extinction_experiment(config: dict) -> ExperimentReport:
+def extinction_experiment(inputs: tuple, tune: bool = True,
+                          tune_margin: float = 0.5, max_shift: float = 32.0,
+                          window_halfwidth: float = 20.0,
+                          probe_x: float = 0.0) -> ExperimentReport:
     """Same-sign-speeds run from a compact bump.
 
     The kernel is shifted (by tune_kernel_shift; with tune false it is
@@ -186,30 +188,19 @@ def extinction_experiment(config: dict) -> ExperimentReport:
     tune_margin 0.5 puts the trailing edge deep enough into retreat that
     these decay within desk horizons.
     Persistence in the symmetric case is the spreading experiment's cone
-    minimum; a config that still names the retired field 'expect' is
-    refused, since ignoring it would turn a persistence request into an
-    extinction verdict.
+    minimum.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
-    f = Fields(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = inputs
     if h <= 0.0:
         raise ConfigError("field 'h': the extinction run needs a delay h > 0")
-    if "expect" in config:
-        raise ConfigError(
-            "field 'expect' is retired: the extinction run always expects "
-            "extinction, and the persistence control is the cone minimum "
-            "of experiment 'spreading'")
-    win = f.positive("window_halfwidth", 20.0)
-    probe_x = f.number("probe_x", 0.0)
     if not -0.5 * grid.length <= probe_x < 0.5 * grid.length:
         raise ConfigError(
             f"field 'probe_x' = {probe_x:g} lies outside the grid "
             f"[{-0.5 * grid.length:g}, {0.5 * grid.length:g})")
-    if f.flag("tune", True):
+    if tune:
         kernel0, shift = tune_kernel_shift(
-            kernel0, birth.gprime0, h,
-            margin=f.positive("tune_margin", 0.5),
-            max_shift=f.number("max_shift", 32.0))
+            kernel0, birth.gprime0, h, margin=tune_margin,
+            max_shift=max_shift)
     else:
         shift = 0.0
     speeds = critical_speeds(kernel0, birth.gprime0, h)
@@ -230,7 +221,7 @@ def extinction_experiment(config: dict) -> ExperimentReport:
             left_v.append(float(np.max(u[sel])))
         final_field = u
 
-    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h,
+    traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
                      default_out_every(n_h), collect=observe)
     sup_t = np.array(sup_t)
     sup_v = np.array(sup_v)
@@ -257,7 +248,7 @@ def extinction_experiment(config: dict) -> ExperimentReport:
             bound_holds = bound_ratio <= 2.0
 
     probe_u_final = float(final_field[np.argmin(np.abs(grid.x - probe_x))])
-    wsel = np.abs(grid.x) <= win
+    wsel = np.abs(grid.x) <= window_halfwidth
     window_sup_final = float(np.max(final_field[wsel])) \
         if np.any(wsel) else math.nan
     ray_sup_final = float(left_v[-1]) if left_v.size else math.nan
@@ -278,11 +269,10 @@ def extinction_experiment(config: dict) -> ExperimentReport:
         "clamp_count": traj.clamp_count,
         "edge_fraction": traj.edge_fraction,
     }
-    return ExperimentReport(name="extinction", params=dict(config),
-                            metrics=metrics, verdict=verdict)
+    return ExperimentReport(metrics, verdict)
 
 
-def spreading_experiment(config: dict) -> ExperimentReport:
+def spreading_experiment(inputs: tuple) -> ExperimentReport:
     """Interior-cone lower bound for the symmetric (two-sided) case.
 
     Reports the minimum of u over the shrunken cone
@@ -296,7 +286,7 @@ def spreading_experiment(config: dict) -> ExperimentReport:
     refused (field 'L') unless the longer end of the cone at T, plus 5,
     stays inside L/2, so that neither front wraps around the seam.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = inputs
     speeds = critical_speeds(kernel0, birth.gprime0, h)
     reach = 0.8 * max(abs(speeds.c_minus), abs(speeds.c_plus)) * T + 5.0
     if reach > 0.5 * grid.length:
@@ -312,7 +302,7 @@ def spreading_experiment(config: dict) -> ExperimentReport:
             if best is None or abs(t - target) < abs(best[0] - target):
                 nearest[target] = (t, u)
 
-    traj = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every,
+    traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h, out_every,
                      collect=keep_nearest)
 
     def cone_min(t_target: float, widen: float) -> float:
@@ -336,8 +326,7 @@ def spreading_experiment(config: dict) -> ExperimentReport:
         "kappa": kappa, "clamp_count": traj.clamp_count,
         "edge_fraction": traj.edge_fraction,
     }
-    return ExperimentReport(name="spreading", params=dict(config),
-                            metrics=metrics, verdict=verdict)
+    return ExperimentReport(metrics, verdict)
 
 
 def _frame_tangencies(kernel0: Kernel, gprime0: float, h: float, speeds):
@@ -368,7 +357,7 @@ def _tilted_frame_equation(kernel0: Kernel, gprime0: float, h: float,
     return params, kern
 
 
-def bridge_check(config: dict) -> ExperimentReport:
+def bridge_check(inputs: tuple) -> ExperimentReport:
     """Front-edge bridge between the nonlinear run and the tangency frame.
 
     For each critical branch the constructed linear equation must have
@@ -379,11 +368,11 @@ def bridge_check(config: dict) -> ExperimentReport:
     numerically against a linear solve of the constructed equation, a
     deliberate cross-integrator check (stencil ETD for u, spectral
     collocation for v).  Each u snapshot is compared with the v snapshot
-    nearest in time; both runs take the config's n_h and store every
+    nearest in time; both runs take the same n_h and store every
     n_h-th step, so the times agree exactly.  Needs h > 0: at h = 0 the
     linear solver samples fixed times that the KPP snapshots do not share.
     """
-    kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(config)
+    kernel0, birth, grid, h, n_h, T, beta, u0 = inputs
     if h == 0.0:
         raise ConfigError("field 'h': the bridge check needs a delay h > 0")
     g1 = birth.gprime0
@@ -402,16 +391,15 @@ def bridge_check(config: dict) -> ExperimentReport:
 
     lam, c = speeds.lambda_plus, speeds.c_plus
     params, kern = _tilted_frame_equation(kernel0, g1, h, lam, c)
-    traj_u = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, n_h)
     x = grid.x
-    bump = Fields(config).u0
+    traj_u = solve_kpp(kernel0, birth, grid, u0(x), T, h, n_h, n_h)
 
     def v_history(s: float) -> np.ndarray:
-        # v(s, z) = e^{-lam z} u0(z - c s) for the constant-history bump,
+        # v(s, z) = e^{-lam z} u0(z - c s) for the constant history u0,
         # in closed form: interpolated samples would be piecewise linear in
         # s and cost the step its order
         y = (x - c * s + 0.5 * grid.length) % grid.length - 0.5 * grid.length
-        return np.exp(-lam * x) * bump(y, KPP_AMPLITUDE * birth.kappa)
+        return np.exp(-lam * x) * u0(y)
 
     traj_v = solve_linear(params, kern, grid, v_history, T, n_h, n_h)
     viol = 0.0
@@ -433,5 +421,4 @@ def bridge_check(config: dict) -> ExperimentReport:
     metrics.update({"frame_violation": viol, "frame_scale": scale,
                     "frame_ok": bool(frame_ok)})
     verdict = "pass" if (tang_ok and frame_ok) else "fail"
-    return ExperimentReport(name="bridge", params=dict(config),
-                            metrics=metrics, verdict=verdict)
+    return ExperimentReport(metrics, verdict)

@@ -251,7 +251,10 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
               collect=None) -> Trajectory:
     """Solve the delayed non-local KPP equation on the periodic grid.
 
-    u0: constant profile, or callable s -> profile on [-h, 0].
+    u0: the initial profile, grid.n values or one number; the history
+    on [-h, 0] is that profile, constant in time.  A callable is
+    refused: a time history would be sampled at every ring node for a
+    derivative that this step never reads.
 
     Negative delayed values (roundoff undershoots or deliberately signed
     data) are clamped to 0 before entering g; clamps beyond roundoff size
@@ -273,6 +276,8 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     n_h = DEFAULT_N_H if n_h is None else int(n_h)
     if n_h < 1:
         raise ConfigError(f"n_h must be >= 1, got {n_h}")
+    if callable(u0):
+        raise ConfigError("u0 must be an initial profile, not a callable")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
     out = Outputs(T, dt, out_every, grid.n, collect,
                   f"'h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None)

@@ -32,7 +32,7 @@ from delaykpp import (CharParams, ConfigError, DiscreteKernel, Grid,
                       HistoryRing, LevelSetTrace, LinearBirth,
                       TangencySolution, Trajectory, discretize, halanay_root,
                       level_set, solve_kpp)
-from delaykpp.config import Fields
+from delaykpp.config import Fields, kpp_inputs
 from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
 from delaykpp.grids import (DEFAULT_N_H, Outputs, _history_samples,
                             step_count)
@@ -364,10 +364,11 @@ def verdict_stability(experiment, config: dict, metric_keys,
     grid doubled; the verdict must not move and the named metrics must
     move by less than rtol relative."""
     f = Fields(config)
-    base = experiment(config)
+    base = experiment(kpp_inputs(config))
     refined = [
-        experiment({**config, "n_h": 2 * f.count("n_h", DEFAULT_N_H)}),
-        experiment({**config, "n": 2 * f.count("n")}),
+        experiment(kpp_inputs({**config,
+                               "n_h": 2 * f.count("n_h", DEFAULT_N_H)})),
+        experiment(kpp_inputs({**config, "n": 2 * f.count("n")})),
     ]
     moves = {}
     stable = True

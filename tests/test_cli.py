@@ -303,6 +303,9 @@ HOSTILE = [
     ({"command": "speeds", "kernel": {"family": "dirac", "mass": 0.6},
       "birth": {"family": "nicholson", "p": 2.0, "a": 1.0}, "h": 1.0},
      "birth.p", 1.5, "birth"),
+    # a birth given next to gprime0 is checked too
+    ({**SPEEDS_CFG, "birth": {"family": "nicholson", "p": 2.0}},
+     "birth.p", 0.5, "birth"),
     ({**KPP_CFG, "kernel": {"family": "gaussian", "stddev": 1.0}},
      "kernel.mass", 0.0),
     (MCKEAN_CFG, "kernel.mass", 0.4),
@@ -320,9 +323,9 @@ HOSTILE = [
      "gprime0", 1e300),
     ({**SPEEDS_CFG, "kernel": {"family": "dirac", "shift": -1e5}},
      "gprime0", 1e300, "kernel"),
-    # values only the experiment or the synthesis can refuse; h is the
-    # integer 0, since the bridge row above already has the id h=0.0
-    (EXTINCTION_CFG, "h", 0),
+    # values only the experiment or the synthesis can refuse; expect is
+    # retired, and refused as any key that nothing reads
+    (EXTINCTION_CFG, "h", 0.0),
     (EXTINCTION_CFG, "expect", "both"),
     (EXTINCTION_CFG, "max_shift", 0.5),
     (EXTINCTION_CFG, "tune_margin", -0.5),
@@ -342,18 +345,43 @@ HOSTILE = [
      "u0.amplitude"),
     (LINEAR_CFG, "diagnostics", {"z0": 0.0, "tangancy": False},
      "diagnostics.tangancy"),
-    # so does the top-level object, against config.FIELD_READERS
+    # so does the top-level object, against config.FIELD_READERS: a
+    # misspelled key, or one that another command reads
     (KPP_CFG, "n_hh", 8),
     (KPP_CFG, "snapshot_strid", 8),
+    (SPEEDS_CFG, "n_h", 8),
+    (CHAR_CFG, "h", 1.0),
+    (LINEAR_CFG, "beta", 0.5),
+    (FUNDAMENTAL_CFG, "T", 1.0),
+    (MCKEAN_CFG, "snapshot_stride", 2),
+    (EXTINCTION_CFG, "out_every", 4),
+    ({**MCKEAN_CFG, "experiment": "bridge"}, "tune", False),
     # c_minus -1.63 and c_plus 0.52: the cone's left end wraps at T = 60
     ({**MCKEAN_CFG, "experiment": "spreading", "n": 512,
       "kernel": {"family": "gaussian", "mean": 1.0}}, "T", 60.0, "L"),
 ]
 
 
-@pytest.mark.parametrize("case", HOSTILE,
-                         ids=[f"{c[0]['command']}-{c[1]}={c[2]!r}"
-                              for c in HOSTILE])
+def _hostile_ids(cases):
+    """command-path=value for each case; where two cases share that id,
+    each becomes command[:experiment]-path=value[->named], naming the
+    experiment and the field its refusal names instead of path."""
+    def full(base, path, value, *named):
+        experiment = f":{base['experiment']}" if "experiment" in base else ""
+        refused = f"->{named[0]}" if named else ""
+        return f"{base['command']}{experiment}-{path}={value!r}{refused}"
+
+    plain = [f"{c[0]['command']}-{c[1]}={c[2]!r}" for c in cases]
+    return [p if plain.count(p) == 1 else full(*c)
+            for p, c in zip(plain, cases)]
+
+
+def test_hostile_ids_are_unique():
+    ids = _hostile_ids(HOSTILE)
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("case", HOSTILE, ids=_hostile_ids(HOSTILE))
 def test_hostile_config_names_field(tmp_path, capsys, case):
     base, path, value, *named = case
     cfg = _write_cfg(tmp_path, _with(base, path, value))
@@ -362,6 +390,25 @@ def test_hostile_config_names_field(tmp_path, capsys, case):
     assert f"'{named[0] if named else path}'" in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["cfg.json"]  # refused before any write
+
+
+@pytest.mark.parametrize("path, solver", [
+    ("diagnostics.z0", "solve_linear"),
+    ("diagnostics.tangency", "solve_linear"),
+    ("diagnostics.probe_x", "solve_linear"),
+    ("residual_t", "symbol_table"),
+    ("identity_times", "symbol_table"),
+])
+def test_fields_are_read_before_the_solve(tmp_path, capsys, monkeypatch,
+                                         path, solver):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{solver} ran before '{path}' was read")
+
+    monkeypatch.setattr(cli, solver, unreachable)
+    base = LINEAR_CFG if solver == "solve_linear" else FUNDAMENTAL_CFG
+    cfg = _write_cfg(tmp_path, _with(base, path, "x"))
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    assert f"field '{path}'" in capsys.readouterr().err
 
 
 def test_extinction_tiny_horizon_takes_one_step(tmp_path, capsys):

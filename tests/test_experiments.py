@@ -7,9 +7,10 @@ import pytest
 
 from delaykpp import (ConfigError, Dirac, Gaussian, LaplaceKernel,
                       LevelSetTrace, SpeedPair, UniformKernel, bridge_check,
-                      critical_speeds, experiments, extinction_experiment,
-                      logdrift_fit, mckean_experiment, preset, solve_kpp,
-                      spreading_experiment, tune_kernel_shift)
+                      cli, critical_speeds, experiments,
+                      extinction_experiment, logdrift_fit, mckean_experiment,
+                      preset, solve_kpp, spreading_experiment,
+                      tune_kernel_shift)
 from delaykpp.config import default_out_every, kpp_inputs
 from oracles import (stored_cone_minima, stored_trace_levels,
                      verdict_stability)
@@ -79,7 +80,7 @@ def test_tune_kernel_shift_capped():
 
 
 def test_bridge_check_passes_on_dirac_preset():
-    rep = bridge_check(preset("bridge-dirac"))
+    rep = bridge_check(kpp_inputs(preset("bridge-dirac")))
     assert rep.verdict == "pass"
     for branch in ("plus", "minus"):
         assert rep.metrics[f"tangency_gamma_residual_{branch}"] < 1e-8
@@ -91,7 +92,7 @@ def test_bridge_check_rejects_zero_delay():
     # at h = 0 the linear run samples its own fixed times, which the KPP
     # snapshots do not share; refuse rather than compare mismatched times
     with pytest.raises(ConfigError, match="field 'h'"):
-        bridge_check({**preset("bridge-dirac"), "h": 0.0})
+        bridge_check(kpp_inputs({**preset("bridge-dirac"), "h": 0.0}))
 
 
 def test_mckean_inconclusive_when_level_unreached():
@@ -99,7 +100,7 @@ def test_mckean_inconclusive_when_level_unreached():
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 64.0, "n": 256, "h": 1.0, "n_h": 16, "T": 2.0,
            "u0": {"amplitude": 0.05, "width": 2.0}}
-    rep = mckean_experiment(cfg)
+    rep = mckean_experiment(kpp_inputs(cfg))
     assert rep.verdict == "inconclusive"
     # too few samples for the log-drift fit: its refusal is the entry
     assert rep.metrics["logdrift"].startswith("log-drift fit refused")
@@ -109,7 +110,7 @@ def test_mckean_short_symmetric_run_mirrors():
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 128.0, "n": 1024, "h": 1.0, "n_h": 32, "T": 30.0}
-    rep = mckean_experiment(cfg)
+    rep = mckean_experiment(kpp_inputs(cfg))
     assert min(rep.metrics["attained_counts"]) >= 4
     assert rep.metrics["mirror_gap"] < 1e-8
     assert rep.metrics["clamp_count"] == 0
@@ -126,26 +127,24 @@ def test_spreading_pass_and_domain_guard():
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 128.0, "n": 1024, "h": 1.0, "n_h": 32, "T": 40.0}
-    rep = spreading_experiment(cfg)
+    rep = spreading_experiment(kpp_inputs(cfg))
     assert rep.verdict == "pass"
     kappa = rep.metrics["kappa"]
     assert rep.metrics["eps0_hat"] > 1e-3 * kappa
     assert math.isfinite(rep.metrics["widened_min_at_T"])
     with pytest.raises(ConfigError, match="domain too small"):
-        spreading_experiment({**cfg, "L": 64.0, "n": 256, "T": 50.0})
+        spreading_experiment(kpp_inputs({**cfg, "L": 64.0, "n": 256,
+                                         "T": 50.0}))
 
 
 def test_extinction_persistence_control():
-    # the persistence control is the spreading run: extinction refuses the
-    # request and points there, and the cone minimum at T on the same
-    # config clears the 0.1 kappa that the control once asked of sup u(T)
+    # the persistence control is the spreading run: its cone minimum at T
+    # clears the 0.1 kappa that the control once asked of sup u(T)
     cfg = {"kernel": {"family": "gaussian", "mean": 0.0, "stddev": 1.0,
                       "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 256.0, "n": 1024, "h": 1.0, "n_h": 32, "T": 20.0}
-    with pytest.raises(ConfigError, match="'expect'.*'spreading'"):
-        extinction_experiment({**cfg, "expect": "persistence"})
-    rep = spreading_experiment(cfg)
+    rep = spreading_experiment(kpp_inputs(cfg))
     assert rep.verdict == "pass"
     assert rep.metrics["min_at_T"] >= 0.1 * math.log(2.0)
 
@@ -158,7 +157,7 @@ def test_extinction_runs_small_data_to_the_horizon():
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 256.0, "n": 1024, "h": 1.0, "n_h": 16, "T": 20.0,
            "u0": {"amplitude": 1e-6}}
-    rep = extinction_experiment(cfg)
+    rep = extinction_experiment(kpp_inputs(cfg))
     assert rep.metrics["horizon"] == 20.0
     assert "early_exit_time" not in rep.metrics
 
@@ -168,9 +167,8 @@ def test_extinction_sup_verdict_fails_on_travelling_packet():
     # threshold at this horizon: the sup verdict must come back "fail"
     cfg = {"kernel": {"family": "dirac", "shift": 3.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
-           "L": 256.0, "n": 2048, "h": 1.0, "n_h": 32, "T": 15.0,
-           "tune": False}
-    rep = extinction_experiment(cfg)
+           "L": 256.0, "n": 2048, "h": 1.0, "n_h": 32, "T": 15.0}
+    rep = extinction_experiment(kpp_inputs(cfg), tune=False)
     assert rep.metrics["speed_product"] > 0.0
     assert rep.verdict == "fail"
     assert rep.metrics["sup_final"] > rep.metrics["sup_threshold"]
@@ -183,20 +181,25 @@ def test_extinction_validation():
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 64.0, "n": 256, "h": 1.0, "n_h": 8, "T": 2.0}
-    for expect in ("both", "extinction", "persistence"):
-        with pytest.raises(ConfigError, match="field 'expect' is retired"):
-            extinction_experiment({**cfg, "expect": expect})
+    # the refusals the run itself makes; the CLI reads and checks each
+    # option's type and sign before it calls the run
+    with pytest.raises(ConfigError, match="field 'h'"):
+        extinction_experiment(kpp_inputs({**cfg, "h": 0.0}))
+    with pytest.raises(ConfigError, match="field 'probe_x'"):
+        extinction_experiment(kpp_inputs(cfg), probe_x=1e6)
+    with pytest.raises(ConfigError, match="field 'max_shift'"):
+        extinction_experiment(kpp_inputs(cfg), max_shift=0.5)
 
 
 def test_build_common_errors():
     with pytest.raises(ConfigError, match="missing required field 'kernel'"):
-        mckean_experiment({"birth": {"family": "nicholson", "p": 2.0},
-                           "L": 64.0, "n": 256, "h": 1.0, "T": 1.0})
+        kpp_inputs({"birth": {"family": "nicholson", "p": 2.0},
+                    "L": 64.0, "n": 256, "h": 1.0, "T": 1.0})
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 64.0, "n": 256, "h": 1.0, "T": 1.0, "beta": 5.0}
     with pytest.raises(ConfigError, match="beta must lie"):
-        mckean_experiment(cfg)
+        kpp_inputs(cfg)
 
 
 def test_verdict_stability_gate():
@@ -211,16 +214,17 @@ def test_verdict_stability_gate():
 
 
 def test_report_to_dict_round_trips_metrics():
+    # the CLI builds the report dict from the runner's report and the
+    # config as loaded
     cfg = {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
            "birth": {"family": "nicholson", "p": 2.0, "a": 1.0},
            "L": 64.0, "n": 256, "h": 1.0, "n_h": 16, "T": 2.0,
            "u0": {"amplitude": 0.05, "width": 2.0}}
-    rep = mckean_experiment(cfg)
-    d = rep.to_dict()
-    assert d["name"] == "mckean"
-    assert d["verdict"] == rep.verdict
-    assert d["metrics"] == rep.metrics
-    assert "trace" not in d
+    rep = mckean_experiment(kpp_inputs(cfg))
+    files, _, _ = cli._cmd_experiment("mckean", mckean_experiment, cfg)
+    assert files["mckean_report.json"] == {
+        "name": "mckean", "params": cfg, "metrics": rep.metrics,
+        "verdict": rep.verdict}
 
 
 # a small KPP config whose level beta is attained on both sides for most
@@ -236,12 +240,12 @@ SMALL_KPP = {"kernel": {"family": "gaussian", "mean": 0.5, "stddev": 1.0,
 def _stored_run(cfg, out_every):
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
-    return solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every), \
-        beta, speeds
+    return solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
+                     out_every), beta, speeds
 
 
 def test_one_pass_mckean_trace_equals_the_stored_scan():
-    rep = mckean_experiment(SMALL_KPP)
+    rep = mckean_experiment(kpp_inputs(SMALL_KPP))
     traj, beta, speeds = _stored_run(SMALL_KPP, default_out_every(16))
     ref = stored_trace_levels(traj, beta, speeds)
     m = rep.trace.m_minus
@@ -258,7 +262,7 @@ def test_one_pass_cone_minima_equal_the_stored_run(T):
     # earlier one is taken, as np.argmin takes it; T = 1.5 < 2h keeps every
     # step; T = 6.25 ends off the grid of whole delays
     cfg = {**SMALL_KPP, "T": T, "u0": {}}
-    rep = spreading_experiment(cfg)
+    rep = spreading_experiment(kpp_inputs(cfg))
     traj, _, speeds = _stored_run(cfg, 16 if T >= 2.0 else 1)
     assert [rep.metrics[k] for k in (
         "min_at_half_T", "min_at_T", "widened_min_at_half_T",
@@ -277,5 +281,5 @@ def test_experiments_reduce_every_snapshot_and_store_none(monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "solve_kpp", spy)
-    runner({**SMALL_KPP, "T": 2.0})
+    runner(kpp_inputs({**SMALL_KPP, "T": 2.0}))
     assert collects and None not in collects

@@ -1,11 +1,13 @@
 """Source hygiene of the package: every __all__ entry exists, no module
 (nor tests/oracles.py) imports a name it never uses (an ast scan, so no
 linter is needed), the test oracles are not exported, importing the
-CLI loads no SciPy module, and the config docstring's lists of who reads
-each field are the table that cli.run checks."""
+CLI loads no SciPy module, the config docstring's lists of who reads
+each field are the table that cli.run checks, and the experiments take
+typed values whose option names the CLI reads."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import re
@@ -15,6 +17,7 @@ import sys
 import pytest
 
 import delaykpp
+from delaykpp import cli
 from delaykpp.config import FIELD_READERS
 from delaykpp.presets import preset, preset_names
 
@@ -106,3 +109,15 @@ def test_every_preset_field_is_read_by_its_run():
         cfg = preset(name)
         reader = cfg.get("experiment", cfg["command"])
         assert [k for k in cfg if reader not in FIELD_READERS[k]] == [], name
+
+
+def test_experiments_never_see_the_config():
+    # the CLI reads every field; an experiment takes typed values only
+    text = (SRC / "experiments.py").read_text()
+    assert re.findall(r"\bFields\b|\bkpp_inputs\b|\bconfig\[", text) == []
+
+
+def test_experiment_options_are_the_runner_parameters():
+    for name, runner in cli._experiments().items():
+        params = list(inspect.signature(runner).parameters)[1:]
+        assert params == list(cli._OPTIONS.get(name, {})), name

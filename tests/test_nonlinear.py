@@ -117,9 +117,10 @@ def test_input_validation():
     with pytest.raises(ConfigError, match="n_h"):
         solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID, 0.1, T=1.0, h=1.0,
                   n_h=0)
-    with pytest.raises(ConfigError, match="single initial profile"):
-        solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID,
-                  lambda s: np.zeros(GRID.n), T=1.0, h=0.0)
+    for h in (0.0, 1.0):  # an initial profile, never a time history
+        with pytest.raises(ConfigError, match="not a callable"):
+            solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID,
+                      lambda s: np.zeros(GRID.n), T=1.0, h=h)
 
 
 def test_collector_sees_exactly_the_stored_snapshots():
