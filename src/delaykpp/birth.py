@@ -38,8 +38,16 @@ class Nicholson:
         return math.log(self.p) / self.a
 
     def __call__(self, u):
+        """(p u) e^{(-a) u}, in that order; an array input is computed in
+        two temporaries, written in place."""
         u = np.asarray(u, dtype=float)
-        return self.p * u * np.exp(-self.a * u)
+        if u.ndim == 0:  # returns a float64 scalar, not a 0-d array
+            return self.p * u * np.exp(-self.a * u)
+        e = np.multiply(-self.a, u)
+        np.exp(e, out=e)
+        g = np.multiply(self.p, u)
+        g *= e
+        return g
 
 
 @dataclass(frozen=True)

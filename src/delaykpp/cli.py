@@ -49,7 +49,8 @@ import tempfile
 import numpy as np
 
 from .characteristic import critical_speeds, gamma_zero, tangency_solve
-from .config import FIELD_READERS, Fields, default_out_every, kpp_inputs
+from .config import (EXPERIMENT_OPTIONS, FIELD_READERS, Fields,
+                     default_out_every, kpp_inputs)
 from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, mckean_experiment,
@@ -372,19 +373,10 @@ def _cmd_simulate_kpp(cfg: dict):
             f"(kappa {_fmt(birth.kappa)})", 0)
 
 
-# experiment -> its options: the config fields it reads besides the KPP
-# inputs, each with its getter; an absent one takes the runner's default
-_OPTIONS = {"mckean": {"out_every": Fields.count},
-            "extinction": {"tune": Fields.flag, "tune_margin": Fields.positive,
-                           "max_shift": Fields.number,
-                           "window_halfwidth": Fields.positive,
-                           "probe_x": Fields.number}}
-
-
 def _cmd_experiment(name: str, runner, cfg: dict):
     inputs, f = kpp_inputs(cfg), Fields(cfg)
-    options = {key: read(f, key)
-               for key, read in _OPTIONS.get(name, {}).items() if key in cfg}
+    options = {key: read(f, key) for key, read
+               in EXPERIMENT_OPTIONS.get(name, {}).items() if key in cfg}
     rep = runner(inputs, **options)
     files = {f"{name}_report.json": {"name": name, "params": cfg,
                                      "metrics": rep.metrics,

@@ -122,7 +122,7 @@ from .grids import DEFAULT_N_H, Grid
 from .kernels import Kernel, kernel_from_dict
 
 __all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_AMPLITUDE",
-           "FIELD_READERS"]
+           "FIELD_READERS", "EXPERIMENT_OPTIONS"]
 
 KPP_AMPLITUDE = 0.9  # default bump amplitude of a KPP run, times kappa
 _REQUIRED = object()
@@ -131,27 +131,6 @@ _EXP = ("mckean", "extinction", "spreading", "bridge")
 _KPP = ("simulate-kpp", *_EXP)
 _RUNS = ("simulate-linear", *_KPP)
 _ALL_BUT_VERIFY = ("speeds", "char", "simulate-linear", "fundamental", *_KPP)
-# top-level field -> the commands that read it, an experiment by its name;
-# the module docstring's bracket lists say the same
-FIELD_READERS = {
-    "command": (*_ALL_BUT_VERIFY, "verify"),
-    "experiment": _EXP,
-    "kernel": _ALL_BUT_VERIFY,
-    "birth": (*_KPP, "speeds"),
-    "gprime0": ("speeds",),
-    "params": ("char", "simulate-linear", "fundamental"),
-    "h": ("speeds", *_KPP),
-    "L": _RUNS, "n": _RUNS, "T": _RUNS, "n_h": _RUNS, "u0": _RUNS,
-    "out_every": ("simulate-linear", "simulate-kpp", "mckean"),
-    "snapshot_stride": ("simulate-linear", "simulate-kpp"),
-    "beta": _KPP,
-    "z0": ("char",),
-    "diagnostics": ("simulate-linear",),
-    **dict.fromkeys(("t_min", "x_span", "residual_t", "identity_times"),
-                    ("fundamental",)),
-    **dict.fromkeys(("tune", "tune_margin", "max_shift", "window_halfwidth",
-                     "probe_x"), ("extinction",)),
-}
 
 
 def default_out_every(n_h: int) -> int:
@@ -317,6 +296,46 @@ class Fields:
         width = spec.positive("width", 2.0)
         center = spec.number("center", 0.0)
         return lambda x: amp * np.exp(-(((x - center) / width) ** 2))
+
+
+# experiment -> its options: the config fields it reads besides the KPP
+# inputs, each with its getter; an absent one takes the runner's default
+EXPERIMENT_OPTIONS = {
+    "mckean": {"out_every": Fields.count},
+    "extinction": {"tune": Fields.flag, "tune_margin": Fields.positive,
+                   "max_shift": Fields.number,
+                   "window_halfwidth": Fields.positive,
+                   "probe_x": Fields.number}}
+
+
+def _with_options(readers: dict) -> dict:
+    """readers, with each experiment appended to the readers of its
+    options."""
+    for name, options in EXPERIMENT_OPTIONS.items():
+        for key in options:
+            readers[key] = (*readers.get(key, ()), name)
+    return readers
+
+
+# top-level field -> the commands that read it, an experiment by its name;
+# the module docstring's bracket lists say the same
+FIELD_READERS = _with_options({
+    "command": (*_ALL_BUT_VERIFY, "verify"),
+    "experiment": _EXP,
+    "kernel": _ALL_BUT_VERIFY,
+    "birth": (*_KPP, "speeds"),
+    "gprime0": ("speeds",),
+    "params": ("char", "simulate-linear", "fundamental"),
+    "h": ("speeds", *_KPP),
+    "L": _RUNS, "n": _RUNS, "T": _RUNS, "n_h": _RUNS, "u0": _RUNS,
+    "out_every": ("simulate-linear", "simulate-kpp"),
+    "snapshot_stride": ("simulate-linear", "simulate-kpp"),
+    "beta": _KPP,
+    "z0": ("char",),
+    "diagnostics": ("simulate-linear",),
+    **dict.fromkeys(("t_min", "x_span", "residual_t", "identity_times"),
+                    ("fundamental",)),
+})
 
 
 def kpp_inputs(cfg: dict) -> tuple:

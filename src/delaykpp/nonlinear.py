@@ -43,7 +43,12 @@ output is still the sum of the same m local products, plus products with
 the band's exact zeros, which add nothing; its rounding is therefore
 relative to the local scale, as in a direct convolution, and a tail at
 1e-200 keeps its relative accuracy next to an O(1) front.  That is what an
-FFT cannot do: there every output mixes every input.
+FFT cannot do: there every output mixes every input.  The rows are
+gathered by slicing, not through an index array: the periodic extension
+of the field from the first point the rows read is joined from slices
+and viewed as rows b apart, and that view is copied once.  The gemm then
+gets the same contiguous rows and the same band in one call as through
+an index gather, so no output bit depends on how the rows were gathered.
 
 The kernel's stencil keeps just the offsets between its first and last
 tap above _STENCIL_DROP of its peak, applied off-centre, so a shifted
@@ -92,20 +97,16 @@ _UNDERFLOW = 1e-250  # absolute: |u| below this is set to 0 (module docstring)
 
 @lru_cache(maxsize=32)
 def _banded(taps: bytes, origin: int, n: int):
-    """The band and the gather index with which convolve1d applies the
-    taps at this origin to n points."""
+    """The band with which convolve1d applies the taps at this origin to
+    n points, its block width b and the first point its rows read."""
     w = np.frombuffer(taps)
     m = w.size
     b = max(32, 1 << (m - 1).bit_length())
-    k = b + m - 1
-    band = np.zeros((k, b))
+    band = np.zeros((b + m - 1, b))
     for t in range(b):
         band[t:t + m, t] = w[::-1]
-    # row r holds the points r b + start .. r b + start + k - 1 (mod n)
-    start = m // 2 + origin - (m - 1)
-    index = (np.arange(0, n, b)[:, None] + start + np.arange(k)) % n
-    band.flags.writeable = index.flags.writeable = False
-    return band, index
+    band.flags.writeable = False
+    return band, b, (m // 2 + origin - (m - 1)) % n
 
 
 def convolve1d(field: np.ndarray, weights: np.ndarray,
@@ -118,11 +119,31 @@ def convolve1d(field: np.ndarray, weights: np.ndarray,
 
     but as a banded block product (module docstring).  Unlike scipy's,
     any integer origin is accepted, so a one-sided stencil needs no zero
-    padding towards offset 0.  The band and the gather index are built
-    once per taps, origin and n."""
+    padding towards offset 0.  The band is built once per taps, origin
+    and n.
+
+    Row r of the product holds the k = b + m - 1 points r b + start ..
+    r b + start + k - 1 (mod n).  They are gathered by slicing: the
+    periodic extension ext[i] = field[(start + i) mod n] of the (R - 1) b
+    + k points that the R = ceil(n / b) rows read is joined from as many
+    slices of the field as it wraps (more than two when n < k), and
+    viewed as R rows of k with row stride b; that view is copied once,
+    so the gemm gets the contiguous rows and the band that an index
+    gather would give it, and rounds the same."""
     w = np.ascontiguousarray(weights, dtype=float)
-    band, index = _banded(w.tobytes(), int(origin), field.size)
-    return np.matmul(field[index], band).ravel()[:field.size]
+    n = field.size
+    band, b, start = _banded(w.tobytes(), int(origin), n)
+    k, count = band.shape[0], -(-n // b)
+    head = field[start:start + (count - 1) * b + k]
+    laps, tail = divmod((count - 1) * b + k - head.size, n)
+    ext = np.concatenate((head, *(field,) * laps, field[:tail]))
+    rows = np.ndarray((count, k), ext.dtype, ext,
+                      strides=(b * ext.itemsize, ext.itemsize)).copy()
+    # freed before the product, whose output then reuses its memory; held
+    # to the end of the call, it made the allocator return heap pages and
+    # fault them back in at every step in some heap layouts
+    del ext
+    return np.matmul(rows, band).ravel()[:n]
 
 
 def _phi_dc(dt: float):
@@ -212,8 +233,15 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
     n = grid.n
     if dk.shift_cells is not None:
         c, w = dk.shift_cells % n, dk.mass
-        # np.roll(G, c), without np.roll's per-call index bookkeeping
-        return lambda G: w * np.concatenate((G[n - c:], G[:n - c]))
+
+        def shifted(G):
+            # w np.roll(G, c), in one array and without np.roll's per-call
+            # index bookkeeping
+            out = np.empty_like(G)
+            np.multiply(w, G[n - c:], out=out[:c])
+            np.multiply(w, G[:n - c], out=out[c:])
+            return out
+        return shifted
     kern = np.roll(dk.samples * grid.dx, n // 2)  # index n // 2 is offset 0
     if not np.any(kern):
         return np.zeros_like
@@ -232,17 +260,22 @@ def _floor(v: np.ndarray) -> np.ndarray:
     blow-up still shows.  A 2-D v (a sampled history) goes row by row,
     so the mask and |v| stay one row in size and a whole history's
     temporaries never raise the run's peak memory."""
-    for row in np.atleast_2d(v):
+    for row in (v,) if v.ndim == 1 else np.atleast_2d(v):
         np.putmask(row, np.abs(row) < _UNDERFLOW, 0.0)
     return v
 
 
 def _clamped_birth(birth, v, counter):
-    neg = v < 0.0
-    if np.any(neg):
-        tol = _CLAMP_REL * max(1.0, float(np.max(np.abs(v))))
-        counter[0] += int(np.count_nonzero(v < -tol))
-        v = np.where(neg, 0.0, v)
+    """birth(v) with the negative entries of v set to 0; each entry below
+    -_CLAMP_REL max(1, max|v|) is counted in counter[0].  The mask is
+    built only when v.min() is not >= 0: when an entry is negative, or
+    a NaN hides the sign of the others."""
+    if not v.min() >= 0.0:
+        neg = v < 0.0
+        if np.any(neg):
+            tol = _CLAMP_REL * max(1.0, float(np.max(np.abs(v))))
+            counter[0] += int(np.count_nonzero(v < -tol))
+            v = np.where(neg, 0.0, v)
     return birth(v)
 
 

@@ -1,8 +1,9 @@
-"""Birth families: equilibria, slopes, the sub-tangential law and the
-config form."""
+"""Birth families: equilibria, slopes, the sub-tangential law, the
+closed forms bit for bit and the config form."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,43 @@ def test_kappa_is_fixed_point(birth):
     k = birth.kappa
     assert k > 0.0
     assert float(birth(k)) == pytest.approx(k, rel=1e-14)
+
+
+def _closed_form(birth, u):
+    if isinstance(birth, Nicholson):
+        return birth.p * u * np.exp(-birth.a * u)
+    if isinstance(birth, MackeyGlass):
+        return birth.p * u / (1.0 + birth.a * np.abs(u) ** birth.q)
+    if isinstance(birth, LinearCap):
+        return np.minimum(birth.slope * u, birth.cap)
+    return birth.slope * u
+
+
+# signed values with both zeros, and ones where e^{-a u} and |u|^q
+# overflow
+SIGNED = np.array([-0.0, 0.0, -1e-300, 5e-324, -0.3, 0.7, 2.0, 40.0,
+                   -800.0, 800.0, -1e200, 1e200, 1e308, -1e308])
+
+
+@pytest.mark.parametrize("birth", [*FAMILIES, LinearBirth(2.5)],
+                         ids=lambda b: type(b).__name__)
+def test_call_is_the_closed_form_bit_for_bit(birth):
+    rng = np.random.default_rng(7)
+    inputs = [SIGNED, SIGNED.reshape(2, 7),
+              rng.standard_normal((3, 50)) * 10.0 ** rng.integers(
+                  -3, 4, (3, 50))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in inputs:
+            got, want = birth(u), _closed_form(birth, u)
+            assert got.shape == u.shape
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+        # a number gives a float64 scalar, as the closed form does
+        for x in (0.5, -0.0, -800.0, np.float64(3.0)):
+            got, want = birth(x), _closed_form(birth, np.asarray(x))
+            assert type(got) is type(want) is np.float64
+            assert np.array(got).view(np.uint64) == \
+                np.array(want).view(np.uint64)
 
 
 @pytest.mark.parametrize("birth", FAMILIES, ids=lambda b: type(b).__name__)

@@ -61,3 +61,34 @@ def test_a_config_path_runs_under_its_stem(tmp_path, capsys):
         assert json.loads((out / side / "h0-linear.config.json")
                           .read_text()) == cfg
         assert "linear_snapshots.csv" in os.listdir(out / side / "h0-linear")
+
+
+def test_repeat_alternates_the_trees_and_counts_the_new_wins(
+        tmp_path, capsys, monkeypatch):
+    # a stand-in child: it records the order of the runs, writes the same
+    # file on both sides and reads the new tree faster in rounds 1 and 3
+    calls = []
+
+    def fake_run(src, name, out):
+        calls.append(src)
+        os.makedirs(os.path.join(out, name))
+        with open(os.path.join(out, name, "r.json"), "w") as f:
+            f.write("{}")
+        r = len(calls) // 2 + len(calls) % 2  # the round of this run
+        seconds = {("old", 1): 2.0, ("new", 1): 1.0, ("old", 2): 1.0,
+                   ("new", 2): 3.0, ("old", 3): 4.0, ("new", 3): 1.5}
+        return {"status": 0, "seconds": seconds[src, r],
+                "peak_mb": 10.0 if src == "old" else 9.0}
+
+    monkeypatch.setattr(cmp_runs, "_run_name", fake_run)
+    out = tmp_path / "out"
+    assert cmp_runs.main(["old", "new", "char-desk", "--repeat", "3",
+                          "--out", str(out)]) == 0
+    assert calls == ["old", "new", "new", "old", "old", "new"]
+    line, = capsys.readouterr().out.splitlines()
+    assert line == ("char-desk: exit 0 -> 0, identical; cli.run 2.00 s -> "
+                    "1.50 s, peak 10.0 MB -> 9.0 MB; medians of 3 rounds, "
+                    "new faster in 2")
+    # only the first round's files are kept
+    assert sorted(os.listdir(out)) == ["new", "old"]
+    assert os.listdir(out / "old") == ["char-desk"]

@@ -3,7 +3,8 @@
 linter is needed), the test oracles are not exported, importing the
 CLI loads no SciPy module, the config docstring's lists of who reads
 each field are the table that cli.run checks, and the experiments take
-typed values whose option names the CLI reads."""
+typed values whose option names are the one table of experiment
+options, from which that table takes its experiment-only readers."""
 
 import ast
 import importlib
@@ -18,7 +19,7 @@ import pytest
 
 import delaykpp
 from delaykpp import cli
-from delaykpp.config import FIELD_READERS
+from delaykpp.config import EXPERIMENT_OPTIONS, FIELD_READERS
 from delaykpp.presets import preset, preset_names
 
 SRC = pathlib.Path(delaykpp.__file__).parent
@@ -120,4 +121,16 @@ def test_experiments_never_see_the_config():
 def test_experiment_options_are_the_runner_parameters():
     for name, runner in cli._experiments().items():
         params = list(inspect.signature(runner).parameters)[1:]
-        assert params == list(cli._OPTIONS.get(name, {})), name
+        assert params == list(EXPERIMENT_OPTIONS.get(name, {})), name
+
+
+def test_experiment_options_are_the_experiment_only_readers():
+    # a field that one experiment reads and another does not is one of
+    # its options, in FIELD_READERS and in the docstring's brackets alike
+    exps = list(cli._experiments())
+    assert set(EXPERIMENT_OPTIONS) <= set(exps)
+    for readers in (FIELD_READERS, _bracket_readers()):
+        for name in exps:
+            own = [k for k, r in readers.items()
+                   if name in r and not set(exps) <= set(r)]
+            assert own == list(EXPERIMENT_OPTIONS.get(name, {})), name

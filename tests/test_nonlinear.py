@@ -123,19 +123,31 @@ def test_input_validation():
                       lambda s: np.zeros(GRID.n), T=1.0, h=h)
 
 
-def test_collector_sees_exactly_the_stored_snapshots():
+def test_collector_sees_exactly_the_stored_snapshots(monkeypatch):
     # signed data, so that clamps are counted; of the 74 steps to T = 2.3,
-    # out_every 8 keeps 0, 8, ..., 72 and the last one, off that grid
+    # out_every 8 keeps 0, 8, ..., 72 and the last one, off that grid.
+    # The clamp count is the documented rule applied to every input of
+    # the clamped birth: entries below -1e-13 max(1, max|v|)
     birth = Nicholson(2.0, 1.0)
     kern = Gaussian(0.0, 1.0, 1.0)
     u0 = 0.4 * np.exp(-GRID.x ** 2) - 0.2 * np.exp(-(GRID.x - 3.0) ** 2)
+    clamps = []
+    original = nonlinear._clamped_birth
+
+    def recording(birth, v, counter):
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(v))))
+        clamps.append(int(np.count_nonzero(v < -tol)))
+        return original(birth, v, counter)
+
+    monkeypatch.setattr(nonlinear, "_clamped_birth", recording)
     stored = solve_kpp(kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
                        out_every=8)
+    monkeypatch.undo()
     seen = []
     collected = solve_kpp(kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
                           out_every=8,
                           collect=lambda t, u: seen.append((t, u)))
-    assert stored.clamp_count > 0
+    assert stored.clamp_count == sum(clamps) > 0
     assert [t for t, _ in seen] == stored.times.tolist()
     np.testing.assert_array_equal(np.array([u for _, u in seen]),
                                   stored.fields)
@@ -240,11 +252,10 @@ def test_delay_past_every_tap_keeps_the_stencil_window():
 
 def test_kernel_applier_dirac_is_exact_roll():
     g = Grid(32.0, 256)
-    shift = 16 * g.dx
-    apply_k = _kernel_applier(Dirac(shift, 0.7), g)
     G = np.exp(-g.x ** 2)
-    out = apply_k(G)
-    np.testing.assert_array_equal(out, 0.7 * np.roll(G, 16))
+    for cells in (16, 0, -5):
+        apply_k = _kernel_applier(Dirac(cells * g.dx, 0.7), g)
+        np.testing.assert_array_equal(apply_k(G), 0.7 * np.roll(G, cells))
 
 
 def _captured_weights(monkeypatch, apply_k, G):
@@ -263,8 +274,11 @@ def _captured_weights(monkeypatch, apply_k, G):
 
 # (taps, points): odd and even tap counts, n not a multiple of the row
 # block, and n below block + taps
-@pytest.mark.parametrize("m,n", [(1, 40), (2, 40), (24, 1000), (25, 1000),
-                                 (109, 1000), (110, 150), (25, 50)])
+CONVOLVE_SIZES = [(1, 40), (2, 40), (24, 1000), (25, 1000), (109, 1000),
+                  (110, 150), (25, 50)]
+
+
+@pytest.mark.parametrize("m,n", CONVOLVE_SIZES)
 def test_convolve1d_matches_scipy_at_every_origin(m, n):
     from scipy.ndimage import convolve1d as reference
 
@@ -275,6 +289,26 @@ def test_convolve1d_matches_scipy_at_every_origin(m, n):
         got = nonlinear.convolve1d(field, weights, origin=origin)
         want = reference(field, weights, mode="wrap", origin=origin)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("m,n", CONVOLVE_SIZES)
+def test_convolve1d_is_the_gathered_band_product_bit_for_bit(m, n):
+    # rows gathered through the defining periodic index and multiplied by
+    # the same band in one gemm: the sliced gather rounds the same
+    rng = np.random.default_rng(m * n + 1)
+    field = rng.standard_normal(n)
+    weights = rng.random(m)
+    b = max(32, 1 << (m - 1).bit_length())
+    k = b + m - 1
+    band = np.zeros((k, b))
+    for t in range(b):
+        band[t:t + m, t] = weights[::-1]
+    for origin in range(-(m // 2), (m - 1) // 2 + 1):
+        start = m // 2 + origin - (m - 1)
+        index = (np.arange(0, n, b)[:, None] + start + np.arange(k)) % n
+        want = np.matmul(field[index], band).ravel()[:n]
+        got = nonlinear.convolve1d(field, weights, origin=origin)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("m,n", [(1, 40), (25, 1000), (110, 150)])

@@ -1,15 +1,20 @@
 """Run presets with two source trees and compare everything they write.
 
 Usage: python3 tools/cmp_runs.py OLD_SRC NEW_SRC [NAME ...] [--out DIR]
+           [--repeat N]
 
 OLD_SRC and NEW_SRC are directories holding a ``delaykpp`` package (the
 ``src`` directory of two checkouts).  NAME is a preset name, ``verify``,
 or the path of an existing ``.json`` config file, which runs that config
 under the file's stem (``h0.json`` runs as ``h0``); the default is every
 preset followed by ``verify``.  Each tree runs each name through
-``cli.run`` in a child process of its own (old tree first), writing to
+``cli.run`` in a child process of its own, name by name, writing to
 DIR/old/NAME and DIR/new/NAME; DIR defaults to a fresh
-temporary directory, which is removed afterwards.  Each name runs without
+temporary directory, which is removed afterwards.  With --repeat N
+(default 1) the two trees run each name N times, alternating, the old
+tree first in odd rounds; the first round's files are the compared ones,
+and a later round writes to a directory removed after its run.  This is
+a quick paired timing of a change.  Each name runs without
 --quiet, and what it prints to stdout is saved beside its files as
 NAME.stdout and compared with them.  The child also times its
 ``cli.run`` call (``time.perf_counter``) and reads its peak resident
@@ -17,7 +22,9 @@ memory (VmHWM, as ``perfbench/child.py`` does) when the call returns;
 both are printed, never written beside the compared files.
 
 For every name it prints both exit statuses, both ``cli.run`` times, both
-peak RSS values and, for every file that is not byte-identical (``cmp``):
+peak RSS values (each a median over the rounds, followed with N > 1 by
+how many rounds the new tree's ``cli.run`` was the faster) and, for every
+file that is not byte-identical (``cmp``):
 
 - JSON: each number that differs, with both values and the relative
   change |new - old| / |old|; other differing values and keys present on
@@ -29,8 +36,8 @@ peak RSS values and, for every file that is not byte-identical (``cmp``):
   old file (the scale a move off 0 is read against);
 - any other file (NAME.stdout): the first line that differs, both sides.
 
-The exit status is 0 when every status matches and every file is
-identical, 1 otherwise.
+The exit status is 0 when every status matches in every round and every
+file is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import json
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -91,6 +99,24 @@ def _run_name(src: str, name: str, out: str) -> dict:
                            *config], env=env, stdout=subprocess.PIPE,
                           text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _rounds(srcs: dict, name: str, out: str, repeat: int) -> dict:
+    """side -> the _run_name results of one NAME over repeat rounds, the
+    old tree first in odd rounds; round 1 writes to out/old and out/new."""
+    runs = {"old": [], "new": []}
+    for r in range(1, repeat + 1):
+        for side in ("old", "new") if r % 2 else ("new", "old"):
+            if r == 1:
+                runs[side].append(_run_name(srcs[side], name,
+                                            os.path.join(out, side)))
+                continue
+            scratch = tempfile.mkdtemp(dir=out)
+            try:
+                runs[side].append(_run_name(srcs[side], name, scratch))
+            finally:
+                shutil.rmtree(scratch)
+    return runs
 
 
 def _number(v) -> bool:
@@ -215,7 +241,11 @@ def main(argv=None) -> int:
     parser.add_argument("names", nargs="*")
     parser.add_argument("--out", help="keep the outputs in this new "
                         "directory instead of a temporary one")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="alternate the two trees N times per name")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
     if args.names:
         names = args.names
     else:
@@ -224,27 +254,33 @@ def main(argv=None) -> int:
         names = [*preset_names(), "verify"]
 
     out = args.out or tempfile.mkdtemp(prefix="cmp_runs_")
+    srcs = {"old": args.old_src, "new": args.new_src}
     try:
-        runs = {}
-        for side, src in (("old", args.old_src), ("new", args.new_src)):
+        for side in srcs:
             os.makedirs(os.path.join(out, side))
-            runs[side] = {name: _run_name(src, name, os.path.join(out, side))
-                          for name in names}
         same = True
         for name in names:
-            old, new = runs["old"][name], runs["new"][name]
+            runs = _rounds(srcs, name, out, args.repeat)
+            old, new = runs["old"], runs["new"]
+            status = [r["status"] for r in old] == [r["status"] for r in new]
             lines = compare(os.path.join(out, "old", _label(name)),
                             os.path.join(out, "new", _label(name)))
             verdict = "identical" if not lines else "differs"
-            if old["status"] != new["status"]:
+            if not status:
                 verdict = "EXIT STATUS DIFFERS"
-            print(f"{_label(name)}: exit {old['status']} -> {new['status']}, "
-                  f"{verdict}; cli.run {old['seconds']:.2f} s -> "
-                  f"{new['seconds']:.2f} s, peak {old['peak_mb']:.1f} MB -> "
-                  f"{new['peak_mb']:.1f} MB")
+            t_old, t_new, p_old, p_new = (
+                statistics.median(r[key] for r in side)
+                for key in ("seconds", "peak_mb") for side in (old, new))
+            won = sum(b["seconds"] < a["seconds"] for a, b in zip(old, new))
+            rounds = (f"; medians of {args.repeat} rounds, new faster in "
+                      f"{won}" if args.repeat > 1 else "")
+            print(f"{_label(name)}: exit {old[0]['status']} -> "
+                  f"{new[0]['status']}, {verdict}; cli.run {t_old:.2f} s -> "
+                  f"{t_new:.2f} s, peak {p_old:.1f} MB -> {p_new:.1f} MB"
+                  f"{rounds}")
             for line in lines:
                 print(line)
-            same = same and not lines and old["status"] == new["status"]
+            same = same and not lines and status
     finally:
         if args.out is None:
             shutil.rmtree(out, ignore_errors=True)
