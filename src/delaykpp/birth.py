@@ -38,15 +38,11 @@ class Nicholson:
         return math.log(self.p) / self.a
 
     def __call__(self, u):
-        """(p u) e^{(-a) u}, in that order; an array input is computed in
-        two temporaries, written in place."""
+        """(p u) e^{(-a) u}, in that order, for a number (returning a
+        float64) or an array (the product written in place into p u)."""
         u = np.asarray(u, dtype=float)
-        if u.ndim == 0:  # returns a float64 scalar, not a 0-d array
-            return self.p * u * np.exp(-self.a * u)
-        e = np.multiply(-self.a, u)
-        np.exp(e, out=e)
-        g = np.multiply(self.p, u)
-        g *= e
+        g = self.p * u
+        g *= np.exp(-self.a * u)
         return g
 
 

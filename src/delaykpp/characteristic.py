@@ -385,7 +385,7 @@ def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:
 
 
 def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
-                      margin: float = 0.05, max_shift: float = 32.0
+                      margin: float, max_shift: float
                       ) -> tuple[Kernel, float]:
     """Shift the kernel rightward until both critical speeds are negative
     (c_plus = -margin).

@@ -110,8 +110,8 @@ class SymbolTable:
         return float(np.max(np.abs(r)))
 
 
-def symbol_table(params: CharParams, kernel: Kernel, t_min: float = 0.25,
-                 x_span: float = 40.0) -> SymbolTable:
+def symbol_table(params: CharParams, kernel: Kernel, t_min: float,
+                 x_span: float) -> SymbolTable:
     """Build the symbol grid after passing the gate.
 
     z_max is sized so the synthesis integrand at t_min is below 1e-14 of
@@ -171,7 +171,8 @@ def pde_residual(table: SymbolTable, t: float,
     Spatial derivatives, the reaction term, and the delayed convolution
     are evaluated exactly in symbol space (unshifted by rho0, where the
     symbol identity is exact); the time derivative is a central difference
-    with step dt (default h/256), so the residual scales as dt^2.
+    with step dt (default h/256, or t/256 at h = 0), so the residual
+    scales as dt^2.
     Requires t > h: the delayed value must come from the same synthesis.
     """
     h = table.params.h
@@ -193,8 +194,7 @@ def pde_residual(table: SymbolTable, t: float,
     dGdt = (synth(t + dt, np.exp(table.rho * (t + dt))) -
             synth(t - dt, np.exp(table.rho * (t - dt)))) / (2.0 * dt)
     spatial = synth(t, (-z * z + 1j * m * z + p) * e_rho_t)
-    delayed = synth(t - h, khat * np.exp(table.rho * (t - h))) if h > 0 \
-        else synth(t, khat * e_rho_t)
+    delayed = synth(t - h, khat * np.exp(table.rho * (t - h)))
     gamma_t = synth(t, e_rho_t)
     resid = dGdt - spatial - delayed
     return float(np.max(np.abs(resid)) / np.max(np.abs(gamma_t)))

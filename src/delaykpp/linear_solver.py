@@ -93,9 +93,10 @@ def _step_weights(mu, kap, dt: float):
         dt * dt * kap * (6.0 * p4 - 2.0 * p3))))
 
 
-def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
+def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect):
     """Advance the diagonal delayed system w' = mu w + kap w(t-h) from the
-    ring's newest row; collect(n, w) sees w at step 0 and after each step.
+    ring's newest row; collect(n, w) sees w at step 0 and after each step,
+    and is the only output: nothing is returned.
 
     Over one step the delayed term is the cubic Hermite interpolant of the
     ring cell (d0, d0', d1, d1'), so variation of constants integrates the
@@ -165,8 +166,7 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
     w = ring.newest.copy()
     em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
     right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
-    if collect is not None:
-        collect(0, w)
+    collect(0, w)
     rows = min(ring.n_h, max(1, _BLOCK_ELEMS // w.size))
     force, term, kd1 = (np.empty((rows, w.size), w.dtype) for _ in range(3))
     inc = np.empty_like(w)
@@ -197,11 +197,9 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect=None):
         Wd += kd
         _flush(Wd)
         w = W[-1]
-        if collect is not None:
-            for k in range(B):
-                collect(n + k + 1, W[k])
+        for k in range(B):
+            collect(n + k + 1, W[k])
         n += B
-    return w.copy()
 
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,

@@ -254,28 +254,24 @@ def _kernel_applier(kernel0: Kernel, grid: Grid):
 
 
 def _floor(v: np.ndarray) -> np.ndarray:
-    """Set every entry of v of magnitude below _UNDERFLOW to exactly 0, in
-    place (np.putmask, which writes through the mask without gathering
-    the entries it selects), and return v; NaN and inf stay, so a
-    blow-up still shows.  A 2-D v (a sampled history) goes row by row,
-    so the mask and |v| stay one row in size and a whole history's
-    temporaries never raise the run's peak memory."""
-    for row in (v,) if v.ndim == 1 else np.atleast_2d(v):
-        np.putmask(row, np.abs(row) < _UNDERFLOW, 0.0)
+    """Set every entry of the profile v of magnitude below _UNDERFLOW to
+    exactly 0, in place (np.putmask, which writes through the mask
+    without gathering the entries it selects), and return v; NaN and inf
+    stay, so a blow-up still shows."""
+    np.putmask(v, np.abs(v) < _UNDERFLOW, 0.0)
     return v
 
 
 def _clamped_birth(birth, v, counter):
     """birth(v) with the negative entries of v set to 0; each entry below
-    -_CLAMP_REL max(1, max|v|) is counted in counter[0].  The mask is
-    built only when v.min() is not >= 0: when an entry is negative, or
-    a NaN hides the sign of the others."""
+    -_CLAMP_REL max(1, max|v|) is counted in counter[0].  The count and
+    the clamp run only when v.min() is not >= 0: when an entry is
+    negative, or a NaN hides the sign of the others (a NaN with no
+    negative entry counts nothing and passes to birth as it is)."""
     if not v.min() >= 0.0:
-        neg = v < 0.0
-        if np.any(neg):
-            tol = _CLAMP_REL * max(1.0, float(np.max(np.abs(v))))
-            counter[0] += int(np.count_nonzero(v < -tol))
-            v = np.where(neg, 0.0, v)
+        tol = _CLAMP_REL * max(1.0, float(np.max(np.abs(v))))
+        counter[0] += int(np.count_nonzero(v < -tol))
+        v = np.where(v < 0.0, 0.0, v)
     return birth(v)
 
 
@@ -287,7 +283,9 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     u0: the initial profile, grid.n values or one number; the history
     on [-h, 0] is that profile, constant in time.  A callable is
     refused: a time history would be sampled at every ring node for a
-    derivative that this step never reads.
+    derivative that this step never reads.  The run starts from one
+    floored copy of u0 (the caller's array is never written); at h > 0
+    that copy fills every ring node and gives F_0 = k0 * g(u0).
 
     Negative delayed values (roundoff undershoots or deliberately signed
     data) are clamped to 0 before entering g; clamps beyond roundoff size
@@ -322,13 +320,10 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     # values only: the step reads u(t - h) through g, never its derivative
     ring = HistoryRing(h, n_h, grid.n, float, derivatives=False) \
         if h > 0.0 else None
-    hv, _ = _history_samples(u0, n_h, h, grid.n, float)
-    _floor(hv)
-    u = hv[-1].copy()
+    u = _floor(_history_samples(u0, n_h, h, grid.n, float)[0][0])
     if ring is not None:
-        ring.fill(hv, 0.0)
-        (v0, _), _ = ring.delayed_nodes()
-        F_prev = kconv(_clamped_birth(birth, v0, counter))
+        ring.fill(u, 0.0)
+        F_prev = kconv(_clamped_birth(birth, u, counter))
 
     out.store(0, u)
 

@@ -77,7 +77,7 @@ def scalar_dde_solve(mu: complex, kappa: complex, h: float, history, T: float,
 
 
 def stepwise_delay_diag(mu, kap, ring: HistoryRing, n_steps: int,
-                        collect=None):
+                        collect):
     """linear_solver._rk4_delay_diag one step at a time: the same
     exponential Hermite step, with the increment summed as
     (e^z - 1) w + a0 d0 + a1 d1 + b0 e0 + b1 e1, each new w and
@@ -87,17 +87,14 @@ def stepwise_delay_diag(mu, kap, ring: HistoryRing, n_steps: int,
     w = ring.newest.copy()
     em1, a0, a1, b0, b1 = _step_weights(mu, kap, ring.dt)
     right0 = _flush(mu * w + kap * ring.delayed_nodes()[0][0])
-    if collect is not None:
-        collect(0, w)
+    collect(0, w)
     for n in range(n_steps):
         (d0, e0), (d1, e1) = ring.delayed_nodes()
         if n == ring.n_h:
             e0[...] = right0
         w = _flush(w + (em1 * w + a0 * d0 + a1 * d1 + b0 * e0 + b1 * e1))
         ring.push(w, _flush(mu * w + kap * d1))
-        if collect is not None:
-            collect(n + 1, w)
-    return w
+        collect(n + 1, w)
 
 
 def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,

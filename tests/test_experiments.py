@@ -58,7 +58,8 @@ def test_logdrift_fit_refuses_sparse_window():
                                   UniformKernel(1.0), Gaussian(0.0, 1.0, 1.0)],
                          ids=["dirac", "laplace", "uniform", "gaussian"])
 def test_tune_kernel_shift_hits_margin(base, h):
-    tuned, shift = tune_kernel_shift(base, 2.0, h, margin=0.05)
+    tuned, shift = tune_kernel_shift(base, 2.0, h, margin=0.05,
+                                     max_shift=32.0)
     if isinstance(base, Gaussian) and h == 1.0:
         assert shift == pytest.approx(2.3134, abs=2e-3)
     sp = critical_speeds(tuned, 2.0, h)
@@ -68,7 +69,8 @@ def test_tune_kernel_shift_hits_margin(base, h):
 
 def test_tune_kernel_shift_noop_when_already_negative():
     base = Gaussian(3.0, 1.0, 1.0)  # pre-shifted past the sign change
-    tuned, shift = tune_kernel_shift(base, 2.0, 1.0, margin=0.05)
+    tuned, shift = tune_kernel_shift(base, 2.0, 1.0, margin=0.05,
+                                     max_shift=32.0)
     assert shift == 0.0
     assert tuned is base
 

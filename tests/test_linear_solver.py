@@ -303,9 +303,9 @@ def _ring_and_fields(monkeypatch, flush):
     seen = []
     inner = linear_solver._rk4_delay_diag
 
-    def keep_ring(mu, kap, ring, n_steps, collect=None):
+    def keep_ring(mu, kap, ring, n_steps, collect):
         seen.append(ring)
-        return inner(mu, kap, ring, n_steps, collect)
+        inner(mu, kap, ring, n_steps, collect)
 
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", keep_ring)
     grid = Grid(16.0, 256)
@@ -364,13 +364,13 @@ def _coupled_run(monkeypatch, kernel, u0, n_h=16, out_every=1):
     rings, widths = [], []
     inner = linear_solver._rk4_delay_diag
 
-    def spy(mu, kap, ring, n_steps, collect=None):
+    def spy(mu, kap, ring, n_steps, collect):
         def seen(n, w):
             widths.append(w.size)
             collect(n, w)
 
         rings.append(ring)
-        return inner(mu, kap, ring, n_steps, seen)
+        inner(mu, kap, ring, n_steps, seen)
 
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", spy)
     traj = solve_linear(XVAL, kernel, XVAL_GRID, u0, T=2.0, n_h=n_h,

@@ -385,7 +385,7 @@ def test_shifted_kernel_stencil_keeps_only_the_drop_rule_offsets(
     # would take 149 taps
     birth = Nicholson(2.0, 1.0)
     kern, shift = tune_kernel_shift(Gaussian(0.0, 1.0, 1.0), birth.gprime0,
-                                    1.0, margin=0.5)
+                                    1.0, margin=0.5, max_shift=32.0)
     assert shift == pytest.approx(3.5035, abs=1e-4)
     g = Grid(1408.0, 8192)
     G = np.exp(-(g.x / 3.0) ** 2)
@@ -405,6 +405,42 @@ def test_no_subnormal_values_are_stored(h):
                      T=2.0, h=h, n_h=16, out_every=1)
     tiny = (traj.fields != 0.0) & (np.abs(traj.fields) < _UNDERFLOW)
     assert not np.any(tiny)
+
+
+@pytest.mark.parametrize("collected", [False, True],
+                         ids=["stored", "collected"])
+@pytest.mark.parametrize("h", [1.0, 0.0])
+def test_solve_kpp_never_writes_u0(h, collected):
+    # the run floors a copy of u0: the caller's array, with entries below
+    # _UNDERFLOW of either sign, keeps every bit, and the t = 0 snapshot
+    # is its floored copy
+    u0 = 0.4 * np.exp(-GRID.x ** 2)
+    u0[[3, 5]] = 1e-300, -1e-300
+    before = u0.copy()
+    seen = []
+    traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), GRID, u0,
+                     T=0.5, h=h, n_h=16, out_every=1,
+                     collect=(lambda t, u: seen.append(u)) if collected
+                     else None)
+    assert u0.tobytes() == before.tobytes()
+    floored = np.where(np.abs(before) < _UNDERFLOW, 0.0, before)
+    first = seen[0] if collected else traj.fields[0]
+    assert first.tobytes() == floored.tobytes()
+
+
+def test_clamped_birth_passes_nan_and_clamps_only_negatives():
+    # a NaN hides the sign test v.min() >= 0; with no negative entry
+    # nothing is counted and the values are the birth of v itself
+    birth = Nicholson(2.0)
+    counter = [0]
+    got = nonlinear._clamped_birth(birth, np.array([np.nan, 0.3, 0.1]),
+                                   counter)
+    assert counter == [0]
+    assert got.tobytes() == birth(np.array([np.nan, 0.3, 0.1])).tobytes()
+    got = nonlinear._clamped_birth(birth, np.array([np.nan, -0.3, 0.1]),
+                                   counter)
+    assert counter == [1]
+    assert got.tobytes() == birth(np.array([np.nan, 0.0, 0.1])).tobytes()
 
 
 def test_h0_convolutions_see_no_subnormal_input(monkeypatch):
