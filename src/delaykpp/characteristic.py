@@ -215,9 +215,7 @@ def tangency_solve(params: CharParams, kernel: Kernel) -> TangencySolution:
                 np.exp(params.h * g) * float(np.real(kernel.moment1(zz)))
 
     lo_lim, hi_lim = _strip_limits(kernel)
-    center = -params.m / 2.0
-    center = min(max(center, lo_lim if np.isfinite(lo_lim) else center - 1.0),
-                 hi_lim if np.isfinite(hi_lim) else center + 1.0)
+    center = min(max(-params.m / 2.0, lo_lim), hi_lim)
     half = 1.0
     for _ in range(80):
         lo = max(center - half, lo_lim)

@@ -45,6 +45,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -184,12 +185,7 @@ def _cmd_speeds(cfg: dict):
     kernel0 = f.growing_kernel(g1, source)
     h = f.delay()
     sp = critical_speeds(kernel0, g1, h)
-    report = {
-        "c_minus": float(sp.c_minus), "c_plus": float(sp.c_plus),
-        "lambda_minus": float(sp.lambda_minus),
-        "lambda_plus": float(sp.lambda_plus),
-        "residuals": [float(r) for r in sp.residuals],
-    }
+    report = asdict(sp)
     try:
         for branch, lam, tang in _frame_tangencies(kernel0, g1, h, sp):
             report[f"branch_{branch}"] = {
@@ -206,20 +202,23 @@ def _cmd_speeds(cfg: dict):
             f"c_plus={_fmt(report['c_plus'])}", 0)
 
 
+def _decay_pair(params, kernel, z0: float, field: str):
+    """gamma_zero at z0, a tilt outside the transform strip refused by the
+    name of the field that gave it."""
+    try:
+        return gamma_zero(params, kernel, z0)
+    except ConfigError as exc:
+        raise ConfigError(f"field '{field}': {exc}") from None
+
+
 def _cmd_char(cfg: dict):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
     z0 = f.number("z0", 0.0)
-    pair = gamma_zero(params, kernel, z0)
-    report = {"gamma0": pair.gamma0, "z0": pair.z0}
+    report = asdict(_decay_pair(params, kernel, z0, "z0"))
     try:
-        tang = tangency_solve(params, kernel)
-        report.update({"gamma_m": tang.gamma_m, "z_m": tang.z_m,
-                       "sigma_m": tang.sigma_m, "k_star": tang.k_star,
-                       "khat0": tang.khat0,
-                       "residual_value": tang.residual_value,
-                       "residual_slope": tang.residual_slope})
+        report.update(asdict(tangency_solve(params, kernel)))
     except (ValueError, RuntimeError) as exc:
         report["tangency_error"] = str(exc)
     return ({"char_report.json": report},
@@ -268,33 +267,34 @@ def _cmd_simulate_linear(cfg: dict):
     diag.known(("z0", "tangency", "probe_x"))
     z0, tangency = diag.number("z0", 0.0), diag.flag("tangency", True)
     probe_x = diag.number("probe_x", 0.0)
-    if "diagnostics" in cfg and T == 0.0:
-        # S_max and S_min range over the outputs after t = 0: a run to
-        # T = 0 keeps none (grids.step_count gives a positive T a step)
-        raise ConfigError(f"field 'T' = {T:g}: the diagnostics need an "
-                          "output after t = 0, and the run keeps none")
-    traj = solve_linear(params, kernel, grid, f.u0(1.0)(grid.x), T,
-                        f.count("n_h", None), f.count("out_every", None))
+    u0 = f.u0(1.0)(grid.x)
+    n_h, out_every = f.count("n_h", None), f.count("out_every", None)
+    if "diagnostics" in cfg:
+        if T == 0.0:
+            # S_max and S_min range over the outputs after t = 0: a run to
+            # T = 0 keeps none (grids.step_count gives a positive T a step)
+            raise ConfigError(f"field 'T' = {T:g}: the diagnostics need an "
+                              "output after t = 0, and the run keeps none")
+        pair = _decay_pair(params, kernel, z0, "diagnostics.z0")
+        tang = tangency_solve(params, kernel) if tangency else None
+    traj = solve_linear(params, kernel, grid, u0, T, n_h, out_every)
 
     files = {}
     report = {"T": T, "n_h": int(traj.n_h),
               "edge_fraction": float(traj.edge_fraction),
               "final_sup": float(np.max(np.abs(traj.fields[-1])))}
     if "diagnostics" in cfg:
-        pair = gamma_zero(params, kernel, z0)
-        _, S = universal_bound_diagnostic(traj, pair)
+        S = universal_bound_diagnostic(traj, pair)
         if tangency:
-            tang = tangency_solve(params, kernel)
-            _, D = tangency_limit_diagnostic(traj, tang, probe_x)
+            D = tangency_limit_diagnostic(traj, tang, probe_x)
             report.update({"gamma_m": tang.gamma_m, "z_m": tang.z_m,
                            "sigma_m": tang.sigma_m, "D_final": float(D[-1])})
         else:
             D = np.full_like(S, math.nan)
         pos = traj.times > 0
-        report.update({"gamma0": pair.gamma0, "z0": pair.z0,
-                       "S_final": float(S[-1]),
-                       "S_max": float(np.max(S[pos])),
-                       "S_min": float(np.min(S[pos]))})
+        report.update(asdict(pair), S_final=float(S[-1]),
+                      S_max=float(np.max(S[pos])),
+                      S_min=float(np.min(S[pos])))
         rows = [(float(t), float(d), float(s))
                 for t, d, s in zip(traj.times, D, S)]
         files["linear_diagnostics.csv"] = ("t,D,S", _csv_lines(rows))
@@ -389,7 +389,7 @@ def _cmd_experiment(name: str, runner, cfg: dict):
 
 def _cmd_verify(cfg: dict):
     results = run_checks()
-    report = {"checks": [r.to_dict() for r in results],
+    report = {"checks": [asdict(r) for r in results],
               "all_passed": all(r.passed for r in results)}
     return ({"verify_report.json": report},
             "\n".join(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: "

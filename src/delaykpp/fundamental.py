@@ -185,16 +185,12 @@ def pde_residual(table: SymbolTable, t: float,
     x = np.linspace(-20.0, 20.0, 257)
     m, p = table.params.m, table.params.p
     z = table.z
-
-    def synth(tt, sym):
-        return _synthesize(table, x, tt, sym)
-
     e_rho_t = np.exp(table.rho * t)
     khat = table.kernel.fourier(z)
-    dGdt = (synth(t + dt, np.exp(table.rho * (t + dt))) -
-            synth(t - dt, np.exp(table.rho * (t - dt)))) / (2.0 * dt)
-    spatial = synth(t, (-z * z + 1j * m * z + p) * e_rho_t)
-    delayed = synth(t - h, khat * np.exp(table.rho * (t - h)))
-    gamma_t = synth(t, e_rho_t)
-    resid = dGdt - spatial - delayed
+    dG = (_synthesize(table, x, t + dt, np.exp(table.rho * (t + dt))) -
+          _synthesize(table, x, t - dt, np.exp(table.rho * (t - dt))))
+    spatial = _synthesize(table, x, t, (-z * z + 1j * m * z + p) * e_rho_t)
+    delayed = _synthesize(table, x, t - h, khat * np.exp(table.rho * (t - h)))
+    gamma_t = _synthesize(table, x, t, e_rho_t)
+    resid = dG / (2.0 * dt) - spatial - delayed
     return float(np.max(np.abs(resid)) / np.max(np.abs(gamma_t)))

@@ -31,10 +31,6 @@ class VerifyResult:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "detail": self.detail}
-
 
 def _check_kernel_transforms() -> VerifyResult:
     cases = []

@@ -216,6 +216,34 @@ def test_char_reports_desk_values(tmp_path):
     assert rep["z_m"] == pytest.approx(-0.0643474242293473, abs=1e-10)
 
 
+def test_char_reports_a_tangency_error(tmp_path):
+    # a far-shifted Dirac kernel with its drift: gamma0 solves, but the
+    # tangency polish does not, and the report says so in place of the
+    # tangency fields
+    cfg = _write_cfg(tmp_path, {"command": "char",
+                                "params": {"m": 37336.461753383934,
+                                           "p": -1.0, "h": 0.0},
+                                "kernel": {"family": "dirac", "shift": 1e5,
+                                           "mass": 2.0}})
+    assert run(cfg, str(tmp_path), quiet=True) == 0
+    rep = json.loads((tmp_path / "char_report.json").read_text())
+    assert set(rep) == {"gamma0", "z0", "tangency_error"}
+    assert rep["tangency_error"].startswith("tangency polish stalled")
+
+
+def test_kpp_constant_u0_stays_at_kappa(tmp_path):
+    # kappa of Nicholson p 2, a 1 is ln 2; constant data fills the whole
+    # domain, so its edge fraction is 1 and the edge warning is expected
+    kappa = 0.6931471805599453
+    cfg = _write_cfg(tmp_path, {**KPP_CFG, "u0": {"constant": kappa}})
+    with pytest.warns(RuntimeWarning, match="periodic edge"):
+        assert run(cfg, str(tmp_path), quiet=True) == 0
+    rep = json.loads((tmp_path / "kpp_report.json").read_text())
+    assert rep["kappa"] == kappa
+    assert abs(rep["final_sup"] - kappa) <= 1e-14
+    assert abs(rep["final_min"] - kappa) <= 1e-14
+
+
 def test_verify_subcommand(tmp_path):
     assert main(["verify", "--out", str(tmp_path), "--quiet"]) == 0
     rep = json.loads((tmp_path / "verify_report.json").read_text())
@@ -236,6 +264,7 @@ FUNDAMENTAL_CFG = {"command": "fundamental",
                    "params": {"m": 0.0, "p": -1.0, "h": 0.25},
                    "kernel": {"family": "gaussian", "mean": 0.0,
                               "stddev": 1.0, "mass": 1.0}}
+LAPLACE = {"family": "laplace", "rate": 1.0}
 NAN = float("nan")
 
 
@@ -259,6 +288,9 @@ HOSTILE = [
     (LINEAR_CFG, "params.m", None),
     (LINEAR_CFG, "diagnostics", [1]),
     (LINEAR_CFG, "diagnostics.z0", None),
+    # a tilt outside the kernel's transform strip (-1, 1)
+    ({**LINEAR_CFG, "kernel": LAPLACE}, "diagnostics.z0", 5.0),
+    ({**CHAR_CFG, "kernel": LAPLACE}, "z0", 5.0),
     (KPP_CFG, "beta", None),
     (EXTINCTION_CFG, "tune_margin", None),
     (KPP_CFG, "birth.p", None),
@@ -409,6 +441,20 @@ def test_fields_are_read_before_the_solve(tmp_path, capsys, monkeypatch,
     cfg = _write_cfg(tmp_path, _with(base, path, "x"))
     assert run(cfg, str(tmp_path), quiet=True) == 1
     assert f"field '{path}'" in capsys.readouterr().err
+
+
+def test_strip_z0_is_refused_before_the_solve(tmp_path, capsys,
+                                              monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_linear ran before 'diagnostics.z0' "
+                             "was checked against the transform strip")
+
+    monkeypatch.setattr(cli, "solve_linear", unreachable)
+    cfg = _write_cfg(tmp_path, _with({**LINEAR_CFG, "kernel": LAPLACE},
+                                     "diagnostics.z0", 5.0))
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    assert ("field 'diagnostics.z0': z0=5.0 outside transform strip"
+            in capsys.readouterr().err)
 
 
 def test_extinction_tiny_horizon_takes_one_step(tmp_path, capsys):

@@ -267,10 +267,10 @@ def test_probe_value_interpolates():
         traj = solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
                             grid, np.sin(2.0 * np.pi * grid.x / 32.0), T=0.0)
     j = 17
-    assert probe_value(traj, 0, float(grid.x[j])) == pytest.approx(
+    assert probe_value(traj, float(grid.x[j]))[0] == pytest.approx(
         traj.fields[0][j], abs=1e-14)
     mid = float(grid.x[j]) + 0.5 * grid.dx
-    assert probe_value(traj, 0, mid) == pytest.approx(
+    assert probe_value(traj, mid)[0] == pytest.approx(
         0.5 * (traj.fields[0][j] + traj.fields[0][j + 1]), abs=1e-14)
 
 
@@ -287,10 +287,9 @@ def test_decay_diagnostics_shapes_and_start():
     u0 = np.exp(-grid.x ** 2)
     traj = solve_linear(DESK, DESK_KERNEL, grid, u0, T=2.0, out_every=32)
     tang = tangency_solve(DESK, DESK_KERNEL)
-    t1, D = tangency_limit_diagnostic(traj, tang)
-    t2, S = universal_bound_diagnostic(traj, gamma_zero(DESK, DESK_KERNEL, 0.0))
-    assert t1.shape == D.shape == traj.times.shape
-    assert t2.shape == S.shape == traj.times.shape
+    D = tangency_limit_diagnostic(traj, tang)
+    S = universal_bound_diagnostic(traj, gamma_zero(DESK, DESK_KERNEL, 0.0))
+    assert D.shape == S.shape == traj.times.shape
     assert D[0] == 0.0 and S[0] == 0.0  # sqrt(t) factor at t = 0
     assert np.all(np.isfinite(D)) and np.all(np.isfinite(S))
 
