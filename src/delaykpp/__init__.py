@@ -15,7 +15,7 @@ from .characteristic import (CharParams, DecayPair, TangencySolution,
 from .grids import Grid, HistoryRing, Trajectory
 from .birth import (Nicholson, MackeyGlass, LinearCap, LinearBirth,
                     birth_from_dict)
-from .linear_solver import (solve_linear, probe_value,
+from .linear_solver import (solve_linear, probe_value, DecayScan,
                             tangency_limit_diagnostic,
                             universal_bound_diagnostic)
 from .fundamental import (SymbolTable, gate_check, rho_solve, symbol_table,

@@ -8,22 +8,28 @@ CSV traces written atomically (temp file + rename) with floats at 17
 significant digits and sorted keys, so a rerun of the same config is
 byte-identical.
 
-Each subcommand has a handler that takes only the config and returns
-(files, line, status): files maps an output file name to its content (a
-JSON object, or for a .csv name a (header, lines) pair of the CSV's
-header and an iterable of text lines), line is the stdout summary and
-status the exit status.  A handler reads every field it uses through
-config.Fields before its first solve, so a refused value costs no solve
-time.  An experiment's handler reads the KPP inputs and the
-experiment's own options, calls the runner with those typed values and
-builds the report {name, params, metrics, verdict} itself, params being
-the config as loaded.  run() writes every file in one loop once the
-handler has returned, then prints the line unless --quiet: a refused
-value never leaves a file behind, since every value is read before the
-handler returns.  CSV text is generated while its file is written, one
-block at a time: a snapshot CSV block (one kept output) is formatted by
-a single ``%`` on a per-run template (see _snapshot_blocks), the other
-CSVs line by line.
+Each subcommand has a handler that takes the config and a function
+write(name, content) and returns (line, status): write puts one output
+file in the output directory (content is a JSON object, or for a .csv
+name a (header, blocks) pair, see _write_csv), line is the stdout
+summary and status the exit status.  A handler reads every field it uses
+through config.Fields before its first write, so a refused value costs
+no solve time and never leaves a file behind.  An experiment's handler
+reads the KPP inputs and the experiment's own options, calls the runner
+with those typed values and writes the report {name, params, metrics,
+verdict} itself, params being the config as loaded.  run() prints the
+line unless --quiet once the handler has returned.
+
+Every file is written atomically (temp file + rename, _write_atomic),
+and CSV text is generated while its file is written, one block at a
+time.  The snapshot CSVs of simulate-linear and simulate-kpp are
+streamed: the solve runs inside the write, and its collect (a
+_SnapshotCSV) formats each kept snapshot's block with a single ``%`` on a
+per-run template and writes it to the temp file as the solver makes it,
+while reducing it to what the report needs; no snapshot array is kept.
+The reductions are finished inside that write too, so a refused value,
+a non-finite snapshot or any other error in the run leaves no output
+file and no temp file; the other files are written after it.
 
 Exit status: 0 for a passing verdict or a diagnostic, 2 when an
 experiment verdict is "fail" or "inconclusive", 1 for config or runtime
@@ -38,8 +44,8 @@ and ``nan`` in CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -57,8 +63,8 @@ from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, mckean_experiment,
                           spreading_experiment)
 from .fundamental import approx_identity_error, pde_residual, symbol_table
-from .grids import every_kth
-from .linear_solver import (solve_linear, tangency_limit_diagnostic,
+from .linear_solver import (DecayScan, solve_linear,
+                            tangency_limit_diagnostic,
                             universal_bound_diagnostic)
 from .nonlinear import LevelScan, solve_kpp, trace_levels
 from .verify import run_checks
@@ -111,11 +117,12 @@ def _json_text(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _write_atomic(path: str, chunks) -> None:
-    """Write the strings of chunks to a temp file, then rename it to path;
-    on any error the temp file is removed and path is left untouched.
-    The file gets the mode a plain open(path, "w") gives it (0o666 less
-    the umask), not mkstemp's 0o600."""
+@contextlib.contextmanager
+def _write_atomic(path: str):
+    """A text file open on a temp file beside path, renamed to path when
+    the with block ends; on any error the temp file is removed and path
+    is left untouched.  The file gets the mode a plain open(path, "w")
+    gives it (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -124,7 +131,7 @@ def _write_atomic(path: str, chunks) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             os.fchmod(f.fileno(), 0o666 & ~umask)
-            f.writelines(chunks)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -133,15 +140,29 @@ def _write_atomic(path: str, chunks) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_atomic(path, [_json_text(obj), "\n"])
+    text = _json_text(obj)
+    with _write_atomic(path) as f:
+        f.write(text + "\n")
 
 
-def _write_csv(path: str, header: str, blocks) -> None:
-    """Write header and then each text block of blocks (whole lines with
-    no final newline), streamed through _write_atomic: the file text is
-    never held in memory."""
-    _write_atomic(path, itertools.chain(
-        [header + "\n"], (block + "\n" for block in blocks)))
+def _write_csv(path: str, header: str, blocks):
+    """Write header and then each text block (whole lines with no final
+    newline) through _write_atomic: the file text is never held in
+    memory.  blocks is an iterable of blocks, or a function fill(write)
+    that calls write(block) once per block, as a streamed snapshot CSV's
+    solve does; the write is then complete when fill returns, and
+    _write_csv returns what fill returned."""
+    with _write_atomic(path) as f:
+        f.write(header + "\n")
+
+        def write(block: str) -> None:
+            f.write(block)
+            f.write("\n")
+
+        if callable(blocks):
+            return blocks(write)
+        for block in blocks:
+            write(block)
 
 
 def _csv_lines(rows):
@@ -175,11 +196,18 @@ def _load_config(path: str | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: config -> (files, line, status), as the module
+# subcommand handlers: (config, write) -> (line, status), as the module
 # docstring states
 
 
-def _cmd_speeds(cfg: dict):
+def _tangency_point(tang) -> dict:
+    """gamma_m, z_m and sigma_m of a TangencySolution: the part of it that
+    the simulate-linear and speeds reports give."""
+    return {key: float(getattr(tang, key))
+            for key in ("gamma_m", "z_m", "sigma_m")}
+
+
+def _cmd_speeds(cfg: dict, write):
     f = Fields(cfg)
     g1, source = f.gprime0()
     kernel0 = f.growing_kernel(g1, source)
@@ -189,16 +217,15 @@ def _cmd_speeds(cfg: dict):
     try:
         for branch, lam, tang in _frame_tangencies(kernel0, g1, h, sp):
             report[f"branch_{branch}"] = {
-                "gamma_m": float(tang.gamma_m), "z_m": float(tang.z_m),
-                "sigma_m": float(tang.sigma_m),
+                **_tangency_point(tang),
                 "z_m_minus_lambda": float(tang.z_m - lam),
             }
     except TangencyError as exc:
         # the speeds solved, so the kernel is too extreme for the frame
         raise ConfigError(f"field 'kernel': frame tangency at the critical "
                           f"speeds failed: {exc}") from None
-    return ({"speeds_report.json": report},
-            f"speeds: c_minus={_fmt(report['c_minus'])} "
+    write("speeds_report.json", report)
+    return (f"speeds: c_minus={_fmt(report['c_minus'])} "
             f"c_plus={_fmt(report['c_plus'])}", 0)
 
 
@@ -211,7 +238,7 @@ def _decay_pair(params, kernel, z0: float, field: str):
         raise ConfigError(f"field '{field}': {exc}") from None
 
 
-def _cmd_char(cfg: dict):
+def _cmd_char(cfg: dict, write):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
@@ -221,42 +248,56 @@ def _cmd_char(cfg: dict):
         report.update(asdict(tangency_solve(params, kernel)))
     except (ValueError, RuntimeError) as exc:
         report["tangency_error"] = str(exc)
-    return ({"char_report.json": report},
-            f"char: gamma0={_fmt(report['gamma0'])} at z0={_fmt(z0)}", 0)
+    write("char_report.json", report)
+    return f"char: gamma0={_fmt(report['gamma0'])} at z0={_fmt(z0)}", 0
 
 
-def _snapshot_blocks(times, fields, x, stride: int):
-    """The t,x,u lines of every stride-th output (and the last), one
-    block per output.
+class _SnapshotCSV:
+    """The collect of a streamed t,x,u snapshot CSV: writes the block of
+    every stride-th kept snapshot, and of the last, as the solver makes
+    them, and passes each snapshot on to reduce when given.
 
-    x is formatted once per run into a template whose line j is
-    ``_fmt(x_j) + ",%.17g"``; each output puts its t text in front of
-    every line with one str.replace and fills the u slots with one ``%``,
-    a single C-level pass instead of one _fmt call per value.  The slots
-    are _FLOAT, the format _fmt applies to a finite float, and ``%.17g``
-    renders through PyOS_double_to_string(v, 'g', 17) as ``f"{v:.17g}"``
-    does, so every finite value, -0.0 and subnormals included, gets the
-    text _fmt gives it.  Non-finite u (which grids.Outputs already
-    refuses) are mapped to NaN first and so written ``nan``, as _fmt
-    writes them.  What a block still costs is the 17-digit conversion of
-    its values, not the file write."""
-    template = "\n".join([_fmt(v) + "," + _FLOAT for v in x.tolist()])
-    for i in every_kth(len(times), stride):
-        u = fields[i]
-        finite = np.isfinite(u)
-        if not finite.all():
-            u = np.where(finite, u, np.nan)
-        t_text = _fmt(float(times[i])) + ","
-        yield (t_text + template.replace("\n", "\n" + t_text)) % tuple(
-            u.tolist())
+    A block is the snapshot's lines.  x is formatted once per run into a
+    template whose line j is ``_fmt(x_j) + ",%.17g"``; each block puts
+    its t text in front of every line with one str.replace and fills the
+    u slots with one ``%``, a single C-level pass instead of one _fmt
+    call per value.  The slots are _FLOAT, the format _fmt applies to a
+    finite float, and ``%.17g`` renders through
+    PyOS_double_to_string(v, 'g', 17) as ``f"{v:.17g}"`` does, so every
+    value, -0.0 and subnormals included, gets the text _fmt gives it.
+    The values are finite: grids.Outputs refuses a non-finite snapshot
+    before any collect sees it.  What a block still costs is the
+    17-digit conversion of its values, not the file write.
+
+    count is the number of snapshots seen and last the newest (t, u);
+    close() writes the last block when the stride skipped it.  Only that
+    snapshot is held, and the solver never writes it again."""
+
+    def __init__(self, x: np.ndarray, stride: int, write, reduce=None):
+        self._template = "\n".join([_fmt(v) + "," + _FLOAT
+                                    for v in x.tolist()])
+        self._stride, self._write, self._reduce = stride, write, reduce
+        self.count, self.last = 0, None
+
+    def _block(self, t: float, u: np.ndarray) -> str:
+        t_text = _fmt(t) + ","
+        return (t_text + self._template.replace("\n", "\n" + t_text)) % \
+            tuple(u.tolist())
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        if self.count % self._stride == 0:
+            self._write(self._block(t, u))
+        if self._reduce is not None:
+            self._reduce(t, u)
+        self.count += 1
+        self.last = (t, u)
+
+    def close(self) -> None:
+        if (self.count - 1) % self._stride:
+            self._write(self._block(*self.last))
 
 
-def _snapshots_csv(traj, stride: int):
-    return "t,x,u", _snapshot_blocks(traj.times, traj.fields, traj.grid.x,
-                                     stride)
-
-
-def _cmd_simulate_linear(cfg: dict):
+def _cmd_simulate_linear(cfg: dict, write):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
@@ -269,42 +310,53 @@ def _cmd_simulate_linear(cfg: dict):
     probe_x = diag.number("probe_x", 0.0)
     u0 = f.u0(1.0)(grid.x)
     n_h, out_every = f.count("n_h", None), f.count("out_every", None)
+    scan = None
     if "diagnostics" in cfg:
         if T == 0.0:
             # S_max and S_min range over the outputs after t = 0: a run to
             # T = 0 keeps none (grids.step_count gives a positive T a step)
             raise ConfigError(f"field 'T' = {T:g}: the diagnostics need an "
                               "output after t = 0, and the run keeps none")
-        pair = _decay_pair(params, kernel, z0, "diagnostics.z0")
+        scan = DecayScan(grid, _decay_pair(params, kernel, z0,
+                                           "diagnostics.z0"), probe_x)
         tang = tangency_solve(params, kernel) if tangency else None
-    traj = solve_linear(params, kernel, grid, u0, T, n_h, out_every)
 
-    files = {}
-    report = {"T": T, "n_h": int(traj.n_h),
-              "edge_fraction": float(traj.edge_fraction),
-              "final_sup": float(np.max(np.abs(traj.fields[-1])))}
-    if "diagnostics" in cfg:
-        S = universal_bound_diagnostic(traj, pair)
-        if tangency:
-            D = tangency_limit_diagnostic(traj, tang, probe_x)
-            report.update({"gamma_m": tang.gamma_m, "z_m": tang.z_m,
-                           "sigma_m": tang.sigma_m, "D_final": float(D[-1])})
-        else:
-            D = np.full_like(S, math.nan)
-        pos = traj.times > 0
-        report.update(asdict(pair), S_final=float(S[-1]),
-                      S_max=float(np.max(S[pos])),
-                      S_min=float(np.min(S[pos])))
-        rows = [(float(t), float(d), float(s))
-                for t, d, s in zip(traj.times, D, S)]
-        files["linear_diagnostics.csv"] = ("t,D,S", _csv_lines(rows))
-    files["linear_snapshots.csv"] = _snapshots_csv(traj, stride)
-    files["linear_report.json"] = report
-    return (files, f"simulate-linear: {traj.times.size} outputs to "
-            f"T={_fmt(T)}, edge fraction {traj.edge_fraction:.2e}", 0)
+    def solve(write_block):
+        # inside the snapshot CSV's write: an error anywhere here leaves
+        # no file
+        snapshots = _SnapshotCSV(grid.x, stride, write_block, scan)
+        traj = solve_linear(params, kernel, grid, u0, T, n_h, out_every,
+                            collect=snapshots, budget=True)
+        snapshots.close()
+        report = {"T": T, "n_h": int(traj.n_h),
+                  "edge_fraction": float(traj.edge_fraction),
+                  "final_sup": float(np.max(np.abs(snapshots.last[1])))}
+        rows = None
+        if scan is not None:
+            S = universal_bound_diagnostic(scan)
+            if tangency:
+                D = tangency_limit_diagnostic(scan, tang)
+                report.update(_tangency_point(tang), D_final=float(D[-1]))
+            else:
+                D = np.full_like(S, math.nan)
+            pos = np.array(scan.times) > 0
+            report.update(asdict(scan.pair), S_final=float(S[-1]),
+                          S_max=float(np.max(S[pos])),
+                          S_min=float(np.min(S[pos])))
+            rows = [(t, float(d), float(s))
+                    for t, d, s in zip(scan.times, D, S)]
+        line = (f"simulate-linear: {snapshots.count} outputs to "
+                f"T={_fmt(T)}, edge fraction {traj.edge_fraction:.2e}")
+        return report, rows, line
+
+    report, rows, line = write("linear_snapshots.csv", ("t,x,u", solve))
+    if rows is not None:
+        write("linear_diagnostics.csv", ("t,D,S", _csv_lines(rows)))
+    write("linear_report.json", report)
+    return line, 0
 
 
-def _cmd_fundamental(cfg: dict):
+def _cmd_fundamental(cfg: dict, write):
     f = Fields(cfg)
     params = f.params()
     kernel = f.kernel()
@@ -332,8 +384,8 @@ def _cmd_fundamental(cfg: dict):
     report["identity_errors"] = errs
     report["identity_strictly_decreasing"] = bool(
         all(b < a for a, b in zip(errs, errs[1:])))
-    return ({"fundamental_report.json": report},
-            f"fundamental: pde residual {report['pde_residual']:.3e}, "
+    write("fundamental_report.json", report)
+    return (f"fundamental: pde residual {report['pde_residual']:.3e}, "
             f"identity errors {['%.3e' % e for e in errs]}", 0)
 
 
@@ -345,54 +397,61 @@ def _levels_csv(trace):
     return "t,beta,m_minus,m_plus,attained", _csv_lines(rows)
 
 
-def _cmd_simulate_kpp(cfg: dict):
+def _cmd_simulate_kpp(cfg: dict, write):
     f = Fields(cfg)
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
     out_every = f.count("out_every", default_out_every(n_h))
     stride = f.count("snapshot_stride", 1)
-    traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h, out_every)
-    speeds = critical_speeds(kernel0, birth.gprime0, h)
-    scan = LevelScan(grid.x, beta)  # the scan mckean passes as collect
-    for t, u in zip(traj.times, traj.fields):
-        scan(float(t), u)
-    trace = trace_levels(scan, speeds)
-    report = {
-        "kappa": birth.kappa, "beta": beta,
-        "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
-        "lambda_minus": float(speeds.lambda_minus),
-        "lambda_plus": float(speeds.lambda_plus),
-        "final_sup": float(np.max(traj.fields[-1])),
-        "final_min": float(np.min(traj.fields[-1])),
-        "clamp_count": int(traj.clamp_count),
-        "edge_fraction": float(traj.edge_fraction),
-    }
-    return ({"kpp_snapshots.csv": _snapshots_csv(traj, stride),
-             "kpp_levels.csv": _levels_csv(trace),
-             "kpp_report.json": report},
-            f"simulate-kpp: final sup {_fmt(report['final_sup'])} "
+
+    def solve(write_block):
+        # inside the snapshot CSV's write: an error anywhere here leaves
+        # no file
+        scan = LevelScan(grid.x, beta)  # the scan mckean passes as collect
+        snapshots = _SnapshotCSV(grid.x, stride, write_block, scan)
+        traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
+                         out_every, collect=snapshots, budget=True)
+        snapshots.close()
+        speeds = critical_speeds(kernel0, birth.gprime0, h)
+        final = snapshots.last[1]
+        report = {
+            "kappa": birth.kappa, "beta": beta,
+            "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
+            "lambda_minus": float(speeds.lambda_minus),
+            "lambda_plus": float(speeds.lambda_plus),
+            "final_sup": float(np.max(final)),
+            "final_min": float(np.min(final)),
+            "clamp_count": int(traj.clamp_count),
+            "edge_fraction": float(traj.edge_fraction),
+        }
+        return trace_levels(scan, speeds), report
+
+    trace, report = write("kpp_snapshots.csv", ("t,x,u", solve))
+    write("kpp_levels.csv", _levels_csv(trace))
+    write("kpp_report.json", report)
+    return (f"simulate-kpp: final sup {_fmt(report['final_sup'])} "
             f"(kappa {_fmt(birth.kappa)})", 0)
 
 
-def _cmd_experiment(name: str, runner, cfg: dict):
+def _cmd_experiment(name: str, runner, cfg: dict, write):
     inputs, f = kpp_inputs(cfg), Fields(cfg)
     options = {key: read(f, key) for key, read
                in EXPERIMENT_OPTIONS.get(name, {}).items() if key in cfg}
     rep = runner(inputs, **options)
-    files = {f"{name}_report.json": {"name": name, "params": cfg,
-                                     "metrics": rep.metrics,
-                                     "verdict": rep.verdict}}
+    write(f"{name}_report.json", {"name": name, "params": cfg,
+                                  "metrics": rep.metrics,
+                                  "verdict": rep.verdict})
     if rep.trace is not None:
-        files[f"{name}_levels.csv"] = _levels_csv(rep.trace)
-    return (files, f"experiment {name}: verdict {rep.verdict}",
+        write(f"{name}_levels.csv", _levels_csv(rep.trace))
+    return (f"experiment {name}: verdict {rep.verdict}",
             0 if rep.verdict in ("pass", "diagnostic") else 2)
 
 
-def _cmd_verify(cfg: dict):
+def _cmd_verify(cfg: dict, write):
     results = run_checks()
     report = {"checks": [asdict(r) for r in results],
               "all_passed": all(r.passed for r in results)}
-    return ({"verify_report.json": report},
-            "\n".join(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: "
+    write("verify_report.json", report)
+    return ("\n".join(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: "
                       f"{r.detail}" for r in results),
             0 if report["all_passed"] else 1)
 
@@ -467,13 +526,14 @@ def run(config_path: str | None, out_dir: str = ".", quiet: bool = False,
     kind = "command" if reader == command else "experiment"
     f.known([k for k, readers in FIELD_READERS.items() if reader in readers],
             reader=f"{kind} '{reader}'")
-    files, line, status = handler(cfg)
-    for name, content in files.items():
+
+    def write(name: str, content):
         path = os.path.join(out_dir, name)
         if name.endswith(".csv"):
-            _write_csv(path, *content)
-        else:
-            _write_json(path, content)
+            return _write_csv(path, *content)
+        return _write_json(path, content)
+
+    line, status = handler(cfg, write)
     if not quiet:
         print(line)
     return status

@@ -8,8 +8,10 @@ where there is no delay window, it returns the one initial profile.
 Each snapshot that a run keeps, from either solver at any delay, goes
 through Outputs.store: the schedule picks the steps, the byte budget is
 checked before the run starts, a non-finite snapshot stops the run, and
-the largest edge fraction is kept.  Outputs.trajectory then raises the
-one edge warning and returns the run's Trajectory.
+the snapshot is stored or handed to the run's collect, which reduces it
+or writes it out.  The largest edge fraction is kept, and
+Outputs.trajectory then raises the one edge warning and returns the
+run's Trajectory.
 """
 
 from __future__ import annotations
@@ -264,11 +266,15 @@ def edge_fraction(field) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The snapshots of one run, as Outputs.trajectory returns them."""
+    """The snapshots of one run, as Outputs.trajectory returns them.
+
+    A run that hands its snapshots to collect keeps none: times and
+    fields are then empty, and the edge fraction and clamp count still
+    cover every kept snapshot."""
 
     grid: Grid
-    times: np.ndarray  # empty when the run handed its snapshots to collect
-    fields: np.ndarray  # (n_out, N) real
+    times: np.ndarray  # (n_out,); empty when the run collected
+    fields: np.ndarray  # (n_out, N) real; empty when the run collected
     n_h: int  # steps per delay taken; 0 for the exact h = 0 linear solve
     edge_fraction: float  # max over kept snapshots of edge |u| / max |u|
     clamp_count: int = 0  # KPP: delayed entries clamped to 0 before g
@@ -286,16 +292,19 @@ class Outputs:
     given collect, calls collect(t, field) and stores nothing (times and
     fields are then empty); either way it keeps the largest edge
     fraction.  The step count is step_count's (a refusal names delay
-    too when given, the fields that set dt), and stored snapshots must
-    fit MAX_BYTES.
+    too when given, the fields that set dt).  Stored snapshots must fit
+    MAX_BYTES, and so must collected ones when budget is true (a collect
+    that writes every kept snapshot out, as the CLI's snapshot CSVs do);
+    either way the budget is checked here, before the run's first step.
     """
 
     def __init__(self, T: float, dt: float, out_every: int | None,
-                 width: int, collect=None, delay: str | None = None):
+                 width: int, collect=None, delay: str | None = None,
+                 budget: bool = False):
         self.n_steps = step_count(T, dt, delay)
         if out_every is None:
             out_every = max(1, self.n_steps // 400)
-        if collect is None:
+        if collect is None or budget:
             _check_bytes(8 * width * (self.n_steps // out_every + 2),
                          f"snapshots every {out_every} of {self.n_steps} "
                          f"steps (fields 'n', 'out_every' and 'T')")

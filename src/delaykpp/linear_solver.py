@@ -29,7 +29,13 @@ w0 e^{(mu + khat) t} on a schedule with step T/256.  A run with no
 coupled mode (h = 0, or a kernel of mass 0, the heat equation) builds no
 ring and takes no step.  Every kept snapshot passes through
 grids.Outputs, the output gate the KPP solver shares: schedule, byte
-budget, finiteness check and edge warning.
+budget, finiteness check and edge warning; it is stored in the
+trajectory or, given collect, handed to it.
+
+The decay diagnostics D and S reduce each snapshot to two numbers, its
+value at a probe abscissa and its tilted sup, in a DecayScan, which
+runs as the solver's collect or over a stored trajectory; the time
+factors sqrt(t) e^{gamma t} are applied over the whole run afterwards.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .grids import (DEFAULT_N_H, Grid, HistoryRing, Outputs, Trajectory,
                     _history_samples)
 from .kernels import Kernel
 
-__all__ = ["solve_linear", "tangency_limit_diagnostic",
+__all__ = ["solve_linear", "DecayScan", "tangency_limit_diagnostic",
            "universal_bound_diagnostic", "probe_value"]
 
 
@@ -203,8 +209,8 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect):
 
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
-                 n_h: int | None = None, out_every: int | None = None
-                 ) -> Trajectory:
+                 n_h: int | None = None, out_every: int | None = None,
+                 collect=None, budget: bool = False) -> Trajectory:
     """Solve the linear delayed non-local equation on the periodic grid.
 
     The convolution enters as the analytic transform khat(xi) per mode, so
@@ -222,10 +228,17 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     grids._history_samples.
     Snapshots pass through grids.Outputs (out_every=None keeps about
     400), which refuses a non-finite one and warns when the solution
-    touches the periodic edge.  At h = 0 no mode is coupled and rate =
-    mu + kap, so the solution is exact; it is kept at the 257 times
-    k T/256 of a schedule with step T/256 (one snapshot when T = 0), and
-    n_h, out_every and a negative T are refused.
+    touches the periodic edge.  Without collect they are stored in the
+    trajectory; with it, each kept snapshot goes to collect(t, u) after
+    the finiteness check instead, and the trajectory's times and fields
+    are empty.  u is a fresh array that the solver never writes again.
+    The edge fraction covers every kept snapshot either way.  Stored
+    snapshots must fit grids.MAX_BYTES, and so must collected ones when
+    budget is true (a collect that writes each of them out).  At h = 0
+    no mode is coupled and rate = mu + kap, so the solution is exact; it
+    is kept at the 257 times k T/256 of a schedule with step T/256 (one
+    snapshot when T = 0), and n_h, out_every and a negative T are
+    refused.
     """
     xi = grid.xi
     mu = -xi * xi + 1j * params.m * xi + params.p
@@ -249,7 +262,7 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
         with np.errstate(over="ignore", invalid="ignore"):  # as in the step
             coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
     delay = f"'params.h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None
-    out = Outputs(T, dt, out_every, grid.n, delay=delay)
+    out = Outputs(T, dt, out_every, grid.n, collect, delay, budget)
     ring = HistoryRing(h, n_h, int(np.count_nonzero(coupled)), complex) \
         if coupled.any() else None
     hv, hd = _history_samples(u0, n_h, h, grid.n, float)
@@ -258,7 +271,7 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     free = ~coupled
     w_free, rate_free = vals[-1, free], rate[free]
 
-    def collect(n, w):
+    def keep(n, w):
         if n in out.rows:  # the transform only for a kept step
             spectrum = np.empty(xi.size, complex)
             spectrum[coupled] = w
@@ -268,29 +281,51 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
         if ring is None:
             for n in out.rows:
-                collect(n, vals[-1, coupled])
+                keep(n, vals[-1, coupled])
         else:
             ring.fill(vals[:, coupled], ders[:, coupled])
             _rk4_delay_diag(mu[coupled], kap[coupled], ring, out.n_steps,
-                            collect)
+                            keep)
     return out.trajectory(grid, n_h)
 
 
-def probe_value(traj: Trajectory, x: float) -> np.ndarray:
-    """Linear interpolation of every snapshot at abscissa x: one array
-    over the output times."""
-    g = traj.grid
-    pos = (x + g.length / 2.0) / g.dx
-    j = int(np.floor(pos)) % g.n
+def probe_value(grid: Grid, u: np.ndarray, x: float) -> float:
+    """Linear interpolation of the snapshot u at abscissa x."""
+    pos = (x + grid.length / 2.0) / grid.dx
+    j = int(np.floor(pos)) % grid.n
     frac = pos - np.floor(pos)
-    f = traj.fields
-    return (1.0 - frac) * f[:, j] + frac * f[:, (j + 1) % g.n]
+    return (1.0 - frac) * u[j] + frac * u[(j + 1) % grid.n]
 
 
-def tangency_limit_diagnostic(traj: Trajectory,
-                              tang: TangencySolution,
-                              x_probe: float = 0.0) -> np.ndarray:
-    """Scaled pointwise decay series, one array over the output times,
+class DecayScan:
+    """The per-snapshot parts of the decay diagnostics, one snapshot at a
+    time.
+
+    Each call scan(t, u) appends t, the probe value u(t, x_probe) and the
+    tilted sup sup_x |u| e^{-z0 x} (z0 of pair) to times, probe and sup.
+    Passed to solve_linear as collect, it reduces every kept snapshot as
+    the solver makes it, so none is stored; a run that stores its
+    snapshots calls it on each of them instead.  The diagnostics apply
+    their time factors to these lists over the whole run."""
+
+    def __init__(self, grid: Grid, pair: DecayPair, x_probe: float = 0.0):
+        self.grid = grid
+        self.pair = pair
+        self.x_probe = x_probe
+        self._tilt = np.exp(-pair.z0 * grid.x)
+        self.times: list[float] = []
+        self.probe: list[float] = []
+        self.sup: list[float] = []
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        self.times.append(t)
+        self.probe.append(probe_value(self.grid, u, self.x_probe))
+        self.sup.append(np.max(np.abs(u) * self._tilt))
+
+
+def tangency_limit_diagnostic(scan: DecayScan,
+                              tang: TangencySolution) -> np.ndarray:
+    """Scaled pointwise decay series, one array over the scanned times,
 
         D(t) = sqrt(t) e^{gamma_m t} u(t, x_probe) e^{-z_m x_probe}.
 
@@ -305,18 +340,14 @@ def tangency_limit_diagnostic(traj: Trajectory,
     desk-tangency-linear (n_h 64) a fit of D_inf + a/t + b/t^2 + c/t^3 to
     D over t >= 100 lands 3.5e-10 from it; the untilted mass without R is
     2.4% away."""
-    t = traj.times
+    t = np.array(scan.times)
     return np.sqrt(t) * np.exp(tang.gamma_m * t) * \
-        probe_value(traj, x_probe) * np.exp(-tang.z_m * x_probe)
+        np.array(scan.probe) * np.exp(-tang.z_m * scan.x_probe)
 
 
-def universal_bound_diagnostic(traj: Trajectory,
-                               pair: DecayPair) -> np.ndarray:
+def universal_bound_diagnostic(scan: DecayScan) -> np.ndarray:
     """Scaled sup series S(t) = sqrt(t) e^{gamma0 t} sup_x |u| e^{-z0 x},
-    one array over the output times; bounded whenever the universal
-    pointwise bound holds.  The sup is taken one snapshot at a time, so
-    no temporary the size of all the snapshots is formed."""
-    tilt = np.exp(-pair.z0 * traj.grid.x)
-    t = traj.times
-    return np.sqrt(t) * np.exp(pair.gamma0 * t) * \
-        np.array([np.max(np.abs(u) * tilt) for u in traj.fields])
+    one array over the scanned times, (z0, gamma0) the scan's pair;
+    bounded whenever the universal pointwise bound holds."""
+    t = np.array(scan.times)
+    return np.sqrt(t) * np.exp(scan.pair.gamma0 * t) * np.array(scan.sup)

@@ -277,7 +277,7 @@ def _clamped_birth(birth, v, counter):
 
 def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
               n_h: int | None = None, out_every: int | None = None,
-              collect=None) -> Trajectory:
+              collect=None, budget: bool = False) -> Trajectory:
     """Solve the delayed non-local KPP equation on the periodic grid.
 
     u0: the initial profile, grid.n values or one number; the history
@@ -296,7 +296,9 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     with it, each kept snapshot goes to collect(t, u) instead and the
     trajectory's times and fields are empty.  u is a fresh array that the
     solver never writes again.  The clamp count, the edge fraction and
-    the finiteness check cover every kept snapshot either way.  At h = 0
+    the finiteness check cover every kept snapshot either way.  Stored
+    snapshots must fit grids.MAX_BYTES, and so must collected ones when
+    budget is true (a collect that writes each of them out).  At h = 0
     the step is min(1/64, T/64), n_h is not used and the trajectory
     reports n_h 0.
     """
@@ -311,7 +313,8 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         raise ConfigError("u0 must be an initial profile, not a callable")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
     out = Outputs(T, dt, out_every, grid.n, collect,
-                  f"'h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None)
+                  f"'h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None,
+                  budget)
 
     st_p0, st_a, st_b, st_ab = _etd_stencils(dt, grid.dx, grid.n)
     kconv = _kernel_applier(kernel0, grid)

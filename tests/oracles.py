@@ -16,6 +16,9 @@ as independent routes to what the package computes:
 - stored_trace_levels and stored_cone_minima: the mckean level trace and
   the spreading cone minima, read from a run's stored snapshots after
   the run instead of reduced as the solver makes each one;
+- stored_snapshot_csv: the t,x,u snapshot CSV of a stored run, one
+  value at a time, instead of streamed block by block as the solver
+  makes each snapshot;
 - verdict_stability: an experiment rerun with the step halved and with
   the grid doubled, as a grid-convergence gate;
 - multiplier: the FFT multiplier of a discretized kernel.
@@ -35,7 +38,7 @@ from delaykpp import (CharParams, ConfigError, DiscreteKernel, Grid,
 from delaykpp.config import Fields, kpp_inputs
 from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
 from delaykpp.grids import (DEFAULT_N_H, Outputs, _history_samples,
-                            step_count)
+                            every_kth, step_count)
 from delaykpp.kernels import Kernel
 from delaykpp.linear_solver import _flush, _rk4_delay_diag, _step_weights
 
@@ -353,6 +356,21 @@ def stored_cone_minima(traj: Trajectory, speeds, T: float) -> list[float]:
                 (traj.grid.x <= widen * speeds.c_plus * t)
             out.append(float(np.min(traj.fields[i][sel])))
     return out
+
+
+def stored_snapshot_csv(traj: Trajectory, stride: int) -> str:
+    """The t,x,u CSV text of every stride-th stored snapshot of traj and
+    of the last, one line per grid point, each value formatted on its own
+    at 17 significant digits (nan when not finite)."""
+    def fmt(v: float) -> str:
+        return "%.17g" % v if math.isfinite(v) else "nan"
+
+    lines = ["t,x,u"]
+    for i in every_kth(traj.times.size, stride):
+        t = fmt(float(traj.times[i]))
+        lines.extend(f"{t},{fmt(x)},{fmt(u)}" for x, u in
+                     zip(traj.grid.x.tolist(), traj.fields[i].tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def verdict_stability(experiment, config: dict, metric_keys,

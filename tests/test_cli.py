@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp import cli, grids
-from delaykpp.cli import (_csv_lines, _fmt, _snapshot_blocks, _write_csv,
-                          main, run)
+from delaykpp import cli, grids, solve_kpp, solve_linear
+from delaykpp.cli import _SnapshotCSV, _csv_lines, _fmt, _write_csv, main, run
+from delaykpp.config import Fields, default_out_every, kpp_inputs
+from oracles import stored_snapshot_csv
 
 SPEEDS_CFG = {"command": "speeds",
               "kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
@@ -484,6 +486,47 @@ def test_overflowing_linear_run_exits_one_and_writes_nothing(tmp_path,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+# a KPP run that fails after it has streamed snapshot blocks: at the
+# finiteness gate (the capped birth lets a kernel of mass 1e300 overflow
+# from small data), or after the solve, when the speeds of the report
+# overflow
+FAILING_KPP = {
+    "finiteness-gate": (
+        {"kernel": {"family": "dirac", "shift": 0.0, "mass": 1e300},
+         "birth": {"family": "linear_cap", "slope": 2.0, "cap": 1e300},
+         "u0": {"amplitude": 1e-3, "width": 2.0}},
+        "error: solution lost finiteness near t=1.25; last healthy output "
+        "at t=1\n", 5),
+    "speeds-after-the-solve": (
+        {"kernel": {"family": "gaussian", "mean": 0.0, "stddev": 1.0,
+                    "mass": 1e300}},
+        "error: speed polish stalled on branch +1: residuals (nan, nan); "
+        "g'(0) (field 'gprime0' or 'birth'), field 'kernel' and field 'h' "
+        "overflow a float\n", 13),  # every output, t = 0 .. 3
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_KPP))
+def test_failing_kpp_run_exits_one_and_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch, case):
+    fields, message, blocks = FAILING_KPP[case]
+    written = []
+    block = cli._SnapshotCSV._block
+
+    def counting_block(self, t, u):
+        written.append(t)
+        return block(self, t, u)
+
+    monkeypatch.setattr(cli._SnapshotCSV, "_block", counting_block)
+    path = _write_cfg(tmp_path, {**KPP_CFG, **fields, "snapshot_stride": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the one error line says it all
+        assert run(path, str(tmp_path), quiet=True) == 1
+    assert capsys.readouterr().err == message
+    assert len(written) == blocks  # streamed before the run failed
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_huge_kernel_mass_stops_at_the_finiteness_gate(tmp_path, capsys):
     # an extreme but valid mass is a failed run, not a bad field (config
     # docstring): the run overflows and the finiteness gate stops it
@@ -552,6 +595,65 @@ def test_snapshot_budget_names_n_at_h0(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "fields 'n', 'out_every' and 'T'" in err
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_streamed_snapshot_csvs_match_the_stored_run(tmp_path, capsys):
+    # the CSV text the CLI streams is the stored run's, value by value;
+    # the summary counts every kept output, not only the written ones
+    linear = {**LINEAR_CFG, "n": 256, "T": 1.3, "n_h": 16, "out_every": 2,
+              "snapshot_stride": 3}
+    f = Fields(linear)
+    grid = f.grid()
+    stored = solve_linear(f.params(), f.kernel(), grid, f.u0(1.0)(grid.x),
+                          linear["T"], linear["n_h"], linear["out_every"])
+    assert run(_write_cfg(tmp_path, linear), str(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith(
+        f"simulate-linear: {stored.times.size} outputs to T=1.3, ")
+    assert (tmp_path / "linear_snapshots.csv").read_text() == \
+        stored_snapshot_csv(stored, 3)
+    report = json.loads((tmp_path / "linear_report.json").read_text())
+    assert report["final_sup"] == float(np.max(np.abs(stored.fields[-1])))
+
+    kpp = {**KPP_CFG, "T": 2.4, "snapshot_stride": 2}
+    kernel0, birth, grid, h, n_h, T, _, u0 = kpp_inputs(kpp)
+    stored = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
+                       default_out_every(n_h))
+    assert run(_write_cfg(tmp_path, kpp), str(tmp_path), quiet=True) == 0
+    assert (tmp_path / "kpp_snapshots.csv").read_text() == \
+        stored_snapshot_csv(stored, 2)
+    report = json.loads((tmp_path / "kpp_report.json").read_text())
+    assert report["final_sup"] == float(np.max(stored.fields[-1]))
+    assert report["final_min"] == float(np.min(stored.fields[-1]))
+
+
+def test_streamed_linear_run_holds_no_snapshot_array():
+    # every kept snapshot goes to the CSV as the solver makes it: the peak
+    # is the history ring (the Laplace kernel couples all n/2 + 1 modes:
+    # value and derivative rows of complex entries) and temporaries of a
+    # fixed size, not the 1281 x 512 snapshot array, ten times the ring.
+    # The quarter of that array is the slack for the temporaries: the
+    # step's block arrays (at most 3 x 128 KiB) and the delayed rows it
+    # copies where the ring wraps, and one snapshot's block of text.  The
+    # warm-up run imports and caches what a first run builds
+    cfg = {**LINEAR_CFG, "kernel": LAPLACE, "L": 128.0, "n": 512,
+           "T": 20.0, "n_h": 64, "out_every": 1, "snapshot_stride": 1}
+    del cfg["diagnostics"]
+    ring = 2 * (64 + 1) * (512 // 2 + 1) * 16
+    snapshots = 8 * 512 * (20 * 64 + 1)
+    assert snapshots >= 2 * ring
+    bound = ring + snapshots // 4
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(path, out, quiet=True) == 0
+        tracemalloc.start()
+        try:
+            assert run(path, out, quiet=True) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ring < peak < bound
 
 
 def test_summary_lines_on_stdout(tmp_path, capsys):
@@ -655,15 +757,28 @@ def test_any_single_bad_field_exits_cleanly(data):
         assert _names_the_field(err.getvalue(), path), err.getvalue()
 
 
+def _snapshot_blocks(times, fields, x, stride):
+    """The blocks a streamed snapshot CSV writes for these outputs: each
+    (t, u) goes to a _SnapshotCSV as the solver hands it over."""
+    blocks = []
+    snapshots = _SnapshotCSV(x, stride, blocks.append)
+    for t, u in zip(times, fields):
+        snapshots(float(t), u)
+    snapshots.close()
+    return blocks
+
+
 def _snapshot_data(n_out, width):
     """n_out >= 3 outputs of width >= 7, with values that need every digit:
-    extreme and subnormal u, 0.1 + 0.2, and a time of -0.0."""
+    extreme and subnormal u, 0.1 + 0.2, and a time of -0.0.  Every u is
+    finite: grids.Outputs refuses a non-finite snapshot before any
+    collect sees it."""
     times = np.linspace(0.0, 1.0 / 3.0, n_out)
     times[0] = -0.0
     x = np.linspace(-1.5, 1.5, width) / 3.0  # needs all 17 digits
     x[width // 2] = -0.0
     fields = np.random.default_rng(3).standard_normal((n_out, width))
-    fields[:, :5] = [math.nan, math.inf, -math.inf, -0.0, 1e-300]
+    fields[:, :5] = [-0.0, 1e-300, -1e-300, 1e300, -2.5e-310]
     fields[:3, 5:7] = [[5e-324, -5e-324],
                        [1.7976931348623157e308, -1.7976931348623157e308],
                        [2.2250738585072014e-308, 0.1 + 0.2]]
@@ -684,12 +799,15 @@ def test_snapshot_text_matches_row_by_row_format(tmp_path, stride):
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
                       allow_subnormal=True)
+# u passes the finiteness gate of grids.Outputs before it is formatted
+_FINITE = st.floats(allow_nan=False, allow_infinity=False,
+                    allow_subnormal=True)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
     st.lists(_ANY_FLOAT, min_size=width, max_size=width),
-    st.lists(st.tuples(_ANY_FLOAT, st.lists(_ANY_FLOAT, min_size=width,
+    st.lists(st.tuples(_ANY_FLOAT, st.lists(_FINITE, min_size=width,
                                             max_size=width)),
              min_size=1, max_size=3))))
 def test_snapshot_text_matches_per_value_format_for_any_float(data):
@@ -734,10 +852,12 @@ def test_written_files_get_the_umask_mode(tmp_path, umask):
 def test_snapshot_write_failing_midway_leaves_no_file(tmp_path):
     times, x, fields = _snapshot_data(4, 2048)
 
-    def blocks():
-        yield from _snapshot_blocks(times, fields, x, 1)  # past one buffer
+    def solve(write):
+        snapshots = _SnapshotCSV(x, 1, write)
+        for t, u in zip(times, fields):  # past one buffer
+            snapshots(float(t), u)
         raise RuntimeError("snapshot source failed")
 
     with pytest.raises(RuntimeError, match="snapshot source failed"):
-        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", blocks())
+        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", solve)
     assert list(tmp_path.iterdir()) == []

@@ -223,7 +223,8 @@ def test_report_to_dict_round_trips_metrics():
            "L": 64.0, "n": 256, "h": 1.0, "n_h": 16, "T": 2.0,
            "u0": {"amplitude": 0.05, "width": 2.0}}
     rep = mckean_experiment(kpp_inputs(cfg))
-    files, _, _ = cli._cmd_experiment("mckean", mckean_experiment, cfg)
+    files = {}
+    cli._cmd_experiment("mckean", mckean_experiment, cfg, files.__setitem__)
     assert files["mckean_report.json"] == {
         "name": "mckean", "params": cfg, "metrics": rep.metrics,
         "verdict": rep.verdict}

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from delaykpp import (CharParams, ConfigError, Gaussian, Grid, TiltedKernel,
-                      halanay_root, probe_value, solve_linear, tangency_solve,
-                      tangency_limit_diagnostic, universal_bound_diagnostic,
-                      gamma_zero)
+from delaykpp import (CharParams, ConfigError, DecayScan, Gaussian, Grid,
+                      TiltedKernel, halanay_root, probe_value, solve_linear,
+                      tangency_solve, tangency_limit_diagnostic,
+                      universal_bound_diagnostic, gamma_zero)
 from delaykpp import HistoryRing, linear_solver
 from delaykpp.grids import _history_samples
 from delaykpp.linear_solver import (_BLOCK_ELEMS, _flush, _phi,
@@ -267,11 +267,31 @@ def test_probe_value_interpolates():
         traj = solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
                             grid, np.sin(2.0 * np.pi * grid.x / 32.0), T=0.0)
     j = 17
-    assert probe_value(traj, float(grid.x[j]))[0] == pytest.approx(
-        traj.fields[0][j], abs=1e-14)
+    assert probe_value(grid, traj.fields[0], float(grid.x[j])) == \
+        pytest.approx(traj.fields[0][j], abs=1e-14)
     mid = float(grid.x[j]) + 0.5 * grid.dx
-    assert probe_value(traj, mid)[0] == pytest.approx(
+    assert probe_value(grid, traj.fields[0], mid) == pytest.approx(
         0.5 * (traj.fields[0][j] + traj.fields[0][j + 1]), abs=1e-14)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.0])
+def test_collector_sees_exactly_the_stored_snapshots(h):
+    # of the 37 steps to T = 2.3 at h = 1, out_every 8 keeps 0, 8, ...,
+    # 32 and the last one, off that grid; h = 0 keeps its 257 schedule
+    # points
+    params = CharParams(DESK.m, DESK.p, h)
+    grid = Grid(64.0, 256)
+    u0 = np.exp(-grid.x ** 2) * (1.0 + 0.3 * grid.x)
+    steps = dict(n_h=16, out_every=8) if h > 0.0 else {}
+    stored = solve_linear(params, DESK_KERNEL, grid, u0, 2.3, **steps)
+    seen = []
+    collected = solve_linear(params, DESK_KERNEL, grid, u0, 2.3, **steps,
+                             collect=lambda t, u: seen.append((t, u)))
+    assert [t for t, _ in seen] == stored.times.tolist()
+    assert np.array([u for _, u in seen]).tobytes() == stored.fields.tobytes()
+    assert collected.times.size == 0 and collected.fields.size == 0
+    assert collected.edge_fraction == stored.edge_fraction > 0.0
+    assert collected.n_h == stored.n_h
 
 
 def test_edge_truncation_warns():
@@ -287,8 +307,11 @@ def test_decay_diagnostics_shapes_and_start():
     u0 = np.exp(-grid.x ** 2)
     traj = solve_linear(DESK, DESK_KERNEL, grid, u0, T=2.0, out_every=32)
     tang = tangency_solve(DESK, DESK_KERNEL)
-    D = tangency_limit_diagnostic(traj, tang)
-    S = universal_bound_diagnostic(traj, gamma_zero(DESK, DESK_KERNEL, 0.0))
+    scan = DecayScan(grid, gamma_zero(DESK, DESK_KERNEL, 0.0))
+    for t, u in zip(traj.times, traj.fields):
+        scan(float(t), u)
+    D = tangency_limit_diagnostic(scan, tang)
+    S = universal_bound_diagnostic(scan)
     assert D.shape == S.shape == traj.times.shape
     assert D[0] == 0.0 and S[0] == 0.0  # sqrt(t) factor at t = 0
     assert np.all(np.isfinite(D)) and np.all(np.isfinite(S))
