@@ -8,28 +8,30 @@ CSV traces written atomically (temp file + rename) with floats at 17
 significant digits and sorted keys, so a rerun of the same config is
 byte-identical.
 
-Each subcommand has a handler that takes the config and a function
-write(name, content) and returns (line, status): write puts one output
-file in the output directory (content is a JSON object, or for a .csv
-name a (header, blocks) pair, see _write_csv), line is the stdout
-summary and status the exit status.  A handler reads every field it uses
-through config.Fields before its first write, so a refused value costs
-no solve time and never leaves a file behind.  An experiment's handler
-reads the KPP inputs and the experiment's own options, calls the runner
-with those typed values and writes the report {name, params, metrics,
-verdict} itself, params being the config as loaded.  run() prints the
-line unless --quiet once the handler has returned.
+Each subcommand has a handler that takes the config and write, an
+_OutDir on the output directory, and returns (line, status):
+write(name, content) puts one whole output file there (content is a
+JSON object, or for a .csv name a (header, blocks) pair, see
+_write_csv), line is the stdout summary and status the exit status.  A
+handler reads every field it uses through config.Fields before its
+first write, so a refused field costs no solve time.  An experiment's
+handler reads the KPP inputs and the experiment's own options, calls the
+runner with those typed values and writes the report {name, params,
+metrics, verdict} itself, params being the config as loaded.  run()
+prints the line unless --quiet once the handler has returned.
 
 Every file is written atomically (temp file + rename, _write_atomic),
 and CSV text is generated while its file is written, one block at a
 time.  The snapshot CSVs of simulate-linear and simulate-kpp are
-streamed: the solve runs inside the write, and its collect (a
-_SnapshotCSV) formats each kept snapshot's block with a single ``%`` on a
-per-run template and writes it to the temp file as the solver makes it,
-while reducing it to what the report needs; no snapshot array is kept.
-The reductions are finished inside that write too, so a refused value,
-a non-finite snapshot or any other error in the run leaves no output
-file and no temp file; the other files are written after it.
+streamed: the handler runs the solve inside write.stream(name, header),
+and its collect (a _SnapshotCSV) formats each kept snapshot's block
+with a single ``%`` on a per-run template and writes it to the temp
+file as the solver makes it, while reducing it to what the report
+needs; no snapshot array is kept.  The reductions are finished inside
+that write too, and the other files are written after it.  So a value
+the solver refuses, a non-finite snapshot or any other error in the run
+leaves no output file, no temp file and no output directory that the
+write made (an --out that did not exist stays absent).
 
 Exit status: 0 for a passing verdict or a diagnostic, 2 when an
 experiment verdict is "fail" or "inconclusive", 1 for config or runtime
@@ -120,10 +122,16 @@ def _json_text(obj, indent: int = 0) -> str:
 @contextlib.contextmanager
 def _write_atomic(path: str):
     """A text file open on a temp file beside path, renamed to path when
-    the with block ends; on any error the temp file is removed and path
-    is left untouched.  The file gets the mode a plain open(path, "w")
-    gives it (0o666 less the umask), not mkstemp's 0o600."""
+    the with block ends.  On any error the temp file is removed, and so
+    is each directory the write made for it that is still empty: path
+    and its directory are left as they were.  The file gets the mode a
+    plain open(path, "w") gives it (0o666 less the umask), not mkstemp's
+    0o600."""
     directory = os.path.dirname(os.path.abspath(path))
+    made, parent = [], directory  # the directories made here, innermost first
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     umask = os.umask(0)
@@ -136,6 +144,9 @@ def _write_atomic(path: str):
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for made_dir in made:
+            with contextlib.suppress(OSError):  # another write filled it
+                os.rmdir(made_dir)
         raise
 
 
@@ -145,13 +156,12 @@ def _write_json(path: str, obj) -> None:
         f.write(text + "\n")
 
 
-def _write_csv(path: str, header: str, blocks):
-    """Write header and then each text block (whole lines with no final
-    newline) through _write_atomic: the file text is never held in
-    memory.  blocks is an iterable of blocks, or a function fill(write)
-    that calls write(block) once per block, as a streamed snapshot CSV's
-    solve does; the write is then complete when fill returns, and
-    _write_csv returns what fill returned."""
+@contextlib.contextmanager
+def _stream_csv(path: str, header: str):
+    """A function write(block) that appends a text block (whole lines
+    with no final newline) to the CSV at path, after its header, through
+    _write_atomic: the file is complete when the with block ends, and
+    its text is never held in memory."""
     with _write_atomic(path) as f:
         f.write(header + "\n")
 
@@ -159,8 +169,13 @@ def _write_csv(path: str, header: str, blocks):
             f.write(block)
             f.write("\n")
 
-        if callable(blocks):
-            return blocks(write)
+        yield write
+
+
+def _write_csv(path: str, header: str, blocks) -> None:
+    """The CSV of header and the iterable of text blocks, as _stream_csv
+    writes it."""
+    with _stream_csv(path, header) as write:
         for block in blocks:
             write(block)
 
@@ -321,17 +336,16 @@ def _cmd_simulate_linear(cfg: dict, write):
                                            "diagnostics.z0"), probe_x)
         tang = tangency_solve(params, kernel) if tangency else None
 
-    def solve(write_block):
-        # inside the snapshot CSV's write: an error anywhere here leaves
-        # no file
+    # the run streams its snapshots into their CSV and finishes its
+    # reductions inside that write: an error anywhere here leaves no file
+    with write.stream("linear_snapshots.csv", "t,x,u") as write_block:
         snapshots = _SnapshotCSV(grid.x, stride, write_block, scan)
         traj = solve_linear(params, kernel, grid, u0, T, n_h, out_every,
-                            collect=snapshots, budget=True)
+                            collect=snapshots)
         snapshots.close()
         report = {"T": T, "n_h": int(traj.n_h),
                   "edge_fraction": float(traj.edge_fraction),
                   "final_sup": float(np.max(np.abs(snapshots.last[1])))}
-        rows = None
         if scan is not None:
             S = universal_bound_diagnostic(scan)
             if tangency:
@@ -343,17 +357,12 @@ def _cmd_simulate_linear(cfg: dict, write):
             report.update(asdict(scan.pair), S_final=float(S[-1]),
                           S_max=float(np.max(S[pos])),
                           S_min=float(np.min(S[pos])))
-            rows = [(t, float(d), float(s))
-                    for t, d, s in zip(scan.times, D, S)]
-        line = (f"simulate-linear: {snapshots.count} outputs to "
-                f"T={_fmt(T)}, edge fraction {traj.edge_fraction:.2e}")
-        return report, rows, line
-
-    report, rows, line = write("linear_snapshots.csv", ("t,x,u", solve))
-    if rows is not None:
-        write("linear_diagnostics.csv", ("t,D,S", _csv_lines(rows)))
+    if scan is not None:
+        write("linear_diagnostics.csv", ("t,D,S", _csv_lines(
+            (t, float(d), float(s)) for t, d, s in zip(scan.times, D, S))))
     write("linear_report.json", report)
-    return line, 0
+    return (f"simulate-linear: {snapshots.count} outputs to T={_fmt(T)}, "
+            f"edge fraction {traj.edge_fraction:.2e}", 0)
 
 
 def _cmd_fundamental(cfg: dict, write):
@@ -403,19 +412,21 @@ def _cmd_simulate_kpp(cfg: dict, write):
     out_every = f.count("out_every", default_out_every(n_h))
     stride = f.count("snapshot_stride", 1)
 
-    def solve(write_block):
-        # inside the snapshot CSV's write: an error anywhere here leaves
-        # no file
+    # as in simulate-linear, the whole run is inside the snapshot CSV's
+    # write
+    with write.stream("kpp_snapshots.csv", "t,x,u") as write_block:
         scan = LevelScan(grid.x, beta)  # the scan mckean passes as collect
         snapshots = _SnapshotCSV(grid.x, stride, write_block, scan)
         traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
                          out_every, collect=snapshots, budget=True)
         snapshots.close()
         speeds = critical_speeds(kernel0, birth.gprime0, h)
+        trace = trace_levels(scan, speeds)
         final = snapshots.last[1]
         report = {
             "kappa": birth.kappa, "beta": beta,
-            "c_minus": float(speeds.c_minus), "c_plus": float(speeds.c_plus),
+            "c_minus": float(speeds.c_minus),
+            "c_plus": float(speeds.c_plus),
             "lambda_minus": float(speeds.lambda_minus),
             "lambda_plus": float(speeds.lambda_plus),
             "final_sup": float(np.max(final)),
@@ -423,9 +434,6 @@ def _cmd_simulate_kpp(cfg: dict, write):
             "clamp_count": int(traj.clamp_count),
             "edge_fraction": float(traj.edge_fraction),
         }
-        return trace_levels(scan, speeds), report
-
-    trace, report = write("kpp_snapshots.csv", ("t,x,u", solve))
     write("kpp_levels.csv", _levels_csv(trace))
     write("kpp_report.json", report)
     return (f"simulate-kpp: final sup {_fmt(report['final_sup'])} "
@@ -458,6 +466,27 @@ def _cmd_verify(cfg: dict, write):
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+class _OutDir:
+    """The write of the handlers into one output directory.  Called as
+    write(name, content), it writes one whole file: content is a JSON
+    object, or for a .csv name a (header, blocks) pair (_write_csv).
+    stream(name, header) is the with block of a CSV written block by
+    block as a run makes them (_stream_csv)."""
+
+    def __init__(self, directory: str):
+        self._dir = directory
+
+    def __call__(self, name: str, content) -> None:
+        path = os.path.join(self._dir, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _write_json(path, content)
+
+    def stream(self, name: str, header: str):
+        return _stream_csv(os.path.join(self._dir, name), header)
 
 
 # every subcommand but experiment; verify reads no config
@@ -527,13 +556,7 @@ def run(config_path: str | None, out_dir: str = ".", quiet: bool = False,
     f.known([k for k, readers in FIELD_READERS.items() if reader in readers],
             reader=f"{kind} '{reader}'")
 
-    def write(name: str, content):
-        path = os.path.join(out_dir, name)
-        if name.endswith(".csv"):
-            return _write_csv(path, *content)
-        return _write_json(path, content)
-
-    line, status = handler(cfg, write)
+    line, status = handler(cfg, _OutDir(out_dir))
     if not quiet:
         print(line)
     return status

@@ -293,9 +293,10 @@ class Outputs:
     fields are then empty); either way it keeps the largest edge
     fraction.  The step count is step_count's (a refusal names delay
     too when given, the fields that set dt).  Stored snapshots must fit
-    MAX_BYTES, and so must collected ones when budget is true (a collect
-    that writes every kept snapshot out, as the CLI's snapshot CSVs do);
-    either way the budget is checked here, before the run's first step.
+    MAX_BYTES, and so must collected ones when budget is true: always in
+    solve_linear, and in solve_kpp for a collect that writes every kept
+    snapshot out, as the CLI's snapshot CSVs do.  Either way the budget
+    is checked here, before the run's first step.
     """
 
     def __init__(self, T: float, dt: float, out_every: int | None,

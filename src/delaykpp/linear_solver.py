@@ -210,7 +210,7 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect):
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                  n_h: int | None = None, out_every: int | None = None,
-                 collect=None, budget: bool = False) -> Trajectory:
+                 collect=None) -> Trajectory:
     """Solve the linear delayed non-local equation on the periodic grid.
 
     The convolution enters as the analytic transform khat(xi) per mode, so
@@ -232,9 +232,9 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     trajectory; with it, each kept snapshot goes to collect(t, u) after
     the finiteness check instead, and the trajectory's times and fields
     are empty.  u is a fresh array that the solver never writes again.
-    The edge fraction covers every kept snapshot either way.  Stored
-    snapshots must fit grids.MAX_BYTES, and so must collected ones when
-    budget is true (a collect that writes each of them out).  At h = 0
+    The edge fraction covers every kept snapshot either way, and the
+    kept snapshots must fit grids.MAX_BYTES whether stored or collected
+    (a collect may write each of them out, as the CLI does).  At h = 0
     no mode is coupled and rate = mu + kap, so the solution is exact; it
     is kept at the 257 times k T/256 of a schedule with step T/256 (one
     snapshot when T = 0), and n_h, out_every and a negative T are
@@ -262,7 +262,7 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
         with np.errstate(over="ignore", invalid="ignore"):  # as in the step
             coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
     delay = f"'params.h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None
-    out = Outputs(T, dt, out_every, grid.n, collect, delay, budget)
+    out = Outputs(T, dt, out_every, grid.n, collect, delay, budget=True)
     ring = HistoryRing(h, n_h, int(np.count_nonzero(coupled)), complex) \
         if coupled.any() else None
     hv, hd = _history_samples(u0, n_h, h, grid.n, float)

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaykpp import cli, grids, solve_kpp, solve_linear
-from delaykpp.cli import _SnapshotCSV, _csv_lines, _fmt, _write_csv, main, run
+from delaykpp.cli import (_SnapshotCSV, _csv_lines, _fmt, _stream_csv,
+                          _write_csv, main, run)
 from delaykpp.config import Fields, default_out_every, kpp_inputs
 from oracles import stored_snapshot_csv
 
@@ -597,6 +598,36 @@ def test_snapshot_budget_names_n_at_h0(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+# runs that fail inside the streamed snapshot CSV's write: a refusal of
+# the solver before its first step, a linear run that overflows after
+# several blocks and a KPP run stopped at the finiteness gate
+FAILING_STREAMS = {
+    "snapshot-budget": {**LINEAR_H0_CFG, "n": 256},
+    "linear-overflow": {**{k: v for k, v in LINEAR_CFG.items()
+                           if k != "diagnostics"},
+                        "params": {**LINEAR_CFG["params"], "p": 400.0},
+                        "n": 256, "T": 3.0, "n_h": 16},
+    "kpp-finiteness": {**KPP_CFG, **FAILING_KPP["finiteness-gate"][0]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_STREAMS))
+def test_failed_stream_leaves_no_output_directory_it_made(
+        tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(grids, "MAX_BYTES", 8 * 256 * 200)
+    cfg = _write_cfg(tmp_path, FAILING_STREAMS[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the error line is not the point
+        assert run(cfg, str(tmp_path / "new" / "out"), quiet=True) == 1
+        assert run(cfg, str(tmp_path / "empty"), quiet=True) == 1
+        (tmp_path / "empty").mkdir()
+        assert run(cfg, str(tmp_path / "empty"), quiet=True) == 1
+    err = capsys.readouterr().err.splitlines()  # one refusal, three times
+    assert len(err) == 3 and len(set(err)) == 1
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "empty"]
+    assert os.listdir(tmp_path / "empty") == []
+
+
 def test_streamed_snapshot_csvs_match_the_stored_run(tmp_path, capsys):
     # the CSV text the CLI streams is the stored run's, value by value;
     # the summary counts every kept output, not only the written ones
@@ -852,12 +883,10 @@ def test_written_files_get_the_umask_mode(tmp_path, umask):
 def test_snapshot_write_failing_midway_leaves_no_file(tmp_path):
     times, x, fields = _snapshot_data(4, 2048)
 
-    def solve(write):
-        snapshots = _SnapshotCSV(x, 1, write)
-        for t, u in zip(times, fields):  # past one buffer
-            snapshots(float(t), u)
-        raise RuntimeError("snapshot source failed")
-
     with pytest.raises(RuntimeError, match="snapshot source failed"):
-        _write_csv(str(tmp_path / "snap.csv"), "t,x,u", solve)
+        with _stream_csv(str(tmp_path / "snap.csv"), "t,x,u") as write:
+            snapshots = _SnapshotCSV(x, 1, write)
+            for t, u in zip(times, fields):  # past one buffer
+                snapshots(float(t), u)
+            raise RuntimeError("snapshot source failed")
     assert list(tmp_path.iterdir()) == []
