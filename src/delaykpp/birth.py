@@ -141,4 +141,8 @@ def birth_from_dict(spec: dict):
         raise ValueError(f"unknown birth parameters {sorted(extra)} "
                          f"for family {family!r}")
     kwargs = {k: float(spec[k]) for k in names if k in spec}
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a required parameter is missing
+        raise ValueError(f"bad parameters for birth family {family!r}: "
+                         f"{exc}") from None

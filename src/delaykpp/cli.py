@@ -25,9 +25,9 @@ and CSV text is generated while its file is written, one block at a
 time.  The snapshot CSVs of simulate-linear and simulate-kpp are
 streamed: the handler runs the solve inside write.stream(name, header),
 and its collect (a _SnapshotCSV) formats each kept snapshot's block
-with a single ``%`` on a per-run template and writes it to the temp
-file as the solver makes it, while reducing it to what the report
-needs; no snapshot array is kept.  The reductions are finished inside
+as one array of text (_g17.format_values gives every u value at once)
+and writes it to the temp file as the solver makes it, while reducing
+it to what the report needs; no snapshot array is kept.  The reductions are finished inside
 that write too, and the other files are written after it.  So a value
 the solver refuses, a non-finite snapshot or any other error in the run
 leaves no output file, no temp file and no output directory that the
@@ -60,6 +60,8 @@ import numpy as np
 from .characteristic import critical_speeds, gamma_zero, tangency_solve
 from .config import (EXPERIMENT_OPTIONS, FIELD_READERS, Fields,
                      default_out_every, kpp_inputs)
+from ._g17 import FLOAT as _FLOAT
+from ._g17 import WORD, WORDS, format_values
 from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, mckean_experiment,
@@ -78,7 +80,7 @@ __all__ = ["main", "run"]
 # deterministic serialization
 
 
-_FLOAT = "%.17g"  # 17 significant digits: every double reads back exactly
+_HEAD_WORDS = 4  # "\n", at most 24 characters of _fmt(t) and ","
 
 
 def _fmt(x: float) -> str:
@@ -272,32 +274,44 @@ class _SnapshotCSV:
     every stride-th kept snapshot, and of the last, as the solver makes
     them, and passes each snapshot on to reduce when given.
 
-    A block is the snapshot's lines.  x is formatted once per run into a
-    template whose line j is ``_fmt(x_j) + ",%.17g"``; each block puts
-    its t text in front of every line with one str.replace and fills the
-    u slots with one ``%``, a single C-level pass instead of one _fmt
-    call per value.  The slots are _FLOAT, the format _fmt applies to a
-    finite float, and ``%.17g`` renders through
-    PyOS_double_to_string(v, 'g', 17) as ``f"{v:.17g}"`` does, so every
-    value, -0.0 and subnormals included, gets the text _fmt gives it.
-    The values are finite: grids.Outputs refuses a non-finite snapshot
-    before any collect sees it.  What a block still costs is the
-    17-digit conversion of its values, not the file write.
+    A block is the snapshot's lines, built as one array of text.  Its
+    column i holds line i as 8-byte words (WORD), a 0 byte being no
+    character: "\\n" + _fmt(t) + "," (the same words in every column),
+    _fmt(x_i) + "," (formatted once per run) and the ``_FLOAT % u_i``
+    text that format_values writes for the whole u at once, exact for
+    every finite value: its double-double digits are off by about 2e-14
+    at most, and a value they cannot settle takes ``_FLOAT % v`` itself
+    (|v| outside [1e-280, 1e280], or digits within 1e-6 of a rounding
+    tie).  The transpose's bytes, less their first
+    "\\n" and every 0 byte (one translate), are the block: _fmt's text
+    of every value, -0.0 and subnormals included.  The values are
+    finite: grids.Outputs refuses a non-finite snapshot before any
+    collect sees it.
 
     count is the number of snapshots seen and last the newest (t, u);
     close() writes the last block when the stride skipped it.  Only that
     snapshot is held, and the solver never writes it again."""
 
     def __init__(self, x: np.ndarray, stride: int, write, reduce=None):
-        self._template = "\n".join([_fmt(v) + "," + _FLOAT
-                                    for v in x.tolist()])
+        texts = [(_fmt(v) + ",").encode() for v in x.tolist()]
+        size = 8 * -(-max(map(len, texts)) // 8)
+        x_words = np.frombuffer(b"".join(s.ljust(size, b"\0") for s in texts),
+                                WORD).reshape(len(texts), -1).T
+        # every block's words: its head's, then x's, then u's
+        self._words = np.empty((_HEAD_WORDS + len(x_words) + WORDS,
+                                len(texts)), WORD)
+        self._words[_HEAD_WORDS:-WORDS] = x_words
         self._stride, self._write, self._reduce = stride, write, reduce
         self.count, self.last = 0, None
 
     def _block(self, t: float, u: np.ndarray) -> str:
-        t_text = _fmt(t) + ","
-        return (t_text + self._template.replace("\n", "\n" + t_text)) % \
-            tuple(u.tolist())
+        head = ("\n" + _fmt(t) + ",").encode()
+        head = np.frombuffer(head.ljust(8 * -(-len(head) // 8), b"\0"), WORD)
+        words = self._words[_HEAD_WORDS - head.size:]
+        words[:head.size] = head[:, None]
+        words[0, 0] &= ~np.uint64(0xFF)  # the block's first "\n"
+        format_values(u, words[-WORDS:])
+        return words.T.tobytes().translate(None, b"\0").decode()
 
     def __call__(self, t: float, u: np.ndarray) -> None:
         if self.count % self._stride == 0:

@@ -30,6 +30,7 @@ __all__ = ["SymbolTable", "gate_check", "rho_solve", "symbol_table",
            "approx_identity_error", "pde_residual"]
 
 _DECAY_CAP = 1e3  # gate: sup |khat(z)| e^{h z^2} over the grid, per unit mass
+MAX_NODES = 2 ** 13 + 1  # the most nodes of a symbol grid (symbol_table)
 
 
 def _shifted_transform(params: CharParams, kernel: Kernel, z):
@@ -117,11 +118,19 @@ def symbol_table(params: CharParams, kernel: Kernel, t_min: float,
     z_max is sized so the synthesis integrand at t_min is below 1e-14 of
     its peak at the grid ends; dz resolves oscillations e^{izx} for
     |x| up to x_span with margin.  The node count is odd, so z = 0 is a
-    node.
+    node.  A grid of more than MAX_NODES nodes is refused, by the fields
+    x_span and t_min that size it, before anything is allocated: the
+    synthesis at the 801 probe points of the CLI holds an 801 x n
+    complex matrix, 105 MB at MAX_NODES.
     """
     z_max = float(np.sqrt(37.0 / t_min))
     dz_target = 2.0 * np.pi / (2.5 * x_span)
-    n = int(2 * round(z_max / dz_target) + 1)
+    half = z_max / dz_target
+    if not half <= (MAX_NODES - 1) // 2:
+        raise ConfigError(f"fields 'x_span' = {x_span:g} and 't_min' = "
+                          f"{t_min:g}: the symbol grid needs {2 * half + 1:.3g}"
+                          f" nodes, above MAX_NODES = {MAX_NODES}")
+    n = int(2 * round(half) + 1)
     gate_check(params, kernel, z_max, max(n, 801))
     z = np.linspace(-z_max, z_max, n)
     rho = rho_solve(params, kernel, z)

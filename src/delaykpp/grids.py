@@ -57,6 +57,10 @@ class Grid:
         if self.n < 256 or self.n & (self.n - 1):
             raise ConfigError(f"field 'n' must be a power of two >= 256, "
                               f"got {self.n:g}")
+        if not self.dx >= np.finfo(float).tiny:  # _etd_stencils divides by it
+            raise ConfigError(f"fields 'L' = {self.length:g} and 'n' = "
+                              f"{self.n:g}: the cell L/n = {self.dx:.3g} is "
+                              "not a positive normal double")
         # the shortest run (T = 0) budgets two snapshot rows (Outputs);
         # refused here, before x or any field of the grid's size exists
         _check_bytes(16 * self.n, f"field 'n' = {self.n:g}: the snapshot "
@@ -242,7 +246,13 @@ def step_count(T: float, dt: float, delay: str | None = None) -> int:
     non-finite horizon, one past MAX_STEPS, or a positive one that would
     take no step (T/dt below 1e-12: a delay so long that the run would
     keep t = 0 only while its report says T).  The refusal names T and,
-    when given, delay: the fields that set dt = h/n_h, as text."""
+    when given, delay: the fields that set dt = h/n_h, as text.  A dt
+    that is not a positive normal double is refused by those fields."""
+    if not dt >= np.finfo(float).tiny:
+        fields = f"field 'T' = {T:g}: its step dt" if delay is None else \
+            f"fields {delay}: the step dt = h/n_h"
+        raise ConfigError(f"{fields} = {dt:.3g} is not a positive normal "
+                          "double")
     steps = T / dt
     count = int(np.ceil(steps - 1e-12)) if 0.0 <= steps <= MAX_STEPS else -1
     if count < 0 or (count == 0 and T > 0.0):

@@ -324,13 +324,12 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
     ring = HistoryRing(h, n_h, grid.n, float, derivatives=False) \
         if h > 0.0 else None
     u = _floor(_history_samples(u0, n_h, h, grid.n, float)[0][0])
-    if ring is not None:
-        ring.fill(u, 0.0)
-        F_prev = kconv(_clamped_birth(birth, u, counter))
-
     out.store(0, u)
 
     with np.errstate(over="ignore", invalid="ignore"):  # Outputs reports it
+        if ring is not None:
+            ring.fill(u, 0.0)
+            F_prev = kconv(_clamped_birth(birth, u, counter))
         for n in range(out.n_steps):
             p0u = convolve1d(u, st_p0)
             if ring is None:  # F_n from u, F_{n+1} from the predictor

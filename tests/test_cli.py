@@ -99,6 +99,18 @@ def test_linear_diagnostics_nan_conventions(tmp_path):
     assert snaps[0] == "t,x,u"
 
 
+def test_linear_tangency_branch_writes_D(tmp_path):
+    cfg = _write_cfg(tmp_path, _with(LINEAR_CFG, "diagnostics.tangency",
+                                     True))
+    assert run(cfg, str(tmp_path), quiet=True) == 0
+    report = json.loads((tmp_path / "linear_report.json").read_text())
+    assert math.isfinite(report["D_final"])
+    assert {"gamma_m", "z_m", "sigma_m"} <= set(report)
+    rows = (tmp_path / "linear_diagnostics.csv").read_text().splitlines()
+    assert len(rows) > 2
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows[1:])
+
+
 def test_fundamental_report(tmp_path):
     cfg = dict(json.loads(json.dumps(
         {"command": "fundamental",
@@ -284,6 +296,22 @@ def _with(base, path, value):
 
 LINEAR_H0_CFG = _with(LINEAR_CFG, "params.h", 0.0)
 
+# refused by field in one error line, with no NumPy warning: a birth
+# family given alone, a step h/n_h or cell L/n that is no normal double,
+# and a symbol grid too large to allocate
+CLEAN_HOSTILE = [
+    (KPP_CFG, "birth", {"family": "nicholson"}),
+    (KPP_CFG, "birth", {"family": "mackey_glass"}),
+    (KPP_CFG, "birth", {"family": "linear_cap"}),
+    (KPP_CFG, "h", 5e-324),
+    (LINEAR_CFG, "params.h", 5e-324),
+    (KPP_CFG, "L", 5e-324),
+    (LINEAR_CFG, "L", 5e-324),
+    (FUNDAMENTAL_CFG, "x_span", 1e16),
+    (FUNDAMENTAL_CFG, "x_span", 1e300),
+    (FUNDAMENTAL_CFG, "t_min", 1e-300),
+]
+
 HOSTILE = [
     (KPP_CFG, "kernel", 5),
     (KPP_CFG, "u0", {"amplitude": None}, "u0.amplitude"),
@@ -394,6 +422,7 @@ HOSTILE = [
     # c_minus -1.63 and c_plus 0.52: the cone's left end wraps at T = 60
     ({**MCKEAN_CFG, "experiment": "spreading", "n": 512,
       "kernel": {"family": "gaussian", "mean": 1.0}}, "T", 60.0, "L"),
+    *CLEAN_HOSTILE,
 ]
 
 
@@ -425,6 +454,20 @@ def test_hostile_config_names_field(tmp_path, capsys, case):
     assert f"'{named[0] if named else path}'" in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["cfg.json"]  # refused before any write
+
+
+@pytest.mark.parametrize("case", CLEAN_HOSTILE,
+                         ids=_hostile_ids(CLEAN_HOSTILE))
+def test_hostile_config_is_one_clean_line(tmp_path, capsys, case):
+    base, path, value = case
+    cfg = _write_cfg(tmp_path, _with(base, path, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy warning fails the case
+        assert run(cfg, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{path}'" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("path, solver", [
@@ -538,6 +581,21 @@ def test_huge_kernel_mass_stops_at_the_finiteness_gate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: solution lost finiteness near t=")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_overflowing_first_birth_is_one_error_line(tmp_path, capsys):
+    # F_0 = k0 * g(u0), formed before the first step, overflows; the
+    # finiteness gate reports it, with no NumPy warning on the way
+    cfg = {**KPP_CFG, "kernel": {"family": "dirac", "mass": 1e300},
+           "birth": {"family": "linear_cap", "slope": 2.0, "cap": 1e300}}
+    path = _write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(path, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solution lost finiteness near t=")
+    assert err.count("\n") == 1
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
