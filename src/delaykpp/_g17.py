@@ -1,10 +1,11 @@
 """An exact %.17g of a whole float64 array at once.
 
-format_values writes, for every finite value v of an array, the bytes
-of FLOAT % v into an array of 8-byte words, one column per value.  It
-is the snapshot CSVs' formatter (cli._SnapshotCSV): CPython's %.17g
-takes about 560 ns per value, because 17 digits are past the fast path
-of its dtoa, and a snapshot CSV has hundreds of thousands of values.
+format_values writes the bytes of FLOAT % v, for every finite value v
+of an array, into an array of 8-byte words, one column per value, and
+Lines makes text lines that end in those texts.  They are the snapshot
+CSVs' formatter (cli._SnapshotCSV): CPython's %.17g takes about 560 ns
+per value, because 17 digits are past the fast path of its dtoa, and a
+snapshot CSV has hundreds of thousands of values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import functools
 import numpy as np
 
 FLOAT = "%.17g"  # 17 significant digits: every double reads back exactly
-_POW10 = range(-270, 301)  # the s of the 10**s table (see _scaled)
+# the s of the 10**s table: 16 - X for |v| in [1e-280, 1e280], with margin
+_POW10 = range(-270, 301)
 _EXP_SPAN = 300  # the exponent tables cover X = -300 .. 299
 _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 WORD = np.dtype("<u8")  # 8 bytes of text, the first in the lowest byte
@@ -36,7 +38,7 @@ def _tables():
     range.  hi also comes split into halves for Dekker's product.  The
     pair word of 00 .. 99 is "d", 0, "d", 0 (two digits, two empty point
     slots).  By X + _EXP_SPAN: the prefix word of 0.000ddd for X = -4 ..
-    -1, the exponent word "e+XX" for X outside -4 .. 16, and the row of
+    -1, the exponent word "e+XX" for X outside -4 .. 16, and the byte of
     the point (after digit X, after digit 0 in e-notation, none for X <
     0 or X = 16)."""
     hi, lo = [], []
@@ -85,8 +87,8 @@ def format_values(u: np.ndarray, words: np.ndarray) -> None:
     ``FLOAT % v`` of every finite v in u: column i holds the bytes of
     u[i]'s text, a 0 byte being no character.
 
-    The bytes of a value are: its sign (byte 0); the "0.000" of a value
-    in 1e-5 .. 1e-1 (bytes 1-5); its 17 significant digits (bytes 6, 8,
+    The bytes of a value are: its sign (byte 0); the "0." and zeros of a
+    value in [1e-4, 1) (bytes 1-5); its 17 significant digits (bytes 6, 8,
     .., 38), each followed by a point slot; and its exponent "e+XX"
     (bytes 40-44).  Digits are those of N = round(|v| * 10**(16 - X)),
     X its decimal exponent, computed as p + r in double-double arithmetic
@@ -173,3 +175,36 @@ def format_values(u: np.ndarray, words: np.ndarray) -> None:
                           for v in u[fallback].tolist()])
         words[:, fallback] = np.frombuffer(texts, WORD).reshape(
             -1, WORDS).T
+
+
+class Lines:
+    """The lines head + lefts[i] + ``FLOAT % u[i]``, joined by "\\n", of
+    a head of at most 31 characters, a left text per line (fixed when
+    Lines is made) and a finite float64 array u.
+
+    They are built as one array of text: column i holds line i as
+    words, "\\n" + head (the same words in every column), then lefts[i],
+    then the words format_values gives u[i].  The transpose's bytes, less
+    their first "\\n" and every 0 byte (one translate), are the lines.
+    The words live as long as the Lines, so a call allocates no array
+    of their size."""
+
+    _HEAD = 4  # the words of "\n" + head
+
+    def __init__(self, lefts: list[str]):
+        texts = [s.encode() for s in lefts]
+        size = 8 * -(-max(map(len, texts)) // 8)
+        left = np.frombuffer(b"".join(s.ljust(size, b"\0") for s in texts),
+                             WORD).reshape(len(texts), -1).T
+        self._words = np.empty((self._HEAD + len(left) + WORDS, len(texts)),
+                               WORD)
+        self._words[self._HEAD:-WORDS] = left
+
+    def __call__(self, head: str, u: np.ndarray) -> str:
+        head = ("\n" + head).encode()
+        head = np.frombuffer(head.ljust(8 * -(-len(head) // 8), b"\0"), WORD)
+        words = self._words[self._HEAD - head.size:]
+        words[:head.size] = head[:, None]
+        words[0, 0] &= ~np.uint64(0xFF)  # the first line's "\n"
+        format_values(u, words[-WORDS:])
+        return words.T.tobytes().translate(None, b"\0").decode()

@@ -25,7 +25,7 @@ and CSV text is generated while its file is written, one block at a
 time.  The snapshot CSVs of simulate-linear and simulate-kpp are
 streamed: the handler runs the solve inside write.stream(name, header),
 and its collect (a _SnapshotCSV) formats each kept snapshot's block
-as one array of text (_g17.format_values gives every u value at once)
+as one array of text (_g17.Lines formats every u value at once)
 and writes it to the temp file as the solver makes it, while reducing
 it to what the report needs; no snapshot array is kept.  The reductions are finished inside
 that write too, and the other files are written after it.  So a value
@@ -61,7 +61,7 @@ from .characteristic import critical_speeds, gamma_zero, tangency_solve
 from .config import (EXPERIMENT_OPTIONS, FIELD_READERS, Fields,
                      default_out_every, kpp_inputs)
 from ._g17 import FLOAT as _FLOAT
-from ._g17 import WORD, WORDS, format_values
+from ._g17 import Lines
 from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, mckean_experiment,
@@ -80,7 +80,6 @@ __all__ = ["main", "run"]
 # deterministic serialization
 
 
-_HEAD_WORDS = 4  # "\n", at most 24 characters of _fmt(t) and ","
 
 
 def _fmt(x: float) -> str:
@@ -274,17 +273,12 @@ class _SnapshotCSV:
     every stride-th kept snapshot, and of the last, as the solver makes
     them, and passes each snapshot on to reduce when given.
 
-    A block is the snapshot's lines, built as one array of text.  Its
-    column i holds line i as 8-byte words (WORD), a 0 byte being no
-    character: "\\n" + _fmt(t) + "," (the same words in every column),
-    _fmt(x_i) + "," (formatted once per run) and the ``_FLOAT % u_i``
-    text that format_values writes for the whole u at once, exact for
-    every finite value: its double-double digits are off by about 2e-14
-    at most, and a value they cannot settle takes ``_FLOAT % v`` itself
-    (|v| outside [1e-280, 1e280], or digits within 1e-6 of a rounding
-    tie).  The transpose's bytes, less their first
-    "\\n" and every 0 byte (one translate), are the block: _fmt's text
-    of every value, -0.0 and subnormals included.  The values are
+    A block is the snapshot's lines, _fmt(t) + "," + _fmt(x_i) + "," +
+    ``_FLOAT % u_i``, joined by "\\n": _g17.Lines makes them from the t
+    and x texts (x is formatted once per run, t once per block) and the
+    whole u at once, exact for every finite value (see its docstring for
+    the fallback rule and the error bound).  So every value, -0.0 and
+    subnormals included, gets the text _fmt gives it.  The values are
     finite: grids.Outputs refuses a non-finite snapshot before any
     collect sees it.
 
@@ -293,25 +287,12 @@ class _SnapshotCSV:
     snapshot is held, and the solver never writes it again."""
 
     def __init__(self, x: np.ndarray, stride: int, write, reduce=None):
-        texts = [(_fmt(v) + ",").encode() for v in x.tolist()]
-        size = 8 * -(-max(map(len, texts)) // 8)
-        x_words = np.frombuffer(b"".join(s.ljust(size, b"\0") for s in texts),
-                                WORD).reshape(len(texts), -1).T
-        # every block's words: its head's, then x's, then u's
-        self._words = np.empty((_HEAD_WORDS + len(x_words) + WORDS,
-                                len(texts)), WORD)
-        self._words[_HEAD_WORDS:-WORDS] = x_words
+        self._lines = Lines([_fmt(v) + "," for v in x.tolist()])
         self._stride, self._write, self._reduce = stride, write, reduce
         self.count, self.last = 0, None
 
     def _block(self, t: float, u: np.ndarray) -> str:
-        head = ("\n" + _fmt(t) + ",").encode()
-        head = np.frombuffer(head.ljust(8 * -(-len(head) // 8), b"\0"), WORD)
-        words = self._words[_HEAD_WORDS - head.size:]
-        words[:head.size] = head[:, None]
-        words[0, 0] &= ~np.uint64(0xFF)  # the block's first "\n"
-        format_values(u, words[-WORDS:])
-        return words.T.tobytes().translate(None, b"\0").decode()
+        return self._lines(_fmt(t) + ",", u)
 
     def __call__(self, t: float, u: np.ndarray) -> None:
         if self.count % self._stride == 0:
