@@ -15,9 +15,9 @@ import functools
 import numpy as np
 
 FLOAT = "%.17g"  # 17 significant digits: every double reads back exactly
-# the s of the 10**s table: 16 - X for |v| in [1e-280, 1e280], with margin
+# the s of the 10**s table: 16 - k for |v| in [1e-280, 1e280], with margin
 _POW10 = range(-270, 301)
-_EXP_SPAN = 300  # the exponent tables cover X = -300 .. 299
+_EXP_SPAN = 300  # the exponent tables cover k = -300 .. 299
 _SPLIT = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 WORD = np.dtype("<u8")  # 8 bytes of text, the first in the lowest byte
 WORDS = 6  # the words of a value's text (see format_values)
@@ -37,10 +37,10 @@ def _tables():
     hi + lo is 10**s within 2**-104 of it; lo is normal over the whole
     range.  hi also comes split into halves for Dekker's product.  The
     pair word of 00 .. 99 is "d", 0, "d", 0 (two digits, two empty point
-    slots).  By X + _EXP_SPAN: the prefix word of 0.000ddd for X = -4 ..
-    -1, the exponent word "e+XX" for X outside -4 .. 16, and the byte of
-    the point (after digit X, after digit 0 in e-notation, none for X <
-    0 or X = 16)."""
+    slots).  By k + _EXP_SPAN: the prefix word of 0.000ddd for k = -4 ..
+    -1, the exponent word "e+XX" for k outside -4 .. 16, and the byte of
+    the point (after digit k, after digit 0 in e-notation, none for k <
+    0 or k = 16)."""
     hi, lo = [], []
     for s in _POW10:
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
@@ -54,11 +54,11 @@ def _tables():
     pairs = np.array([_word(f"{i // 10}\0{i % 10}") for i in range(100)],
                      np.dtype("<u4"))
     exponents = range(-_EXP_SPAN, _EXP_SPAN)
-    prefix = [_word("0.000"[:1 - X], 1) if -4 <= X < 0 else 0
-              for X in exponents]
-    suffix = [0 if -4 <= X < 17 else _word("e%+03d" % X) for X in exponents]
-    point = [7 + 2 * X if 0 <= X < 16 else 7 if not -4 <= X < 17 else -1
-             for X in exponents]
+    prefix = [_word("0.000"[:1 - k], 1) if -4 <= k < 0 else 0
+              for k in exponents]
+    suffix = [0 if -4 <= k < 17 else _word("e%+03d" % k) for k in exponents]
+    point = [7 + 2 * k if 0 <= k < 16 else 7 if not -4 <= k < 17 else -1
+             for k in exponents]
     return (hi, hi_h, hi - hi_h, np.array(lo), pairs,
             np.array(prefix, WORD), np.array(suffix, WORD),
             np.array(point, np.intp))
@@ -90,8 +90,8 @@ def format_values(u: np.ndarray, words: np.ndarray) -> None:
     The bytes of a value are: its sign (byte 0); the "0." and zeros of a
     value in [1e-4, 1) (bytes 1-5); its 17 significant digits (bytes 6, 8,
     .., 38), each followed by a point slot; and its exponent "e+XX"
-    (bytes 40-44).  Digits are those of N = round(|v| * 10**(16 - X)),
-    X its decimal exponent, computed as p + r in double-double arithmetic
+    (bytes 40-44).  Digits are those of N = round(|v| * 10**(16 - k)),
+    k its decimal exponent, computed as p + r in double-double arithmetic
     (_scaled): the error in p + r is about 1e17 * 2**-102 = 2e-14.  The
     fraction drops its trailing zeros and its point when nothing is
     left, as %g does.  A value that this cannot settle takes
@@ -136,20 +136,20 @@ def format_values(u: np.ndarray, words: np.ndarray) -> None:
         two = four // 100
         pairs.take(two, out=halves[row, :, 0])
         pairs.take(four - two * 100, out=halves[row, :, 1])
-    X = k + _EXP_SPAN
+    at_k = k + _EXP_SPAN  # k's entry in the exponent tables
     d0[u == 0] = 0
-    first = prefix.take(X)
+    first = prefix.take(at_k)
     first |= np.signbit(u) * np.uint64(ord("-"))
     first |= (d0.astype(WORD) + ord("0")) << 48
     words[0] = first
-    suffix.take(X, out=words[-1])
+    suffix.take(at_k, out=words[-1])
 
     text = words.view(np.uint8).reshape(-1)
 
     def byte(at, col):  # the index in text of byte at of column col
         return (at >> 3) * 8 * n + col * 8 + (at & 7)
 
-    at = point.take(X)
+    at = point.take(at_k)
     has = np.flatnonzero(at >= 0)
     text[byte(at[has], has)] = ord(".")
     # trailing zeros: only a value whose last digit is 0 has any
@@ -161,12 +161,12 @@ def format_values(u: np.ndarray, words: np.ndarray) -> None:
             rest = np.where(rem == 0, q, rest)
             count += (rem == 0) * step
         last = 16 - np.minimum(count, 16)  # the last nonzero digit
-        Xz = k[zeros]
-        whole = np.where((Xz >= 0) & (Xz < 17), Xz, 0)  # last integer digit
+        kz = k[zeros]
+        whole = np.where((kz >= 0) & (kz < 17), kz, 0)  # last integer digit
         col, digit = np.nonzero(np.arange(1, 17) >
                                 np.maximum(last, whole)[:, None])
         text[byte(8 + 2 * digit, zeros[col])] = 0
-        at = point.take(X[zeros])
+        at = point.take(at_k[zeros])
         bare = (last <= whole) & (at >= 0)  # no fraction left: no point
         text[byte(at[bare], zeros[bare])] = 0
     fallback = np.flatnonzero(fallback)

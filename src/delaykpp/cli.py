@@ -25,13 +25,14 @@ and CSV text is generated while its file is written, one block at a
 time.  The snapshot CSVs of simulate-linear and simulate-kpp are
 streamed: the handler runs the solve inside write.stream(name, header),
 and its collect (a _SnapshotCSV) formats each kept snapshot's block
-as one array of text (_g17.Lines formats every u value at once)
-and writes it to the temp file as the solver makes it, while reducing
-it to what the report needs; no snapshot array is kept.  The reductions are finished inside
-that write too, and the other files are written after it.  So a value
-the solver refuses, a non-finite snapshot or any other error in the run
-leaves no output file, no temp file and no output directory that the
-write made (an --out that did not exist stays absent).
+as one array of text (_g17.Lines formats every u value at once) and
+writes it to the temp file as the solver makes it, while reducing it
+to what the report needs; no snapshot array is kept.  The reductions
+are finished inside that write too, and the other files are written
+after it.  So a value the solver refuses, a non-finite snapshot or any
+other error in the run leaves no output file, no temp file and no
+output directory that the write made (an --out that did not exist
+stays absent).
 
 Exit status: 0 for a passing verdict or a diagnostic, 2 when an
 experiment verdict is "fail" or "inconclusive", 1 for config or runtime
@@ -57,11 +58,11 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ._g17 import FLOAT as _FLOAT
+from ._g17 import Lines
 from .characteristic import critical_speeds, gamma_zero, tangency_solve
 from .config import (EXPERIMENT_OPTIONS, FIELD_READERS, Fields,
                      default_out_every, kpp_inputs)
-from ._g17 import FLOAT as _FLOAT
-from ._g17 import Lines
 from .errors import ConfigError, TangencyError
 from .experiments import (_frame_tangencies, bridge_check,
                           extinction_experiment, mckean_experiment,
@@ -78,8 +79,6 @@ __all__ = ["main", "run"]
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
-
-
 
 
 def _fmt(x: float) -> str:
