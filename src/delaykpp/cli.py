@@ -412,7 +412,7 @@ def _cmd_simulate_kpp(cfg: dict, write):
         scan = LevelScan(grid.x, beta)  # the scan mckean passes as collect
         snapshots = _SnapshotCSV(grid.x, stride, write_block, scan)
         traj = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
-                         out_every, collect=snapshots, budget=True)
+                         out_every, collect=snapshots)
         snapshots.close()
         speeds = critical_speeds(kernel0, birth.gprime0, h)
         trace = trace_levels(scan, speeds)

@@ -7,10 +7,14 @@ Numbers are finite JSON numbers (not booleans); counts are integral
 numbers >= 1; objects are JSON objects; flags are true/false.  A field
 given as null is a bad value, not a request for the default.  A run that
 would take more than grids.MAX_STEPS steps, or whose history ring or
-snapshot array would pass grids.MAX_BYTES, is refused before it starts.
+kept snapshots would pass grids.MAX_BYTES, is refused before it starts.
 The ring's budget counts the arrays it allocates: n_h + 1 rows of
 coupled modes with their derivative rows for simulate-linear, n_h + 1
-rows of n values and no derivative rows for the KPP runs.
+rows of n values and no derivative rows for the KPP runs.  The snapshot
+budget is one rule for every run, whatever it does with its snapshots
+(writes them to a CSV, reduces them to level crossings or decay
+diagnostics, or keeps a few): the kept snapshots, n floats each, must
+fit grids.MAX_BYTES.
 
 What a refusal names.  A refused config exits 1 with one line that names
 the offending field by its dotted path.  It may name instead:
@@ -74,12 +78,12 @@ top-level field that the invoked command or experiment does not read.
     delay to divide: simulate-linear solves exactly and the KPP runs step
     at min(1/64, T/64).
 ``out_every``  count [simulate-linear, simulate-kpp, mckean]:
-    steps between stored snapshots (the last step is always stored);
+    steps between kept snapshots (the last step is always kept);
     default about 400 snapshots for simulate-linear, every quarter delay
     (default_out_every) for the KPP runs.  Refused by simulate-linear at
     h = 0, which keeps the 257 times k T/256 (one when T = 0).
 ``snapshot_stride``  count, default 1 [simulate-linear, simulate-kpp]:
-    write every k-th stored snapshot (and the last) to the CSV.
+    write every k-th kept snapshot (and the last) to the CSV.
 ``u0``  object, default {} [simulate-linear, simulate-kpp, exp]: either
     ``constant`` (number), or a bump ``amplitude`` (number, default 1 for
     simulate-linear and 0.9 kappa otherwise), ``width`` (number > 0,
@@ -134,7 +138,7 @@ _ALL_BUT_VERIFY = ("speeds", "char", "simulate-linear", "fundamental", *_KPP)
 
 
 def default_out_every(n_h: int) -> int:
-    """KPP runs store a snapshot every quarter delay unless told otherwise."""
+    """KPP runs keep a snapshot every quarter delay unless told otherwise."""
     return max(1, n_h // 4)
 
 
@@ -295,7 +299,13 @@ class Fields:
         amp = spec.number("amplitude", amplitude)
         width = spec.positive("width", 2.0)
         center = spec.number("center", 0.0)
-        return lambda x: amp * np.exp(-(((x - center) / width) ** 2))
+
+        def bump(x):
+            # far from the centre the square overflows; exp(-inf) = 0 is
+            # the exact value there
+            with np.errstate(over="ignore"):
+                return amp * np.exp(-(((x - center) / width) ** 2))
+        return bump
 
 
 # experiment -> its options: the config fields it reads besides the KPP

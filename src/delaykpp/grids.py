@@ -8,10 +8,10 @@ where there is no delay window, it returns the one initial profile.
 Each snapshot that a run keeps, from either solver at any delay, goes
 through Outputs.store: the schedule picks the steps, the byte budget is
 checked before the run starts, a non-finite snapshot stops the run, and
-the snapshot is stored or handed to the run's collect, which reduces it
-or writes it out.  The largest edge fraction is kept, and
+the snapshot is handed to the run's collect, which reduces it, writes it
+out or keeps it.  The largest edge fraction is kept, and
 Outputs.trajectory then raises the one edge warning and returns the
-run's Trajectory.
+run's record, a Trajectory.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ __all__ = ["Grid", "HistoryRing", "Outputs", "Trajectory", "every_kth",
 # over 100x the 102,400 steps of the longest preset (desk-tangency-linear);
 # a longer run is a mistyped horizon, not a study
 MAX_STEPS = 1 << 24
-# per history ring or snapshot array: over 30x the largest preset's array
-# (the 35 MB ring of xval-smooth's 268 coupled modes of the half spectrum);
-# filling a larger one can exhaust the machine
+# per history ring, and for the kept snapshots of one run: over 30x the
+# largest preset's need (the 35 MB ring of xval-smooth's 268 coupled modes
+# of the half spectrum); a larger ring, or that many snapshots written
+# out, can exhaust the machine or its disk
 MAX_BYTES = 1 << 30
 _EDGE_WARN = 1e-8  # edge/peak ratio above which a run warns
 DEFAULT_N_H = 64  # steps per delay of a delayed run that names none
@@ -276,15 +277,10 @@ def edge_fraction(field) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The snapshots of one run, as Outputs.trajectory returns them.
+    """The record of one run, as Outputs.trajectory returns it.  Its
+    snapshots went to the run's collect, which keeps what it needs; the
+    edge fraction and the clamp count cover every one of them."""
 
-    A run that hands its snapshots to collect keeps none: times and
-    fields are then empty, and the edge fraction and clamp count still
-    cover every kept snapshot."""
-
-    grid: Grid
-    times: np.ndarray  # (n_out,); empty when the run collected
-    fields: np.ndarray  # (n_out, N) real; empty when the run collected
     n_h: int  # steps per delay taken; 0 for the exact h = 0 linear solve
     edge_fraction: float  # max over kept snapshots of edge |u| / max |u|
     clamp_count: int = 0  # KPP: delayed entries clamped to 0 before g
@@ -298,32 +294,27 @@ class Outputs:
     default out_every keeps about 400.  rows maps a kept step to its row
     of the schedule.  store(step, field) ignores a step that is not kept;
     otherwise it refuses a non-finite snapshot with the last healthy
-    time, then writes it to its row of the preallocated fields array or,
-    given collect, calls collect(t, field) and stores nothing (times and
-    fields are then empty); either way it keeps the largest edge
-    fraction.  The step count is step_count's (a refusal names delay
-    too when given, the fields that set dt).  Stored snapshots must fit
-    MAX_BYTES, and so must collected ones when budget is true: always in
-    solve_linear, and in solve_kpp for a collect that writes every kept
-    snapshot out, as the CLI's snapshot CSVs do.  Either way the budget
-    is checked here, before the run's first step.
+    time, calls collect(t, field) and keeps the largest edge fraction.
+    The step count is step_count's (a refusal names delay too when
+    given, the fields that set dt).
+
+    The byte budget is one rule: the kept snapshots of every run, width
+    floats each, must fit MAX_BYTES, whatever collect does with them
+    (writes each out, reduces it or keeps it).  It is checked here,
+    before the run's first step.
     """
 
     def __init__(self, T: float, dt: float, out_every: int | None,
-                 width: int, collect=None, delay: str | None = None,
-                 budget: bool = False):
+                 width: int, collect, delay: str | None = None):
         self.n_steps = step_count(T, dt, delay)
         if out_every is None:
             out_every = max(1, self.n_steps // 400)
-        if collect is None or budget:
-            _check_bytes(8 * width * (self.n_steps // out_every + 2),
-                         f"snapshots every {out_every} of {self.n_steps} "
-                         f"steps (fields 'n', 'out_every' and 'T')")
+        _check_bytes(8 * width * (self.n_steps // out_every + 2),
+                     f"snapshots every {out_every} of {self.n_steps} "
+                     f"steps (fields 'n', 'out_every' and 'T')")
         steps = every_kth(self.n_steps + 1, out_every)
         self.rows = {n: i for i, n in enumerate(steps)}
         self._times, self._collect = np.array(steps, float) * dt, collect
-        kept = len(steps) if collect is None else 0
-        self.times, self.fields = self._times[:kept], np.empty((kept, width))
         self._edge, self._healthy = 0.0, 0.0
 
     def store(self, step: int, field) -> None:
@@ -335,19 +326,14 @@ class Outputs:
             raise RuntimeError(
                 f"solution lost finiteness near t={t:.6g}; "
                 f"last healthy output at t={self._healthy:.6g}")
-        if self._collect is None:
-            self.fields[row] = field
-        else:
-            self._collect(float(t), field)
+        self._collect(float(t), field)
         self._edge = max(self._edge, edge_fraction(field))
         self._healthy = t
 
-    def trajectory(self, grid: Grid, n_h: int,
-                   clamp_count: int = 0) -> Trajectory:
-        """The run's Trajectory; warns once if a kept snapshot reached
-        the periodic edge."""
+    def trajectory(self, n_h: int, clamp_count: int = 0) -> Trajectory:
+        """The run's record; warns once if a kept snapshot reached the
+        periodic edge."""
         if self._edge > _EDGE_WARN:
             warnings.warn(f"solution reached the periodic edge "
                           f"(edge/peak = {self._edge:.2e})", RuntimeWarning)
-        return Trajectory(grid, self.times, self.fields, n_h, self._edge,
-                          clamp_count)
+        return Trajectory(n_h, self._edge, clamp_count)

@@ -29,13 +29,13 @@ w0 e^{(mu + khat) t} on a schedule with step T/256.  A run with no
 coupled mode (h = 0, or a kernel of mass 0, the heat equation) builds no
 ring and takes no step.  Every kept snapshot passes through
 grids.Outputs, the output gate the KPP solver shares: schedule, byte
-budget, finiteness check and edge warning; it is stored in the
-trajectory or, given collect, handed to it.
+budget, finiteness check and edge warning; it is then handed to the
+run's collect, and the solver keeps none.
 
 The decay diagnostics D and S reduce each snapshot to two numbers, its
 value at a probe abscissa and its tilted sup, in a DecayScan, which
-runs as the solver's collect or over a stored trajectory; the time
-factors sqrt(t) e^{gamma t} are applied over the whole run afterwards.
+runs as the solver's collect; the time factors sqrt(t) e^{gamma t} are
+applied over the whole run afterwards.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _rk4_delay_diag(mu, kap, ring: HistoryRing, n_steps: int, collect):
 
 def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
                  n_h: int | None = None, out_every: int | None = None,
-                 collect=None) -> Trajectory:
+                 *, collect) -> Trajectory:
     """Solve the linear delayed non-local equation on the periodic grid.
 
     The convolution enters as the analytic transform khat(xi) per mode, so
@@ -228,13 +228,11 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
     grids._history_samples.
     Snapshots pass through grids.Outputs (out_every=None keeps about
     400), which refuses a non-finite one and warns when the solution
-    touches the periodic edge.  Without collect they are stored in the
-    trajectory; with it, each kept snapshot goes to collect(t, u) after
-    the finiteness check instead, and the trajectory's times and fields
-    are empty.  u is a fresh array that the solver never writes again.
-    The edge fraction covers every kept snapshot either way, and the
-    kept snapshots must fit grids.MAX_BYTES whether stored or collected
-    (a collect may write each of them out, as the CLI does).  At h = 0
+    touches the periodic edge; each kept snapshot then goes to
+    collect(t, u), and the returned Trajectory is the run's record.  u
+    is a fresh array that the solver never writes again.  The edge
+    fraction covers every kept snapshot, and the kept snapshots must fit
+    grids.MAX_BYTES whatever collect does with them.  At h = 0
     no mode is coupled and rate = mu + kap, so the solution is exact; it
     is kept at the 257 times k T/256 of a schedule with step T/256 (one
     snapshot when T = 0), and n_h, out_every and a negative T are
@@ -262,7 +260,7 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
         with np.errstate(over="ignore", invalid="ignore"):  # as in the step
             coupled = np.any(_step_weights(mu, kap, dt)[1:], axis=0)
     delay = f"'params.h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None
-    out = Outputs(T, dt, out_every, grid.n, collect, delay, budget=True)
+    out = Outputs(T, dt, out_every, grid.n, collect, delay)
     ring = HistoryRing(h, n_h, int(np.count_nonzero(coupled)), complex) \
         if coupled.any() else None
     hv, hd = _history_samples(u0, n_h, h, grid.n, float)
@@ -286,7 +284,7 @@ def solve_linear(params: CharParams, kernel: Kernel, grid: Grid, u0, T: float,
             ring.fill(vals[:, coupled], ders[:, coupled])
             _rk4_delay_diag(mu[coupled], kap[coupled], ring, out.n_steps,
                             keep)
-    return out.trajectory(grid, n_h)
+    return out.trajectory(n_h)
 
 
 def probe_value(grid: Grid, u: np.ndarray, x: float) -> float:
@@ -304,9 +302,8 @@ class DecayScan:
     Each call scan(t, u) appends t, the probe value u(t, x_probe) and the
     tilted sup sup_x |u| e^{-z0 x} (z0 of pair) to times, probe and sup.
     Passed to solve_linear as collect, it reduces every kept snapshot as
-    the solver makes it, so none is stored; a run that stores its
-    snapshots calls it on each of them instead.  The diagnostics apply
-    their time factors to these lists over the whole run."""
+    the solver makes it, so none is stored.  The diagnostics apply their
+    time factors to these lists over the whole run."""
 
     def __init__(self, grid: Grid, pair: DecayPair, x_probe: float = 0.0):
         self.grid = grid

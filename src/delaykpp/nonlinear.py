@@ -2,10 +2,11 @@
 
     u_t = u_xx - u + (k0 * g(u(t - h, .)))(x)
 
-plus level-crossing tracking.  A LevelScan passed to solve_kpp as
-collect reduces each kept snapshot to its beta-crossings as the solver
-makes it, so a run traced this way stores no snapshot; trace_levels then
-forms the drift diagnostics from the crossings alone.
+plus level-crossing tracking.  Every kept snapshot goes to the run's
+collect, and the solver keeps none.  A LevelScan passed as collect
+reduces each one to its beta-crossings as the solver makes it;
+trace_levels then forms the drift diagnostics from the crossings
+alone.
 
 The step is an exponential trapezoid rule built on the stiff linear part
 c = d_xx - 1, integrated exactly, with the delayed birth term carried by
@@ -205,13 +206,15 @@ def _etd_stencils(dt: float, dx: float, n: int):
     xs = dx * np.arange(-half, half + 1)
     p0_dc, a_dc, b_dc, ab_dc = _phi_dc(dt)
 
-    p0 = np.exp(-xs * xs / (4.0 * dt))
-
     q, w = np.polynomial.legendre.leggauss(96)
     q = 0.5 * math.sqrt(dt) * (q + 1.0)  # interior nodes of (0, sqrt(dt))
     w = 0.5 * math.sqrt(dt) * w
-    core = np.exp(-q[:, None] ** 2 - xs[None, :] ** 2
-                  / (4.0 * q[:, None] ** 2))
+    # on a huge cell the far taps' squares overflow; exp(-inf) = 0 is
+    # their exact value
+    with np.errstate(over="ignore"):
+        p0 = np.exp(-xs * xs / (4.0 * dt))
+        core = np.exp(-q[:, None] ** 2 - xs[None, :] ** 2
+                      / (4.0 * q[:, None] ** 2))
     a = (w * q * q) @ core
     b = (w * (dt - q * q)) @ core
     ab = w @ core
@@ -277,7 +280,7 @@ def _clamped_birth(birth, v, counter):
 
 def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
               n_h: int | None = None, out_every: int | None = None,
-              collect=None, budget: bool = False) -> Trajectory:
+              *, collect) -> Trajectory:
     """Solve the delayed non-local KPP equation on the periodic grid.
 
     u0: the initial profile, grid.n values or one number; the history
@@ -289,18 +292,16 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
 
     Negative delayed values (roundoff undershoots or deliberately signed
     data) are clamped to 0 before entering g; clamps beyond roundoff size
-    are counted in the trajectory.  Snapshots pass through grids.Outputs
-    (out_every=None keeps about 400), which aborts with the last healthy
-    time if one is not finite and warns when the solution reaches the
-    periodic edge.  Without collect they are stored in the trajectory;
-    with it, each kept snapshot goes to collect(t, u) instead and the
-    trajectory's times and fields are empty.  u is a fresh array that the
-    solver never writes again.  The clamp count, the edge fraction and
-    the finiteness check cover every kept snapshot either way.  Stored
-    snapshots must fit grids.MAX_BYTES, and so must collected ones when
-    budget is true (a collect that writes each of them out).  At h = 0
-    the step is min(1/64, T/64), n_h is not used and the trajectory
-    reports n_h 0.
+    are counted in the run's record.  Snapshots pass through
+    grids.Outputs (out_every=None keeps about 400), which aborts with the
+    last healthy time if one is not finite and warns when the solution
+    reaches the periodic edge; each kept snapshot then goes to
+    collect(t, u), and the returned Trajectory is the run's record.  u is
+    a fresh array that the solver never writes again.  The clamp count,
+    the edge fraction and the finiteness check cover every kept snapshot,
+    and the kept snapshots must fit grids.MAX_BYTES whatever collect does
+    with them.  At h = 0 the step is min(1/64, T/64), n_h is not used and
+    the record reports n_h 0.
     """
     if T <= 0.0:
         raise ConfigError(f"final time must be positive, got {T}")
@@ -313,8 +314,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
         raise ConfigError("u0 must be an initial profile, not a callable")
     dt = h / n_h if h > 0.0 else min(1.0 / 64.0, T / 64.0)
     out = Outputs(T, dt, out_every, grid.n, collect,
-                  f"'h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None,
-                  budget)
+                  f"'h' = {h:g} and 'n_h' = {n_h:g}" if h > 0.0 else None)
 
     st_p0, st_a, st_b, st_ab = _etd_stencils(dt, grid.dx, grid.n)
     kconv = _kernel_applier(kernel0, grid)
@@ -349,7 +349,7 @@ def solve_kpp(kernel0: Kernel, birth, grid: Grid, u0, T: float, h: float,
             F_prev = F_next
             out.store(n + 1, u)
 
-    return out.trajectory(grid, n_h if h > 0.0 else 0, counter[0])
+    return out.trajectory(n_h if h > 0.0 else 0, counter[0])
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,7 @@ class LevelScan:
 
     Each call scan(t, u) appends t and the level_set crossings of u to
     times, m_minus and m_plus.  Passed to solve_kpp as collect, it reduces
-    every kept snapshot as the solver makes it, so none is stored; a run
-    that stores its snapshots calls it on each of them instead."""
+    every kept snapshot as the solver makes it, so none is stored."""
 
     def __init__(self, x: np.ndarray, beta: float):
         self.x = x

@@ -3,6 +3,8 @@
 No run of the package calls these; they stay here, beside the tests,
 as independent routes to what the package computes:
 
+- Kept: the keeping collect, which holds every snapshot a run hands it,
+  for the tests that read a run's fields after it ends;
 - scalar_dde_solve: one Fourier mode through the spectral step;
 - stepwise_delay_diag: the spectral step one step at a time, each new
   row flushed and pushed before the next step reads the ring;
@@ -14,9 +16,9 @@ as independent routes to what the package computes:
   and the small-frequency expansion of the dispersion relation;
 - gamma_h_eval: the synthesis of the fundamental solution itself;
 - stored_trace_levels and stored_cone_minima: the mckean level trace and
-  the spreading cone minima, read from a run's stored snapshots after
+  the spreading cone minima, read from a run's kept snapshots after
   the run instead of reduced as the solver makes each one;
-- stored_snapshot_csv: the t,x,u snapshot CSV of a stored run, one
+- stored_snapshot_csv: the t,x,u snapshot CSV of a kept run, one
   value at a time, instead of streamed block by block as the solver
   makes each snapshot;
 - verdict_stability: an experiment rerun with the step halved and with
@@ -33,7 +35,7 @@ import numpy as np
 
 from delaykpp import (CharParams, ConfigError, DiscreteKernel, Grid,
                       HistoryRing, LevelSetTrace, LinearBirth,
-                      TangencySolution, Trajectory, discretize, halanay_root,
+                      TangencySolution, discretize, halanay_root,
                       level_set, solve_kpp)
 from delaykpp.config import Fields, kpp_inputs
 from delaykpp.fundamental import SymbolTable, _synthesize, _tail_guard
@@ -41,6 +43,38 @@ from delaykpp.grids import (DEFAULT_N_H, Outputs, _history_samples,
                             every_kth, step_count)
 from delaykpp.kernels import Kernel
 from delaykpp.linear_solver import _flush, _rk4_delay_diag, _step_weights
+
+
+class Kept:
+    """The keeping collect: every snapshot a run hands it, in order, as
+    the arrays times (n,) and fields (n, N).  The solvers hand over fresh
+    arrays that they never write again, so none is copied.
+
+    Kept.run(solve, *args, **kwargs) runs solve with a new Kept as its
+    collect and returns that Kept, with the run's Trajectory as record.
+    """
+
+    def __init__(self):
+        self._times, self._fields = [], []
+        self.record = None
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        self._times.append(t)
+        self._fields.append(u)
+
+    @classmethod
+    def run(cls, solve, *args, **kwargs) -> "Kept":
+        kept = cls()
+        kept.record = solve(*args, **kwargs, collect=kept)
+        return kept
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array(self._times)
+
+    @property
+    def fields(self) -> np.ndarray:
+        return np.array(self._fields)
 
 
 def multiplier(dk: DiscreteKernel) -> np.ndarray:
@@ -101,14 +135,14 @@ def stepwise_delay_diag(mu, kap, ring: HistoryRing, n_steps: int,
 
 
 def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
-                    T: float, n_h: int | None = None) -> Trajectory:
+                    T: float, n_h: int | None = None) -> Kept:
     """Finite-difference cross-check of solve_linear.
 
     Second-order central Laplacian, second-order one-sided (upwinded)
     drift, and the convolution evaluated by trapezoid quadrature of the
     sampled kernel.  Deliberately shares no spatial machinery with the
     spectral path beyond the FFT used to apply the sampled-kernel
-    circulant.
+    circulant.  Returns the Kept of its snapshots, with the run's record.
     """
     if params.h <= 0.0:
         raise ConfigError("FD cross-check requires h > 0")
@@ -138,7 +172,8 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
     n_h = max(DEFAULT_N_H if n_h is None else n_h,
               math.ceil(params.h * stiffness / 2.5))
     dt = params.h / n_h
-    out = Outputs(T, dt, None, grid.n)
+    kept = Kept()
+    out = Outputs(T, dt, None, grid.n, kept)
 
     cring = HistoryRing(params.h, n_h, grid.n, float)
     vals, ders = _history_samples(u0, n_h, params.h, grid.n, float)
@@ -163,7 +198,8 @@ def solve_linear_fd(params: CharParams, kernel: Kernel, grid: Grid, u0,
         der = apply_op(w) + c1
         cring.push(conv(w), conv(der))
         out.store(n + 1, w)
-    return out.trajectory(grid, n_h)
+    kept.record = out.trajectory(n_h)
+    return kept
 
 
 def subtangential_defect(birth, u_max: float) -> float:
@@ -225,9 +261,10 @@ def comparison_run(kernel0: Kernel, birth, grid: Grid, u0, T: float,
             raise ConfigError(
                 f"ordering of initial data violated: max(u0 - v0) = {gap:.3e}")
     out_every = n_h // 8 if n_h % 8 == 0 else 1
-    run_u = solve_kpp(kernel0, birth, grid, u0, T, h, n_h, out_every)
-    run_v = solve_kpp(kernel0, LinearBirth(g1), grid, v0, T, h, n_h,
-                      out_every)
+    run_u = Kept.run(solve_kpp, kernel0, birth, grid, u0, T, h, n_h,
+                     out_every)
+    run_v = Kept.run(solve_kpp, kernel0, LinearBirth(g1), grid, v0, T, h,
+                     n_h, out_every)
     max_violation = float(max(np.max(run_u.fields - run_v.fields), 0.0))
 
     q1 = 1.0 - lam * lam
@@ -239,13 +276,12 @@ def comparison_run(kernel0: Kernel, birth, grid: Grid, u0, T: float,
     n_prime = n_cap * math.exp(2.0 * abs(q1) * h) * theta0
 
     env_violation = 0.0
-    for i, t in enumerate(run_u.times):
+    for t, u in zip(run_u.times, run_u.fields):
         blocks = t / h
         if abs(blocks - round(blocks)) > 1e-9:
             continue
         bound = n_prime * theta ** round(blocks) * growth
-        env_violation = max(env_violation,
-                            float(np.max(run_u.fields[i] - bound)))
+        env_violation = max(env_violation, float(np.max(u - bound)))
     return ComparisonReport(max_violation=max_violation,
                             envelope_violation=max(env_violation, 0.0),
                             theta0=theta0, theta=theta, n_prime=n_prime,
@@ -321,16 +357,15 @@ def gamma_h_eval(table: SymbolTable, t: float, x, return_imag: bool = False):
     return res
 
 
-def stored_trace_levels(traj: Trajectory, beta: float, speeds
+def stored_trace_levels(kept: Kept, x: np.ndarray, beta: float, speeds
                         ) -> LevelSetTrace:
-    """The beta-crossings of every stored snapshot of traj, scanned after
-    the run, with the drift diagnostics M and M_star."""
-    x = traj.grid.x
-    times = traj.times
+    """The beta-crossings of every kept snapshot on the abscissae x,
+    scanned after the run, with the drift diagnostics M and M_star."""
+    times, fields = kept.times, kept.fields
     m_minus = np.full(times.size, math.nan)
     m_plus = np.full(times.size, math.nan)
     for i in range(times.size):
-        lc = level_set(traj.fields[i], x, beta)
+        lc = level_set(fields[i], x, beta)
         m_minus[i] = lc.m_minus
         m_plus[i] = lc.m_plus
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -343,33 +378,36 @@ def stored_trace_levels(traj: Trajectory, beta: float, speeds
                          m_plus=m_plus, M=M, M_star=M_star)
 
 
-def stored_cone_minima(traj: Trajectory, speeds, T: float) -> list[float]:
-    """min u over the cones [-w |c_minus| t, w c_plus t] of the stored
+def stored_cone_minima(kept: Kept, x: np.ndarray, speeds, T: float
+                       ) -> list[float]:
+    """min u over the cones [-w |c_minus| t, w c_plus t] of the kept
     snapshots nearest T/2 and T (np.argmin: the first on a tie), as
     [w 0.8 at T/2, 0.8 at T, 1.2 at T/2, 1.2 at T]."""
+    times, fields = kept.times, kept.fields
     out = []
     for widen in (0.8, 1.2):
         for t_target in (0.5 * T, T):
-            i = int(np.argmin(np.abs(traj.times - t_target)))
-            t = float(traj.times[i])
-            sel = (traj.grid.x >= -widen * abs(speeds.c_minus) * t) & \
-                (traj.grid.x <= widen * speeds.c_plus * t)
-            out.append(float(np.min(traj.fields[i][sel])))
+            i = int(np.argmin(np.abs(times - t_target)))
+            t = float(times[i])
+            sel = (x >= -widen * abs(speeds.c_minus) * t) & \
+                (x <= widen * speeds.c_plus * t)
+            out.append(float(np.min(fields[i][sel])))
     return out
 
 
-def stored_snapshot_csv(traj: Trajectory, stride: int) -> str:
-    """The t,x,u CSV text of every stride-th stored snapshot of traj and
-    of the last, one line per grid point, each value formatted on its own
-    at 17 significant digits (nan when not finite)."""
+def stored_snapshot_csv(kept: Kept, x: np.ndarray, stride: int) -> str:
+    """The t,x,u CSV text of every stride-th kept snapshot and of the
+    last, one line per abscissa of x, each value formatted on its own at
+    17 significant digits (nan when not finite)."""
     def fmt(v: float) -> str:
         return "%.17g" % v if math.isfinite(v) else "nan"
 
+    times, fields = kept.times, kept.fields
     lines = ["t,x,u"]
-    for i in every_kth(traj.times.size, stride):
-        t = fmt(float(traj.times[i]))
-        lines.extend(f"{t},{fmt(x)},{fmt(u)}" for x, u in
-                     zip(traj.grid.x.tolist(), traj.fields[i].tolist()))
+    for i in every_kth(times.size, stride):
+        t = fmt(float(times[i]))
+        lines.extend(f"{t},{fmt(a)},{fmt(u)}" for a, u in
+                     zip(x.tolist(), fields[i].tolist()))
     return "\n".join(lines) + "\n"
 
 

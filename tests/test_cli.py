@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp import cli, grids, solve_kpp, solve_linear
+from delaykpp import cli, grids, nonlinear, solve_kpp, solve_linear
 from delaykpp.cli import (_SnapshotCSV, _csv_lines, _fmt, _stream_csv,
                           _write_csv, main, run)
 from delaykpp.config import Fields, default_out_every, kpp_inputs
-from oracles import stored_snapshot_csv
+from oracles import Kept, stored_snapshot_csv
 
 SPEEDS_CFG = {"command": "speeds",
               "kernel": {"family": "dirac", "shift": 0.0, "mass": 1.0},
@@ -470,6 +470,29 @@ def test_hostile_config_is_one_clean_line(tmp_path, capsys, case):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+# a bump so narrow, so far off or on so wide a grid that its square
+# overflows away from the centre, where exp(-inf) = 0 is exact: the run
+# goes on, and warns only as it was designed to
+EXACT_UNDERFLOW = [(base, path, value)
+                   for base in ({**KPP_CFG, "u0": {}}, LINEAR_CFG)
+                   for path, value in (("u0.width", 1e-300),
+                                       ("u0.center", 1e300), ("L", 1e300))]
+DESIGNED_WARNINGS = ("solution reached the periodic edge",
+                     "kernel truncation discards")
+
+
+@pytest.mark.parametrize("case", EXACT_UNDERFLOW,
+                         ids=lambda c: f"{c[0]['command']}-{c[1]}")
+def test_exact_underflow_warns_only_by_design(tmp_path, case):
+    base, path, value = case
+    cfg = _write_cfg(tmp_path, _with(base, path, value))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg, str(tmp_path), quiet=True) == 0
+    assert [str(w.message) for w in caught
+            if not str(w.message).startswith(DESIGNED_WARNINGS)] == []
+
+
 @pytest.mark.parametrize("path, solver", [
     ("diagnostics.z0", "solve_linear"),
     ("diagnostics.tangency", "solve_linear"),
@@ -656,6 +679,25 @@ def test_snapshot_budget_names_n_at_h0(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def test_snapshot_budget_covers_a_run_that_reduces(tmp_path, capsys,
+                                                   monkeypatch):
+    # one budget rule for every run: mckean reduces each snapshot to its
+    # level crossings, yet its 10 kept snapshots of n floats (32 steps,
+    # one kept every 4) must fit MAX_BYTES, checked before any step
+    monkeypatch.setattr(grids, "MAX_BYTES", 8 * 256 * 10 - 1)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran in a run refused by its budget")
+
+    monkeypatch.setattr(nonlinear, "convolve1d", no_step)
+    cfg = _write_cfg(tmp_path, MCKEAN_CFG)
+    assert run(cfg, str(tmp_path), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshots every 4 of 32 steps (fields "
+                          "'n', 'out_every' and 'T') needs "), err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 # runs that fail inside the streamed snapshot CSV's write: a refusal of
 # the solver before its first step, a linear run that overflows after
 # several blocks and a KPP run stopped at the finiteness gate
@@ -687,29 +729,31 @@ def test_failed_stream_leaves_no_output_directory_it_made(
 
 
 def test_streamed_snapshot_csvs_match_the_stored_run(tmp_path, capsys):
-    # the CSV text the CLI streams is the stored run's, value by value;
-    # the summary counts every kept output, not only the written ones
+    # the CSV text the CLI streams is that of the run's kept snapshots,
+    # value by value; the summary counts every kept output, not only the
+    # written ones
     linear = {**LINEAR_CFG, "n": 256, "T": 1.3, "n_h": 16, "out_every": 2,
               "snapshot_stride": 3}
     f = Fields(linear)
     grid = f.grid()
-    stored = solve_linear(f.params(), f.kernel(), grid, f.u0(1.0)(grid.x),
-                          linear["T"], linear["n_h"], linear["out_every"])
+    stored = Kept.run(solve_linear, f.params(), f.kernel(), grid,
+                      f.u0(1.0)(grid.x), linear["T"], linear["n_h"],
+                      linear["out_every"])
     assert run(_write_cfg(tmp_path, linear), str(tmp_path)) == 0
     assert capsys.readouterr().out.startswith(
         f"simulate-linear: {stored.times.size} outputs to T=1.3, ")
     assert (tmp_path / "linear_snapshots.csv").read_text() == \
-        stored_snapshot_csv(stored, 3)
+        stored_snapshot_csv(stored, grid.x, 3)
     report = json.loads((tmp_path / "linear_report.json").read_text())
     assert report["final_sup"] == float(np.max(np.abs(stored.fields[-1])))
 
     kpp = {**KPP_CFG, "T": 2.4, "snapshot_stride": 2}
     kernel0, birth, grid, h, n_h, T, _, u0 = kpp_inputs(kpp)
-    stored = solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
-                       default_out_every(n_h))
+    stored = Kept.run(solve_kpp, kernel0, birth, grid, u0(grid.x), T, h, n_h,
+                      default_out_every(n_h))
     assert run(_write_cfg(tmp_path, kpp), str(tmp_path), quiet=True) == 0
     assert (tmp_path / "kpp_snapshots.csv").read_text() == \
-        stored_snapshot_csv(stored, 2)
+        stored_snapshot_csv(stored, grid.x, 2)
     report = json.loads((tmp_path / "kpp_report.json").read_text())
     assert report["final_sup"] == float(np.max(stored.fields[-1]))
     assert report["final_min"] == float(np.min(stored.fields[-1]))

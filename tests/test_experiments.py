@@ -12,7 +12,7 @@ from delaykpp import (ConfigError, Dirac, Gaussian, LaplaceKernel,
                       preset, solve_kpp, spreading_experiment,
                       tune_kernel_shift)
 from delaykpp.config import default_out_every, kpp_inputs
-from oracles import (stored_cone_minima, stored_trace_levels,
+from oracles import (Kept, stored_cone_minima, stored_trace_levels,
                      verdict_stability)
 
 SPEEDS = SpeedPair(c_minus=-0.8, c_plus=0.8, lambda_minus=-0.6,
@@ -243,14 +243,14 @@ SMALL_KPP = {"kernel": {"family": "gaussian", "mean": 0.5, "stddev": 1.0,
 def _stored_run(cfg, out_every):
     kernel0, birth, grid, h, n_h, T, beta, u0 = kpp_inputs(cfg)
     speeds = critical_speeds(kernel0, birth.gprime0, h)
-    return solve_kpp(kernel0, birth, grid, u0(grid.x), T, h, n_h,
-                     out_every), beta, speeds
+    return Kept.run(solve_kpp, kernel0, birth, grid, u0(grid.x), T, h, n_h,
+                    out_every), grid.x, beta, speeds
 
 
 def test_one_pass_mckean_trace_equals_the_stored_scan():
     rep = mckean_experiment(kpp_inputs(SMALL_KPP))
-    traj, beta, speeds = _stored_run(SMALL_KPP, default_out_every(16))
-    ref = stored_trace_levels(traj, beta, speeds)
+    kept, x, beta, speeds = _stored_run(SMALL_KPP, default_out_every(16))
+    ref = stored_trace_levels(kept, x, beta, speeds)
     m = rep.trace.m_minus
     assert np.isnan(m[0]) and np.isfinite(m[-1])  # both cases are covered
     assert rep.trace.beta == ref.beta
@@ -266,10 +266,10 @@ def test_one_pass_cone_minima_equal_the_stored_run(T):
     # step; T = 6.25 ends off the grid of whole delays
     cfg = {**SMALL_KPP, "T": T, "u0": {}}
     rep = spreading_experiment(kpp_inputs(cfg))
-    traj, _, speeds = _stored_run(cfg, 16 if T >= 2.0 else 1)
+    kept, x, _, speeds = _stored_run(cfg, 16 if T >= 2.0 else 1)
     assert [rep.metrics[k] for k in (
         "min_at_half_T", "min_at_T", "widened_min_at_half_T",
-        "widened_min_at_T")] == stored_cone_minima(traj, speeds, T)
+        "widened_min_at_T")] == stored_cone_minima(kept, x, speeds, T)
 
 
 @pytest.mark.parametrize("runner", [mckean_experiment, spreading_experiment,
@@ -280,7 +280,7 @@ def test_experiments_reduce_every_snapshot_and_store_none(monkeypatch,
     real = experiments.solve_kpp
 
     def spy(*args, **kwargs):
-        collects.append(kwargs.get("collect", (args + (None,) * 9)[8]))
+        collects.append(kwargs["collect"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "solve_kpp", spy)

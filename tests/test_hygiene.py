@@ -2,9 +2,11 @@
 (nor tests/oracles.py) imports a name it never uses (an ast scan, so no
 linter is needed), the test oracles are not exported, importing the
 CLI loads no SciPy module, the config docstring's lists of who reads
-each field are the table that cli.run checks, and the experiments take
+each field are the table that cli.run checks, the experiments take
 typed values whose option names are the one table of experiment
-options, from which that table takes its experiment-only readers."""
+options, from which that table takes its experiment-only readers, the
+solver parameters that perfbench/layertrace.py reads by position stay
+in place, and both solvers require a collect."""
 
 import ast
 import importlib
@@ -28,7 +30,7 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 SOURCES = [SRC / f"{m}.py" for m in MODULES if m != "__init__"] + \
     [pathlib.Path(__file__).with_name("oracles.py")]
 # the reference implementations in tests/oracles.py, which no run calls
-ORACLES = ["scalar_dde_solve", "stepwise_delay_diag", "solve_linear_fd", "comparison_run",
+ORACLES = ["Kept", "scalar_dde_solve", "stepwise_delay_diag", "solve_linear_fd", "comparison_run",
            "ComparisonReport", "subtangential_defect", "local_tail_ratio",
            "local_expansion", "gamma_h_eval", "stored_trace_levels",
            "stored_cone_minima", "verdict_stability"]
@@ -134,3 +136,26 @@ def test_experiment_options_are_the_experiment_only_readers():
             own = [k for k, r in readers.items()
                    if name in r and not set(exps) <= set(r)]
             assert own == list(EXPERIMENT_OPTIONS.get(name, {})), name
+
+
+def test_tracer_positional_reads_keep_their_places():
+    # perfbench/layertrace.py reads solve_linear's n_h as args[5] and
+    # _rk4_delay_diag's mu, ring and n_steps as args[0], [2] and [3]; a
+    # moved parameter would zero a per-layer reading without an error
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(delaykpp.linear_solver.solve_linear)[5] == "n_h"
+    assert names(delaykpp.linear_solver._rk4_delay_diag) == [
+        "mu", "kap", "ring", "n_steps", "collect"]
+
+
+@pytest.mark.parametrize("solve", [delaykpp.solve_linear, delaykpp.solve_kpp],
+                         ids=lambda f: f.__name__)
+def test_solvers_take_a_required_keyword_only_collect(solve):
+    # every kept snapshot goes to collect: there is no run without one
+    collect = inspect.signature(solve).parameters["collect"]
+    assert collect.kind is inspect.Parameter.KEYWORD_ONLY
+    assert collect.default is inspect.Parameter.empty
+    with pytest.raises(TypeError, match="collect"):
+        solve(*[None] * 6)

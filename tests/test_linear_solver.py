@@ -11,10 +11,11 @@ from delaykpp import (CharParams, ConfigError, DecayScan, Gaussian, Grid,
                       tangency_solve, tangency_limit_diagnostic,
                       universal_bound_diagnostic, gamma_zero)
 from delaykpp import HistoryRing, linear_solver
-from delaykpp.grids import _history_samples
+from delaykpp.grids import _history_samples, edge_fraction, every_kth
 from delaykpp.linear_solver import (_BLOCK_ELEMS, _flush, _phi,
                                     _rk4_delay_diag, _step_weights)
-from oracles import scalar_dde_solve, solve_linear_fd, stepwise_delay_diag
+from oracles import (Kept, scalar_dde_solve, solve_linear_fd,
+                     stepwise_delay_diag)
 
 DESK = CharParams(m=0.2, p=-1.2, h=1.0)
 DESK_KERNEL = Gaussian(0.0, 1.0, 1.0)
@@ -29,11 +30,12 @@ def test_single_mode_matches_scalar_dde():
     k = grid.xi[4]
     u0 = np.cos(k * grid.x)
     with pytest.warns(RuntimeWarning):  # cos fills the whole domain
-        traj = solve_linear(params, kern, grid, u0, T=2.0, n_h=64)
+        traj = Kept.run(solve_linear, params, kern, grid, u0, T=2.0, n_h=64)
 
     mu = -k * k + 1j * params.m * k + params.p
     kap = complex(kern.fourier(np.array([k]))[0])
-    _, w = scalar_dde_solve(mu, kap, 1.0, 1.0, T=2.0, dt=1.0 / traj.n_h)
+    _, w = scalar_dde_solve(mu, kap, 1.0, 1.0, T=2.0,
+                            dt=1.0 / traj.record.n_h)
 
     coeff = np.fft.fft(traj.fields[-1])[4] / (grid.n / 2.0)
     assert traj.times[-1] == pytest.approx(2.0)
@@ -102,10 +104,10 @@ def test_h0_heat_closed_form():
     kern = Gaussian(0.0, 1.0, 0.0)
     s0 = 1.5
     u0 = np.exp(-grid.x ** 2 / (4.0 * s0))
-    traj = solve_linear(params, kern, grid, u0, T=2.0)
+    traj = Kept.run(solve_linear, params, kern, grid, u0, T=2.0)
     expect = np.sqrt(s0 / (s0 + 2.0)) * np.exp(-grid.x ** 2 / (4.0 * (s0 + 2.0)))
     np.testing.assert_allclose(traj.fields[-1], expect, atol=1e-12)
-    assert traj.n_h == 0
+    assert traj.record.n_h == 0
 
 
 @pytest.mark.parametrize("T", [1e-7, 1e-3, 0.1, 1.0 / 3.0, 2.0, 7.5, 1e3,
@@ -115,9 +117,9 @@ def test_h0_times_are_linspace_bit_for_bit(T):
     grid = Grid(32.0, 256)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # edge contact
-        traj = solve_linear(CharParams(0.0, 0.0, 0.0),
-                            Gaussian(0.0, 1.0, 0.0), grid,
-                            np.exp(-grid.x ** 2), T=T)
+        traj = Kept.run(solve_linear, CharParams(0.0, 0.0, 0.0),
+                        Gaussian(0.0, 1.0, 0.0), grid,
+                        np.exp(-grid.x ** 2), T=T)
     np.testing.assert_array_equal(traj.times, np.linspace(0.0, T, 257))
     assert traj.fields.shape == (257, grid.n)
 
@@ -125,8 +127,8 @@ def test_h0_times_are_linspace_bit_for_bit(T):
 def test_h0_horizon_zero_keeps_one_snapshot():
     grid = Grid(32.0, 256)
     u0 = np.exp(-grid.x ** 2)
-    traj = solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
-                        grid, u0, T=0.0)
+    traj = Kept.run(solve_linear, CharParams(0.0, 0.0, 0.0),
+                    Gaussian(0.0, 1.0, 0.0), grid, u0, T=0.0)
     assert traj.times.tolist() == [0.0]
     np.testing.assert_allclose(traj.fields[0], u0, atol=1e-15)
 
@@ -135,7 +137,7 @@ def test_h0_rejects_callable_history():
     grid = Grid(32.0, 256)
     with pytest.raises(ConfigError, match="single initial profile"):
         solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
-                     grid, lambda s: np.zeros(grid.n), T=1.0)
+                     grid, lambda s: np.zeros(grid.n), T=1.0, collect=Kept())
 
 
 def test_scalar_history_broadcasts_to_uniform_mode():
@@ -144,8 +146,9 @@ def test_scalar_history_broadcasts_to_uniform_mode():
     params = CharParams(m=0.0, p=-1.0, h=0.5)
     kern = Gaussian(0.0, 1.0, 0.8)
     with pytest.warns(RuntimeWarning):  # constant data sit on the edge
-        traj = solve_linear(params, kern, grid, 0.7, T=1.5, n_h=64)
-    _, w = scalar_dde_solve(-1.0, 0.8, 0.5, 0.7, T=1.5, dt=0.5 / traj.n_h)
+        traj = Kept.run(solve_linear, params, kern, grid, 0.7, T=1.5, n_h=64)
+    _, w = scalar_dde_solve(-1.0, 0.8, 0.5, 0.7, T=1.5,
+                            dt=0.5 / traj.record.n_h)
     final = traj.fields[-1]
     assert np.ptp(final) < 1e-12
     assert final[0] == pytest.approx(w[-1].real, rel=1e-10)
@@ -163,7 +166,7 @@ def test_constant_history_peak_memory_is_the_ring():
     try:
         with pytest.warns(RuntimeWarning):  # a constant fills the domain
             solve_linear(CharParams(0.0, -1.0, 1.0), DESK_KERNEL, grid, 0.5,
-                         T=0.25, n_h=n_h)
+                         T=0.25, n_h=n_h, collect=lambda t, u: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,7 +188,8 @@ def test_constant_history_flushes_one_row_not_one_per_node(monkeypatch):
     for n_h in (8, 64):
         counts.append(0)
         with pytest.warns(RuntimeWarning):  # a constant fills the domain
-            solve_linear(DESK, DESK_KERNEL, grid, 0.5, T=0.0, n_h=n_h)
+            solve_linear(DESK, DESK_KERNEL, grid, 0.5, T=0.0, n_h=n_h,
+                         collect=Kept())
     assert counts[0] == counts[1]
 
 
@@ -197,9 +201,9 @@ def test_stiff_grid_runs_the_given_n_h():
     params = CharParams(m=0.0, p=-1.0, h=1.0)
     kern = Gaussian(0.0, 1.0, 1.0)
     u0 = np.exp(-grid.x ** 2)
-    coarse = solve_linear(params, kern, grid, u0, T=2.0, n_h=4)
-    fine = solve_linear(params, kern, grid, u0, T=2.0, n_h=64)
-    assert coarse.n_h == 4 and fine.n_h == 64
+    coarse = Kept.run(solve_linear, params, kern, grid, u0, T=2.0, n_h=4)
+    fine = Kept.run(solve_linear, params, kern, grid, u0, T=2.0, n_h=64)
+    assert coarse.record.n_h == 4 and fine.record.n_h == 64
     assert coarse.times[-1] == fine.times[-1] == 2.0
     scale = np.max(np.abs(fine.fields[-1]))
     assert np.max(np.abs(coarse.fields[-1] - fine.fields[-1])) < 2e-5 * scale
@@ -210,9 +214,10 @@ def test_n_h_none_is_the_default_64():
     params = CharParams(m=0.0, p=-1.0, h=1.0)
     u0 = np.exp(-grid.x ** 2)
     kern = Gaussian(0.0, 1.0, 1.0)
-    default = solve_linear(params, kern, grid, u0, T=1.0, n_h=None)
-    given = solve_linear(params, kern, grid, u0, T=1.0, n_h=64)
-    assert default.n_h == 64
+    default = Kept.run(solve_linear, params, kern, grid, u0, T=1.0,
+                       n_h=None)
+    given = Kept.run(solve_linear, params, kern, grid, u0, T=1.0, n_h=64)
+    assert default.record.n_h == 64
     np.testing.assert_array_equal(default.fields, given.fields)
 
 
@@ -220,7 +225,7 @@ def test_history_profile_shape_validation():
     grid = Grid(32.0, 256)
     with pytest.raises(ConfigError, match="history profile must have shape"):
         solve_linear(CharParams(0.0, -1.0, 1.0), Gaussian(0.0, 1.0, 1.0),
-                     grid, np.zeros(7), T=1.0, n_h=8)
+                     grid, np.zeros(7), T=1.0, n_h=8, collect=Kept())
 
 
 def test_fd_cross_check_agrees():
@@ -228,7 +233,7 @@ def test_fd_cross_check_agrees():
     params = CharParams(m=0.4, p=-0.8, h=0.5)
     kern = Gaussian(0.0, 1.0, 1.0)
     u0 = np.exp(-(grid.x / 2.0) ** 2)
-    a = solve_linear(params, kern, grid, u0, T=1.0)
+    a = Kept.run(solve_linear, params, kern, grid, u0, T=1.0)
     b = solve_linear_fd(params, kern, grid, u0, T=1.0)
     # step counts differ between the two routes, so only compare up to float
     assert a.times[-1] == pytest.approx(1.0, abs=1e-12)
@@ -248,7 +253,7 @@ def test_fd_constant_data_is_fourth_order_in_time():
     for n_h in (8, 16, 32):
         with pytest.warns(RuntimeWarning):  # constant data sit on the edge
             traj = solve_linear_fd(params, kern, grid, 1.0, T=3.0, n_h=n_h)
-        assert traj.n_h == n_h
+        assert traj.record.n_h == n_h
         errs.append(abs(traj.fields[-1][0] - ref[-1].real))
     for coarse, fine in zip(errs, errs[1:]):
         assert coarse >= 12.0 * fine
@@ -264,8 +269,9 @@ def test_fd_requires_delay():
 def test_probe_value_interpolates():
     grid = Grid(32.0, 256)
     with pytest.warns(RuntimeWarning):  # sine fills the whole domain
-        traj = solve_linear(CharParams(0.0, 0.0, 0.0), Gaussian(0.0, 1.0, 0.0),
-                            grid, np.sin(2.0 * np.pi * grid.x / 32.0), T=0.0)
+        traj = Kept.run(solve_linear, CharParams(0.0, 0.0, 0.0),
+                        Gaussian(0.0, 1.0, 0.0), grid,
+                        np.sin(2.0 * np.pi * grid.x / 32.0), T=0.0)
     j = 17
     assert probe_value(grid, traj.fields[0], float(grid.x[j])) == \
         pytest.approx(traj.fields[0][j], abs=1e-14)
@@ -276,22 +282,25 @@ def test_probe_value_interpolates():
 
 @pytest.mark.parametrize("h", [1.0, 0.0])
 def test_collector_sees_exactly_the_stored_snapshots(h):
-    # of the 37 steps to T = 2.3 at h = 1, out_every 8 keeps 0, 8, ...,
-    # 32 and the last one, off that grid; h = 0 keeps its 257 schedule
-    # points
+    # the snapshots a keeping collect stores are the schedule's, bit for
+    # bit in two runs: of the 37 steps to T = 2.3 at h = 1, out_every 8
+    # keeps 0, 8, ..., 32 and the last one, off that grid; h = 0 keeps
+    # its 257 schedule points, step T/256
     params = CharParams(DESK.m, DESK.p, h)
     grid = Grid(64.0, 256)
     u0 = np.exp(-grid.x ** 2) * (1.0 + 0.3 * grid.x)
     steps = dict(n_h=16, out_every=8) if h > 0.0 else {}
-    stored = solve_linear(params, DESK_KERNEL, grid, u0, 2.3, **steps)
-    seen = []
-    collected = solve_linear(params, DESK_KERNEL, grid, u0, 2.3, **steps,
-                             collect=lambda t, u: seen.append((t, u)))
-    assert [t for t, _ in seen] == stored.times.tolist()
-    assert np.array([u for _, u in seen]).tobytes() == stored.fields.tobytes()
-    assert collected.times.size == 0 and collected.fields.size == 0
-    assert collected.edge_fraction == stored.edge_fraction > 0.0
-    assert collected.n_h == stored.n_h
+    n_steps, every, dt = (37, 8, 1.0 / 16) if h > 0.0 else (256, 1, 2.3 / 256)
+    first = Kept.run(solve_linear, params, DESK_KERNEL, grid, u0, 2.3,
+                     **steps)
+    second = Kept.run(solve_linear, params, DESK_KERNEL, grid, u0, 2.3,
+                      **steps)
+    schedule = np.array(every_kth(n_steps + 1, every), float) * dt
+    assert first.times.tobytes() == schedule.tobytes()
+    assert second.fields.tobytes() == first.fields.tobytes()
+    assert first.record.edge_fraction == \
+        max(map(edge_fraction, first.fields)) > 0.0
+    assert first.record == second.record
 
 
 def test_edge_truncation_warns():
@@ -299,20 +308,19 @@ def test_edge_truncation_warns():
     grid = Grid(16.0, 256)
     with pytest.warns(RuntimeWarning, match="periodic edge"):
         solve_linear(CharParams(m=5.0, p=0.0, h=0.0), Gaussian(0.0, 1.0, 0.0),
-                     grid, np.exp(-grid.x ** 2), T=2.0)
+                     grid, np.exp(-grid.x ** 2), T=2.0, collect=Kept())
 
 
 def test_decay_diagnostics_shapes_and_start():
     grid = Grid(64.0, 512)
     u0 = np.exp(-grid.x ** 2)
-    traj = solve_linear(DESK, DESK_KERNEL, grid, u0, T=2.0, out_every=32)
     tang = tangency_solve(DESK, DESK_KERNEL)
     scan = DecayScan(grid, gamma_zero(DESK, DESK_KERNEL, 0.0))
-    for t, u in zip(traj.times, traj.fields):
-        scan(float(t), u)
+    solve_linear(DESK, DESK_KERNEL, grid, u0, T=2.0, out_every=32,
+                 collect=scan)
     D = tangency_limit_diagnostic(scan, tang)
     S = universal_bound_diagnostic(scan)
-    assert D.shape == S.shape == traj.times.shape
+    assert D.shape == S.shape == (5,)  # steps 0, 32, ..., 128 at n_h 64
     assert D[0] == 0.0 and S[0] == 0.0  # sqrt(t) factor at t = 0
     assert np.all(np.isfinite(D)) and np.all(np.isfinite(S))
 
@@ -333,8 +341,8 @@ def _ring_and_fields(monkeypatch, flush):
     grid = Grid(16.0, 256)
     u0 = np.exp(-grid.x ** 2)
     with pytest.warns(RuntimeWarning):  # the small domain's seam is reached
-        traj = solve_linear(DESK, DESK_KERNEL, grid, u0, T=2.0, n_h=16,
-                            out_every=1)
+        traj = Kept.run(solve_linear, DESK, DESK_KERNEL, grid, u0, T=2.0,
+                        n_h=16, out_every=1)
     return seen[0], traj.fields
 
 
@@ -395,8 +403,8 @@ def _coupled_run(monkeypatch, kernel, u0, n_h=16, out_every=1):
         inner(mu, kap, ring, n_steps, seen)
 
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", spy)
-    traj = solve_linear(XVAL, kernel, XVAL_GRID, u0, T=2.0, n_h=n_h,
-                        out_every=out_every)
+    traj = Kept.run(solve_linear, XVAL, kernel, XVAL_GRID, u0, T=2.0,
+                    n_h=n_h, out_every=out_every)
     return traj.fields, rings[0], widths
 
 
@@ -464,7 +472,8 @@ def _uncoupled_run(monkeypatch, params, kernel, u0, **kw):
 
     monkeypatch.setattr(linear_solver, "HistoryRing", refused)
     monkeypatch.setattr(linear_solver, "_rk4_delay_diag", refused)
-    return solve_linear(params, kernel, XVAL_GRID, u0, T=2.0, **kw).fields
+    return Kept.run(solve_linear, params, kernel, XVAL_GRID, u0, T=2.0,
+                    **kw).fields
 
 
 def test_mass_zero_kernel_builds_no_ring_and_decays_exactly(monkeypatch):

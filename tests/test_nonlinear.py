@@ -16,9 +16,10 @@ from delaykpp import (CharParams, ConfigError, Dirac, Gaussian, Grid,
                       solve_linear, trace_levels)
 from delaykpp import nonlinear
 from delaykpp.characteristic import tune_kernel_shift
+from delaykpp.grids import edge_fraction, every_kth
 from delaykpp.nonlinear import (_UNDERFLOW, _etd_stencils, _kernel_applier,
                                 _phi_dc)
-from oracles import comparison_run
+from oracles import Kept, comparison_run
 
 GRID = Grid(32.0, 256)
 
@@ -31,10 +32,10 @@ def test_equilibrium_is_discrete_fixed_point():
     # one x86 CPU where that was measured (the gemm kernel sets the order)
     birth = Nicholson(2.0, 1.0)
     with pytest.warns(RuntimeWarning):  # constant data sit on the edge
-        traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), birth, GRID, birth.kappa,
-                         T=3.0, h=1.0, n_h=32)
+        traj = Kept.run(solve_kpp, Gaussian(0.0, 1.0, 1.0), birth, GRID,
+                        birth.kappa, T=3.0, h=1.0, n_h=32)
     assert np.max(np.abs(traj.fields[-1] - birth.kappa)) < 1e-14
-    assert traj.clamp_count == 0
+    assert traj.record.clamp_count == 0
 
 
 def test_constant_state_does_not_drift():
@@ -43,8 +44,8 @@ def test_constant_state_does_not_drift():
     # two delays and then stays where it is
     birth = Nicholson(2.0, 1.0)
     with pytest.warns(RuntimeWarning):  # constant data sit on the edge
-        traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), birth, GRID, birth.kappa,
-                         T=40.0, h=1.0, n_h=32, out_every=8)
+        traj = Kept.run(solve_kpp, Gaussian(0.0, 1.0, 1.0), birth, GRID,
+                        birth.kappa, T=40.0, h=1.0, n_h=32, out_every=8)
     dev = np.max(np.abs(traj.fields - birth.kappa), axis=1)
     assert np.max(dev) < 1e-14
     settled = traj.times > 2.0
@@ -55,19 +56,21 @@ _SAME_BYTES = """
 import hashlib
 import numpy as np
 from delaykpp import Gaussian, Grid, Nicholson, solve_kpp
+from oracles import Kept
 grid = Grid(256.0, 2048)
 u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
-traj = solve_kpp(Gaussian(1.5, 1.0, 1.0), Nicholson(2.0, 1.0), grid, u0,
-                 T=2.0, h=1.0, n_h=16)
+traj = Kept.run(solve_kpp, Gaussian(1.5, 1.0, 1.0), Nicholson(2.0, 1.0),
+                grid, u0, T=2.0, h=1.0, n_h=16)
 print(hashlib.sha256(traj.fields.tobytes()).hexdigest())
 """
 
 
 def test_fields_do_not_depend_on_the_blas_thread_count():
     src = os.path.dirname(os.path.dirname(nonlinear.__file__))
+    path = os.pathsep.join((src, os.path.dirname(__file__)))  # and oracles
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _SAME_BYTES], env=env,
                               stdout=subprocess.PIPE, text=True, check=True,
                               timeout=120)
@@ -76,8 +79,8 @@ def test_fields_do_not_depend_on_the_blas_thread_count():
 
 
 def test_zero_stays_zero():
-    traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), GRID, 0.0,
-                     T=2.0, h=0.5, n_h=16)
+    traj = Kept.run(solve_kpp, Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), GRID,
+                    0.0, T=2.0, h=0.5, n_h=16)
     assert np.max(np.abs(traj.fields)) == 0.0
 
 
@@ -85,8 +88,8 @@ def test_zero_mass_kernel_has_no_births():
     # u_t = u_xx - u: the heat flow keeps the integral, the death term
     # takes e^{-T} of it
     u0 = 0.5 * np.exp(-GRID.x ** 2)
-    traj = solve_kpp(Gaussian(0.0, 1.0, 0.0), Nicholson(2.0), GRID, u0,
-                     T=2.0, h=0.5, n_h=16)
+    traj = Kept.run(solve_kpp, Gaussian(0.0, 1.0, 0.0), Nicholson(2.0), GRID,
+                    u0, T=2.0, h=0.5, n_h=16)
     assert np.sum(traj.fields[-1]) == pytest.approx(
         math.exp(-2.0) * np.sum(u0), rel=1e-10)
 
@@ -94,10 +97,10 @@ def test_zero_mass_kernel_has_no_births():
 def test_positivity_preserved():
     grid = Grid(64.0, 512)
     u0 = 0.5 * np.exp(-grid.x ** 2)
-    traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0,
-                     T=4.0, h=1.0, n_h=32)
+    traj = Kept.run(solve_kpp, Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid,
+                    u0, T=4.0, h=1.0, n_h=32)
     assert np.min(traj.fields) >= 0.0
-    assert traj.clamp_count == 0
+    assert traj.record.clamp_count == 0
 
 
 def test_blowup_aborts_with_last_healthy_time():
@@ -106,28 +109,34 @@ def test_blowup_aborts_with_last_healthy_time():
         warnings.simplefilter("error")  # no RuntimeWarning before the abort
         with pytest.raises(RuntimeError, match="lost finiteness"):
             solve_kpp(Dirac(0.0, 1.0), LinearBirth(1e6), GRID, 1e300,
-                      T=20.0, h=0.5, n_h=8)
+                      T=20.0, h=0.5, n_h=8, collect=Kept())
 
 
 def test_input_validation():
+    kept = Kept()
     with pytest.raises(ConfigError, match="final time"):
-        solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID, 0.1, T=0.0, h=1.0)
+        solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID, 0.1, T=0.0, h=1.0,
+                  collect=kept)
     with pytest.raises(ConfigError, match="nonnegative"):
-        solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID, 0.1, T=1.0, h=-1.0)
+        solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID, 0.1, T=1.0, h=-1.0,
+                  collect=kept)
     with pytest.raises(ConfigError, match="n_h"):
         solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID, 0.1, T=1.0, h=1.0,
-                  n_h=0)
+                  n_h=0, collect=kept)
     for h in (0.0, 1.0):  # an initial profile, never a time history
         with pytest.raises(ConfigError, match="not a callable"):
             solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0), GRID,
-                      lambda s: np.zeros(GRID.n), T=1.0, h=h)
+                      lambda s: np.zeros(GRID.n), T=1.0, h=h, collect=kept)
+    assert kept.times.size == 0
 
 
 def test_collector_sees_exactly_the_stored_snapshots(monkeypatch):
-    # signed data, so that clamps are counted; of the 74 steps to T = 2.3,
-    # out_every 8 keeps 0, 8, ..., 72 and the last one, off that grid.
-    # The clamp count is the documented rule applied to every input of
-    # the clamped birth: entries below -1e-13 max(1, max|v|)
+    # the snapshots a keeping collect stores are the schedule's, bit for
+    # bit in two runs.  Signed data, so that clamps are counted; of the
+    # 74 steps to T = 2.3, out_every 8 keeps 0, 8, ..., 72 and the last
+    # one, off that grid.  The clamp count is the documented rule applied
+    # to every input of the clamped birth: entries below
+    # -1e-13 max(1, max|v|)
     birth = Nicholson(2.0, 1.0)
     kern = Gaussian(0.0, 1.0, 1.0)
     u0 = 0.4 * np.exp(-GRID.x ** 2) - 0.2 * np.exp(-(GRID.x - 3.0) ** 2)
@@ -140,20 +149,18 @@ def test_collector_sees_exactly_the_stored_snapshots(monkeypatch):
         return original(birth, v, counter)
 
     monkeypatch.setattr(nonlinear, "_clamped_birth", recording)
-    stored = solve_kpp(kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
-                       out_every=8)
+    first = Kept.run(solve_kpp, kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
+                     out_every=8)
     monkeypatch.undo()
-    seen = []
-    collected = solve_kpp(kern, birth, GRID, u0, T=2.3, h=0.5, n_h=16,
-                          out_every=8,
-                          collect=lambda t, u: seen.append((t, u)))
-    assert stored.clamp_count == sum(clamps) > 0
-    assert [t for t, _ in seen] == stored.times.tolist()
-    np.testing.assert_array_equal(np.array([u for _, u in seen]),
-                                  stored.fields)
-    assert collected.times.size == 0 and collected.fields.size == 0
-    assert collected.clamp_count == stored.clamp_count
-    assert collected.edge_fraction == stored.edge_fraction
+    second = Kept.run(solve_kpp, kern, birth, GRID, u0, T=2.3, h=0.5,
+                      n_h=16, out_every=8)
+    schedule = np.array(every_kth(74 + 1, 8), float) * (0.5 / 16)
+    assert first.record.clamp_count == sum(clamps) > 0
+    assert first.times.tobytes() == schedule.tobytes()
+    assert second.fields.tobytes() == first.fields.tobytes()
+    assert first.record.edge_fraction == \
+        max(map(edge_fraction, first.fields))
+    assert first.record == second.record
 
 
 def test_delayed_run_holds_one_delay_of_value_rows():
@@ -198,8 +205,9 @@ def _linear_regime_errors(n: int, h: float, ladder=(None,)) -> list:
     grid = Grid(_XC_GRID_L, n)
     u0 = 1e-3 * np.exp(-(grid.x / 2.0) ** 2)
     kern = Gaussian(0.0, 1.0, 1.0)
-    ref = solve_linear(CharParams(m=0.0, p=-1.0, h=h), kern.scaled(2.0),
-                       grid, u0, _XC_T, 256 if h > 0.0 else None).fields[-1]
+    ref = Kept.run(solve_linear, CharParams(m=0.0, p=-1.0, h=h),
+                   kern.scaled(2.0), grid, u0, _XC_T,
+                   256 if h > 0.0 else None).fields[-1]
     errors = []
     for n_h in ladder:
         last = []
@@ -247,7 +255,7 @@ def test_delay_past_every_tap_keeps_the_stencil_window():
     with pytest.raises(ConfigError, match="'T' = 3, 'h' = 1e.300 and "
                        "'n_h' = 16 need"):
         solve_kpp(Dirac(0.0, 1.0), Nicholson(2.0, 1.0), GRID, 0.5, T=3.0,
-                  h=1e300, n_h=16)
+                  h=1e300, n_h=16, collect=Kept())
 
 
 def test_kernel_applier_dirac_is_exact_roll():
@@ -400,9 +408,9 @@ def test_no_subnormal_values_are_stored(h):
     # subnormal range; every stored and pushed entry is 0 or >= _UNDERFLOW
     grid = Grid(256.0, 512)
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
-    # out_every=1 stores every profile the run pushes
-    traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0,
-                     T=2.0, h=h, n_h=16, out_every=1)
+    # out_every=1 keeps every profile the run pushes
+    traj = Kept.run(solve_kpp, Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid,
+                    u0, T=2.0, h=h, n_h=16, out_every=1)
     tiny = (traj.fields != 0.0) & (np.abs(traj.fields) < _UNDERFLOW)
     assert not np.any(tiny)
 
@@ -413,18 +421,17 @@ def test_no_subnormal_values_are_stored(h):
 def test_solve_kpp_never_writes_u0(h, collected):
     # the run floors a copy of u0: the caller's array, with entries below
     # _UNDERFLOW of either sign, keeps every bit, and the t = 0 snapshot
-    # is its floored copy
+    # is its floored copy, as a plain collect and the keeping one see it
     u0 = 0.4 * np.exp(-GRID.x ** 2)
     u0[[3, 5]] = 1e-300, -1e-300
     before = u0.copy()
-    seen = []
-    traj = solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), GRID, u0,
-                     T=0.5, h=h, n_h=16, out_every=1,
-                     collect=(lambda t, u: seen.append(u)) if collected
-                     else None)
+    seen, kept = [], Kept()
+    solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), GRID, u0, T=0.5, h=h,
+              n_h=16, out_every=1,
+              collect=(lambda t, u: seen.append(u)) if collected else kept)
     assert u0.tobytes() == before.tobytes()
     floored = np.where(np.abs(before) < _UNDERFLOW, 0.0, before)
-    first = seen[0] if collected else traj.fields[0]
+    first = seen[0] if collected else kept.fields[0]
     assert first.tobytes() == floored.tobytes()
 
 
@@ -458,7 +465,8 @@ def test_h0_convolutions_see_no_subnormal_input(monkeypatch):
     monkeypatch.setattr(nonlinear, "convolve1d", counting)
     grid = Grid(512.0, 1024)
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5, 0.0)
-    solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0, T=5.0, h=0.0)
+    solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0, T=5.0, h=0.0,
+              collect=Kept())
     assert seen and sum(seen) == 0
 
 
@@ -476,7 +484,7 @@ def test_h0_step_applies_p0_once(monkeypatch):
     grid = Grid(128.0, 512)
     u0 = 0.5 * np.exp(-grid.x ** 2)
     solve_kpp(Gaussian(0.0, 1.0, 1.0), Nicholson(2.0), grid, u0, T=1.0,
-              h=0.0)
+              h=0.0, collect=Kept())
     assert len(calls) == 6 * 64  # dt = 1/64
 
 
@@ -508,15 +516,19 @@ def test_trace_levels_columns_and_t0_nan():
     kern = Dirac(0.0, 1.0)
     grid = Grid(128.0, 1024)
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5 * birth.kappa, 0.0)
-    traj = solve_kpp(kern, birth, grid, u0, T=6.0, h=1.0, n_h=32,
-                     out_every=32)
-    speeds = critical_speeds(kern, birth.gprime0, 1.0)
+    last = []
     scan = LevelScan(grid.x, 0.5 * birth.kappa)
-    for t, u in zip(traj.times, traj.fields):
+
+    def collect(t, u):
         scan(t, u)
+        last[:] = [u]
+
+    solve_kpp(kern, birth, grid, u0, T=6.0, h=1.0, n_h=32, out_every=32,
+              collect=collect)
+    speeds = critical_speeds(kern, birth.gprime0, 1.0)
     tr = trace_levels(scan, speeds)
     assert math.isnan(tr.M[0]) and math.isnan(tr.M_star[0])  # log 0
-    lc = level_set(traj.fields[-1], grid.x, tr.beta)
+    lc = level_set(last[0], grid.x, tr.beta)
     assert tr.m_minus[-1] == pytest.approx(lc.m_minus, abs=1e-14)
     assert tr.m_plus[-1] == pytest.approx(lc.m_plus, abs=1e-14)
     # symmetric spread from symmetric data
@@ -529,8 +541,9 @@ def test_fisher_front_speed_two_percent():
     birth = Nicholson(2.0, 1.0)
     grid = Grid(256.0, 2048)
     u0 = np.where(np.abs(grid.x) < 2.0, birth.kappa, 0.0)
-    traj = solve_kpp(Dirac(0.0, 1.0), birth, grid, u0, T=40.0, h=0.0)
-    assert traj.n_h == 0  # no delay to divide
+    traj = Kept.run(solve_kpp, Dirac(0.0, 1.0), birth, grid, u0, T=40.0,
+                    h=0.0)
+    assert traj.record.n_h == 0  # no delay to divide
     beta = 0.5 * birth.kappa
     xs = {}
     for t_target in (20.0, 40.0):
