@@ -516,19 +516,15 @@ def test_trace_levels_columns_and_t0_nan():
     kern = Dirac(0.0, 1.0)
     grid = Grid(128.0, 1024)
     u0 = np.where(np.abs(grid.x) < 2.0, 0.5 * birth.kappa, 0.0)
-    last = []
-    scan = LevelScan(grid.x, 0.5 * birth.kappa)
-
-    def collect(t, u):
-        scan(t, u)
-        last[:] = [u]
-
-    solve_kpp(kern, birth, grid, u0, T=6.0, h=1.0, n_h=32, out_every=32,
-              collect=collect)
+    traj = Kept.run(solve_kpp, kern, birth, grid, u0, T=6.0, h=1.0, n_h=32,
+                    out_every=32)
     speeds = critical_speeds(kern, birth.gprime0, 1.0)
+    scan = LevelScan(grid.x, 0.5 * birth.kappa)
+    for t, u in zip(traj.times, traj.fields):
+        scan(t, u)
     tr = trace_levels(scan, speeds)
     assert math.isnan(tr.M[0]) and math.isnan(tr.M_star[0])  # log 0
-    lc = level_set(last[0], grid.x, tr.beta)
+    lc = level_set(traj.fields[-1], grid.x, tr.beta)
     assert tr.m_minus[-1] == pytest.approx(lc.m_minus, abs=1e-14)
     assert tr.m_plus[-1] == pytest.approx(lc.m_plus, abs=1e-14)
     # symmetric spread from symmetric data
