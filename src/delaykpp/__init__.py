@@ -6,7 +6,7 @@ and the non-local delayed KPP equation (spreading speeds, level sets).
 
 from .kernels import (Dirac, Gaussian, LaplaceKernel, UniformKernel,
                       TiltedKernel, DiscreteKernel, discretize,
-                      quadrature_laplace, kernel_from_dict)
+                      quadrature_laplace)
 from ._roots import halanay_root
 from .characteristic import (CharParams, DecayPair, TangencySolution,
                              SpeedPair, gamma_zero, gamma_on_grid,

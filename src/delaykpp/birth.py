@@ -121,28 +121,8 @@ class LinearBirth:
         return self.slope * np.asarray(u, dtype=float)
 
 
-_FAMILIES = {"nicholson": (Nicholson, ("p", "a")),
-             "mackey_glass": (MackeyGlass, ("p", "a", "q")),
-             "linear_cap": (LinearCap, ("slope", "cap"))}
-
-
 def birth_from_dict(spec: dict):
-    """Construct a birth function from {'family': ..., <params>}."""
-    try:
-        family = spec["family"]
-    except (KeyError, TypeError):
-        raise ValueError("birth spec needs a 'family' key") from None
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown birth family {family!r}; "
-                         f"choose from {sorted(_FAMILIES)}")
-    cls, names = _FAMILIES[family]
-    extra = set(spec) - {"family"} - set(names)
-    if extra:
-        raise ValueError(f"unknown birth parameters {sorted(extra)} "
-                         f"for family {family!r}")
-    kwargs = {k: float(spec[k]) for k in names if k in spec}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # a required parameter is missing
-        raise ValueError(f"bad parameters for birth family {family!r}: "
-                         f"{exc}") from None
+    """The birth of the spec {'family': ..., <params>}, read as a config's
+    birth field is read (config.Fields.birth)."""
+    from .config import Fields  # config imports this module
+    return Fields({"birth": spec}).birth()

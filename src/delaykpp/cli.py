@@ -317,6 +317,7 @@ def _cmd_simulate_linear(cfg: dict, write):
     diag.known(("z0", "tangency", "probe_x"))
     z0, tangency = diag.number("z0", 0.0), diag.flag("tangency", True)
     probe_x = diag.number("probe_x", 0.0)
+    grid.refuse_outside(probe_x, "diagnostics.probe_x")
     u0 = f.u0(1.0)(grid.x)
     n_h, out_every = f.count("n_h", None), f.count("out_every", None)
     scan = None

@@ -17,14 +17,23 @@ diagnostics, or keeps a few): the kept snapshots, n floats each, must
 fit grids.MAX_BYTES.
 
 What a refusal names.  A refused config exits 1 with one line that names
-the offending field by its dotted path.  It may name instead:
+the offending field by its dotted path.  A kernel or birth parameter is
+a field of its own (``birth.p``): one that is unknown to its family,
+missing though the family requires it, or not a finite number is
+refused by that name; a missing field inside an object names the object
+too (``field 'birth' is missing required field 'birth.p'``).  Every
+object refuses the keys it does not read: ``params``, ``u0``,
+``diagnostics``, the kernel and birth specs and the config itself.  A
+refusal may name instead:
 
 - the ``kernel`` or ``birth`` object, for a bad value of one of its
   parameters: a family checks its parameters together (Nicholson's p and
   a; a kernel whose mass or moments overflow a float), so its refusal is
   the object's;
-- a field inside an object given in place of the whole object (the
-  missing ``birth.family`` of ``"birth": {}``).
+- several fields, where a value is bad only with the others: a Dirac
+  ``kernel.shift`` must be a multiple of the cell L/n on a KPP run
+  (fields 'kernel.shift', 'L' and 'n'), and so must the shift that
+  extinction tunes (fields 'kernel', 'tune' and 'tune_margin').
 
 A value of the right type and range that is merely extreme (a birth p,
 a kernel mass or a delay of 1e300) is not a bad config.  The run is
@@ -48,20 +57,25 @@ top-level field that the invoked command or experiment does not read.
 ``experiment``  string [exp]: mckean | extinction | spreading |
     bridge; may instead follow ``experiment`` on the command line.
 ``kernel``  object, required [all but verify]: ``family`` (string) plus
-    finite-number parameters.  dirac: shift, mass; gaussian (alias
-    shifted_gaussian): mean, stddev > 0, mass; laplace: rate > 0, center,
-    mass; uniform: half_width > 0, center, mass.  mass >= 0, default 1;
-    speeds and the KPP runs need g'(0) times the mass to exceed 1 (no
-    front grows otherwise).  Parameters whose mass or first two moments
-    overflow a float are refused.
+    finite-number parameters, the fields of the family's class; one with
+    no default there is required.  dirac: shift (default 0), mass;
+    gaussian (alias shifted_gaussian): mean (0), stddev > 0 (1), mass;
+    laplace: rate > 0 (required), center (0), mass; uniform: half_width
+    > 0 (required), center (0), mass.  mass >= 0, default 1; speeds and
+    the KPP runs need g'(0) times the mass to exceed 1 (no front grows
+    otherwise).  Parameters whose mass or first two moments overflow a
+    float are refused.  A Dirac shift on a KPP run must be a multiple
+    of L/n.
 ``birth``  object [simulate-kpp, exp, speeds]: ``family`` plus
-    finite-number parameters.  nicholson: p > 1, a > 0; mackey_glass:
-    p > 1, a > 0, q > 0; linear_cap: slope > 1, cap > 0.  speeds checks
-    it whenever it is given, and takes g'(0) from it when gprime0 is
-    absent.
+    finite-number parameters, read as the kernel's are.  nicholson:
+    p > 1 (required), a > 0 (1); mackey_glass: p > 1 (required), a > 0
+    (1), q > 0 (2); linear_cap: slope > 1 (required), cap > 0 (1).
+    speeds checks it whenever it is given, and takes g'(0) from it when
+    gprime0 is absent.
 ``gprime0``  number [speeds]: g'(0); default the birth's slope.
 ``params``  object, required [char, simulate-linear, fundamental]:
-    numbers ``m``, ``p`` and ``h`` >= 0, all required.
+    numbers ``m``, ``p`` and ``h`` >= 0, all required; any other key is
+    refused.
 ``h``  number >= 0, required [speeds, simulate-kpp, exp]: the delay.
     extinction needs h > 0.
 ``L``  number > 0, required [simulate-linear, simulate-kpp, exp]: period
@@ -95,7 +109,8 @@ top-level field that the invoked command or experiment does not read.
 ``diagnostics``  object [simulate-linear]: when present, writes the decay
     diagnostics, and then needs ``T`` > 0.  ``z0`` (number, default 0),
     ``tangency`` (flag, default true), ``probe_x`` (number, default 0);
-    any other key is refused.
+    any other key is refused.  probe_x must lie in [-L/2, L/2), where
+    the probe and D's tilt e^{-z_m probe_x} see the same point.
 ``t_min``  number > 0, default 0.25 [fundamental]: smallest time the
     symbol grid resolves.
 ``x_span``  number > 0, default 40 [fundamental]: width of the x window.
@@ -116,20 +131,29 @@ top-level field that the invoked command or experiment does not read.
 from __future__ import annotations
 
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .birth import birth_from_dict
+from .birth import LinearCap, MackeyGlass, Nicholson
 from .characteristic import CharParams, _require_growth
 from .errors import ConfigError
 from .grids import DEFAULT_N_H, Grid
-from .kernels import Kernel, kernel_from_dict
+from .kernels import (Dirac, Gaussian, Kernel, LaplaceKernel, UniformKernel,
+                      discretize)
 
-__all__ = ["Fields", "kpp_inputs", "default_out_every", "KPP_AMPLITUDE",
-           "FIELD_READERS", "EXPERIMENT_OPTIONS"]
+__all__ = ["Fields", "kpp_inputs", "default_out_every", "dirac_on_grid",
+           "KPP_AMPLITUDE", "FIELD_READERS", "EXPERIMENT_OPTIONS"]
 
 KPP_AMPLITUDE = 0.9  # default bump amplitude of a KPP run, times kappa
 _REQUIRED = object()
+
+# family name -> class, for the kernel and birth specs
+_KERNELS = {"dirac": Dirac, "gaussian": Gaussian,
+            "shifted_gaussian": Gaussian,  # alias kept for existing configs
+            "laplace": LaplaceKernel, "uniform": UniformKernel}
+_BIRTHS = {"nicholson": Nicholson, "mackey_glass": MackeyGlass,
+           "linear_cap": LinearCap}
 
 _EXP = ("mckean", "extinction", "spreading", "bridge")
 _KPP = ("simulate-kpp", *_EXP)
@@ -170,8 +194,9 @@ class Fields:
     def _read(self, key, default, check, what: str):
         if key not in self.spec:
             if default is _REQUIRED:
-                raise ConfigError(
-                    f"config is missing required field '{self.name(key)}'")
+                owner = f"field '{self.label}'" if self.label else "config"
+                raise ConfigError(f"{owner} is missing required field "
+                                  f"'{self.name(key)}'")
             return default
         value = self.spec[key]
         if not check(value):
@@ -229,19 +254,29 @@ class Fields:
 
     # -- model objects -------------------------------------------------
 
-    def _family(self, key, build):
+    def _family(self, key, families: dict):
+        """The object of the spec {"family": ..., <params>} at key: the
+        class that families names, given the parameters that the spec
+        gives or the class requires, each a number read by its dotted
+        name.  Only the family's own checks refuse by the object, key."""
         spec = self.obj(key)
-        spec.text("family")
-        for param in spec.spec:
-            if param != "family":
-                spec.number(param)
+        family = spec.text("family")
+        if family not in families:
+            raise ConfigError(f"field '{spec.name('family')}': unknown {key} "
+                              f"family {family!r}; choose from "
+                              f"{', '.join(families)}")
+        cls = families[family]
+        spec.known(("family", *(p.name for p in fields(cls))),
+                   reader=f"{key} family '{family}'")
+        kwargs = {p.name: spec.number(p.name) for p in fields(cls)
+                  if p.name in spec.spec or p.default is MISSING}
         try:
-            return build(spec.spec)
+            return cls(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"field '{spec.label}': {exc}") from None
 
     def kernel(self) -> Kernel:
-        kernel = self._family("kernel", kernel_from_dict)
+        kernel = self._family("kernel", _KERNELS)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = all(np.all(np.isfinite(fn(0.0))) for fn in
@@ -266,7 +301,7 @@ class Fields:
         return kernel
 
     def birth(self):
-        return self._family("birth", birth_from_dict)
+        return self._family("birth", _BIRTHS)
 
     def gprime0(self) -> tuple[float, str]:
         """g'(0) and the field that gave it: gprime0 if given, else the
@@ -280,6 +315,7 @@ class Fields:
 
     def params(self) -> CharParams:
         spec = self.obj("params")
+        spec.known(("m", "p", "h"))
         return CharParams(m=spec.number("m"), p=spec.number("p"),
                           h=spec.delay())
 
@@ -348,6 +384,17 @@ FIELD_READERS = _with_options({
 })
 
 
+def dirac_on_grid(kernel: Kernel, grid: Grid, named: str) -> None:
+    """Refuse, by the fields named, a Dirac kernel whose shift is not a
+    multiple of the cell L/n: the alignment rule of kernels.discretize,
+    which a KPP run applies to its kernel."""
+    if isinstance(kernel, Dirac):
+        try:
+            discretize(kernel, grid)
+        except ValueError as exc:
+            raise ConfigError(f"fields {named}: {exc}") from None
+
+
 def kpp_inputs(cfg: dict) -> tuple:
     """(kernel, birth, grid, h, n_h, T, beta, u0): what every KPP run
     (simulate-kpp and each experiment) reads from its config; u0 is the
@@ -356,6 +403,7 @@ def kpp_inputs(cfg: dict) -> tuple:
     birth = f.birth()
     kernel = f.growing_kernel(birth.gprime0, "birth")
     grid = f.grid()
+    dirac_on_grid(kernel, grid, "'kernel.shift', 'L' and 'n'")
     h = f.delay()
     if h == 0.0 and "n_h" in cfg:
         raise ConfigError("field 'n_h' must be omitted when field 'h' is 0: "

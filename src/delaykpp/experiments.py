@@ -26,7 +26,7 @@ import numpy as np
 
 from .characteristic import (CharParams, critical_speeds, tangency_solve,
                              tune_kernel_shift)
-from .config import default_out_every
+from .config import default_out_every, dirac_on_grid
 from .errors import ConfigError
 from .kernels import Kernel
 from .linear_solver import solve_linear
@@ -193,14 +193,12 @@ def extinction_experiment(inputs: tuple, tune: bool = True,
     kernel0, birth, grid, h, n_h, T, beta, u0 = inputs
     if h <= 0.0:
         raise ConfigError("field 'h': the extinction run needs a delay h > 0")
-    if not -0.5 * grid.length <= probe_x < 0.5 * grid.length:
-        raise ConfigError(
-            f"field 'probe_x' = {probe_x:g} lies outside the grid "
-            f"[{-0.5 * grid.length:g}, {0.5 * grid.length:g})")
+    grid.refuse_outside(probe_x, "probe_x")
     if tune:
         kernel0, shift = tune_kernel_shift(
             kernel0, birth.gprime0, h, margin=tune_margin,
             max_shift=max_shift)
+        dirac_on_grid(kernel0, grid, "'kernel', 'tune' and 'tune_margin'")
     else:
         shift = 0.0
     speeds = critical_speeds(kernel0, birth.gprime0, h)

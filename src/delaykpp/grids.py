@@ -67,6 +67,14 @@ class Grid:
         _check_bytes(16 * self.n, f"field 'n' = {self.n:g}: the snapshot "
                      "array of the shortest run")
 
+    def refuse_outside(self, x: float, field: str) -> None:
+        """ConfigError naming field unless x lies on the grid's period
+        [-L/2, L/2)."""
+        half = 0.5 * self.length
+        if not -half <= x < half:
+            raise ConfigError(f"field '{field}' = {x:g} lies outside the "
+                              f"grid [{-half:g}, {half:g})")
+
     @property
     def dx(self) -> float:
         return self.length / self.n
@@ -230,8 +238,8 @@ def _history_samples(u0, n_h: int, h: float, width: int, dtype):
 
 def _check_bytes(nbytes: int, what: str) -> None:
     if nbytes > MAX_BYTES:
-        raise ConfigError(f"{what} needs {nbytes / 2**30:.3g} GiB, above "
-                          f"the budget of {MAX_BYTES / 2**30:g} GiB")
+        raise ConfigError(f"{what} needs {nbytes} bytes, above the "
+                          f"budget of {MAX_BYTES} bytes")
 
 
 def every_kth(count: int, k: int) -> list[int]:

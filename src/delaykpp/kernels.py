@@ -25,8 +25,7 @@ with S' and S''.  Kernel derives the rest once,
 
 and shifting moves c, scaling multiplies the mass, and tilting wraps the
 kernel in TiltedKernel.  Four families are provided (Dirac, Gaussian,
-Laplace, Uniform); the config family name "shifted_gaussian" is an alias
-that builds a Gaussian.  Dirac and Gaussian are closed under tilting and
+Laplace, Uniform).  Dirac and Gaussian are closed under tilting and
 tilt within the family, and Gaussian writes each transform as one
 exponential.  ``discretize`` produces the grid-sampled object used by the
 physical-space solvers; Dirac kernels become exact index shifts instead
@@ -53,7 +52,6 @@ __all__ = [
     "DiscreteKernel",
     "discretize",
     "quadrature_laplace",
-    "kernel_from_dict",
 ]
 
 
@@ -402,28 +400,3 @@ def discretize(kernel: Kernel, grid) -> DiscreteKernel:
     return DiscreteKernel(n=n, dx=dx, mass=kernel.mass, samples=samples,
                           lost_mass=float(lost))
 
-
-# ---------------------------------------------------------------------------
-# config form
-
-_FAMILIES = {
-    "dirac": Dirac,
-    "gaussian": Gaussian,
-    "shifted_gaussian": Gaussian,  # alias kept for existing configs
-    "laplace": LaplaceKernel,
-    "uniform": UniformKernel,
-}
-
-
-def kernel_from_dict(d: dict) -> Kernel:
-    """Build a kernel from a config mapping {family, parameters...}."""
-    d = dict(d)
-    family = d.pop("family", None)
-    if family not in _FAMILIES:
-        raise ValueError(
-            f"unknown kernel family {family!r}; expected one of {sorted(_FAMILIES)}"
-        )
-    try:
-        return _FAMILIES[family](**d)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for kernel family {family!r}: {exc}") from None

@@ -112,11 +112,13 @@ def test_dict_round_trip(birth, spec):
 
 
 def test_from_dict_validation():
-    with pytest.raises(ValueError, match="unknown birth family"):
+    with pytest.raises(ValueError, match="field 'birth.family': unknown "
+                       "birth family 'logistic'"):
         birth_from_dict({"family": "logistic"})
-    with pytest.raises(ValueError, match="unknown birth parameters"):
+    with pytest.raises(ValueError, match="field 'birth.rate' is not read"):
         birth_from_dict({"family": "nicholson", "p": 2.0, "rate": 1.0})
-    with pytest.raises(ValueError, match="'family'"):
+    with pytest.raises(ValueError, match="missing required field "
+                       "'birth.family'"):
         birth_from_dict({"p": 2.0})
 
 

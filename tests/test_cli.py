@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp import cli, grids, nonlinear, solve_kpp, solve_linear
+from delaykpp import (ConfigError, cli, grids, nonlinear, preset, solve_kpp,
+                      solve_linear)
 from delaykpp.cli import (_SnapshotCSV, _csv_lines, _fmt, _stream_csv,
                           _write_csv, main, run)
 from delaykpp.config import Fields, default_out_every, kpp_inputs
@@ -164,6 +165,23 @@ def test_malformed_json_names_file_and_line(tmp_path, capsys):
     assert "broken.json" in err and "line 2" in err
 
 
+# where a config comes from, refused before any field is read: the
+# --config path and its JSON root, or a preset name
+@pytest.mark.parametrize("load, message", [
+    (lambda tmp: cli._load_config(None),
+     "this subcommand requires --config PATH"),
+    (lambda tmp: cli._load_config(str(tmp / "absent.json")),
+     "cannot read config file .*absent.json: No such file"),
+    (lambda tmp: cli._load_config(_write_cfg(tmp, [1.0])),
+     "config root must be a JSON object"),
+    (lambda tmp: preset("nope"),
+     "unknown preset 'nope'; available: bridge-dirac, "),
+], ids=["no-path", "unreadable", "root-not-object", "unknown-preset"])
+def test_config_source_is_refused_by_name(tmp_path, load, message):
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path)
+
+
 def test_missing_field_names_field(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"command": "speeds", "h": 1.0,
                                 "gprime0": 2.0})
@@ -283,14 +301,26 @@ LAPLACE = {"family": "laplace", "rate": 1.0}
 NAN = float("nan")
 
 
+class _Absent:
+    def __repr__(self):
+        return "absent"
+
+
+ABSENT = _Absent()  # a value of _with that removes the field
+
+
 def _with(base, path, value):
-    """Copy of base with the field at the dotted path set to value."""
+    """Copy of base with the field at the dotted path set to value, or
+    removed when value is ABSENT."""
     cfg = json.loads(json.dumps(base))
     *outer, key = path.split(".")
     spec = cfg
     for k in outer:
         spec = spec[k]
-    spec[key] = value
+    if value is ABSENT:
+        del spec[key]
+    else:
+        spec[key] = value
     return cfg
 
 
@@ -341,6 +371,10 @@ HOSTILE = [
     ({**KPP_CFG, "h": 0.0}, "n_h", 16),
     (SPEEDS_CFG, "h", -1),
     ({**MCKEAN_CFG, "experiment": "bridge"}, "h", 0.0),
+    # without n_h, h = 0 passes the KPP inputs and the experiment refuses it
+    ({**MCKEAN_CFG, "experiment": "bridge", "h": 0.0}, "n_h", ABSENT, "h"),
+    ({**EXTINCTION_CFG, "h": 0.0}, "n_h", ABSENT, "h"),
+    (SPEEDS_CFG, "gprime0", ABSENT),
     (KPP_CFG, "n", 256.7),
     (KPP_CFG, "n", 1e300),
     (KPP_CFG, "command", "1"),
@@ -395,6 +429,12 @@ HOSTILE = [
     (EXTINCTION_CFG, "tune_margin", 0.0),
     (EXTINCTION_CFG, "window_halfwidth", -1.0),
     (EXTINCTION_CFG, "probe_x", 1e6),
+    # D's tilt e^{-z_m x_probe} would take a probe the periodic grid wraps
+    (LINEAR_CFG, "diagnostics.probe_x", 32.0),
+    # a Dirac kernel must shift by whole cells L/n (dx 0.25 here), as
+    # given and, for extinction, as tuned: refused before any KPP step
+    (KPP_CFG, "kernel.shift", 0.3),
+    (EXTINCTION_CFG, "tune", True),
     # the diagnostics range over the outputs after t = 0
     (LINEAR_CFG, "T", 0.0),
     ({**MCKEAN_CFG, "experiment": "spreading"}, "L", 8.0),
@@ -402,12 +442,13 @@ HOSTILE = [
     (FUNDAMENTAL_CFG, "residual_t", 0.1),
     (FUNDAMENTAL_CFG, "identity_times", [-1.0]),
     (FUNDAMENTAL_CFG, "identity_times", [0.001]),
-    # u0 and diagnostics refuse the keys they do not read
+    # u0, diagnostics and params refuse the keys they do not read
     (KPP_CFG, "u0", {"amplitud": 3}, "u0.amplitud"),
     (KPP_CFG, "u0", {"constant": 0.5, "amplitude": 3, "width": -1},
      "u0.amplitude"),
     (LINEAR_CFG, "diagnostics", {"z0": 0.0, "tangancy": False},
      "diagnostics.tangancy"),
+    (CHAR_CFG, "params.delay", 5.0),
     # so does the top-level object, against config.FIELD_READERS: a
     # misspelled key, or one that another command reads
     (KPP_CFG, "n_hh", 8),

@@ -7,10 +7,9 @@ import pytest
 
 from delaykpp import (ConfigError, Dirac, Gaussian, LaplaceKernel,
                       LevelSetTrace, SpeedPair, UniformKernel, bridge_check,
-                      cli, critical_speeds, experiments,
-                      extinction_experiment, logdrift_fit, mckean_experiment,
-                      preset, solve_kpp, spreading_experiment,
-                      tune_kernel_shift)
+                      cli, critical_speeds, extinction_experiment,
+                      logdrift_fit, mckean_experiment, preset, solve_kpp,
+                      spreading_experiment, tune_kernel_shift)
 from delaykpp.config import default_out_every, kpp_inputs
 from oracles import (Kept, stored_cone_minima, stored_trace_levels,
                      verdict_stability)
@@ -93,8 +92,9 @@ def test_bridge_check_passes_on_dirac_preset():
 def test_bridge_check_rejects_zero_delay():
     # at h = 0 the linear run samples its own fixed times, which the KPP
     # snapshots do not share; refuse rather than compare mismatched times
-    with pytest.raises(ConfigError, match="field 'h'"):
-        bridge_check(kpp_inputs({**preset("bridge-dirac"), "h": 0.0}))
+    cfg = {k: v for k, v in preset("bridge-dirac").items() if k != "n_h"}
+    with pytest.raises(ConfigError, match="field 'h': the bridge check"):
+        bridge_check(kpp_inputs({**cfg, "h": 0.0}))
 
 
 def test_mckean_inconclusive_when_level_unreached():
@@ -185,8 +185,9 @@ def test_extinction_validation():
            "L": 64.0, "n": 256, "h": 1.0, "n_h": 8, "T": 2.0}
     # the refusals the run itself makes; the CLI reads and checks each
     # option's type and sign before it calls the run
-    with pytest.raises(ConfigError, match="field 'h'"):
-        extinction_experiment(kpp_inputs({**cfg, "h": 0.0}))
+    h0 = {k: v for k, v in cfg.items() if k != "n_h"}
+    with pytest.raises(ConfigError, match="field 'h': the extinction run"):
+        extinction_experiment(kpp_inputs({**h0, "h": 0.0}))
     with pytest.raises(ConfigError, match="field 'probe_x'"):
         extinction_experiment(kpp_inputs(cfg), probe_x=1e6)
     with pytest.raises(ConfigError, match="field 'max_shift'"):
@@ -270,19 +271,3 @@ def test_one_pass_cone_minima_equal_the_stored_run(T):
     assert [rep.metrics[k] for k in (
         "min_at_half_T", "min_at_T", "widened_min_at_half_T",
         "widened_min_at_T")] == stored_cone_minima(kept, x, speeds, T)
-
-
-@pytest.mark.parametrize("runner", [mckean_experiment, spreading_experiment,
-                                    extinction_experiment])
-def test_experiments_reduce_every_snapshot_and_store_none(monkeypatch,
-                                                          runner):
-    collects = []
-    real = experiments.solve_kpp
-
-    def spy(*args, **kwargs):
-        collects.append(kwargs["collect"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "solve_kpp", spy)
-    runner(kpp_inputs({**SMALL_KPP, "T": 2.0}))
-    assert collects and None not in collects

@@ -1,6 +1,8 @@
 """Grid layout, field validation, the history ring's slot discipline and
 the output gate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ def test_ring_budget_counts_the_arrays_allocated(monkeypatch):
     assert HistoryRing(2.0, 8, 3, derivatives=False).vals.nbytes == 9 * 3 * 16
     with pytest.raises(ConfigError, match=r"fields 'n_h' and 'n'"):
         HistoryRing(2.0, 8, 3)
+
+
+def test_budget_refusal_prints_need_and_budget_apart():
+    # one byte past the budget of 1 GiB: both numbers are printed whole,
+    # so the need never reads as the budget
+    with pytest.raises(ConfigError) as refused:
+        grids._check_bytes(grids.MAX_BYTES + 1, "a run")
+    need, budget = re.findall(r"\d+", str(refused.value))
+    assert (int(need), int(budget)) == (grids.MAX_BYTES + 1, grids.MAX_BYTES)
 
 
 def test_history_ring_slots_across_windows():

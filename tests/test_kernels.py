@@ -1,5 +1,6 @@
 """Kernel families: closed-form transforms against quadrature, algebra of
-shift/tilt/scale, the config form, and discretization."""
+shift/tilt/scale, the config form (read by config.Fields), and
+discretization."""
 
 import math
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaykpp.errors import TransformDomainError
+from delaykpp.config import Fields
+from delaykpp.errors import ConfigError, TransformDomainError
 from delaykpp.grids import Grid
 from delaykpp.kernels import (Dirac, Gaussian, LaplaceKernel, TiltedKernel,
-                              UniformKernel, discretize,
-                              kernel_from_dict, quadrature_laplace)
+                              UniformKernel, discretize, quadrature_laplace)
 from oracles import multiplier
 
 ALL_FAMILIES = [
@@ -142,21 +143,23 @@ def test_dirac_has_no_density():
                  UniformKernel(2.0), id="UniformKernel"),
 ])
 def test_dict_round_trip(spec, kernel):
-    again = kernel_from_dict(spec)
+    again = Fields({"kernel": spec}).kernel()
     assert type(again) is type(kernel)
     assert again == kernel
 
 
 def test_shifted_gaussian_family_is_a_gaussian_alias():
     spec = {"family": "shifted_gaussian", "mean": 1.2, "stddev": 0.9}
-    assert kernel_from_dict(spec) == Gaussian(1.2, 0.9, 1.0)
+    assert Fields({"kernel": spec}).kernel() == Gaussian(1.2, 0.9, 1.0)
 
 
 def test_kernel_from_dict_names_bad_family():
-    with pytest.raises(ValueError, match="unknown kernel family"):
-        kernel_from_dict({"family": "nope"})
-    with pytest.raises(ValueError, match="bad parameters"):
-        kernel_from_dict({"family": "gaussian", "wat": 1.0})
+    with pytest.raises(ConfigError, match="field 'kernel.family': unknown "
+                       "kernel family 'nope'; choose from dirac, gaussian"):
+        Fields({"kernel": {"family": "nope"}}).kernel()
+    with pytest.raises(ConfigError, match="field 'kernel.wat' is not read: "
+                       "kernel family 'gaussian' reads family, mean"):
+        Fields({"kernel": {"family": "gaussian", "wat": 1.0}}).kernel()
 
 
 def test_discretized_gaussian_matches_analytic_multiplier():

@@ -416,7 +416,7 @@ def test_no_subnormal_values_are_stored(h):
 
 
 @pytest.mark.parametrize("collected", [False, True],
-                         ids=["stored", "collected"])
+                         ids=["kept", "collected"])
 @pytest.mark.parametrize("h", [1.0, 0.0])
 def test_solve_kpp_never_writes_u0(h, collected):
     # the run floors a copy of u0: the caller's array, with entries below
