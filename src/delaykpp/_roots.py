@@ -13,14 +13,28 @@ speed c(lambda) = tau / lambda at which the moving-frame symbols meet at
 tilt lambda (re_mu = lambda^2 - 1, k_abs = g'(0) L(lambda)), so one careful
 implementation serves them all.
 
-For h, k_abs > 0 one iteration serves every input: tau = re_mu + e^s / h,
-where s solves e^s + s = u with u = log h + log k_abs - h*re_mu.  That
-g(s) = e^s + s - u is convex and increasing, and s0 = log u (u > 1) or
-s0 = u (otherwise) lies above its root, so Newton from s0 falls onto the
-root monotonically, and in 8 steps from any finite u.  At the root e^s
-equals u - s, and past s = 1 the difference is the more accurate of the
-two: exp multiplies the rounding of s by s.  Four Newton steps on a(tau)
-then polish the root in the original variable.
+For h, k_abs > 0 one Newton iteration serves every input.  With
+u = log h + log k_abs - h*re_mu, the root is tau = re_mu + W_0(e^u)/h, W_0
+the principal Lambert W (Corless et al., Adv. Comput. Math. 5, 1996), and
+s = log W_0(e^u) solves e^s + s = u.  That g(s) = e^s + s - u is convex
+and increasing, and s0 = log u (u > 1) or s0 = u (otherwise) lies above
+its root, so Newton from s0 falls onto the root monotonically, and in 8
+steps from any finite u.  At the root e^s = h (tau - re_mu) and
+s = log h + log k_abs - h*tau, so tau can be read two ways:
+
+    tau = (log h + log k_abs - s) / h      where s > 1,
+    tau = re_mu + exp(s - log h)           otherwise.
+
+Past s = 1 the first does not cancel: the second would add a term near
+-re_mu to re_mu, losing digits of tau as |h*re_mu| grows and all of them
+past about 1e16.
+Below it the second is the accurate one, and exp(s - log h) stays finite
+where e^s alone underflows (h = k_abs = 4.9e-272).
+
+Envelope: against 60-digit mpmath roots the error is at most 64 ulps of
+max(1, |tau|) for |re_mu| <= 1e19, k_abs in [1e-8, 1e8] and h in
+[1e-3, 1e3] (tests/test_characteristic.py,
+test_halanay_root_within_envelope_of_mpmath).
 """
 
 from __future__ import annotations
@@ -28,9 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["halanay_root", "halanay_root_grid"]
-
-# exp overflows float64 just above 709; stay clear of it
-_EXP_MAX = 690.0
 
 
 def halanay_root_grid(re_mu, k_abs, h: float):
@@ -46,8 +57,10 @@ def halanay_root_grid(re_mu, k_abs, h: float):
 
     Returns
     -------
-    ndarray of the unique real roots, |a(tau)| polished below ~1e-13
-    on the scale of the inputs, and exactly 0 where re_mu + k_abs == 0.
+    ndarray of the unique real roots, each from one 8-step Newton
+    iteration on e^s + s = u and read in the form that does not cancel
+    (module docstring), within 64 ulps of max(1, |tau|) on the stated
+    envelope, and exactly 0 where re_mu + k_abs == 0.
     A non-finite root (u = +inf) comes without a warning; callers treat
     it as no root.
     """
@@ -67,25 +80,19 @@ def halanay_root_grid(re_mu, k_abs, h: float):
         return tau
 
     rm = re_mu[pos]
-    ka = k_abs[pos]
+    # log h + log k, not log(h k): the product underflows
+    lhk = np.log(h) + np.log(k_abs[pos])
     with np.errstate(over="ignore", invalid="ignore"):
-        # log h + log k, not log(h k): the product underflows.  Below
-        # -2 _EXP_MAX e^s is 0 either way; the floor keeps an overflowing
+        # below -1380 e^s is 0 either way; the floor keeps an overflowing
         # h re_mu (u = -inf) from turning the iteration into NaN
-        u = np.maximum(np.log(h) + np.log(ka) - h * rm, -2.0 * _EXP_MAX)
+        u = np.maximum(lhk - h * rm, -1380.0)
         s = np.where(u > 1.0, np.log(np.maximum(u, 1.0)), u)
         for _ in range(8):
             es = np.exp(s)
             s = s - (es + s - u) / (es + 1.0)
-        t = rm + np.where(s > 1.0, u - s, np.exp(s)) / h
-
-        # polish in the original variable; at the root k*exp(-h*tau)
-        # equals tau - re_mu, so the clamp only guards wayward steps
-        for _ in range(4):
-            e = np.exp(np.minimum(np.log(ka) - h * t, _EXP_MAX))
-            t = t - (t - rm - e) / (1.0 + h * e)
+        t = np.where(s > 1.0, (lhk - s) / h, rm + np.exp(s - np.log(h)))
     # the root is exactly 0 there, which rounding would miss
-    tau[pos] = np.where(rm + ka == 0.0, 0.0, t)
+    tau[pos] = np.where(rm + k_abs[pos] == 0.0, 0.0, t)
     return tau
 
 

@@ -356,6 +356,8 @@ def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:
     """
     _require_growth(kernel0, gprime0)
     lo_lim, hi_lim = _strip_limits(kernel0)
+    fields = ("g'(0) (field 'gprime0' or 'birth'), field 'kernel' and "
+              "field 'h'")
     out = {}
     for sign, edge in ((+1, hi_lim), (-1, -lo_lim)):
         def speed(mu):
@@ -365,16 +367,14 @@ def critical_speeds(kernel0: Kernel, gprime0: float, h: float) -> SpeedPair:
 
         mu, v, j = _tilt_argmin(
             speed, min(edge, 1e6),
-            f"critical speed on the {'+' if sign > 0 else '-'} branch")
+            f"{fields}: critical speed on the {'+' if sign > 0 else '-'} "
+            "branch")
         c_fin, lam_fin, r1, r2 = polish_speed(
             kernel0, gprime0, h, sign * float(v[j]), sign * float(mu[j]))
         if not max(abs(r1), abs(r2)) <= 1e-10:  # NaN residuals fail too
-            cause = "" if np.isfinite(r1 + r2) else (
-                "; g'(0) (field 'gprime0' or 'birth'), field 'kernel' and "
-                "field 'h' overflow a float")
             raise ConfigError(
                 f"speed polish stalled on branch {sign:+d}: "
-                f"residuals ({r1:.3e}, {r2:.3e}){cause}")
+                f"residuals ({r1:.3e}, {r2:.3e}); check {fields}")
         out[sign] = (c_fin, lam_fin, r1, r2)
     cp, lp, rp1, rp2 = out[1]
     cm, lm, rm1, rm2 = out[-1]
@@ -424,6 +424,7 @@ def tune_kernel_shift(base: Kernel, gprime0: float, h: float,
     lam_max = (math.sqrt(margin * margin + 4.0) - margin) / 2.0
     lam, _, j = _tilt_argmin(shift_at,
                              min(lam_max, _strip_limits(base)[1]),
+                             "field 'kernel' and field 'tune_margin': "
                              "kernel tuning")
     shift = _zoom_min(shift_at, lam[j - 1], lam[j + 1])[1]
     if shift <= 0.0:

@@ -94,11 +94,36 @@ def test_halanay_root_deep_decay_regression():
         root = halanay_root(a, 1.0, 1.0)
         assert abs(root - a - math.exp(-root)) < 2e-12
         assert root == pytest.approx(-math.log(-a), abs=0.05)
-    # u = -a and s is about 35: taking tau - a as e^s rather than u - s
-    # would multiply its rounding by s, past what four polish steps undo
+    # u = -a and s is about 35: reading tau as a + e^s rather than from
+    # log h + log k - s would lose all of tau to cancellation
     for a in (-1e15, -5e15):
         assert halanay_root(a, 1.0, 1.0) == pytest.approx(-math.log(-a),
                                                           abs=1e-9)
+
+
+def test_halanay_root_within_envelope_of_mpmath():
+    # the envelope of the _roots docstring: 64 ulps of max(1, |tau|) on
+    # four bands of |re_mu| from 1e10 to 1e19, where reading tau as
+    # re_mu + e^s / h once cancelled (k = e^{+-5}, h = 1), and on a
+    # log-uniform set with |re_mu| <= 1e19, k in [1e-8, 1e8] and h in
+    # [1e-3, 1e3]
+    mp = pytest.importorskip("mpmath")
+    cases = []
+    for lo, hi in ((1e10, 1e15), (1e15, 1e16), (1e16, 1e17), (1e17, 1e19)):
+        for a in np.geomspace(lo, hi, 100):
+            cases += [(sign * a, k, 1.0) for sign in (1.0, -1.0)
+                      for k in (math.exp(5.0), math.exp(-5.0))]
+    rng = np.random.default_rng(2026)
+    n = 3000
+    cases += zip(rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3, 19, n),
+                 10.0 ** rng.uniform(-8, 8, n), 10.0 ** rng.uniform(-3, 3, n))
+    with mp.workdps(60):
+        for a, k, h in cases:
+            # tau = a + W_0(e^u) / h with u = log h + log k - h a
+            u = mp.log(h) + mp.log(k) - mp.mpf(h) * mp.mpf(a)
+            want = float(mp.mpf(a) + mp.lambertw(mp.exp(u)).real / h)
+            err = abs(halanay_root(a, k, h) - want) / max(1.0, abs(want))
+            assert err <= 64 * np.finfo(float).eps, (a, k, h)
 
 
 def test_halanay_root_rejects_bad_inputs():
@@ -370,6 +395,15 @@ def test_speeds_refuse_non_finite_polish():
     with np.errstate(all="ignore"), \
             pytest.raises(ConfigError, match="stalled.*'gprime0'.*'kernel'"):
         critical_speeds(Dirac(1e5, 1.0), 1e300, 0.0)
+
+
+def test_speeds_solve_at_a_long_delay():
+    # at h = 1e16 the root tau(lam) is about 1e-16 while re_mu = lam^2 - 1
+    # is of order 1: read as re_mu + e^s / h it cancelled, and the speed
+    # polish stalled
+    sp = critical_speeds(Gaussian(0.0, 1.0, 1.0), 2.0, 1e16)
+    assert max(abs(r) for r in sp.residuals) <= 1e-10
+    assert sp.c_minus < 0.0 < sp.c_plus
 
 
 _FAMILIES = {

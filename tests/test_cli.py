@@ -325,6 +325,7 @@ def _with(base, path, value):
 
 
 LINEAR_H0_CFG = _with(LINEAR_CFG, "params.h", 0.0)
+GAUSSIAN_SPEEDS_CFG = {**SPEEDS_CFG, "kernel": {"family": "gaussian"}}
 
 # refused by field in one error line, with no NumPy warning: a birth
 # family given alone, a step h/n_h or cell L/n that is no normal double,
@@ -420,6 +421,15 @@ HOSTILE = [
      "gprime0", 1e300),
     ({**SPEEDS_CFG, "kernel": {"family": "dirac", "shift": -1e5}},
      "gprime0", 1e300, "kernel"),
+    # a kernel so far off or so wide that the tilt of the least speed, or
+    # of the tuned shift, falls outside the searched range
+    (SPEEDS_CFG, "kernel.shift", 1e16, "kernel"),
+    (SPEEDS_CFG, "kernel.shift", -1e16, "kernel"),
+    (GAUSSIAN_SPEEDS_CFG, "kernel.mean", 1e16, "kernel"),
+    (GAUSSIAN_SPEEDS_CFG, "kernel.mean", -1e16, "kernel"),
+    (GAUSSIAN_SPEEDS_CFG, "kernel.stddev", 1e16, "kernel"),
+    ({**EXTINCTION_CFG, "kernel": {"family": "gaussian"}}, "kernel.stddev",
+     1e16, "kernel"),
     # values only the experiment or the synthesis can refuse; expect is
     # retired, and refused as any key that nothing reads
     (EXTINCTION_CFG, "h", 0.0),
@@ -609,8 +619,8 @@ FAILING_KPP = {
         {"kernel": {"family": "gaussian", "mean": 0.0, "stddev": 1.0,
                     "mass": 1e300}},
         "error: speed polish stalled on branch +1: residuals (nan, nan); "
-        "g'(0) (field 'gprime0' or 'birth'), field 'kernel' and field 'h' "
-        "overflow a float\n", 13),  # every output, t = 0 .. 3
+        "check g'(0) (field 'gprime0' or 'birth'), field 'kernel' and "
+        "field 'h'\n", 13),  # every output, t = 0 .. 3
 }
 
 
@@ -856,8 +866,8 @@ def test_linear_horizon_zero_runs_without_diagnostics(tmp_path):
 _FRAME_STALL = ("error: field 'kernel': frame tangency at the critical "
                 "speeds failed: tangency polish stalled: residuals (")
 _POLISH_OVERFLOW = ("error: speed polish stalled on branch +1: residuals "
-                    "(nan, nan); g'(0) (field 'gprime0' or 'birth'), "
-                    "field 'kernel' and field 'h' overflow a float\n")
+                    "(nan, nan); check g'(0) (field 'gprime0' or 'birth'), "
+                    "field 'kernel' and field 'h'\n")
 # (shift, gprime0, h) of a Dirac kernel -> start of the one-line message
 FAR_SHIFTED_SPEEDS = {
     (1e5, 2.0, 0.0): _FRAME_STALL, (1e5, 2.0, 1.0): _FRAME_STALL,

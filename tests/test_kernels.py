@@ -153,7 +153,7 @@ def test_shifted_gaussian_family_is_a_gaussian_alias():
     assert Fields({"kernel": spec}).kernel() == Gaussian(1.2, 0.9, 1.0)
 
 
-def test_kernel_from_dict_names_bad_family():
+def test_kernel_spec_names_bad_family():
     with pytest.raises(ConfigError, match="field 'kernel.family': unknown "
                        "kernel family 'nope'; choose from dirac, gaussian"):
         Fields({"kernel": {"family": "nope"}}).kernel()

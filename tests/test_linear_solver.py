@@ -281,7 +281,7 @@ def test_probe_value_interpolates():
 
 
 @pytest.mark.parametrize("h", [1.0, 0.0])
-def test_collector_sees_exactly_the_stored_snapshots(h):
+def test_kept_snapshots_are_the_schedule_bit_for_bit(h):
     # the snapshots a keeping collect stores are the schedule's, bit for
     # bit in two runs: of the 37 steps to T = 2.3 at h = 1, out_every 8
     # keeps 0, 8, ..., 32 and the last one, off that grid; h = 0 keeps

@@ -130,7 +130,7 @@ def test_input_validation():
     assert kept.times.size == 0
 
 
-def test_collector_sees_exactly_the_stored_snapshots(monkeypatch):
+def test_kept_snapshots_are_the_schedule_bit_for_bit(monkeypatch):
     # the snapshots a keeping collect stores are the schedule's, bit for
     # bit in two runs.  Signed data, so that clamps are counted; of the
     # 74 steps to T = 2.3, out_every 8 keeps 0, 8, ..., 72 and the last
